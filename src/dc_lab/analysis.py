@@ -51,8 +51,13 @@ def _member_stack(family, d: int) -> np.ndarray:
 
 
 def _weighted_gram(stack: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Matrix of tr(Lambda U_i^dag U_j) over all member pairs."""
-    return np.einsum("a,iba,jba->ij", lam, stack.conj(), stack, optimize=True)
+    """Matrix of tr(Lambda U_i^dag U_j) over all member pairs.
+
+    Takes a (..., K, d, d) stack and returns (..., K, K): each member is
+    flattened row-major, so Lambda weights column a of every row.
+    """
+    flat = stack.shape[:-2] + (-1,)
+    return (stack.conj() * lam).reshape(flat) @ stack.reshape(flat).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

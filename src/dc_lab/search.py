@@ -10,8 +10,16 @@ identity), parametrizes each remaining member as U = exp(iH) with H Hermitian
 which vanishes exactly on valid families.  Each restart draws a fresh random
 H from a generator seeded by the configured base seed, runs Adam on the
 analytic gradient, then hands the best point to a small Levenberg-Marquardt
-polish that drives true zeros far below the acceptance tolerance.  Every run
-with the same configuration is bit-for-bit reproducible.
+polish that drives true zeros far below the acceptance tolerance.
+
+Restarts run in lockstep batches of 1, 2, 4, ... rows: one batched
+eigendecomposition and a few stacked matrix products serve every row of a
+batch, and each row leaves the batch when its own Adam run hands off or
+stalls.  The rows of a batch are then polished in index order, and the
+lowest-index accepted restart wins, as in a one-at-a-time loop.  Every row's
+arithmetic is independent of the others, so results do not depend on the
+batch schedule, and every run with the same configuration is bit-for-bit
+reproducible.
 
 A failed search is evidence, not proof: results label such outcomes
 "not found (heuristic)".  Only the closed-form exclusion predicates from
@@ -28,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SATURATION_TOL, _diagonal_of, _weighted_gram, bns_excluded, wcsg_bound
-from .families import EncodingFamily
+from .analysis import SATURATION_TOL, _diagonal_of, _member_stack, _weighted_gram, bns_excluded, wcsg_bound
+from .families import EncodingFamily, shift_diag_family
 from .linalg import UNITARITY_TOL, as_matrix, unitarity_residual
 from .states import SchmidtState, entropy_bits, make_state
 
@@ -85,99 +93,127 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# parametrization
-
-
-def _expand_hermitian(theta: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Map a real parameter vector to a stack of n Hermitian (d, d) matrices.
-
-    Per-matrix layout: d diagonal entries, then the real and imaginary parts
-    of the strict upper triangle in row-major order.
-    """
-    npair = d * (d - 1) // 2
-    th = np.asarray(theta, dtype=float).reshape(n, d * d)
-    hs = np.zeros((n, d, d), dtype=np.complex128)
-    ii = np.arange(d)
-    hs[:, ii, ii] = th[:, :d]
-    iu0, iu1 = np.triu_indices(d, 1)
-    vals = th[:, d : d + npair] + 1j * th[:, d + npair :]
-    hs[:, iu0, iu1] = vals
-    hs[:, iu1, iu0] = vals.conj()
-    return hs
-
-
-def _eig_unitaries(theta: np.ndarray, n: int, d: int):
-    """exp(iH) for each parametrized H, via eigendecomposition."""
-    hs = _expand_hermitian(theta, n, d)
-    w, v = np.linalg.eigh(hs)
-    phases = np.exp(1j * w)
-    u = (v * phases[:, None, :]) @ v.conj().swapaxes(1, 2)
-    return u, w, v, phases
+# per-search context and batched kernel
 
 
 def _divided_difference(w: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """First divided differences of x -> exp(ix) over each eigenvalue pair."""
     dw = w[:, :, None] - w[:, None, :]
-    dphase = phases[:, :, None] - phases[:, None, :]
     near = np.abs(dw) < _DEGENERACY_EPS
-    mid = 0.5 * (w[:, :, None] + w[:, None, :])
-    safe = np.where(near, 1.0, dw)
-    return np.where(near, 1j * np.exp(1j * mid), dphase / safe)
+    gamma = (phases[:, :, None] - phases[:, None, :]) / np.where(near, 1.0, dw)
+    # coincident eigenvalues (always the diagonal) take the derivative instead
+    gamma[near] = 1j * np.exp(1j * (0.5 * (w[:, :, None] + w[:, None, :]))[near])
+    return gamma
 
 
-def _collapse_gradient(g: np.ndarray, d: int) -> np.ndarray:
-    """Fold per-matrix complex gradients G into the real parameter layout."""
-    ii = np.arange(d)
-    iu0, iu1 = np.triu_indices(d, 1)
-    diag = 2.0 * g[:, ii, ii].real
-    re = 2.0 * (g[:, iu0, iu1] + g[:, iu1, iu0]).real
-    im = 2.0 * (g[:, iu0, iu1] - g[:, iu1, iu0]).imag
-    return np.concatenate([diag, re, im], axis=1).reshape(-1)
+def _pairs(n: int):
+    """Row and column indices of the strict upper triangle of an (n, n) matrix."""
+    return np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
 
 
-# ---------------------------------------------------------------------------
-# objective and derivatives
+class _Problem:
+    """Constants of one search: weights, fixed prefix, sizes and index arrays.
+
+    A parameter row holds n_free blocks of d^2 reals, one Hermitian H per
+    free member: d diagonal entries, then the real and imaginary parts of
+    the strict upper triangle in row-major order.  Batched methods take rows
+    of shape (R, n_free * d^2) and treat every row independently.
+    """
+
+    def __init__(self, state: SchmidtState, k: int, fixed_stack: np.ndarray, pin_fr: bool):
+        d = state.d
+        self.lam = state.lambdas
+        self.d = d
+        self.k = k
+        self.fixed = fixed_stack
+        self.nf = fixed_stack.shape[0]
+        self.n_free = k - self.nf
+        self.nparam = self.n_free * d * d
+        self.pin = _pin_active(state, pin_fr, self.n_free)
+        self.pairs = _pairs(k)
+        self.pair_flat = self.pairs[0] * k + self.pairs[1]
+        # Row a of `basis` is the flattened Hermitian matrix dH/dtheta_a of one
+        # block, so H = theta_block @ basis and the coefficients of the
+        # parameters in tr(Z dH) are Z_flat @ basis^dag.  Each entry of either
+        # product has at most two nonzero terms, so both are exact.
+        iu0, iu1 = _pairs(d)
+        unit = np.eye(d * d)
+        upper, lower = unit[iu0 * d + iu1], unit[iu1 * d + iu0]
+        self.basis = np.concatenate([unit[np.arange(d) * (d + 1)], upper + lower, 1j * (upper - lower)])
+        self.dual = np.ascontiguousarray(self.basis.conj().T)
+
+    def unitaries(self, theta: np.ndarray):
+        """exp(iH) for every free member of every row, via one batched eigh.
+
+        Returns the (rows * n_free, d, d) unitaries with the eigenvalues,
+        eigenvectors, their adjoints and the phases exp(i w).
+        """
+        d = self.d
+        h = np.asarray(theta, dtype=float).reshape(-1, d * d) @ self.basis
+        w, v = np.linalg.eigh(h.reshape(-1, d, d))
+        phases = np.exp(1j * w)
+        vh = v.conj().swapaxes(1, 2)
+        return (v * phases[:, None, :]) @ vh, w, v, vh, phases
+
+    def members(self, ufree: np.ndarray) -> np.ndarray:
+        """(rows, k, d, d) member stacks: the fixed prefix, then the free unitaries."""
+        rows = ufree.shape[0] // self.n_free
+        stack = np.empty((rows, self.k, self.d, self.d), dtype=np.complex128)
+        stack[:, : self.nf] = self.fixed
+        stack[:, self.nf :] = ufree.reshape(rows, self.n_free, self.d, self.d)
+        return stack
+
+    def _objective(self, stack: np.ndarray, ufree: np.ndarray):
+        """Per-row objective (with the gauge penalty) and the weighted Gram matrices."""
+        t = _weighted_gram(stack, self.lam)
+        # Each row's value must not depend on the row count.  So: squares of
+        # the real and imaginary parts (complex np.abs rounds differently in
+        # its vector and scalar loops), summed along C-ordered rows (a plain
+        # fancy index returns columns, which np.sum adds in another order).
+        tp = t.reshape(t.shape[0], -1).take(self.pair_flat, axis=1)
+        f = np.sum(tp.real * tp.real + tp.imag * tp.imag, axis=1)
+        if self.pin:
+            z = ufree[:: self.n_free, 0, 1]
+            f += z.real * z.real + z.imag * z.imag
+        return f, t
+
+    def objective(self, theta: np.ndarray) -> np.ndarray:
+        """Objective of every row of theta, shape (R,)."""
+        ufree = self.unitaries(theta)[0]
+        return self._objective(self.members(ufree), ufree)[0]
+
+    def objective_and_gradient(self, theta: np.ndarray):
+        """Objective (R,) and analytic gradient (R, nparam) of every row.
+
+        The gradient flows through exp(iH) with the divided-difference form
+        of the derivative of a matrix function at a Hermitian argument.
+        """
+        d, k = self.d, self.k
+        ufree, w, v, vh, phases = self.unitaries(theta)
+        stack = self.members(ufree)
+        rows = stack.shape[0]
+        f, t = self._objective(stack, ufree)
+        c = t.conj()
+        c.reshape(rows, k * k)[:, :: k + 1] = 0.0
+        wmat = (c[:, self.nf :] @ stack.reshape(rows, k, d * d)).reshape(-1, d, d) * self.lam
+        if self.pin:
+            wmat[:: self.n_free, 0, 1] += ufree[:: self.n_free, 0, 1]
+        p = vh @ wmat @ v
+        g = v @ (p * _divided_difference(w, phases).conj()) @ vh
+        grad = 2.0 * self.trace_layout(g).real
+        return f, grad.reshape(rows, self.nparam)
+
+    def trace_layout(self, z: np.ndarray) -> np.ndarray:
+        """Coefficients of the parameters in tr(Z dH), for (..., d, d) Z -> (..., d^2)."""
+        return z.reshape(z.shape[:-2] + (-1,)) @ self.dual
 
 
 def objective(weights, family) -> float:
     """Sum of squared pairwise weighted traces; zero iff the family is valid."""
     lam = _diagonal_of(weights)
-    members = tuple(getattr(family, "members", family))
-    stack = np.stack([np.asarray(m, dtype=np.complex128) for m in members])
-    t = _weighted_gram(stack, lam)
-    iu, ju = np.triu_indices(stack.shape[0], 1)
+    t = _weighted_gram(_member_stack(family, lam.shape[0]), lam)
+    iu, ju = _pairs(t.shape[0])
     return float(np.sum(np.abs(t[iu, ju]) ** 2))
-
-
-def _stack_objective(stack: np.ndarray, lam: np.ndarray):
-    t = _weighted_gram(stack, lam)
-    iu, ju = np.triu_indices(stack.shape[0], 1)
-    tvals = t[iu, ju]
-    return float(np.sum(np.abs(tvals) ** 2)), t, tvals
-
-
-def _objective_and_grad(lam, theta, n_free, d, fixed_stack, pin):
-    """Objective and its analytic gradient in the Hermitian parameters.
-
-    The gradient flows through exp(iH) with the divided-difference form of
-    the derivative of a matrix function at a Hermitian argument.
-    """
-    ufree, w, v, phases = _eig_unitaries(theta, n_free, d)
-    stack = np.concatenate([fixed_stack, ufree], axis=0)
-    f, t, _ = _stack_objective(stack, lam)
-    c = t.conj().copy()
-    np.fill_diagonal(c, 0.0)
-    nf = fixed_stack.shape[0]
-    wmat = np.einsum("iq,qba->iba", c[nf:], stack, optimize=True) * lam[None, None, :]
-    if pin:
-        z = ufree[0, 0, 1]
-        f += abs(z) ** 2
-        wmat[0, 0, 1] += z
-    vh = v.conj().swapaxes(1, 2)
-    p = vh @ wmat @ v
-    gamma = _divided_difference(w, phases)
-    g = v @ (p * gamma.conj()) @ vh
-    return f, _collapse_gradient(g, d)
 
 
 def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None, pin_fr: bool = False):
@@ -187,103 +223,52 @@ def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None, pin_f
     appended after the fixed prefix (the identity by default).
     """
     fixed_stack = _prepare_fixed(state, fixed)
-    n_free = k - fixed_stack.shape[0]
-    if n_free <= 0:
+    if k - fixed_stack.shape[0] <= 0:
         raise ValueError("no free members to differentiate")
-    pin = _pin_active(state, pin_fr, n_free)
-    return _objective_and_grad(
-        state.lambdas, np.asarray(theta, dtype=float), n_free, state.d, fixed_stack, pin
-    )
+    prob = _Problem(state, k, fixed_stack, pin_fr)
+    f, grad = prob.objective_and_gradient(np.asarray(theta, dtype=float).reshape(1, -1))
+    return float(f[0]), grad[0]
 
 
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt polish
 
 
-def _pair_jacobian_blocks(stack, lam, v, gamma, nf, d):
-    """For each free matrix, d/dtheta of every tr(Lambda dU^dag U_q) trace.
-
-    Returns an array S with S[m, q, :] the complex derivative of the weighted
-    trace against member q with respect to the d^2 parameters of free
-    matrix m (dagger side); the swapped role is its conjugate.
-    """
-    ii = np.arange(d)
-    iu0, iu1 = np.triu_indices(d, 1)
-    n_free = stack.shape[0] - nf
-    ul = stack * lam[None, None, :]
-    s = np.empty((n_free, stack.shape[0], d * d), dtype=np.complex128)
-    for m in range(n_free):
-        vm = v[m]
-        x = vm.conj().T @ ul @ vm
-        zp = vm @ (gamma[m].conj()[None] * x) @ vm.conj().T
-        s[m, :, :d] = zp[:, ii, ii]
-        s[m, :, d : d + iu0.size] = zp[:, iu0, iu1] + zp[:, iu1, iu0]
-        s[m, :, d + iu0.size :] = 1j * (zp[:, iu1, iu0] - zp[:, iu0, iu1])
-    return s
-
-
-def _pin_jacobian_row(v0, gamma0, d):
-    """Complex derivative of (U_1)_{0,1} in the first free matrix's parameters."""
-    ii = np.arange(d)
-    iu0, iu1 = np.triu_indices(d, 1)
-    tmat = v0[0, :][:, None] * gamma0 * v0[1, :].conj()[None, :]
-    tp = v0.conj() @ tmat @ v0.T
-    out = np.empty(d * d, dtype=np.complex128)
-    out[:d] = tp[ii, ii]
-    out[d : d + iu0.size] = tp[iu0, iu1] + tp[iu1, iu0]
-    out[d + iu0.size :] = 1j * (tp[iu0, iu1] - tp[iu1, iu0])
-    return out
-
-
-def _residuals_and_jacobian(lam, theta, n_free, d, fixed_stack, pin):
-    ufree, w, v, phases = _eig_unitaries(theta, n_free, d)
-    stack = np.concatenate([fixed_stack, ufree], axis=0)
-    k = stack.shape[0]
-    nf = fixed_stack.shape[0]
-    t = _weighted_gram(stack, lam)
-    iu, ju = np.triu_indices(k, 1)
-    tvals = t[iu, ju]
-    npairs = iu.size
-    nres = 2 * npairs + (2 if pin else 0)
-    nparam = n_free * d * d
-    r = np.empty(nres)
-    r[:npairs] = tvals.real
-    r[npairs : 2 * npairs] = tvals.imag
+def _residuals_and_jacobian(prob: _Problem, theta: np.ndarray):
+    """Real and imaginary parts of every pair trace (and the gauge pin) for
+    one parameter row, with their Jacobian in the row's parameters."""
+    nf, dd = prob.nf, prob.d * prob.d
+    ufree, w, v, vh, phases = prob.unitaries(theta)
+    stack = prob.members(ufree)[0]
+    iu, ju = prob.pairs
+    tvals = _weighted_gram(stack, prob.lam)[iu, ju]
     gamma = _divided_difference(w, phases)
-    s = _pair_jacobian_blocks(stack, lam, v, gamma, nf, d)
-    jac = np.zeros((nres, nparam))
-    for pidx in range(npairs):
-        i, j = int(iu[pidx]), int(ju[pidx])
-        for gmi, other, conjugate in ((i, j, False), (j, i, True)):
-            m = gmi - nf
-            if m < 0:
-                continue
-            dt = s[m, other].conj() if conjugate else s[m, other]
-            sl = slice(m * d * d, (m + 1) * d * d)
-            jac[pidx, sl] = dt.real
-            jac[npairs + pidx, sl] = dt.imag
-    if pin:
+    # s[m, q] is d tr(Lambda U_m^dag U_q) / d theta_m for free member m on the
+    # dagger side; on the other side the derivative is its conjugate.
+    x = vh[:, None] @ (stack * prob.lam)[None] @ v[:, None]
+    s = prob.trace_layout(v[:, None] @ (gamma.conj()[:, None] * x) @ vh[:, None])
+    jc = np.zeros((iu.size, prob.n_free, dd), dtype=np.complex128)
+    left = np.nonzero(iu >= nf)[0]
+    jc[left, iu[left] - nf] = s[iu[left] - nf, ju[left]]
+    right = np.nonzero(ju >= nf)[0]
+    jc[right, ju[right] - nf] = s[ju[right] - nf, iu[right]].conj()
+    jc = jc.reshape(iu.size, prob.nparam)
+    r = [tvals.real, tvals.imag]
+    jac = [jc.real, jc.imag]
+    if prob.pin:
+        # (U_1)_{0,1} depends on the first free member's block only
         z = ufree[0, 0, 1]
-        r[2 * npairs] = z.real
-        r[2 * npairs + 1] = z.imag
-        dz = _pin_jacobian_row(v[0], gamma[0], d)
-        jac[2 * npairs, : d * d] = dz.real
-        jac[2 * npairs + 1, : d * d] = dz.imag
-    return r, jac
+        tmat = v[0, 0, :][:, None] * gamma[0] * v[0, 1, :].conj()[None, :]
+        dz = np.zeros(prob.nparam, dtype=np.complex128)
+        dz[:dd] = prob.trace_layout(v[0] @ tmat.T @ vh[0])
+        r.append(np.array([z.real, z.imag]))
+        jac.append(np.stack([dz.real, dz.imag]))
+    return np.concatenate(r), np.concatenate(jac)
 
 
-def _total_objective(lam, theta, n_free, d, fixed_stack, pin):
-    ufree, _, _, _ = _eig_unitaries(theta, n_free, d)
-    stack = np.concatenate([fixed_stack, ufree], axis=0)
-    f, _, _ = _stack_objective(stack, lam)
-    if pin:
-        f += abs(ufree[0, 0, 1]) ** 2
-    return f
-
-
-def _lm_polish(lam, theta, n_free, d, fixed_stack, pin, iters):
+def _lm_polish(prob: _Problem, theta: np.ndarray, iters: int):
     theta = np.array(theta, dtype=float)
-    r, jac = _residuals_and_jacobian(lam, theta, n_free, d, fixed_stack, pin)
+    r, jac = _residuals_and_jacobian(prob, theta)
     f = float(r @ r)
     mu = 1e-3
     for _ in range(iters):
@@ -299,12 +284,12 @@ def _lm_polish(lam, theta, n_free, d, fixed_stack, pin, iters):
         except np.linalg.LinAlgError:
             delta = np.linalg.lstsq(a + mu * damp, -g, rcond=None)[0]
         trial = theta + delta
-        ft = _total_objective(lam, trial, n_free, d, fixed_stack, pin)
+        ft = float(prob.objective(trial)[0])
         if ft < f:
             theta = trial
             f = ft
             mu = max(mu / 3.0, 1e-14)
-            r, jac = _residuals_and_jacobian(lam, theta, n_free, d, fixed_stack, pin)
+            r, jac = _residuals_and_jacobian(prob, theta)
         else:
             mu *= 4.0
             if mu > 1e12:
@@ -316,30 +301,40 @@ def _lm_polish(lam, theta, n_free, d, fixed_stack, pin, iters):
 # Adam exploration
 
 
-def _adam(lam, theta, n_free, d, fixed_stack, pin, cfg: SearchConfig):
-    theta = np.array(theta, dtype=float)
+def _adam(prob: _Problem, theta: np.ndarray, cfg: SearchConfig):
+    """Adam on every row of an (R, nparam) stack in lockstep.
+
+    Returns each row's best point (R, nparam) and value (R,).  A row leaves
+    the batch once its best value is below cfg.handoff_tol, or at the end of
+    a stall window that improved it by less than cfg.stall_rtol; its result
+    is the one a run on that row alone would give.
+    """
+    best_theta = np.array(theta, dtype=float)
+    best_f = np.full(best_theta.shape[0], np.inf)
+    rows = np.arange(best_theta.shape[0])  # batch row of each active row
+    theta = best_theta.copy()
     mom = np.zeros_like(theta)
     vel = np.zeros_like(theta)
+    prev_mark = np.full(rows.size, np.inf)
     b1, b2, eps = 0.9, 0.999, 1e-8
-    best_f = np.inf
-    best_theta = theta.copy()
-    prev_mark = np.inf
     for it in range(1, cfg.max_iters + 1):
-        f, g = _objective_and_grad(lam, theta, n_free, d, fixed_stack, pin)
-        if f < best_f:
-            best_f = f
-            best_theta = theta.copy()
-        if best_f < cfg.handoff_tol:
-            break
+        f, g = prob.objective_and_gradient(theta)
+        better = f < best_f[rows]
+        best_f[rows[better]] = f[better]
+        best_theta[rows[better]] = theta[better]
+        keep = ~(best_f[rows] < cfg.handoff_tol)
         mom = b1 * mom + (1 - b1) * g
         vel = b2 * vel + (1 - b2) * g * g
         mhat = mom / (1 - b1**it)
         vhat = vel / (1 - b2**it)
         theta = theta - cfg.step_size * mhat / (np.sqrt(vhat) + eps)
         if it % cfg.stall_window == 0:
-            if best_f > prev_mark * (1 - cfg.stall_rtol):
+            keep &= ~(best_f[rows] > prev_mark * (1 - cfg.stall_rtol))
+            prev_mark = best_f[rows]
+        if not keep.all():
+            rows, theta, mom, vel, prev_mark = (a[keep] for a in (rows, theta, mom, vel, prev_mark))
+            if rows.size == 0:
                 break
-            prev_mark = best_f
     return best_theta, best_f
 
 
@@ -385,8 +380,7 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     if fixed_stack.shape[0] > k:
         raise ValueError(f"{fixed_stack.shape[0]} fixed members exceed family size {k}")
     lam = state.lambdas
-    n_free = k - fixed_stack.shape[0]
-    if n_free == 0:
+    if fixed_stack.shape[0] == k:
         f = objective(lam, fixed_stack)
         witness = None
         if f <= cfg.accept_tol:
@@ -398,23 +392,26 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
             )
         return f, witness
 
-    pin = _pin_active(state, cfg.pin_fr, n_free)
+    prob = _Problem(state, k, fixed_stack, cfg.pin_fr)
     rng = np.random.default_rng(cfg.base_seed)
-    nparam = n_free * d * d
     best_total = np.inf
     best_theta = None
-    for _ in range(cfg.restarts):
-        theta0 = cfg.init_scale * rng.standard_normal(nparam)
-        theta1, _ = _adam(lam, theta0, n_free, d, fixed_stack, pin, cfg)
-        theta2, f2 = _lm_polish(lam, theta1, n_free, d, fixed_stack, pin, cfg.polish_iters)
-        if f2 < best_total:
-            best_total = f2
-            best_theta = theta2
-        if best_total <= cfg.accept_tol:
-            break
+    done, size = 0, 1
+    while done < cfg.restarts and best_total > cfg.accept_tol:
+        size = min(size, cfg.restarts - done)
+        # one (size, nparam) draw yields the numbers of size one-row draws
+        explored, _ = _adam(prob, cfg.init_scale * rng.standard_normal((size, prob.nparam)), cfg)
+        for theta1 in explored:
+            theta2, f2 = _lm_polish(prob, theta1, cfg.polish_iters)
+            if f2 < best_total:
+                best_total = f2
+                best_theta = theta2
+            if best_total <= cfg.accept_tol:
+                break
+        done += size
+        size *= 2
 
-    ufree, _, _, _ = _eig_unitaries(best_theta, n_free, d)
-    members = tuple(np.concatenate([fixed_stack, ufree], axis=0))
+    members = tuple(prob.members(prob.unitaries(best_theta)[0])[0])
     pure = objective(lam, members)
     if best_total <= cfg.accept_tol:
         witness = EncodingFamily(
@@ -425,25 +422,36 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
 
 
 def _max_pair_residual(state: SchmidtState, members) -> float:
-    stack = np.stack([np.asarray(m, dtype=np.complex128) for m in members])
-    t = _weighted_gram(stack, state.lambdas)
-    iu, ju = np.triu_indices(stack.shape[0], 1)
+    t = _weighted_gram(_member_stack(members, state.d), state.lambdas)
+    iu, ju = _pairs(t.shape[0])
     return float(np.max(np.abs(t[iu, ju]))) if iu.size else 0.0
 
 
 def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
     """Estimate the largest K the state supports, scanning K = d, d+1, ...
 
-    The scan never queries K beyond the weight bound, stops at the first K
-    that is neither found nor provably excluded, and reports the last
-    certified K.  A failed K is heuristic evidence only.
+    K = d needs no search: the shift family {X^k} is valid for every state,
+    so it is recorded as found with that witness.  The scan never queries K
+    beyond the weight bound, stops at the first K that is neither found nor
+    provably excluded, and reports the last certified K.  A failed K is
+    heuristic evidence only.
     """
     d = state.d
+    if cfg.max_k is not None and cfg.max_k < d:
+        raise ValueError(f"max_k={cfg.max_k} is below d={d}; K=d is always achievable")
     cap = min(cfg.max_k if cfg.max_k is not None else d * d, wcsg_bound(state))
-    attempts: list[KAttempt] = []
-    witnesses: dict[int, EncodingFamily] = {}
-    n_max = d - 1
-    for k in range(d, cap + 1):
+    shifts = shift_diag_family(d, [np.ones(d)] * d)
+    attempts: list[KAttempt] = [
+        KAttempt(
+            k=d,
+            status="found",
+            best_objective=objective(state, shifts),
+            max_pair_residual=_max_pair_residual(state, shifts.members),
+        )
+    ]
+    witnesses: dict[int, EncodingFamily] = {d: shifts}
+    n_max = d
+    for k in range(d + 1, cap + 1):
         if bns_excluded(state, k):
             attempts.append(
                 KAttempt(k=k, status="excluded (proven)", best_objective=None, max_pair_residual=None)
@@ -568,13 +576,20 @@ def _sweep_cell(args) -> RegionCell:
     )
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("DC_LAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _worker_count(workers: int | None, tasks: int) -> int:
+    """Worker processes for `tasks` cells: the request (or DC_LAB_THREADS),
+    clamped to at least one and at most the task and CPU counts."""
+    cpus = os.cpu_count() or 1
+    if workers is None:
+        env = os.environ.get("DC_LAB_THREADS")
+        if env:
+            try:
+                workers = int(env)
+            except ValueError:
+                raise ValueError(f"DC_LAB_THREADS must be an integer, got {env!r}") from None
+    if workers is None:
+        workers = cpus
+    return max(1, min(workers, tasks, cpus))
 
 
 def region_sweep(
@@ -596,8 +611,8 @@ def region_sweep(
         (idx, lam3, d, dataclasses.replace(cfg, base_seed=cfg.base_seed ^ idx))
         for idx, lam3 in enumerate(pts)
     ]
-    nworkers = _worker_count(workers)
-    if nworkers > 1 and len(tasks) > 1:
+    nworkers = _worker_count(workers, len(tasks))
+    if nworkers > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             cells = list(pool.map(_sweep_cell, tasks))
     else:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import haar_unitary, random_sorted_weights
 from dc_lab.analysis import (
+    _weighted_gram,
     bns_excluded,
     diagonal_identity_obstructed,
     gram_equivalence_residual,
@@ -81,6 +82,18 @@ def test_gram_equivalence_on_random_draws(rng):
             state = make_state(d, random_sorted_weights(rng, d))
             fam = [haar_unitary(rng, d) for _ in range(int(rng.integers(2, d + 2)))]
             assert gram_equivalence_residual(fam, state) <= 1e-12
+
+
+def test_weighted_gram_on_stacked_families(rng):
+    d, k = 3, 4
+    lam = random_sorted_weights(rng, d)
+    stack = np.array([[[haar_unitary(rng, d) for _ in range(k)] for _ in range(3)] for _ in range(2)])
+    gram = _weighted_gram(stack, lam)
+    assert gram.shape == (2, 3, k, k)
+    for idx in np.ndindex(2, 3):
+        for i in range(k):
+            for j in range(k):
+                assert abs(gram[idx][i, j] - lambda_inner(lam, stack[idx][i], stack[idx][j])) <= 1e-14
 
 
 def test_wcsg_bound_examples():

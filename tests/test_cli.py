@@ -167,3 +167,11 @@ def test_sweep_unwritable_path(monkeypatch, capsys):
     monkeypatch.setenv("DC_LAB_THREADS", "1")
     code = run(["sweep", "-d", "3", "--resolution", "4", "--restarts", "1", "--output", "/nonexistent-dir/x.csv"])
     assert code == 2
+
+
+def test_max_k_below_dimension_is_bad_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    assert run(["search", "--lambdas", "3/5", "2/5", "0", "--max-k", "2"]) == 2
+    out = tmp_path / "x.csv"
+    assert run(["sweep", "--resolution", "4", "--max-k", "2", "--output", str(out)]) == 2
+    assert "max_k" in capsys.readouterr().err

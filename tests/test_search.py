@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import random_sorted_weights
+from dc_lab import search
 from dc_lab.analysis import verify_family, wcsg_bound
 from dc_lab.families import qutrit_five_family, shift, shift_diag_family
 from dc_lab.search import (
     SearchConfig,
+    _adam,
+    _lm_polish,
+    _prepare_fixed,
+    _Problem,
+    _residuals_and_jacobian,
+    _worker_count,
     estimate_nmax,
     find_family,
     objective,
@@ -209,3 +216,121 @@ def test_search_config_validation():
         SearchConfig(accept_tol=0.0)
     with pytest.raises(ValueError):
         SearchConfig(base_seed=-1)
+
+
+def _problem(state, k, fixed=None, pin_fr=False):
+    return _Problem(state, k, _prepare_fixed(state, fixed), pin_fr)
+
+
+@pytest.mark.parametrize("state", [PSI_H, PSI_L], ids=["stalls", "hands-off"])
+def test_adam_batch_matches_one_row_runs(state):
+    # short stall windows make the rows leave the batch at different steps
+    cfg = SearchConfig(max_iters=600, stall_window=100)
+    prob = _problem(state, 5)
+    theta = np.random.default_rng(3).standard_normal((5, prob.nparam))
+    best_theta, best_f = _adam(prob, theta, cfg)
+    for row in range(theta.shape[0]):
+        one_theta, one_f = _adam(prob, theta[row : row + 1], cfg)
+        assert np.array_equal(one_theta[0], best_theta[row])
+        assert one_f[0] == best_f[row]
+
+
+def _one_restart_at_a_time(state, k, cfg):
+    """The search as a plain loop: one draw, Adam run and polish per restart."""
+    prob = _problem(state, k)
+    rng = np.random.default_rng(cfg.base_seed)
+    best_total, best_theta, accepted = np.inf, None, None
+    for restart in range(cfg.restarts):
+        theta0 = cfg.init_scale * rng.standard_normal(prob.nparam)
+        explored, _ = _adam(prob, theta0[None], cfg)
+        theta, f = _lm_polish(prob, explored[0], cfg.polish_iters)
+        if f < best_total:
+            best_total, best_theta = f, theta
+        if best_total <= cfg.accept_tol:
+            accepted = restart
+            break
+    members = prob.members(prob.unitaries(best_theta)[0])[0]
+    return objective(state, members), members, accepted
+
+
+@pytest.mark.parametrize(
+    "weights, k, cfg",
+    [
+        # restarts 4 and 6 both pass the polish, in the third batch (rows
+        # 3-6), and 6 reaches the lower objective: restart 4 must win
+        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=7, max_iters=400, base_seed=28)),
+        # refused: every restart is polished
+        ((3 / 5, 1 / 5, 1 / 5), 5, SearchConfig(restarts=4, max_iters=200, polish_iters=15, base_seed=9)),
+    ],
+    ids=["found-late", "refused"],
+)
+def test_find_family_matches_one_restart_at_a_time(weights, k, cfg):
+    state = make_state(len(weights), weights)
+    ref_best, ref_members, accepted = _one_restart_at_a_time(state, k, cfg)
+    best, fam = find_family(state, k, cfg)
+    assert (fam is not None) == (accepted is not None)
+    if fam is not None:
+        assert accepted == 4
+        assert all(np.array_equal(a, b) for a, b in zip(fam.members, ref_members))
+    assert best == ref_best
+
+
+@pytest.mark.parametrize(
+    "weights, k, fixed, pin_fr",
+    [
+        ((0.5, 0.3, 0.2), 5, None, False),
+        ((0.5, 0.3, 0.2), 5, [np.eye(3), shift(3)], False),
+        ((0.5, 0.25, 0.25), 4, None, True),
+    ],
+    ids=["identity-prefix", "two-member-prefix", "pinned"],
+)
+def test_jacobian_matches_central_differences(weights, k, fixed, pin_fr, rng):
+    state = make_state(3, weights)
+    prob = _problem(state, k, fixed, pin_fr)
+    assert prob.pin == pin_fr
+    theta = rng.standard_normal(prob.nparam)
+    r, jac = _residuals_and_jacobian(prob, theta)
+    assert jac.shape == (r.size, prob.nparam)
+    step = 1e-6
+    fd = np.empty_like(jac)
+    for p in range(prob.nparam):
+        plus, minus = theta.copy(), theta.copy()
+        plus[p] += step
+        minus[p] -= step
+        fd[:, p] = (_residuals_and_jacobian(prob, plus)[0] - _residuals_and_jacobian(prob, minus)[0]) / (2 * step)
+    assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_worker_count_clamps_to_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("DC_LAB_THREADS", raising=False)
+    assert _worker_count(None, 13) == 4
+    assert _worker_count(None, 2) == 2
+    assert _worker_count(64, 13) == 4
+    assert _worker_count(0, 13) == 1
+    monkeypatch.setenv("DC_LAB_THREADS", "1000")
+    assert _worker_count(None, 13) == 4
+    assert _worker_count(None, 3) == 3
+    monkeypatch.setenv("DC_LAB_THREADS", "two")
+    with pytest.raises(ValueError, match="DC_LAB_THREADS"):
+        _worker_count(None, 13)
+
+
+def test_estimate_nmax_takes_k_equal_d_from_the_shift_family(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("K = d must not be searched")
+
+    monkeypatch.setattr(search, "find_family", no_search)
+    # K = 4 is excluded by the strict bound, so nothing here needs a search
+    state = make_state(3, [3 / 4, 1 / 8, 1 / 8])
+    res = estimate_nmax(state, SearchConfig(base_seed=1))
+    assert [(a.k, a.status) for a in res.attempts] == [(3, "found"), (4, "excluded (proven)")]
+    assert res.n_max_estimate == 3
+    assert res.attempts[0].best_objective == 0.0
+    assert verify_family(res.witnesses[3], state).passed
+
+
+def test_estimate_nmax_rejects_max_k_below_d():
+    with pytest.raises(ValueError, match="max_k"):
+        estimate_nmax(PSI_L, SearchConfig(max_k=2))
+    assert estimate_nmax(PSI_L, SearchConfig(max_k=3)).n_max_estimate == 3
