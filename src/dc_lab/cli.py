@@ -21,70 +21,101 @@ from . import analysis, families, search, states
 
 SCHEMA_VERSION = 1
 
-FAMILY_CHOICES = ("weyl", "five", "f46", "f47", "two-d-minus-one", "d-plus-two", "shift-diag")
+# name -> (constructor of d, the dimensions it is defined for or None when
+# the constructor checks d itself, the error for any other d).  Constructors
+# are looked up in `families` at call time, not bound here, so a wrapper put
+# on `families` (a tracer, a test) sees every call.
+_FAMILIES = {
+    "weyl": (lambda d: families.weyl_family(d), None, None),
+    "five": (lambda d: families.qutrit_five_family(), (3,), "the five family is defined for d=3"),
+    "f46": (lambda d: families.family_f46(), (4,), "F_4/6 is defined for d=4"),
+    "f47": (lambda d: families.family_f47(), (4,), "F_4/7 is defined for d=4"),
+    "two-d-minus-one": (lambda d: families.family_2dm1(d), None, None),
+    "d-plus-two": (lambda d: families.family_dp2(d), None, None),
+    "shift-diag": (lambda d: families.shift_diag_family(d, [np.ones(d)] * d), None, None),
+}
+FAMILY_CHOICES = tuple(_FAMILIES)
 
 
 def _build_family(name: str, d: int) -> families.EncodingFamily:
-    if name == "weyl":
-        return families.weyl_family(d)
-    if name == "five":
-        if d != 3:
-            raise ValueError("the five family is defined for d=3")
-        return families.qutrit_five_family()
-    if name == "f46":
-        if d != 4:
-            raise ValueError("F_4/6 is defined for d=4")
-        return families.family_f46()
-    if name == "f47":
-        if d != 4:
-            raise ValueError("F_4/7 is defined for d=4")
-        return families.family_f47()
-    if name == "two-d-minus-one":
-        return families.family_2dm1(d)
-    if name == "d-plus-two":
-        return families.family_dp2(d)
-    if name == "shift-diag":
-        return families.shift_diag_family(d, [np.ones(d)] * d)
-    raise ValueError(f"unknown family {name!r}")
-
-
-def family_to_document(family: families.EncodingFamily) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "d": family.d,
-        "label": family.label,
-        "target_lambda0": family.target_lambda0,
-        "members": [
-            [[float(z.real), float(z.imag)] for z in np.asarray(m).reshape(-1)]
-            for m in family.members
-        ],
-    }
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    build, dims, wrong_d = _FAMILIES[name]
+    if dims is not None and d not in dims:
+        raise ValueError(wrong_d)
+    return build(d)
 
 
 def document_to_family(doc: dict) -> families.EncodingFamily:
+    """Validate a parsed family document and return its family.
+
+    Rejects, with ValueError, a `d` that is not an integer >= 2, members that
+    are not d*d finite [re, im] number pairs each, and a member count K
+    outside [d, d*d].  Members are not checked for unitarity: verification
+    reports that.
+    """
     if not isinstance(doc, dict):
         raise ValueError("family document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    d = int(doc["d"])
-    members = []
-    for i, flat in enumerate(doc["members"]):
+    d = doc["d"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+        raise ValueError(f"d must be an integer >= 2, got {d!r}")
+    members = doc["members"]
+    if not isinstance(members, list):
+        raise ValueError("members must be a list")
+    k = len(members)
+    if not d <= k <= d * d:
+        raise ValueError(f"family has {k} members, outside [{d}, {d * d}]")
+    # One conversion per member: numpy's shape discovery over the whole nested
+    # list would hold bookkeeping for every [re, im] pair at once.
+    entries = np.empty((k, d * d, 2))
+    for i, flat in enumerate(members):
+        if not isinstance(flat, list):
+            raise ValueError(f"member {i} must be a list of [re, im] pairs")
         if len(flat) != d * d:
             raise ValueError(f"member {i} has {len(flat)} entries, expected {d * d}")
-        arr = np.array([complex(re, im) for re, im in flat], dtype=np.complex128).reshape(d, d)
-        members.append(arr)
+        try:
+            pairs = np.asarray(flat)
+        except ValueError:  # ragged nesting
+            pairs = None
+        if pairs is None or pairs.shape != (d * d, 2) or pairs.dtype.kind not in "iuf":
+            raise ValueError(f"member {i} entries must be [re, im] pairs of numbers")
+        entries[i] = pairs
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("member entries must be finite")
+    stack = entries.view(np.complex128).reshape(k, d, d)
     return families.EncodingFamily(
         d=d,
-        members=tuple(members),
+        members=tuple(stack),
         label=str(doc.get("label", "file")),
         target_lambda0=doc.get("target_lambda0"),
     )
 
 
 def write_family_document(family: families.EncodingFamily, path: str) -> None:
+    """Write `family` as the bytes of json.dump(document, indent=1) and a newline.
+
+    The header goes through json.dumps; the members are written one at a
+    time, each float as float.__repr__, which is how json spells a finite
+    float.
+    """
+    members = [np.ascontiguousarray(m, dtype=np.complex128).reshape(-1) for m in family.members]
+    if not all(np.all(np.isfinite(m)) for m in members):
+        raise ValueError("family members must be finite")
+    header = {
+        "schema_version": SCHEMA_VERSION,
+        "d": family.d,
+        "label": family.label,
+        "target_lambda0": family.target_lambda0,
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(family_to_document(family), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(header, indent=1)[:-2] + ',\n "members": [')
+        for i, m in enumerate(members):
+            parts = list(map(float.__repr__, m.view(np.float64).tolist()))
+            pairs = map(",\n    ".join, zip(parts[0::2], parts[1::2]))
+            fh.write((",\n" if i else "\n") + "  [\n   [\n    " + "\n   ],\n   [\n    ".join(pairs) + "\n   ]\n  ]")
+        fh.write("\n ]\n}\n" if members else "]\n}\n")
 
 
 def read_family_document(path: str) -> families.EncodingFamily:
@@ -214,12 +245,26 @@ def write_sweep_csv(region: search.RegionMap, path: str) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    import os
+
     cfg = _config_from_args(args)
-    # fail on an unwritable destination before the expensive sweep runs
-    with open(args.output, "w", encoding="utf-8"):
+    search.sweep_grid(args.resolution, cfg, d=args.dimension)
+    if os.path.isdir(args.output):
+        raise IsADirectoryError(f"--output {args.output!r} is a directory")
+    # The CSV is written beside its destination and moved onto it when
+    # complete, so a failed run leaves an earlier CSV there intact.  Creating
+    # the temporary file first fails on an unwritable directory before the
+    # sweep runs.
+    partial = f"{args.output}.{os.getpid()}.tmp"
+    with open(partial, "w", encoding="utf-8"):
         pass
-    region = search.region_sweep(args.resolution, cfg, d=args.dimension)
-    write_sweep_csv(region, args.output)
+    try:
+        region = search.region_sweep(args.resolution, cfg, d=args.dimension)
+        write_sweep_csv(region, partial)
+        os.replace(partial, args.output)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
     print(f"wrote {len(region.cells)} cells to {args.output}")
     return 0
 

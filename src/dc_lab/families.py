@@ -53,6 +53,11 @@ def _family(d: int, members, label: str, target_lambda0: float | None) -> Encodi
     return EncodingFamily(d=d, members=mats, label=label, target_lambda0=target_lambda0)
 
 
+def _check_dimension(d: int) -> None:
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+
+
 def root_of_unity(n: int, k: int = 1) -> complex:
     """exp(2 pi i k / n), evaluated directly for the reduced exponent."""
     return complex(np.exp(2j * np.pi * (k % n) / n))
@@ -60,8 +65,7 @@ def root_of_unity(n: int, k: int = 1) -> complex:
 
 def shift(d: int) -> np.ndarray:
     """Cyclic shift X_d with X_d|j> = |(j+1) mod d>."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_dimension(d)
     x = np.zeros((d, d), dtype=np.complex128)
     for j in range(d):
         x[(j + 1) % d, j] = 1.0
@@ -70,8 +74,7 @@ def shift(d: int) -> np.ndarray:
 
 def phase(d: int) -> np.ndarray:
     """Phase operator Z_d = diag(1, w, w^2, ...) with w = exp(2 pi i / d)."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_dimension(d)
     return np.diag([root_of_unity(d, k) for k in range(d)])
 
 
@@ -81,6 +84,7 @@ def weyl_family(d: int) -> EncodingFamily:
     Pairwise orthogonal against the maximally entangled state; for d = 2 this
     is the identity together with Pauli-equivalent matrices.
     """
+    _check_dimension(d)
     members = []
     for a in range(d):
         for b in range(d):
@@ -221,17 +225,15 @@ def family_2dm1(d: int) -> EncodingFamily:
         raise ValueError(f"the 2d-1 construction needs d >= 4, got {d}")
     if d == 4:
         return family_f47()
-    members = [_block_shift(d, j) for j in range(d - 1)]
-    for j in range(d - 1):
-        col1 = _two_dm1_m_column(d, j)
-        col2 = _second_column_from_first(d, col1)
-        members.append(complete_to_unitary([col1, col2], d))
+    firsts = [_two_dm1_m_column(d, j) for j in range(d - 1)]
+    seconds = [_second_column_from_first(d, col1) for col1 in firsts]
     u_col1 = np.zeros(d, dtype=np.complex128)
     u_col1[0] = -(d - 1.0) / d
     u_col1[d - 1] = -np.sqrt(2 * d - 1) / d
     u_col2 = np.zeros(d, dtype=np.complex128)
     u_col2[1] = 1.0
-    members.append(complete_to_unitary([u_col1, u_col2], d))
+    completed = complete_to_unitary(np.stack([firsts + [u_col1], seconds + [u_col2]], axis=-1), d)
+    members = [_block_shift(d, j) for j in range(d - 1)] + list(completed)
     label = "2d-1-odd" if d % 2 == 1 else "2d-1-even"
     return _family(d, members, label, d / (2 * d - 1))
 
@@ -302,8 +304,7 @@ def family_dp2(d: int) -> EncodingFamily:
     (first-two-columns swap), then M and its conjugate when d is odd, then
     U_1..U_j, V_1..V_k.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_dimension(d)
     if d == 2:
         return dataclasses.replace(weyl_family(2), label="F_2/4")
     if d == 3:
@@ -315,20 +316,22 @@ def family_dp2(d: int) -> EncodingFamily:
     eye = np.eye(d, dtype=np.complex128)
     a = eye.copy()
     a[:, [0, 1]] = a[:, [1, 0]]
-    members = [eye, a]
-    if m is not None:
-        m_col2 = np.zeros(d, dtype=np.complex128)
-        m_col2[0] = (np.sqrt(3.0) / 2) * 1j
-        m_col2[1] = 0.5
-        m_full = complete_to_unitary([m, m_col2], d)
-        members.append(m_full)
-        members.append(m_full.conj())
     e0 = np.zeros(d, dtype=np.complex128)
     e0[0] = 1.0
     e1 = np.zeros(d, dtype=np.complex128)
     e1[1] = 1.0
-    members.extend(complete_to_unitary([u, e1], d) for u in us)
-    members.extend(complete_to_unitary([v, e0], d) for v in vs)
+    firsts, seconds = us + vs, [e1] * len(us) + [e0] * len(vs)
+    if m is not None:
+        m_col2 = np.zeros(d, dtype=np.complex128)
+        m_col2[0] = (np.sqrt(3.0) / 2) * 1j
+        m_col2[1] = 0.5
+        firsts, seconds = [m] + firsts, [m_col2] + seconds
+    completed = list(complete_to_unitary(np.stack([firsts, seconds], axis=-1), d))
+    members = [eye, a]
+    if m is not None:
+        m_full = completed.pop(0)
+        members += [m_full, m_full.conj()]
+    members += completed
     return _family(d, members, f"F_{d}/{d + 2}", d / (d + 2))
 
 
@@ -339,6 +342,7 @@ def shift_diag_family(d: int, diagonals) -> EncodingFamily:
     diagonal, so weighted orthogonality holds regardless of the weights.
     Diagonals may be given as length-d vectors or as (d, d) diagonal matrices.
     """
+    _check_dimension(d)
     diags = []
     for i, entry in enumerate(diagonals):
         arr = np.asarray(entry, dtype=np.complex128)

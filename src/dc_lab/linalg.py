@@ -99,6 +99,11 @@ def _mgs_orthonormalize(cols: np.ndarray) -> np.ndarray:
 def complete_to_unitary(partial_columns, d: int, tol: float = UNITARITY_TOL) -> np.ndarray:
     """Extend orthonormal columns to a full d x d unitary, deterministically.
 
+    `partial_columns` is a sequence of k length-d columns, giving one (d, d)
+    unitary, or an (n, d, k) array whose n matrices each hold k such columns,
+    giving an (n, d, d) stack; every matrix of a stack is completed exactly,
+    bit for bit, as it would be alone.
+
     Canonical basis vectors e_0 .. e_{d-1} are tried in index order through
     modified Gram-Schmidt; a candidate is kept when its post-projection norm
     exceeds 1e-6, and every kept column is rephased so that its first nonzero
@@ -108,44 +113,63 @@ def complete_to_unitary(partial_columns, d: int, tol: float = UNITARITY_TOL) -> 
     (but within `tol`) are re-orthonormalized first so the result still meets
     the completion residual contract.
     """
-    cols = [np.asarray(c, dtype=np.complex128).reshape(-1) for c in partial_columns]
-    k = len(cols)
+    stacked = isinstance(partial_columns, np.ndarray) and partial_columns.ndim == 3
+    if stacked:
+        given = partial_columns.astype(np.complex128)
+    else:
+        cols = [np.asarray(c, dtype=np.complex128).reshape(-1) for c in partial_columns]
+        for c in cols:
+            if c.shape != (d,):
+                raise ValueError(f"expected columns of length {d}, got {c.shape}")
+        given = np.stack(cols, axis=-1)[None] if cols else np.zeros((1, d, 0), dtype=np.complex128)
+    n, rows, k = given.shape
     if k > d:
         raise ValueError(f"cannot fit {k} columns in dimension {d}")
-    for c in cols:
-        if c.shape != (d,):
-            raise ValueError(f"expected columns of length {d}, got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("column entries must be finite")
+    if rows != d:
+        raise ValueError(f"expected columns of length {d}, got ({rows},)")
+    if not np.all(np.isfinite(given)):
+        raise ValueError("column entries must be finite")
 
-    basis: list[np.ndarray] = []
     if k:
-        given = np.column_stack(cols)
-        gram_res = float(np.max(np.abs(given.conj().T @ given - np.eye(k))))
-        if gram_res > tol:
+        gram = given.conj().swapaxes(-1, -2) @ given
+        gram_res = np.max(np.abs(gram - np.eye(k)), axis=(-2, -1))
+        worst = float(np.max(gram_res, initial=0.0))
+        if worst > tol:
             raise ValueError(
-                f"input columns are not orthonormal: residual {gram_res:.3e} > {tol:.3e}"
+                f"input columns are not orthonormal: residual {worst:.3e} > {tol:.3e}"
             )
-        if gram_res > COMPLETION_RESIDUAL_TOL:
-            given = _mgs_orthonormalize(given)
-        basis = [given[:, i] for i in range(k)]
+        for i in np.flatnonzero(gram_res > COMPLETION_RESIDUAL_TOL):
+            given[i] = _mgs_orthonormalize(given[i])
 
+    # basis[i, j] is the j-th column of matrix i; count[i] of them are set.
+    # Each candidate is projected, per matrix, on that matrix's columns only:
+    # the others are masked out rather than projected on zero padding, which
+    # would turn a -0.0 entry into +0.0.
+    basis = np.zeros((n, d, d), dtype=np.complex128)
+    basis[:, :k] = given.swapaxes(-1, -2)
+    conj = basis.conj()
+    count = np.full(n, k)
     for idx in range(d):
-        if len(basis) == d:
+        open_rows = count < d
+        if not open_rows.any():
             break
-        v = np.zeros(d, dtype=np.complex128)
-        v[idx] = 1.0
+        v = np.zeros((n, d), dtype=np.complex128)
+        v[:, idx] = 1.0
         for _ in range(2):
-            for b in basis:
-                v = v - (b.conj() @ v) * b
-        nrm = np.linalg.norm(v)
-        if nrm <= _KEEP_NORM:
-            continue
-        v = v / nrm
-        anchor = v[np.abs(v) > _PHASE_EPS][0]
-        v = v * (anchor.conjugate() / abs(anchor))
-        basis.append(v)
+            for j in range(int(count[open_rows].max())):
+                dots = conj[:, j, None, :] @ v[:, :, None]
+                v = np.where((count > j)[:, None], v - dots[:, :, 0] * basis[:, j], v)
+        re, im = v.real, v.imag
+        nrm = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+        keep = np.flatnonzero(open_rows & (nrm > _KEEP_NORM))
+        v = v[keep] / nrm[keep, None]
+        anchor = v[np.arange(len(keep)), np.argmax(np.abs(v) > _PHASE_EPS, axis=1)]
+        v = v * (anchor.conj() / np.hypot(anchor.real, anchor.imag))[:, None]
+        basis[keep, count[keep]] = v
+        conj[keep, count[keep]] = v.conj()
+        count[keep] += 1
 
-    if len(basis) < d:
+    if np.any(count < d):
         raise ValueError("could not complete the given columns to a unitary")
-    return np.column_stack(basis)
+    out = np.ascontiguousarray(basis.swapaxes(-1, -2))
+    return out if stacked else out[0]

@@ -427,6 +427,11 @@ def _max_pair_residual(state: SchmidtState, members) -> float:
     return float(np.max(np.abs(t[iu, ju]))) if iu.size else 0.0
 
 
+def _check_max_k(cfg: SearchConfig, d: int) -> None:
+    if cfg.max_k is not None and cfg.max_k < d:
+        raise ValueError(f"max_k={cfg.max_k} is below d={d}; K=d is always achievable")
+
+
 def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
     """Estimate the largest K the state supports, scanning K = d, d+1, ...
 
@@ -437,8 +442,7 @@ def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
     heuristic evidence only.
     """
     d = state.d
-    if cfg.max_k is not None and cfg.max_k < d:
-        raise ValueError(f"max_k={cfg.max_k} is below d={d}; K=d is always achievable")
+    _check_max_k(cfg, d)
     cap = min(cfg.max_k if cfg.max_k is not None else d * d, wcsg_bound(state))
     shifts = shift_diag_family(d, [np.ones(d)] * d)
     attempts: list[KAttempt] = [
@@ -592,6 +596,18 @@ def _worker_count(workers: int | None, tasks: int) -> int:
     return max(1, min(workers, tasks, cpus))
 
 
+def sweep_grid(resolution: int, cfg: SearchConfig, d: int = 3) -> list[tuple[float, float, float]]:
+    """The weight triples a sweep visits, once its inputs are checked.
+
+    Raises ValueError for d < 3, a max_k below d or a resolution below 4, so
+    a caller can refuse a sweep before it starts anything.
+    """
+    if d < 3:
+        raise ValueError("the sweep needs at least three weights; use d >= 3")
+    _check_max_k(cfg, d)
+    return triangle_grid(resolution)
+
+
 def region_sweep(
     resolution: int, cfg: SearchConfig, d: int = 3, workers: int | None = None
 ) -> RegionMap:
@@ -602,11 +618,9 @@ def region_sweep(
     returned in index order, so the map is reproducible for a fixed seed.
     For d > 3 the triangle states are padded with zero weights.
     """
-    if d < 3:
-        raise ValueError("the sweep needs at least three weights; use d >= 3")
+    pts = sweep_grid(resolution, cfg, d)
     if d != 3:
         warnings.warn(f"sweep triangle is defined for d=3; padding zeros up to d={d}")
-    pts = triangle_grid(resolution)
     tasks = [
         (idx, lam3, d, dataclasses.replace(cfg, base_seed=cfg.base_seed ^ idx))
         for idx, lam3 in enumerate(pts)

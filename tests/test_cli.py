@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from dc_lab import cli
+from dc_lab import analysis, cli
 from dc_lab.families import (
+    EncodingFamily,
     family_2dm1,
     family_dp2,
     family_f46,
@@ -42,8 +44,28 @@ def test_construct_five_and_weyl(tmp_path, capsys):
 def test_construct_rejects_wrong_dimension(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run(["construct", "five", "-d", "4", "--output", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "d=3" in err
+    assert capsys.readouterr().err == "error: the five family is defined for d=3\n"
+    assert run(["construct", "f46", "-d", "3", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: F_4/6 is defined for d=4\n"
+    assert run(["construct", "f47", "-d", "5", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: F_4/7 is defined for d=4\n"
+    assert run(["construct", "two-d-minus-one", "-d", "3", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the 2d-1 construction needs d >= 4, got 3\n"
+    for family in ("weyl", "shift-diag", "d-plus-two"):
+        assert run(["construct", family, "-d", "0", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: dimension must be at least 2, got 0\n"
+    assert not out.exists()
+
+
+def test_construct_resolves_constructors_when_called(tmp_path, capsys, monkeypatch):
+    """Constructors are looked up in `families` per call, so a wrapper put there is used."""
+    from dc_lab import families
+
+    calls = []
+    original = families.family_dp2
+    monkeypatch.setattr(families, "family_dp2", lambda d: calls.append(d) or original(d))
+    assert run(["construct", "d-plus-two", "-d", "5", "--output", str(tmp_path / "f57.json")]) == 0
+    assert calls == [5]
 
 
 def test_construct_rejects_unknown_family(tmp_path):
@@ -77,6 +99,113 @@ def test_verify_malformed_document(tmp_path, capsys):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text('{"schema_version": 99, "d": 2, "members": []}')
     assert run(["verify", str(bad2), "--lambdas", "1", "0"]) == 2
+
+
+def _document(d, members, **extra):
+    return json.dumps({"schema_version": 1, "d": d, "label": "t", "members": members, **extra})
+
+
+def _identity_pairs(d):
+    return [[float(i == j), 0.0] for i in range(d) for j in range(d)]
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        (_document(1, [[[1.0, 0.0]]]), "d must be an integer >= 2"),
+        (_document(2.0, [_identity_pairs(2)] * 2), "d must be an integer >= 2"),
+        (_document("2", [_identity_pairs(2)] * 2), "d must be an integer >= 2"),
+        (_document(True, [[[1.0, 0.0]]]), "d must be an integer >= 2"),
+        (_document(2, [_identity_pairs(2)]), "1 members, outside [2, 4]"),
+        (_document(2, [_identity_pairs(2)] * 5), "5 members, outside [2, 4]"),
+        (_document(2, {"0": _identity_pairs(2)}), "members must be a list"),
+        (_document(2, [_identity_pairs(2), "member"]), "member 1 must be a list"),
+        (_document(2, [_identity_pairs(2), _identity_pairs(2)[:3]]), "member 1 has 3 entries, expected 4"),
+        (_document(2, [_identity_pairs(2), [[1.0, 0.0, 0.0]] * 4]), "member 1 entries must be [re, im] pairs"),
+        (_document(2, [_identity_pairs(2), [[1.0, 0.0]] * 3 + [[1.0]]]), "member 1 entries must be [re, im] pairs"),
+        (_document(2, [_identity_pairs(2), [["1", "0"]] * 4]), "member 1 entries must be [re, im] pairs"),
+        (_document(2, [_identity_pairs(2), [[True, False]] * 4]), "member 1 entries must be [re, im] pairs"),
+        (_document(2, [_identity_pairs(2), [[None, 0.0]] * 4]), "member 1 entries must be [re, im] pairs"),
+        (_document(2, [_identity_pairs(2), _identity_pairs(2)[:3] + [[float("nan"), 0.0]]]), "finite"),
+        (_document(2, [_identity_pairs(2), _identity_pairs(2)[:3] + [[1.0, float("inf")]]]), "finite"),
+    ],
+)
+def test_verify_rejects_invalid_documents_before_printing(tmp_path, capsys, text, error):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    lambdas = ["1"] if '"d": 1' in text or '"d": true' in text else ["1/2", "1/2"]
+    assert run(["verify", str(bad), "--lambdas", *lambdas]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and error in captured.err
+
+
+def test_verify_nan_document_exits_cleanly(tmp_path, capsys):
+    """A NaN entry once printed a partial report, then "SVD did not converge"."""
+    path = tmp_path / "weyl2.json"
+    run(["construct", "weyl", "-d", "2", "--output", str(path)])
+    capsys.readouterr()
+    path.write_text(path.read_text().replace("1.0", "NaN", 1))
+    assert run(["verify", str(path), "--lambdas", "1/2", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_verify_non_unitary_document_still_fails(tmp_path, capsys):
+    doubled = [[2 * re, im] for re, im in _identity_pairs(2)]
+    off = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    path = tmp_path / "nonunitary.json"
+    path.write_text(_document(2, [doubled, off]))
+    assert run(["verify", str(path), "--lambdas", "1/2", "1/2"]) == 1
+    assert "result: FAIL" in capsys.readouterr().out
+
+
+def test_verify_integer_entries_load(tmp_path, capsys):
+    path = tmp_path / "ints.json"
+    ints = [[[int(re), 0] for re, _ in _identity_pairs(2)], [[0, 0], [1, 0], [1, 0], [0, 0]]]
+    path.write_text(_document(2, ints))
+    assert run(["verify", str(path), "--lambdas", "1/2", "1/2"]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+
+
+def test_verify_runs_verify_family_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "f47.json"
+    run(["construct", "f47", "-d", "4", "--output", str(path)])
+    calls = []
+    original = analysis.verify_family
+    monkeypatch.setattr(analysis, "verify_family", lambda *a, **k: calls.append(1) or original(*a, **k))
+    assert run(["verify", str(path), "--lambdas", "4/7", "3/7", "0", "0"]) == 0
+    assert len(calls) == 1
+
+
+def test_write_family_document_rejects_non_finite(tmp_path):
+    members = (np.eye(2, dtype=complex), np.array([[0, np.nan], [1, 0]], dtype=complex))
+    path = tmp_path / "nan.json"
+    with pytest.raises(ValueError):
+        cli.write_family_document(EncodingFamily(d=2, members=members, label="nan"), str(path))
+    assert not path.exists()
+
+
+def test_written_documents_equal_json_dump(tmp_path):
+    """Streamed output equals json.dump(indent=1) of the same document, plus a newline."""
+    odd = np.array([[complex(-0.0, -0.0), complex(1e-300, -2.0)], [complex(np.pi, 0.0), complex(0.0, -2.5e17)]])
+    fams = [
+        EncodingFamily(d=2, members=(), label="empty"),
+        EncodingFamily(d=2, members=(odd,), label="ü \"q\"", target_lambda0=0.25),
+        family_2dm1(5),
+    ]
+    for fam in fams:
+        path = tmp_path / "doc.json"
+        cli.write_family_document(fam, str(path))
+        doc = {
+            "schema_version": 1,
+            "d": fam.d,
+            "label": fam.label,
+            "target_lambda0": fam.target_lambda0,
+            "members": [[[float(z.real), float(z.imag)] for z in m.reshape(-1)] for m in fam.members],
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=1) + "\n"
 
 
 def test_verify_dimension_mismatch(tmp_path, capsys):
@@ -169,9 +298,64 @@ def test_sweep_unwritable_path(monkeypatch, capsys):
     assert code == 2
 
 
+def test_sweep_bad_input_keeps_existing_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    out = tmp_path / "x.csv"
+    assert run(["sweep", "--resolution", "4", "--restarts", "1", "--seed", "1", "--output", str(out)]) == 0
+    good = out.read_bytes()
+    assert run(["sweep", "--resolution", "4", "--max-k", "2", "--output", str(out)]) == 2
+    assert run(["sweep", "--resolution", "3", "--output", str(out)]) == 2
+    assert out.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+    capsys.readouterr()
+    # the arguments are judged before the destination is opened
+    assert run(["sweep", "--resolution", "3", "--output", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert "resolution must be at least 4" in capsys.readouterr().err
+
+
+def test_sweep_output_directory_is_bad_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    called = []
+    monkeypatch.setattr(cli.search, "region_sweep", lambda *a, **k: called.append(1))
+    assert run(["sweep", "--resolution", "4", "--output", str(tmp_path)]) == 2
+    assert run(["sweep", "--resolution", "4", "--output", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert called == []
+
+
 def test_max_k_below_dimension_is_bad_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DC_LAB_THREADS", "1")
     assert run(["search", "--lambdas", "3/5", "2/5", "0", "--max-k", "2"]) == 2
     out = tmp_path / "x.csv"
     assert run(["sweep", "--resolution", "4", "--max-k", "2", "--output", str(out)]) == 2
     assert "max_k" in capsys.readouterr().err
+
+
+# sha256 of each `dc-lab construct` document, as written by json.dump(indent=1)
+# plus a newline before documents were streamed member by member.
+CONSTRUCT_SHA256 = {
+    ("weyl", 2): "67b8803248e17cdde9f27149c8eab04d6b6eaab6470ad0ad9e0da84905e6a506",
+    ("weyl", 3): "5ff567eb20c02dce09749317eb70be9c521464c2647993c5ac7fcef6e037fb98",
+    ("weyl", 4): "8244fefbf6cae145320ebbe6a21b26fd20131af61421d8da91944aa50cd6323f",
+    ("weyl", 5): "a97603e522a3dedcdb1f5a63e248015c78844bdfed7f8b171fc2b561ad2a128c",
+    ("five", 3): "a3f66e69f83124d48fad0bab09c4e816443be8e6f846f07ce6e8256915a00bc4",
+    ("f46", 4): "8de1e73ebb0144f682a356530e212e8bedbd4606af70a20ac9d6f6bb285a9191",
+    ("f47", 4): "8a9886284e2103404caaa923a830647fde70bd97ef6f78df528db70b1ad0b04f",
+    ("shift-diag", 3): "6a32f2384ebf4fb00d23b6fdf617d3d79d611b2db4fa9e3cd164fb1faaf01195",
+    ("d-plus-two", 5): "d8e9de59902d3a75e353731f3ba1bc4308f9e6773b1ab2bbd99cb99eec23c1b9",
+    ("d-plus-two", 6): "43fb676246264048b281c752571b5b40a31491ae86a0f6ba1ab4404e48e0b86c",
+    ("d-plus-two", 7): "e2712593549c15c3921bcaad04f7ce007f068cf8f9a2a9eb1f6a60980bb5817c",
+    ("d-plus-two", 8): "f8cd666eca70c811b50f5cab3758095b3302a3c9687f0928bd572c91772c67a9",
+    ("d-plus-two", 17): "fd59e7b3b295c3253893a5519cc55734d3585494dd937a98f685b1690d85de02",
+    ("two-d-minus-one", 5): "5f966c770df7492b25e1b9c9b50a0e94f41284aa22b496e56f9fbbf80c275ca2",
+    ("two-d-minus-one", 6): "e7332591d778f4764f7c4055025ecb1ed756b9f4aa14bbddc6e12f91ad151707",
+    ("two-d-minus-one", 7): "078c7e2465ea2371a66cd78f6a17f40983dedd5e096874ab38729ec6c595169a",
+    ("two-d-minus-one", 8): "574b11ab7e9df6d67cea4ab2056f0b0fff16790bfefcca4f9febcaf8a3f51ccf",
+    ("two-d-minus-one", 17): "b49a96ac42d00b703f1425dc2b3e4caa80bda6aa9eb13ad287d250588cc8baf6",
+}
+
+
+@pytest.mark.parametrize("family,d", sorted(CONSTRUCT_SHA256))
+def test_construct_documents_are_byte_identical(tmp_path, capsys, family, d):
+    out = tmp_path / "doc.json"
+    assert run(["construct", family, "-d", str(d), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_SHA256[family, d]

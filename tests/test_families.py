@@ -308,3 +308,10 @@ def test_shift_diag_rejects_bad_input():
         shift_diag_family(2, [np.ones(2), np.array([[1, 0.2], [0, 1]])])
     with pytest.raises(ValueError):
         shift_diag_family(3, [np.ones(3)] * 2)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_constructors_reject_dimensions_below_two(d):
+    for build in (weyl_family, family_dp2, lambda d: shift_diag_family(d, [np.ones(max(d, 0))] * max(d, 0))):
+        with pytest.raises(ValueError, match=f"dimension must be at least 2, got {d}"):
+            build(d)

@@ -146,6 +146,80 @@ def test_complete_rejects_too_many_columns():
         complete_to_unitary([np.eye(2)[:, i] for i in range(2)], 1)
 
 
+def _stacked_cases(rng, d):
+    """(d, 2) partial matrices that take different paths through completion."""
+    source = haar_unitary(rng, d)
+    skipping = np.zeros((d, 2), dtype=complex)
+    skipping[0, 0] = -1.0  # e_0 and e_2 are in the span: both candidates skipped
+    skipping[2, 1] = 1j
+    signed_zero = np.full((d, 2), complex(-0.0, -0.0))
+    signed_zero[1, 0] = 1.0
+    signed_zero[3, 1] = -1.0
+    signed_zero[0, 1] = complex(0.0, -0.0)
+    near = source[:, :2] + 3e-12 * rng.standard_normal((d, 2))  # residual in (1e-12, tol]
+    return [source[:, 2:4], skipping, signed_zero, near, source[:, :2]]
+
+
+def _reference_completion(cols: np.ndarray) -> np.ndarray:
+    """One matrix at a time, one numpy call per projection: the loop the
+    stacked completion replaced, for exactly orthonormal input."""
+    d = cols.shape[0]
+    basis = [cols[:, i] for i in range(cols.shape[1])]
+    for idx in range(d):
+        if len(basis) == d:
+            break
+        v = np.zeros(d, dtype=np.complex128)
+        v[idx] = 1.0
+        for _ in range(2):
+            for b in basis:
+                v = v - (b.conj() @ v) * b
+        nrm = np.linalg.norm(v)
+        if nrm <= 1e-6:
+            continue
+        v = v / nrm
+        anchor = v[np.abs(v) > 1e-12][0]
+        basis.append(v * (anchor.conjugate() / abs(anchor)))
+    return np.column_stack(basis)
+
+
+def test_stacked_completion_equals_one_call_per_matrix(rng, monkeypatch):
+    from dc_lab import linalg
+
+    reorthonormalized = []
+    mgs = linalg._mgs_orthonormalize
+    monkeypatch.setattr(linalg, "_mgs_orthonormalize", lambda cols: reorthonormalized.append(1) or mgs(cols))
+    for d in (4, 5, 7):
+        cases = _stacked_cases(rng, d)
+        stacked = complete_to_unitary(np.stack(cases), d)
+        assert stacked.shape == (len(cases), d, d)
+        for cols, got in zip(cases, stacked):
+            alone = complete_to_unitary([cols[:, 0], cols[:, 1]], d)
+            assert got.tobytes() == alone.tobytes()
+            # the near-orthonormal input is re-orthonormalized first
+            reference = _reference_completion(mgs(cols) if cols is cases[3] else cols)
+            assert got.tobytes() == reference.tobytes()
+            assert unitarity_residual(got) <= 1e-12
+        skipping, signed_zero = stacked[1], stacked[2]
+        assert np.array_equal(skipping[:, 2], np.eye(d)[:, 1])  # e_0 skipped, e_1 kept
+        assert np.array_equal(skipping[:, 3], np.eye(d)[:, 3])  # e_2 skipped
+        assert signed_zero[:, :2].tobytes() == cases[2].tobytes()
+    assert len(reorthonormalized) == 2 * 3  # the near-orthonormal case, stacked and alone
+
+
+def test_stacked_completion_of_no_columns():
+    assert np.array_equal(complete_to_unitary(np.zeros((3, 4, 0)), 4), np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert np.array_equal(complete_to_unitary([], 3), np.eye(3))
+
+
+def test_stacked_completion_rejects_bad_stacks():
+    with pytest.raises(ValueError, match="not orthonormal"):
+        complete_to_unitary(np.stack([np.eye(3)[:, :2], np.ones((3, 2))]), 3)
+    with pytest.raises(ValueError, match="length 4"):
+        complete_to_unitary(np.zeros((2, 3, 1)), 4)
+    with pytest.raises(ValueError, match="finite"):
+        complete_to_unitary(np.full((1, 3, 1), np.nan), 3)
+
+
 def test_kron_identity_with_identity():
     for d in (2, 3, 4):
         assert np.array_equal(kron_with_identity(np.eye(d), d), np.eye(d * d))
