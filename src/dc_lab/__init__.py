@@ -30,15 +30,7 @@ from .families import (
     shift_diag_family,
     weyl_family,
 )
-from .linalg import (
-    complete_to_unitary,
-    dagger,
-    is_unitary,
-    kron_with_identity,
-    mat_mul,
-    trace,
-    unitarity_residual,
-)
+from .linalg import complete_to_unitary, unitarity_residual
 from .search import (
     RegionCell,
     RegionMap,
@@ -51,7 +43,7 @@ from .search import (
     region_sweep,
     triangle_grid,
 )
-from .states import SchmidtState, entropy_bits, lambda_weights, make_state, message_vectors
+from .states import SchmidtState, entropy_bits, make_state, message_vectors
 
 __all__ = [
     "EncodingFamily",
@@ -64,7 +56,6 @@ __all__ = [
     "VerificationReport",
     "bns_excluded",
     "complete_to_unitary",
-    "dagger",
     "diagonal_identity_obstructed",
     "entropy_bits",
     "estimate_nmax",
@@ -74,13 +65,9 @@ __all__ = [
     "family_f47",
     "find_family",
     "gram_equivalence_residual",
-    "is_unitary",
     "kc_span_check",
-    "kron_with_identity",
     "lambda_inner",
-    "lambda_weights",
     "make_state",
-    "mat_mul",
     "message_vectors",
     "objective",
     "objective_and_gradient",
@@ -91,7 +78,6 @@ __all__ = [
     "shift",
     "shift_diag_family",
     "shift_family_obstructed",
-    "trace",
     "triangle_grid",
     "unitarity_residual",
     "verify_family",

@@ -14,21 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
-from .states import SchmidtState, message_vectors
+from .states import SchmidtState, _member_stack, message_vectors
 
 VERIFY_TOL = 1e-10
 SATURATION_TOL = 1e-9
 KC_RESIDUAL_TOL = 1e-8
+# Slack on the strict d+1 bound lambda0 >= d/(d+1).  Kept at roundoff scale:
+# at SATURATION_TOL it would label reachable states "excluded (proven)".
+STRICT_BOUND_TOL = 1e-12
 
 
 def _diagonal_of(weights) -> np.ndarray:
-    """Accept a SchmidtState, a weight vector, or a full diagonal matrix."""
+    """Accept a SchmidtState or a weight vector."""
     if isinstance(weights, SchmidtState):
         return np.asarray(weights.lambdas, dtype=float)
-    arr = np.asarray(weights)
-    if arr.ndim == 2:
-        arr = np.diag(arr)
-    return arr.real.astype(float)
+    arr = np.asarray(weights).real.astype(float)
+    if arr.ndim != 1:
+        raise ValueError(f"weights must be a vector, got shape {arr.shape}")
+    return arr
 
 
 def lambda_inner(weights, m, u) -> complex:
@@ -40,14 +43,6 @@ def lambda_inner(weights, m, u) -> complex:
     if m.shape != (d, d) or u.shape != (d, d):
         raise ValueError(f"dimension mismatch: weights d={d}, matrices {m.shape} and {u.shape}")
     return complex(np.einsum("a,ba,ba->", lam, m.conj(), u))
-
-
-def _member_stack(family, d: int) -> np.ndarray:
-    members = tuple(getattr(family, "members", family))
-    stack = np.stack([np.asarray(m, dtype=np.complex128) for m in members])
-    if stack.shape[1:] != (d, d):
-        raise ValueError(f"family members have shape {stack.shape[1:]}, state has d={d}")
-    return stack
 
 
 def _weighted_gram(stack: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -79,7 +74,12 @@ class VerificationReport:
 
 
 def verify_family(family, state: SchmidtState, tol: float = VERIFY_TOL) -> VerificationReport:
-    """Check pairwise weighted orthogonality, unitarity, and message norms."""
+    """Check pairwise weighted orthogonality, unitarity, and message norms.
+
+    Raises ValueError unless tol is finite and nonnegative.
+    """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     stack = _member_stack(family, state.d)
     max_pair = _max_pairwise_residual(stack, state.lambdas)
     max_unit = float(np.max(np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(state.d))))
@@ -131,7 +131,7 @@ def bns_excluded(state: SchmidtState, k: int) -> bool:
     d = state.d
     if k > wcsg_bound(state):
         return True
-    return k == d + 1 and state.lambda0 >= d / (d + 1) - 1e-12
+    return k == d + 1 and state.lambda0 >= d / (d + 1) - STRICT_BOUND_TOL
 
 
 @dataclass(frozen=True)

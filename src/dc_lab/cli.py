@@ -125,7 +125,10 @@ def read_family_document(path: str) -> families.EncodingFamily:
 
 def _parse_weight(text: str) -> float:
     if "/" in text:
-        return float(Fraction(text))
+        try:
+            return float(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"weight {text!r} divides by zero") from None
     return float(text)
 
 
@@ -135,7 +138,7 @@ def _state_from_weights(raw: list[str]) -> states.SchmidtState:
 
 
 def _config_from_args(args) -> search.SearchConfig:
-    kwargs = {"pin_fr": bool(getattr(args, "pin_fr", False))}
+    kwargs = {}
     if getattr(args, "restarts", None) is not None:
         kwargs["restarts"] = args.restarts
     if getattr(args, "tol", None) is not None:
@@ -296,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--pin-fr", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("state-info", help="entropy, bounds, and obstruction flags for a state")
@@ -309,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--pin-fr", action="store_true")
     p.set_defaults(func=_cmd_search)
 
     return parser

@@ -29,28 +29,6 @@ def as_matrix(entries) -> np.ndarray:
     return a
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
 def unitarity_residual(u) -> float:
     """Max-abs entry of U^dag U - I."""
     u = as_matrix(u)
@@ -58,27 +36,6 @@ def unitarity_residual(u) -> float:
         raise ValueError(f"unitarity check requires a square matrix, got {u.shape}")
     d = u.shape[0]
     return float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-
-
-def is_unitary(u, tol: float = UNITARITY_TOL) -> bool:
-    return unitarity_residual(u) <= tol
-
-
-def require_unitary(u, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.ndarray:
-    """Return the matrix, raising if its unitarity residual exceeds tol."""
-    u = as_matrix(u)
-    res = unitarity_residual(u)
-    if res > tol:
-        raise ValueError(f"{what} is not unitary: residual {res:.3e} > {tol:.3e}")
-    return u
-
-
-def kron_with_identity(u, d: int) -> np.ndarray:
-    """Tensor a d x d operator with the identity on a second d-level system."""
-    u = as_matrix(u)
-    if u.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} matrix, got {u.shape}")
-    return np.kron(u, np.eye(d))
 
 
 def _mgs_orthonormalize(cols: np.ndarray) -> np.ndarray:

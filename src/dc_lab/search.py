@@ -29,6 +29,7 @@ A failed search is evidence, not proof: results label such outcomes
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -36,12 +37,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SATURATION_TOL, _diagonal_of, _member_stack, _weighted_gram, bns_excluded, wcsg_bound
+from .analysis import _diagonal_of, _max_pairwise_residual, _weighted_gram, bns_excluded, wcsg_bound
 from .families import EncodingFamily, shift_diag_family
-from .linalg import UNITARITY_TOL, as_matrix, unitarity_residual
-from .states import SchmidtState, entropy_bits, make_state
+from .linalg import UNITARITY_TOL, unitarity_residual
+from .states import SchmidtState, _member_stack, entropy_bits, make_state
 
 _DEGENERACY_EPS = 1e-12
+
+# Adam: step size, scale of the random start, the objective below which a
+# restart hands off to the polish, and the relative improvement a stall
+# window must make.
+STEP_SIZE = 0.15
+INIT_SCALE = 1.0
+HANDOFF_TOL = 1e-6
+STALL_RTOL = 1e-3
+
+# Levenberg-Marquardt polish: initial damping, its lower and upper limits,
+# the floor of the diagonal damping matrix, and the stops on the objective
+# and on the largest gradient entry.
+LM_MU_START = 1e-3
+LM_MU_MIN = 1e-14
+LM_MU_MAX = 1e12
+LM_DAMP_FLOOR = 1e-12
+LM_F_STOP = 1e-28
+LM_GRAD_STOP = 1e-15
+
+# A grid point within this of a mandatory sweep state stands for it.
+GRID_MATCH_TOL = 1e-12
 
 
 @dataclass
@@ -52,20 +74,15 @@ class SearchConfig:
     restarts: int = 50
     max_iters: int = 2000
     accept_tol: float = 1e-10
-    step_size: float = 0.15
-    init_scale: float = 1.0
-    handoff_tol: float = 1e-6
     polish_iters: int = 60
     stall_window: int = 200
-    stall_rtol: float = 1e-3
-    pin_fr: bool = False
     base_seed: int = 42
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.accept_tol <= 0:
-            raise ValueError("accept_tol must be positive")
+        if not 0 < self.accept_tol < math.inf:
+            raise ValueError(f"accept_tol must be positive and finite, got {self.accept_tol!r}")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
 
@@ -120,7 +137,7 @@ class _Problem:
     of shape (R, n_free * d^2) and treat every row independently.
     """
 
-    def __init__(self, state: SchmidtState, k: int, fixed_stack: np.ndarray, pin_fr: bool):
+    def __init__(self, state: SchmidtState, k: int, fixed_stack: np.ndarray):
         d = state.d
         self.lam = state.lambdas
         self.d = d
@@ -129,7 +146,6 @@ class _Problem:
         self.nf = fixed_stack.shape[0]
         self.n_free = k - self.nf
         self.nparam = self.n_free * d * d
-        self.pin = _pin_active(state, pin_fr, self.n_free)
         self.pairs = _pairs(k)
         self.pair_flat = self.pairs[0] * k + self.pairs[1]
         # Row a of `basis` is the flattened Hermitian matrix dH/dtheta_a of one
@@ -163,24 +179,19 @@ class _Problem:
         stack[:, self.nf :] = ufree.reshape(rows, self.n_free, self.d, self.d)
         return stack
 
-    def _objective(self, stack: np.ndarray, ufree: np.ndarray):
-        """Per-row objective (with the gauge penalty) and the weighted Gram matrices."""
+    def _objective(self, stack: np.ndarray):
+        """Per-row objective and the weighted Gram matrices."""
         t = _weighted_gram(stack, self.lam)
         # Each row's value must not depend on the row count.  So: squares of
         # the real and imaginary parts (complex np.abs rounds differently in
         # its vector and scalar loops), summed along C-ordered rows (a plain
         # fancy index returns columns, which np.sum adds in another order).
         tp = t.reshape(t.shape[0], -1).take(self.pair_flat, axis=1)
-        f = np.sum(tp.real * tp.real + tp.imag * tp.imag, axis=1)
-        if self.pin:
-            z = ufree[:: self.n_free, 0, 1]
-            f += z.real * z.real + z.imag * z.imag
-        return f, t
+        return np.sum(tp.real * tp.real + tp.imag * tp.imag, axis=1), t
 
     def objective(self, theta: np.ndarray) -> np.ndarray:
         """Objective of every row of theta, shape (R,)."""
-        ufree = self.unitaries(theta)[0]
-        return self._objective(self.members(ufree), ufree)[0]
+        return self._objective(self.members(self.unitaries(theta)[0]))[0]
 
     def objective_and_gradient(self, theta: np.ndarray):
         """Objective (R,) and analytic gradient (R, nparam) of every row.
@@ -192,12 +203,10 @@ class _Problem:
         ufree, w, v, vh, phases = self.unitaries(theta)
         stack = self.members(ufree)
         rows = stack.shape[0]
-        f, t = self._objective(stack, ufree)
+        f, t = self._objective(stack)
         c = t.conj()
         c.reshape(rows, k * k)[:, :: k + 1] = 0.0
         wmat = (c[:, self.nf :] @ stack.reshape(rows, k, d * d)).reshape(-1, d, d) * self.lam
-        if self.pin:
-            wmat[:: self.n_free, 0, 1] += ufree[:: self.n_free, 0, 1]
         p = vh @ wmat @ v
         g = v @ (p * _divided_difference(w, phases).conj()) @ vh
         grad = 2.0 * self.trace_layout(g).real
@@ -216,7 +225,7 @@ def objective(weights, family) -> float:
     return float(np.sum(np.abs(t[iu, ju]) ** 2))
 
 
-def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None, pin_fr: bool = False):
+def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None):
     """Public wrapper exposing the search objective and analytic gradient.
 
     `theta` parametrizes the k - len(fixed) free members (d^2 reals each)
@@ -225,7 +234,7 @@ def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None, pin_f
     fixed_stack = _prepare_fixed(state, fixed)
     if k - fixed_stack.shape[0] <= 0:
         raise ValueError("no free members to differentiate")
-    prob = _Problem(state, k, fixed_stack, pin_fr)
+    prob = _Problem(state, k, fixed_stack)
     f, grad = prob.objective_and_gradient(np.asarray(theta, dtype=float).reshape(1, -1))
     return float(f[0]), grad[0]
 
@@ -235,8 +244,8 @@ def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None, pin_f
 
 
 def _residuals_and_jacobian(prob: _Problem, theta: np.ndarray):
-    """Real and imaginary parts of every pair trace (and the gauge pin) for
-    one parameter row, with their Jacobian in the row's parameters."""
+    """Real and imaginary parts of every pair trace for one parameter row,
+    with their Jacobian in the row's parameters."""
     nf, dd = prob.nf, prob.d * prob.d
     ufree, w, v, vh, phases = prob.unitaries(theta)
     stack = prob.members(ufree)[0]
@@ -253,32 +262,22 @@ def _residuals_and_jacobian(prob: _Problem, theta: np.ndarray):
     right = np.nonzero(ju >= nf)[0]
     jc[right, ju[right] - nf] = s[ju[right] - nf, iu[right]].conj()
     jc = jc.reshape(iu.size, prob.nparam)
-    r = [tvals.real, tvals.imag]
-    jac = [jc.real, jc.imag]
-    if prob.pin:
-        # (U_1)_{0,1} depends on the first free member's block only
-        z = ufree[0, 0, 1]
-        tmat = v[0, 0, :][:, None] * gamma[0] * v[0, 1, :].conj()[None, :]
-        dz = np.zeros(prob.nparam, dtype=np.complex128)
-        dz[:dd] = prob.trace_layout(v[0] @ tmat.T @ vh[0])
-        r.append(np.array([z.real, z.imag]))
-        jac.append(np.stack([dz.real, dz.imag]))
-    return np.concatenate(r), np.concatenate(jac)
+    return np.concatenate([tvals.real, tvals.imag]), np.concatenate([jc.real, jc.imag])
 
 
 def _lm_polish(prob: _Problem, theta: np.ndarray, iters: int):
     theta = np.array(theta, dtype=float)
     r, jac = _residuals_and_jacobian(prob, theta)
     f = float(r @ r)
-    mu = 1e-3
+    mu = LM_MU_START
     for _ in range(iters):
-        if f <= 1e-28:
+        if f <= LM_F_STOP:
             break
         a = jac.T @ jac
         g = jac.T @ r
-        if np.max(np.abs(g)) < 1e-15:
+        if np.max(np.abs(g)) < LM_GRAD_STOP:
             break
-        damp = np.diag(np.maximum(np.diag(a), 1e-12))
+        damp = np.diag(np.maximum(np.diag(a), LM_DAMP_FLOOR))
         try:
             delta = np.linalg.solve(a + mu * damp, -g)
         except np.linalg.LinAlgError:
@@ -288,11 +287,11 @@ def _lm_polish(prob: _Problem, theta: np.ndarray, iters: int):
         if ft < f:
             theta = trial
             f = ft
-            mu = max(mu / 3.0, 1e-14)
+            mu = max(mu / 3.0, LM_MU_MIN)
             r, jac = _residuals_and_jacobian(prob, theta)
         else:
             mu *= 4.0
-            if mu > 1e12:
+            if mu > LM_MU_MAX:
                 break
     return theta, f
 
@@ -305,8 +304,8 @@ def _adam(prob: _Problem, theta: np.ndarray, cfg: SearchConfig):
     """Adam on every row of an (R, nparam) stack in lockstep.
 
     Returns each row's best point (R, nparam) and value (R,).  A row leaves
-    the batch once its best value is below cfg.handoff_tol, or at the end of
-    a stall window that improved it by less than cfg.stall_rtol; its result
+    the batch once its best value is below HANDOFF_TOL, or at the end of a
+    stall window that improved it by less than STALL_RTOL; its result
     is the one a run on that row alone would give.
     """
     best_theta = np.array(theta, dtype=float)
@@ -322,14 +321,14 @@ def _adam(prob: _Problem, theta: np.ndarray, cfg: SearchConfig):
         better = f < best_f[rows]
         best_f[rows[better]] = f[better]
         best_theta[rows[better]] = theta[better]
-        keep = ~(best_f[rows] < cfg.handoff_tol)
+        keep = ~(best_f[rows] < HANDOFF_TOL)
         mom = b1 * mom + (1 - b1) * g
         vel = b2 * vel + (1 - b2) * g * g
         mhat = mom / (1 - b1**it)
         vhat = vel / (1 - b2**it)
-        theta = theta - cfg.step_size * mhat / (np.sqrt(vhat) + eps)
+        theta = theta - STEP_SIZE * mhat / (np.sqrt(vhat) + eps)
         if it % cfg.stall_window == 0:
-            keep &= ~(best_f[rows] > prev_mark * (1 - cfg.stall_rtol))
+            keep &= ~(best_f[rows] > prev_mark * (1 - STALL_RTOL))
             prev_mark = best_f[rows]
         if not keep.all():
             rows, theta, mom, vel, prev_mark = (a[keep] for a in (rows, theta, mom, vel, prev_mark))
@@ -343,13 +342,9 @@ def _adam(prob: _Problem, theta: np.ndarray, cfg: SearchConfig):
 
 
 def _prepare_fixed(state: SchmidtState, fixed) -> np.ndarray:
-    d = state.d
     if fixed is None:
-        return np.eye(d, dtype=np.complex128)[None]
-    members = tuple(getattr(fixed, "members", fixed))
-    stack = np.stack([as_matrix(m) for m in members])
-    if stack.shape[1:] != (d, d):
-        raise ValueError(f"fixed members have shape {stack.shape[1:]}, state has d={d}")
+        return np.eye(state.d, dtype=np.complex128)[None]
+    stack = _member_stack(fixed, state.d)
     for i, m in enumerate(stack):
         res = unitarity_residual(m)
         if res > UNITARITY_TOL:
@@ -357,21 +352,11 @@ def _prepare_fixed(state: SchmidtState, fixed) -> np.ndarray:
     return stack
 
 
-def _pin_active(state: SchmidtState, pin_fr: bool, n_free: int) -> bool:
-    # Pinning the 1,2 entry of the first free member is a pure gauge choice
-    # only on the lambda1 = lambda2 locus; elsewhere it is silently skipped.
-    if not pin_fr or n_free < 1 or state.d < 3:
-        return False
-    return abs(float(state.lambdas[1]) - float(state.lambdas[2])) <= SATURATION_TOL
-
-
 def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     """Search for k weighted-orthogonal unitaries for the given state.
 
     Returns (best_objective, witness) where the witness EncodingFamily is
-    None unless the best objective fell within cfg.accept_tol.  The reported
-    objective is always the plain pairwise one, even when the gauge pin adds
-    a penalty term during optimization.
+    None unless the best objective fell within cfg.accept_tol.
     """
     d = state.d
     if not d <= k <= d * d:
@@ -392,7 +377,7 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
             )
         return f, witness
 
-    prob = _Problem(state, k, fixed_stack, cfg.pin_fr)
+    prob = _Problem(state, k, fixed_stack)
     rng = np.random.default_rng(cfg.base_seed)
     best_total = np.inf
     best_theta = None
@@ -400,7 +385,7 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     while done < cfg.restarts and best_total > cfg.accept_tol:
         size = min(size, cfg.restarts - done)
         # one (size, nparam) draw yields the numbers of size one-row draws
-        explored, _ = _adam(prob, cfg.init_scale * rng.standard_normal((size, prob.nparam)), cfg)
+        explored, _ = _adam(prob, INIT_SCALE * rng.standard_normal((size, prob.nparam)), cfg)
         for theta1 in explored:
             theta2, f2 = _lm_polish(prob, theta1, cfg.polish_iters)
             if f2 < best_total:
@@ -419,12 +404,6 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
         )
         return pure, witness
     return pure, None
-
-
-def _max_pair_residual(state: SchmidtState, members) -> float:
-    t = _weighted_gram(_member_stack(members, state.d), state.lambdas)
-    iu, ju = _pairs(t.shape[0])
-    return float(np.max(np.abs(t[iu, ju]))) if iu.size else 0.0
 
 
 def _check_max_k(cfg: SearchConfig, d: int) -> None:
@@ -450,7 +429,7 @@ def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
             k=d,
             status="found",
             best_objective=objective(state, shifts),
-            max_pair_residual=_max_pair_residual(state, shifts.members),
+            max_pair_residual=_max_pairwise_residual(_member_stack(shifts, d), state.lambdas),
         )
     ]
     witnesses: dict[int, EncodingFamily] = {d: shifts}
@@ -469,7 +448,7 @@ def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
                     k=k,
                     status="found",
                     best_objective=best,
-                    max_pair_residual=_max_pair_residual(state, fam.members),
+                    max_pair_residual=_max_pairwise_residual(_member_stack(fam, d), state.lambdas),
                 )
             )
             n_max = k
@@ -546,7 +525,7 @@ def triangle_grid(resolution: int) -> list[tuple[float, float, float]]:
             lam = bary @ corners
             pts.append((float(lam[0]), float(lam[1]), float(lam[2])))
     for target in MANDATORY_SWEEP_STATES:
-        if not any(max(abs(p[i] - target[i]) for i in range(3)) <= 1e-12 for p in pts):
+        if not any(max(abs(p[i] - target[i]) for i in range(3)) <= GRID_MATCH_TOL for p in pts):
             pts.append(target)
     return pts
 

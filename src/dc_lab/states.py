@@ -57,14 +57,13 @@ def entropy_bits(state: SchmidtState) -> float:
     return float(-(lam * np.log2(lam)).sum())
 
 
-def lambda_weights(state: SchmidtState) -> np.ndarray:
-    """The diagonal weight matrix Lambda = diag(lambda_0, ..., lambda_{d-1})."""
-    return np.diag(state.lambdas).astype(np.complex128)
-
-
-def _members_of(family) -> tuple:
-    """Accept an EncodingFamily or any sequence of (d, d) arrays."""
-    return tuple(getattr(family, "members", family))
+def _member_stack(family, d: int) -> np.ndarray:
+    """(K, d, d) complex stack of an EncodingFamily, a member sequence or an array."""
+    # np.asarray raises ValueError itself for members of different shapes
+    stack = np.asarray(getattr(family, "members", family), dtype=np.complex128)
+    if stack.ndim != 3 or stack.shape[1:] != (d, d):
+        raise ValueError(f"family members have shape {stack.shape[1:]}, state has d={d}")
+    return stack
 
 
 def message_vectors(family, state: SchmidtState) -> np.ndarray:
@@ -73,13 +72,5 @@ def message_vectors(family, state: SchmidtState) -> np.ndarray:
     Row i holds sum_j sqrt(lambda_j) (U_i|j>) x |j> in the m*d + n basis
     ordering.  Rows have unit norm whenever the members are unitary.
     """
-    members = _members_of(family)
-    d = state.d
-    roots = np.sqrt(state.lambdas)
-    out = np.empty((len(members), d * d), dtype=np.complex128)
-    for i, u in enumerate(members):
-        u = np.asarray(u, dtype=np.complex128)
-        if u.shape != (d, d):
-            raise ValueError(f"member {i} has shape {u.shape}, state has d={d}")
-        out[i] = (u * roots[None, :]).reshape(d * d)
-    return out
+    stack = _member_stack(family, state.d)
+    return (stack * np.sqrt(state.lambdas)).reshape(stack.shape[0], -1)

@@ -14,7 +14,7 @@ from dc_lab.analysis import (
     wcsg_bound,
 )
 from dc_lab.families import family_f46, family_f47, qutrit_five_family, shift, weyl_family
-from dc_lab.states import lambda_weights, make_state
+from dc_lab.states import make_state
 
 PSI_L = make_state(3, [3 / 5, 2 / 5, 0])
 PSI_H = make_state(3, [3 / 5, 1 / 5, 1 / 5])
@@ -33,9 +33,10 @@ def test_lambda_inner_examples():
     assert lambda_inner(UNIFORM3, np.eye(3), shift(3)) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_lambda_inner_accepts_matrix_or_state():
-    full = lambda_weights(PSI_L)
-    assert lambda_inner(full, np.eye(3), SWAP3) == lambda_inner(PSI_L, np.eye(3), SWAP3)
+def test_lambda_inner_accepts_vector_or_state():
+    assert lambda_inner(PSI_L.lambdas, np.eye(3), SWAP3) == lambda_inner(PSI_L, np.eye(3), SWAP3)
+    with pytest.raises(ValueError, match="vector"):
+        lambda_inner(np.diag(PSI_L.lambdas), np.eye(3), SWAP3)
 
 
 def test_lambda_inner_dimension_mismatch():
@@ -47,6 +48,17 @@ def test_verify_family_passes_f46():
     report = verify_family(family_f46(), make_state(4, [2 / 3, 1 / 3, 0, 0]), tol=1e-10)
     assert report.passed
     assert report.max_pairwise_residual <= 1e-10
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_verify_family_rejects_a_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_family(family_f46(), make_state(4, [2 / 3, 1 / 3, 0, 0]), tol=tol)
+
+
+def test_verify_family_accepts_a_zero_tolerance():
+    report = verify_family(weyl_family(2), make_state(2, [0.5, 0.5]), tol=0.0)
+    assert report.tol == 0.0
 
 
 def test_verify_family_detects_duplicate_identity():

@@ -262,6 +262,48 @@ def test_state_info_rejects_bad_weights(capsys):
     assert run(["state-info", "--lambdas", "0.9", "0.3"]) == 2
 
 
+def test_state_info_zero_denominator_is_bad_input(capsys):
+    assert run(["state-info", "--lambdas", "1/0", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weight '1/0' divides by zero\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_a_bad_tolerance_before_printing(tmp_path, capsys, tol):
+    out = tmp_path / "f46.json"
+    run(["construct", "f46", "-d", "4", "--output", str(out)])
+    capsys.readouterr()
+    assert run(["verify", str(out), "--lambdas", "2/3", "1/3", "0", "0", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tolerance must be finite and nonnegative")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_search_and_sweep_reject_a_bad_tolerance(tmp_path, capsys, monkeypatch, tol):
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    assert run(["search", "--lambdas", "3/5", "2/5", "0", "--tol", tol]) == 2
+    out = tmp_path / "x.csv"
+    assert run(["sweep", "--resolution", "4", "--tol", tol, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: accept_tol must be positive and finite") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "--lambdas", "1/2", "1/2", "--pin-fr"], ["sweep", "--resolution", "4", "--output", "x.csv", "--pin-fr"]],
+    ids=["search", "sweep"],
+)
+def test_search_and_sweep_have_no_pin_fr_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "--pin-fr" in capsys.readouterr().err
+
+
 def test_search_command_smoke(capsys):
     assert run(["search", "--lambdas", "0.5", "0.5", "--restarts", "3", "--seed", "7"]) == 0
     text = capsys.readouterr().out

@@ -2,87 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary
-from dc_lab.linalg import (
-    complete_to_unitary,
-    dagger,
-    kron_with_identity,
-    mat_mul,
-    trace,
-    unitarity_residual,
-)
+from dc_lab.linalg import complete_to_unitary, unitarity_residual
 
-X3 = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
-SWAP3 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-
-
-def test_mat_mul_identity_case():
-    assert np.array_equal(mat_mul(np.eye(3), X3), X3)
-
-
-def test_mat_mul_shift_squared():
-    # X3 cycles |j> -> |j+1>, so X3^2 sends |j> -> |j+2>
-    expected = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
-    assert np.allclose(mat_mul(X3, X3), expected)
-
-
-def test_mat_mul_swap_involution():
-    assert np.allclose(mat_mul(SWAP3, SWAP3), np.eye(3))
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul(np.eye(3), np.eye(4))
-
-
-def test_mat_mul_rejects_nonfinite():
+def test_unitarity_residual_rejects_nonfinite():
     bad = np.array([[np.nan, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        mat_mul(bad, np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        unitarity_residual(bad)
 
 
-def test_dagger_real_diagonal_fixed_point():
-    d = np.diag([1.0, 2.0, 3.0])
-    assert np.array_equal(dagger(d), d)
-
-
-def test_dagger_phase_matrix():
-    w = np.exp(2j * np.pi / 3)
-    z3 = np.diag([1, w, w**2])
-    assert np.allclose(dagger(z3), np.diag([1, np.exp(-2j * np.pi / 3), np.exp(-4j * np.pi / 3)]))
-
-
-def test_dagger_involution(rng):
-    a = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-    assert np.allclose(dagger(dagger(a)), a)
-
-
-@pytest.mark.parametrize("d", range(2, 7))
-def test_trace_identity(d):
-    assert trace(np.eye(d)) == d
-
-
-def test_trace_shift_is_zero():
-    assert trace(X3) == 0
-
-
-def test_trace_of_weight_matrix_is_one(rng):
-    for d in (2, 3, 5):
-        lam = np.sort(rng.dirichlet(np.ones(d)))[::-1]
-        assert abs(trace(np.diag(lam)) - 1.0) < 1e-12
-
-
-def test_trace_nonsquare_rejected():
-    with pytest.raises(ValueError):
-        trace(np.ones((2, 3)))
-
-
-def test_trace_conjugate_symmetry(rng):
-    for _ in range(20):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        lhs = trace(mat_mul(dagger(a), b))
-        rhs = trace(mat_mul(dagger(b), a))
-        assert abs(lhs - np.conj(rhs)) < 1e-12
+def test_unitarity_residual_rejects_nonsquare():
+    with pytest.raises(ValueError, match="square"):
+        unitarity_residual(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="2-D"):
+        unitarity_residual(np.ones(3))
 
 
 def test_complete_single_column_d2_gives_identity():
@@ -220,34 +152,8 @@ def test_stacked_completion_rejects_bad_stacks():
         complete_to_unitary(np.full((1, 3, 1), np.nan), 3)
 
 
-def test_kron_identity_with_identity():
-    for d in (2, 3, 4):
-        assert np.array_equal(kron_with_identity(np.eye(d), d), np.eye(d * d))
-
-
-def test_kron_shift_moves_first_slot():
-    big = kron_with_identity(X3, 3)
-    ket00 = np.zeros(9)
-    ket00[0] = 1.0
-    out = big @ ket00
-    expected = np.zeros(9)
-    expected[3] = 1.0  # |10> sits at index 1*3 + 0
-    assert np.allclose(out, expected)
-
-
-def test_kron_trace_multiplicativity(rng):
-    u = haar_unitary(rng, 4)
-    assert abs(trace(kron_with_identity(u, 4)) - 4 * trace(u)) < 1e-10
-
-
 def test_unitary_product_closure(rng):
     for d in range(2, 9):
         u = haar_unitary(rng, d)
         v = haar_unitary(rng, d)
         assert unitarity_residual(u @ v) <= 1e-10
-
-
-def test_kron_preserves_unitarity_residual_scale(rng):
-    u = haar_unitary(rng, 3) + 1e-12 * rng.standard_normal((3, 3))
-    res = unitarity_residual(u)
-    assert unitarity_residual(kron_with_identity(u, 3)) <= 10 * res

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_sorted_weights
 from dc_lab.families import qutrit_five_family
-from dc_lab.states import entropy_bits, lambda_weights, make_state, message_vectors
+from dc_lab.states import entropy_bits, make_state, message_vectors
 
 # Independent one-line oracle for the entropy of (3/5, 2/5, 0), frozen here.
 PSI_L_ENTROPY = -(0.6 * math.log2(0.6) + 0.4 * math.log2(0.4))
@@ -104,14 +104,6 @@ def test_entropy_minimized_by_two_term_tail(rng):
             assert entropy_bits(s) >= floor - 1e-12
 
 
-def test_lambda_weights_values():
-    assert np.allclose(np.diag(lambda_weights(make_state(3, [3 / 5, 2 / 5, 0]))), [0.6, 0.4, 0.0])
-    assert np.allclose(
-        np.diag(lambda_weights(make_state(3, [3 / 5, 1 / 5, 1 / 5]))), [0.6, 0.2, 0.2]
-    )
-    assert np.allclose(np.diag(lambda_weights(make_state(3, [1 / 3] * 3))), [1 / 3] * 3)
-
-
 def test_message_vector_of_identity_on_psi_l():
     s = make_state(3, [3 / 5, 2 / 5, 0])
     vec = message_vectors([np.eye(3)], s)[0]
@@ -154,7 +146,19 @@ def test_message_vectors_accepts_family_object():
     assert message_vectors(fam, s).shape == (5, 9)
 
 
+def test_message_vectors_same_bytes_for_family_list_and_stack():
+    fam = qutrit_five_family()
+    s = make_state(3, [3 / 5, 2 / 5, 0])
+    got = message_vectors(fam, s)
+    # each row is the member times the root weights of its columns, flattened
+    rows = [(np.asarray(u) * np.sqrt(s.lambdas)[None, :]).reshape(9) for u in fam.members]
+    assert got.tobytes() == np.stack(rows).tobytes()
+    assert message_vectors(list(fam.members), s).tobytes() == got.tobytes()
+    assert message_vectors(np.stack(fam.members), s).tobytes() == got.tobytes()
+
+
 def test_message_vectors_dimension_mismatch():
     s = make_state(3, [0.5, 0.3, 0.2])
-    with pytest.raises(ValueError):
-        message_vectors([np.eye(4)], s)
+    for members in ([np.eye(4)], [np.eye(3), np.eye(4)], np.eye(3)):
+        with pytest.raises(ValueError):
+            message_vectors(members, s)
