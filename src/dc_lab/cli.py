@@ -46,13 +46,25 @@ def _build_family(name: str, d: int) -> families.EncodingFamily:
     return build(d)
 
 
+def _member_pairs(member):
+    """`member` as an (n, 2) float array of [re, im] pairs, or None if it is not one."""
+    try:
+        pairs = np.asarray(member)
+    except ValueError:  # ragged nesting
+        return None
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
+        return None
+    return pairs.astype(np.float64, copy=False)
+
+
 def document_to_family(doc: dict) -> families.EncodingFamily:
     """Validate a parsed family document and return its family.
 
     Rejects, with ValueError, a `d` that is not an integer >= 2, members that
     are not d*d finite [re, im] number pairs each, and a member count K
-    outside [d, d*d].  Members are not checked for unitarity: verification
-    reports that.
+    outside [d, d*d].  A member is a list of pairs, or the (n, 2) float
+    array `read_family_document` converts it to.  Members are not checked
+    for unitarity: verification reports that.
     """
     if not isinstance(doc, dict):
         raise ValueError("family document must be a JSON object")
@@ -70,16 +82,13 @@ def document_to_family(doc: dict) -> families.EncodingFamily:
     # One conversion per member: numpy's shape discovery over the whole nested
     # list would hold bookkeeping for every [re, im] pair at once.
     entries = np.empty((k, d * d, 2))
-    for i, flat in enumerate(members):
-        if not isinstance(flat, list):
+    for i, member in enumerate(members):
+        if not isinstance(member, (list, np.ndarray)):
             raise ValueError(f"member {i} must be a list of [re, im] pairs")
-        if len(flat) != d * d:
-            raise ValueError(f"member {i} has {len(flat)} entries, expected {d * d}")
-        try:
-            pairs = np.asarray(flat)
-        except ValueError:  # ragged nesting
-            pairs = None
-        if pairs is None or pairs.shape != (d * d, 2) or pairs.dtype.kind not in "iuf":
+        if len(member) != d * d:
+            raise ValueError(f"member {i} has {len(member)} entries, expected {d * d}")
+        pairs = _member_pairs(member)
+        if pairs is None:
             raise ValueError(f"member {i} entries must be [re, im] pairs of numbers")
         entries[i] = pairs
     if not np.all(np.isfinite(entries)):
@@ -118,9 +127,97 @@ def write_family_document(family: families.EncodingFamily, path: str) -> None:
         fh.write("\n ]\n}\n" if members else "]\n}\n")
 
 
+_DECODER = json.JSONDecoder()
+_skip_ws = json.decoder.WHITESPACE.match
+
+
+def _decode_member(text: str, pos: int):
+    """The array member starting at text[pos], converted once decoded, and its end."""
+    member, end = _DECODER.raw_decode(text, pos)
+    pairs = _member_pairs(member)
+    return (member if pairs is None else pairs), end
+
+
+def _decode_members(text: str, pos: int):
+    """The members array whose "[" ends at text[pos - 1], one member at a time.
+
+    Each member becomes its (n, 2) array as soon as it is decoded, so its
+    nested lists are gone before the next member is read.  A member that
+    does not convert stays as decoded, for `document_to_family` to report.
+    """
+    members = []
+    pos = _skip_ws(text, pos).end()
+    if text[pos : pos + 1] == "]":
+        return members, pos + 1
+    while True:
+        member, pos = _decode_member(text, pos)
+        members.append(member)
+        pos = _skip_ws(text, pos).end()
+        if text[pos : pos + 1] == "]":
+            return members, pos + 1
+        if text[pos : pos + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        pos = _skip_ws(text, pos + 1).end()
+
+
+def _decode_object(text: str, pos: int):
+    """The object whose "{" ends at text[pos - 1], walked key by key as json's
+    scanner walks it; a "members" array goes to `_decode_members`."""
+    doc = {}
+    pos = _skip_ws(text, pos).end()
+    if text[pos : pos + 1] == "}":
+        return doc, pos + 1
+    while True:
+        if text[pos : pos + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
+        key, pos = json.decoder.scanstring(text, pos + 1)
+        pos = _skip_ws(text, pos).end()
+        if text[pos : pos + 1] != ":":
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+        pos = _skip_ws(text, pos + 1).end()
+        if key == "members" and text[pos : pos + 1] == "[":
+            doc[key], pos = _decode_members(text, pos + 1)
+        else:
+            doc[key], pos = _DECODER.raw_decode(text, pos)
+        pos = _skip_ws(text, pos).end()
+        if text[pos : pos + 1] == "}":
+            return doc, pos + 1
+        if text[pos : pos + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        pos = _skip_ws(text, pos + 1).end()
+
+
+def _decode_document(text: str):
+    """json.loads(text), with a top-level object's "members" array decoded
+    one member at a time.
+
+    Every syntax error, trailing data included, raises the JSONDecodeError
+    json.loads raises, at the same position, and a repeated key keeps its
+    last value.
+    """
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    pos = _skip_ws(text, 0).end()
+    if text[pos : pos + 1] == "{":
+        doc, pos = _decode_object(text, pos + 1)
+    else:
+        doc, pos = _DECODER.raw_decode(text, pos)
+    pos = _skip_ws(text, pos).end()
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+    return doc
+
+
 def read_family_document(path: str) -> families.EncodingFamily:
+    """Read and validate a family document.
+
+    The text is read once and decoded one member at a time, and it is
+    released before the members are stacked, so reading costs about twice the
+    document's size (the bytes and the decoded text) plus the family.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return document_to_family(json.load(fh))
+        doc = _decode_document(fh.read())
+    return document_to_family(doc)
 
 
 def _parse_weight(text: str) -> float:

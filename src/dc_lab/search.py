@@ -29,10 +29,11 @@ A failed search is evidence, not proof: results label such outcomes
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import numbers
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +80,19 @@ class SearchConfig:
     base_seed: int = 42
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        lows = {"restarts": 1, "max_iters": 1, "stall_window": 1, "polish_iters": 0, "base_seed": 0}
+        for name, low in lows.items():
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.max_k is not None and not _is_int(self.max_k):
+            raise ValueError(f"max_k must be an integer or None, got {self.max_k!r}")
         if not 0 < self.accept_tol < math.inf:
             raise ValueError(f"accept_tol must be positive and finite, got {self.accept_tol!r}")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be nonnegative")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -123,9 +131,35 @@ def _divided_difference(w: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return gamma
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
 def _pairs(n: int):
-    """Row and column indices of the strict upper triangle of an (n, n) matrix."""
-    return np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
+    """Row and column indices of the strict upper triangle of an (n, n) matrix,
+    and their flat indices; cached and read-only."""
+    iu, ju = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
+    return _read_only(iu, ju, iu * n + ju)
+
+
+@functools.lru_cache(maxsize=64)
+def _hermitian_basis(d: int):
+    """The (d^2, d^2) Hermitian basis of a parameter block and its adjoint;
+    cached and read-only.
+
+    Row a of `basis` is the flattened Hermitian matrix dH/dtheta_a of one
+    block, so H = theta_block @ basis and the coefficients of the parameters
+    in tr(Z dH) are Z_flat @ basis^dag.  Each entry of either product has at
+    most two nonzero terms, so both are exact.
+    """
+    iu0, iu1, upper_flat = _pairs(d)
+    unit = np.eye(d * d)
+    upper, lower = unit[upper_flat], unit[iu1 * d + iu0]
+    basis = np.concatenate([unit[np.arange(d) * (d + 1)], upper + lower, 1j * (upper - lower)])
+    return _read_only(basis, np.ascontiguousarray(basis.conj().T))
 
 
 class _Problem:
@@ -146,17 +180,9 @@ class _Problem:
         self.nf = fixed_stack.shape[0]
         self.n_free = k - self.nf
         self.nparam = self.n_free * d * d
-        self.pairs = _pairs(k)
-        self.pair_flat = self.pairs[0] * k + self.pairs[1]
-        # Row a of `basis` is the flattened Hermitian matrix dH/dtheta_a of one
-        # block, so H = theta_block @ basis and the coefficients of the
-        # parameters in tr(Z dH) are Z_flat @ basis^dag.  Each entry of either
-        # product has at most two nonzero terms, so both are exact.
-        iu0, iu1 = _pairs(d)
-        unit = np.eye(d * d)
-        upper, lower = unit[iu0 * d + iu1], unit[iu1 * d + iu0]
-        self.basis = np.concatenate([unit[np.arange(d) * (d + 1)], upper + lower, 1j * (upper - lower)])
-        self.dual = np.ascontiguousarray(self.basis.conj().T)
+        iu, ju, self.pair_flat = _pairs(k)
+        self.pairs = (iu, ju)
+        self.basis, self.dual = _hermitian_basis(d)
 
     def unitaries(self, theta: np.ndarray):
         """exp(iH) for every free member of every row, via one batched eigh.
@@ -221,7 +247,7 @@ def objective(weights, family) -> float:
     """Sum of squared pairwise weighted traces; zero iff the family is valid."""
     lam = _diagonal_of(weights)
     t = _weighted_gram(_member_stack(family, lam.shape[0]), lam)
-    iu, ju = _pairs(t.shape[0])
+    iu, ju, _ = _pairs(t.shape[0])
     return float(np.sum(np.abs(t[iu, ju]) ** 2))
 
 
@@ -606,6 +632,10 @@ def region_sweep(
     ]
     nworkers = _worker_count(workers, len(tasks))
     if nworkers > 1:
+        # imported here: the pool pulls in multiprocessing, which nothing
+        # else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             cells = list(pool.map(_sweep_cell, tasks))
     else:

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dc_lab import analysis, cli
 from dc_lab.families import (
@@ -236,6 +240,147 @@ def test_family_documents_round_trip_exactly(tmp_path):
             assert np.array_equal(a, b)
 
 
+def _reference_read(path):
+    """The reader as it was: the whole document through json.load, then validation."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return cli.document_to_family(json.load(fh))
+
+
+def _verify_outcome(path, capsys):
+    code = run(["verify", str(path), "--lambdas", "1/2", "1/2"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _read_outcome(read, path):
+    try:
+        fam = read(str(path))
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    return fam.d, fam.label, fam.target_lambda0, [m.tobytes() for m in fam.members]
+
+
+_PAIRS_1 = "[[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, -1.0]]"
+_PAIRS_0 = "[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]"
+_GOOD = '{"schema_version": 1, "d": 2, "label": "t", "target_lambda0": 0.5, "members": [%s, %s]}' % (
+    _PAIRS_0,
+    _PAIRS_1,
+)
+
+READER_CASES = {
+    "written order": _GOOD,
+    "members before d": '{"members": [%s, %s], "label": "t", "d": 2, "schema_version": 1}' % (_PAIRS_0, _PAIRS_1),
+    "duplicate d": '{"schema_version": 1, "d": 3, "members": [%s, %s], "d": 2}' % (_PAIRS_0, _PAIRS_1),
+    "duplicate members": '{"schema_version": 1, "d": 2, "members": [[[1, 2]]], "members": [%s, %s]}'
+    % (_PAIRS_0, _PAIRS_1),
+    "last members is not a list": '{"schema_version": 1, "d": 2, "members": [%s, %s], "members": 5}'
+    % (_PAIRS_0, _PAIRS_1),
+    "compact": json.dumps(json.loads(_GOOD), separators=(",", ":")),
+    "padded": " \n\t{ \r\n"
+    + _GOOD[1:-1].replace(",", " \n ,\t ").replace(":", "\t : ").replace("[", "[ \n ").replace("]", " \r ]")
+    + " \n}\n\n ",
+    "escaped members key": _GOOD.replace('"members"', '"m\\u0065mbers"'),
+    "empty members": '{"schema_version": 1, "d": 2, "members": []}',
+    "empty padded members": '{"schema_version": 1, "d": 2, "members": [ \n ]}',
+    "non-finite members": _GOOD.replace("-1.0", "-Infinity").replace("[1.0, 0.0]]", "[NaN, 0.0]]"),
+    "integer members": _GOOD.replace(".0", ""),
+    "bad member among good": '{"schema_version": 1, "d": 2, "members": [%s, [[1, 2], [3]], "x", %s]}'
+    % (_PAIRS_0, _PAIRS_1),
+    "header syntax error": _GOOD.replace('"d": 2,', '"d": 2,,'),
+    "header syntax error after members": '{"members": [%s, %s], "d": 2 "schema_version": 1}' % (_PAIRS_0, _PAIRS_1),
+    "unquoted key": _GOOD.replace('"label"', "label"),
+    "missing colon": _GOOD.replace('"d": 2', '"d" 2'),
+    "member syntax error": _GOOD.replace("[0.0, 1.0]", "[0.0 1.0]"),
+    "bad value in member": _GOOD.replace("[0.0, 1.0]", "[0.0, +1.0]"),
+    "trailing comma in members": _GOOD.replace("]]]}", "]],]}"),
+    "missing comma between members": _GOOD.replace("], [[0.0, 1.0]", "] [[0.0, 1.0]"),
+    "unterminated members": _GOOD[: _GOOD.index("[[0.0, 1.0]")],
+    "unterminated object": _GOOD[:-1],
+    "trailing data": _GOOD + " x",
+    "second object": _GOOD + _GOOD,
+    "top-level array": "[%s, %s]" % (_PAIRS_0, _PAIRS_1),
+    "top-level number": " 7 ",
+    "empty file": "",
+    "empty object": "{}",
+    "byte order mark": "\ufeff" + _GOOD,
+}
+
+
+@pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES.keys())
+def test_reader_matches_json_load(tmp_path, capsys, monkeypatch, text):
+    """Same member bytes, or the same error text and exit code, as json.load + document_to_family."""
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert _read_outcome(cli.read_family_document, path) == _read_outcome(_reference_read, path)
+    streamed = _verify_outcome(path, capsys)
+    monkeypatch.setattr(cli, "read_family_document", _reference_read)
+    assert streamed == _verify_outcome(path, capsys)
+
+
+_EDITS = list('{}[],:" \n0123456789.e-tnN\\') + ['"members"', "NaN", "true", "null", "[1.0, 0.0]"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, len(_GOOD)), st.sampled_from(["insert", "delete", "replace"]), st.sampled_from(_EDITS)
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_reader_matches_json_load_on_edited_documents(tmp_path_factory, edits):
+    chars = list(_GOOD)
+    for pos, op, piece in edits:
+        pos = min(pos, len(chars) - 1)
+        if op == "insert":
+            chars.insert(pos, piece)
+        elif op == "delete" and chars:
+            del chars[pos]
+        elif chars:
+            chars[pos] = piece
+    path = tmp_path_factory.mktemp("edited") / "doc.json"
+    path.write_text("".join(chars), encoding="utf-8")
+    assert _read_outcome(cli.read_family_document, path) == _read_outcome(_reference_read, path)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _families(draw):
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(d, d * d))
+    values = draw(st.lists(_finite, min_size=2 * k * d * d, max_size=2 * k * d * d))
+    stack = np.array(values).view(np.complex128).reshape(k, d, d)
+    target = draw(st.none() | _finite)
+    return EncodingFamily(d=d, members=tuple(stack), label=draw(st.text(max_size=8)), target_lambda0=target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_families())
+def test_family_documents_round_trip_bit_for_bit(tmp_path_factory, fam):
+    path = tmp_path_factory.mktemp("round") / "doc.json"
+    cli.write_family_document(fam, str(path))
+    loaded = cli.read_family_document(str(path))
+    assert (loaded.d, loaded.label, loaded.target_lambda0) == (fam.d, fam.label, fam.target_lambda0)
+    assert [m.tobytes() for m in loaded.members] == [m.tobytes() for m in fam.members]
+
+
+def test_reading_a_document_costs_about_twice_its_size(tmp_path):
+    """json.load peaked at 4.2 times the 2d-1 d=32 document; streamed, the text is most of the peak."""
+    path = tmp_path / "f32.json"
+    cli.write_family_document(family_2dm1(32), str(path))
+    tracemalloc.start()
+    try:
+        cli.read_family_document(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * os.path.getsize(path)
+
+
 def test_state_info_low_entropy_state(capsys):
     assert run(["state-info", "--lambdas", "3/5", "2/5", "0"]) == 0
     text = capsys.readouterr().out
@@ -302,6 +447,17 @@ def test_search_and_sweep_have_no_pin_fr_option(capsys, argv):
         run(argv)
     assert exc.value.code == 2
     assert "--pin-fr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option,value,error",
+    [("--restarts", "0", "restarts must be an integer >= 1"), ("--seed", "-1", "base_seed must be an integer >= 0")],
+)
+def test_search_rejects_bad_integer_knobs(capsys, option, value, error):
+    assert run(["search", "--lambdas", "3/5", "2/5", "0", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}, got {value}\n"
 
 
 def test_search_command_smoke(capsys):

@@ -1,6 +1,9 @@
 import dataclasses
 import functools
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +228,78 @@ def test_search_config_validation():
             SearchConfig(accept_tol=tol)
     with pytest.raises(ValueError):
         SearchConfig(base_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("restarts", 2.5),
+        ("restarts", True),
+        ("restarts", "3"),
+        ("max_iters", 0),
+        ("max_iters", -5),
+        ("max_iters", 100.0),
+        ("stall_window", 0),
+        ("stall_window", None),
+        ("polish_iters", -1),
+        ("polish_iters", 1.5),
+        ("base_seed", 1.0),
+        ("base_seed", False),
+        ("max_k", 4.0),
+        ("max_k", True),
+        ("max_k", "5"),
+    ],
+)
+def test_search_config_requires_integer_knobs(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**{field: value})
+
+
+def test_search_config_accepts_integer_knobs_at_their_limits():
+    cfg = SearchConfig(restarts=1, max_iters=1, stall_window=1, polish_iters=0, base_seed=0, max_k=np.int64(5))
+    assert estimate_nmax(PSI_L, cfg).attempts[0].status == "found"
+    assert SearchConfig(restarts=np.int64(2)).restarts == 2
+
+
+def _reference_basis(d):
+    """The parameter-block basis and its adjoint, built as _Problem once built them inline."""
+    iu0, iu1 = np.triu_indices(d, 1)
+    unit = np.eye(d * d)
+    upper, lower = unit[iu0 * d + iu1], unit[iu1 * d + iu0]
+    basis = np.concatenate([unit[np.arange(d) * (d + 1)], upper + lower, 1j * (upper - lower)])
+    return basis, np.ascontiguousarray(basis.conj().T)
+
+
+@pytest.mark.parametrize("d,k", [(3, 5), (4, 7)])
+def test_index_tables_are_built_once_and_read_only(d, k):
+    state = make_state(d, [1 / d] * d)
+    theta = np.random.default_rng(d).standard_normal((k - 1) * d * d)
+    search._pairs.cache_clear()
+    search._hermitian_basis.cache_clear()
+    cold = objective_and_gradient(state, theta, k)
+    warm = objective_and_gradient(state, theta, k)
+    assert cold[0] == warm[0] and np.array_equal(cold[1], warm[1])
+    first, second = _problem(state, k), _problem(state, k)
+    assert first.basis is second.basis and first.dual is second.dual and first.pair_flat is second.pair_flat
+    for got, want in zip((first.basis, first.dual), _reference_basis(d)):
+        assert np.array_equal(got, want)
+    iu, ju = np.triu_indices(k, 1)
+    assert np.array_equal(first.pairs[0], iu) and np.array_equal(first.pairs[1], ju)
+    assert np.array_equal(first.pair_flat, iu * k + ju)
+    for table in (first.basis, first.dual, first.pair_flat, *first.pairs):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
+def test_import_leaves_the_process_pool_out():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, dc_lab; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _problem(state, k, fixed=None):
