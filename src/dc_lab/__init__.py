@@ -9,10 +9,7 @@ from .analysis import (
     KcReport,
     VerificationReport,
     bns_excluded,
-    diagonal_identity_obstructed,
-    gram_equivalence_residual,
     kc_span_check,
-    lambda_inner,
     shift_family_obstructed,
     verify_family,
     wcsg_bound,
@@ -25,7 +22,6 @@ from .families import (
     family_f47,
     phase,
     qutrit_five_family,
-    root_of_unity,
     shift,
     shift_diag_family,
     weyl_family,
@@ -56,7 +52,6 @@ __all__ = [
     "VerificationReport",
     "bns_excluded",
     "complete_to_unitary",
-    "diagonal_identity_obstructed",
     "entropy_bits",
     "estimate_nmax",
     "family_2dm1",
@@ -64,9 +59,7 @@ __all__ = [
     "family_f46",
     "family_f47",
     "find_family",
-    "gram_equivalence_residual",
     "kc_span_check",
-    "lambda_inner",
     "make_state",
     "message_vectors",
     "objective",
@@ -74,7 +67,6 @@ __all__ = [
     "phase",
     "qutrit_five_family",
     "region_sweep",
-    "root_of_unity",
     "shift",
     "shift_diag_family",
     "shift_family_obstructed",

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
 from .states import SchmidtState, _member_stack, message_vectors
 
 VERIFY_TOL = 1e-10
@@ -32,17 +31,6 @@ def _diagonal_of(weights) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"weights must be a vector, got shape {arr.shape}")
     return arr
-
-
-def lambda_inner(weights, m, u) -> complex:
-    """The weighted trace inner product tr(Lambda M^dag U)."""
-    lam = _diagonal_of(weights)
-    m = as_matrix(m)
-    u = as_matrix(u)
-    d = lam.shape[0]
-    if m.shape != (d, d) or u.shape != (d, d):
-        raise ValueError(f"dimension mismatch: weights d={d}, matrices {m.shape} and {u.shape}")
-    return complex(np.einsum("a,ba,ba->", lam, m.conj(), u))
 
 
 def _weighted_gram(stack: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -93,20 +81,6 @@ def verify_family(family, state: SchmidtState, tol: float = VERIFY_TOL) -> Verif
         tol=tol,
         passed=passed,
     )
-
-
-def gram_equivalence_residual(family, state: SchmidtState) -> float:
-    """Max deviation between message inner products and weighted traces.
-
-    The two sides are computed independently: one from explicit joint-space
-    vectors, the other from the weighted trace form.  They agree to roundoff
-    for any members whatsoever.
-    """
-    stack = _member_stack(family, state.d)
-    msgs = message_vectors(stack, state)
-    vector_gram = msgs.conj() @ msgs.T
-    trace_gram = _weighted_gram(stack, state.lambdas)
-    return float(np.max(np.abs(vector_gram - trace_gram)))
 
 
 def wcsg_bound(state: SchmidtState) -> int:
@@ -175,14 +149,10 @@ def kc_span_check(family, state: SchmidtState) -> KcReport:
 
 
 def shift_family_obstructed(state: SchmidtState) -> bool:
-    """True when no shift-times-diagonal family extends: lambda0 > 1/2."""
-    return state.lambda0 > 0.5
+    """True when lambda0 > 1/2, which rules out two kinds of family.
 
-
-def diagonal_identity_obstructed(state: SchmidtState) -> bool:
-    """True when no valid family contains both I and another diagonal unitary.
-
-    For lambda0 > 1/2 the triangle inequality forces
-    |tr(Lambda D)| >= lambda0 - (1 - lambda0) > 0 for unitary diagonal D.
+    No shift-times-diagonal family extends by another member, and no valid
+    family contains both I and another diagonal unitary D: the triangle
+    inequality forces |tr(Lambda D)| >= lambda0 - (1 - lambda0) > 0.
     """
     return state.lambda0 > 0.5

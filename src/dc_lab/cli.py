@@ -57,23 +57,29 @@ def _member_pairs(member):
     return pairs.astype(np.float64, copy=False)
 
 
+def _field(doc: dict, key: str):
+    if key not in doc:
+        raise ValueError(f"family document has no {key!r} field")
+    return doc[key]
+
+
 def document_to_family(doc: dict) -> families.EncodingFamily:
     """Validate a parsed family document and return its family.
 
-    Rejects, with ValueError, a `d` that is not an integer >= 2, members that
-    are not d*d finite [re, im] number pairs each, and a member count K
-    outside [d, d*d].  A member is a list of pairs, or the (n, 2) float
-    array `read_family_document` converts it to.  Members are not checked
-    for unitarity: verification reports that.
+    Rejects, with ValueError, a missing `d` or `members`, a `d` that is not
+    an integer >= 2, members that are not d*d finite [re, im] number pairs
+    each, and a member count K outside [d, d*d].  A member is a list of
+    pairs, or the (n, 2) float array `read_family_document` converts it to.
+    Members are not checked for unitarity: verification reports that.
     """
     if not isinstance(doc, dict):
         raise ValueError("family document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    d = doc["d"]
+    d = _field(doc, "d")
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
-    members = doc["members"]
+    members = _field(doc, "members")
     if not isinstance(members, list):
         raise ValueError("members must be a list")
     k = len(members)
@@ -216,7 +222,10 @@ def read_family_document(path: str) -> families.EncodingFamily:
     document's size (the bytes and the decoded text) plus the family.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = _decode_document(fh.read())
+        try:
+            doc = _decode_document(fh.read())
+        except RecursionError:  # json's scanner recurses once per nesting level
+            raise ValueError("family document is nested too deeply") from None
     return document_to_family(doc)
 
 
@@ -285,8 +294,9 @@ def _cmd_state_info(args) -> int:
     print("lambdas:", " ".join(repr(float(x)) for x in state.lambdas))
     print(f"entropy_bits: {states.entropy_bits(state)!r}")
     print(f"wcsg_bound: {analysis.wcsg_bound(state)}")
-    print(f"shift_family_obstructed: {analysis.shift_family_obstructed(state)}")
-    print(f"diagonal_identity_obstructed: {analysis.diagonal_identity_obstructed(state)}")
+    obstructed = analysis.shift_family_obstructed(state)
+    print(f"shift_family_obstructed: {obstructed}")
+    print(f"diagonal_identity_obstructed: {obstructed}")
     if analysis.bns_excluded(state, d + 1):
         print(f"note: K={d + 1} excluded by strict bound (lambda0 >= d/(d+1))")
     return 0
@@ -369,6 +379,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+_SEARCH_TOL_HELP = (
+    "largest pair residual a found family may have: a family is found when it "
+    f"passes verify at this tolerance (default {analysis.VERIFY_TOL:g})"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dc-lab",
@@ -395,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None, help=_SEARCH_TOL_HELP)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("state-info", help="entropy, bounds, and obstruction flags for a state")
@@ -407,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None, help=_SEARCH_TOL_HELP)
     p.set_defaults(func=_cmd_search)
 
     return parser

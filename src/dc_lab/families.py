@@ -58,7 +58,7 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"dimension must be at least 2, got {d}")
 
 
-def root_of_unity(n: int, k: int = 1) -> complex:
+def _root_of_unity(n: int, k: int = 1) -> complex:
     """exp(2 pi i k / n), evaluated directly for the reduced exponent."""
     return complex(np.exp(2j * np.pi * (k % n) / n))
 
@@ -75,7 +75,7 @@ def shift(d: int) -> np.ndarray:
 def phase(d: int) -> np.ndarray:
     """Phase operator Z_d = diag(1, w, w^2, ...) with w = exp(2 pi i / d)."""
     _check_dimension(d)
-    return np.diag([root_of_unity(d, k) for k in range(d)])
+    return np.diag([_root_of_unity(d, k) for k in range(d)])
 
 
 def weyl_family(d: int) -> EncodingFamily:
@@ -91,7 +91,7 @@ def weyl_family(d: int) -> EncodingFamily:
             m = np.zeros((d, d), dtype=np.complex128)
             for j in range(d):
                 row = (j + b) % d
-                m[row, j] = root_of_unity(d, a * row)
+                m[row, j] = _root_of_unity(d, a * row)
             members.append(m)
     return _family(d, members, "weyl", 1.0 / d)
 
@@ -162,8 +162,8 @@ def family_f47() -> EncodingFamily:
     )
     members = [eye, a1, a2, u]
     for j in range(3):
-        w1 = root_of_unity(3, j)
-        w2 = root_of_unity(3, 2 * j)
+        w1 = _root_of_unity(3, j)
+        w2 = _root_of_unity(3, 2 * j)
         mj = np.array(
             [
                 [-1 / 4, -(2 / 3) * w2, -(2 / 3) * w1, s7 / 12],
@@ -195,11 +195,11 @@ def _two_dm1_m_column(d: int, j: int) -> np.ndarray:
     if d % 2 == 1:
         for k in range(1, d - 1):
             sign = -((-1.0) ** (k // 2))
-            col[k] = sign * inv_root * (1j**k) * root_of_unity(d - 1, k * j)
+            col[k] = sign * inv_root * (1j**k) * _root_of_unity(d - 1, k * j)
     else:
         for k in range(1, d - 1):
             exp_small = (k - 1) // 2 if k % 2 == 1 else 0
-            col[k] = -inv_root * 1j * root_of_unity(d - 3, exp_small) * root_of_unity(d - 1, k * j)
+            col[k] = -inv_root * 1j * _root_of_unity(d - 3, exp_small) * _root_of_unity(d - 1, k * j)
     return col
 
 

@@ -8,18 +8,21 @@ identity), parametrizes each remaining member as U = exp(iH) with H Hermitian
     f = sum_{i<j} |tr(Lambda U_i^dag U_j)|^2,
 
 which vanishes exactly on valid families.  Each restart draws a fresh random
-H from a generator seeded by the configured base seed, runs Adam on the
-analytic gradient, then hands the best point to a small Levenberg-Marquardt
-polish that drives true zeros far below the acceptance tolerance.
+H from a generator seeded by the configured base seed and runs Adam on the
+analytic gradient.  A restart whose Adam value falls below HANDOFF_TOL is
+handed to a Levenberg-Marquardt polish that drives true zeros far below any
+tolerance; a restart that stalls above it is not polished.  A restart is
+accepted exactly when `verify_family` passes its members at the configured
+accept_tol, the same check `dc-lab verify --tol` makes.
 
 Restarts run in lockstep batches of 1, 2, 4, ... rows: one batched
 eigendecomposition and a few stacked matrix products serve every row of a
 batch, and each row leaves the batch when its own Adam run hands off or
-stalls.  The rows of a batch are then polished in index order, and the
-lowest-index accepted restart wins, as in a one-at-a-time loop.  Every row's
-arithmetic is independent of the others, so results do not depend on the
-batch schedule, and every run with the same configuration is bit-for-bit
-reproducible.
+stalls.  The rows of a batch are then polished and verified in index order,
+and the lowest-index accepted restart wins, as in a one-at-a-time loop.
+Every row's arithmetic is independent of the others, so results do not
+depend on the batch schedule, and every run with the same configuration is
+bit-for-bit reproducible.
 
 A failed search is evidence, not proof: results label such outcomes
 "not found (heuristic)".  Only the closed-form exclusion predicates from
@@ -38,7 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _diagonal_of, _max_pairwise_residual, _weighted_gram, bns_excluded, wcsg_bound
+from .analysis import (
+    VERIFY_TOL,
+    _diagonal_of,
+    _max_pairwise_residual,
+    _weighted_gram,
+    bns_excluded,
+    verify_family,
+    wcsg_bound,
+)
 from .families import EncodingFamily, shift_diag_family
 from .linalg import UNITARITY_TOL, unitarity_residual
 from .states import SchmidtState, _member_stack, entropy_bits, make_state
@@ -54,14 +65,18 @@ HANDOFF_TOL = 1e-6
 STALL_RTOL = 1e-3
 
 # Levenberg-Marquardt polish: initial damping, its lower and upper limits,
-# the floor of the diagonal damping matrix, and the stops on the objective
-# and on the largest gradient entry.
+# the floor of the diagonal damping matrix, the stops on the objective and
+# on the largest gradient entry, and the ceiling on its iterations.  At
+# rank-deficient saturated states the Jacobian is singular and LM converges
+# slowly: at (4/6, 2/6, 0, 0), K = 6, 60 iterations leave pair residuals up
+# to 3e-6 and 300 leave some above 1e-10, where 2000 verify at seeds 1-6.
 LM_MU_START = 1e-3
 LM_MU_MIN = 1e-14
 LM_MU_MAX = 1e12
 LM_DAMP_FLOOR = 1e-12
 LM_F_STOP = 1e-28
 LM_GRAD_STOP = 1e-15
+LM_MAX_ITERS = 2000
 
 # A grid point within this of a mandatory sweep state stands for it.
 GRID_MATCH_TOL = 1e-12
@@ -74,13 +89,12 @@ class SearchConfig:
     max_k: int | None = None
     restarts: int = 50
     max_iters: int = 2000
-    accept_tol: float = 1e-10
-    polish_iters: int = 60
+    accept_tol: float = VERIFY_TOL
     stall_window: int = 200
     base_seed: int = 42
 
     def __post_init__(self):
-        lows = {"restarts": 1, "max_iters": 1, "stall_window": 1, "polish_iters": 0, "base_seed": 0}
+        lows = {"restarts": 1, "max_iters": 1, "stall_window": 1, "base_seed": 0}
         for name, low in lows.items():
             value = getattr(self, name)
             if not _is_int(value) or value < low:
@@ -291,12 +305,12 @@ def _residuals_and_jacobian(prob: _Problem, theta: np.ndarray):
     return np.concatenate([tvals.real, tvals.imag]), np.concatenate([jc.real, jc.imag])
 
 
-def _lm_polish(prob: _Problem, theta: np.ndarray, iters: int):
+def _lm_polish(prob: _Problem, theta: np.ndarray):
     theta = np.array(theta, dtype=float)
     r, jac = _residuals_and_jacobian(prob, theta)
     f = float(r @ r)
     mu = LM_MU_START
-    for _ in range(iters):
+    for _ in range(LM_MAX_ITERS):
         if f <= LM_F_STOP:
             break
         a = jac.T @ jac
@@ -378,11 +392,34 @@ def _prepare_fixed(state: SchmidtState, fixed) -> np.ndarray:
     return stack
 
 
+def _restarts(prob: _Problem, cfg: SearchConfig):
+    """Each restart's member stack (k, d, d) and objective, in restart order.
+
+    Batches of 1, 2, 4, ... rows run Adam in lockstep; a row whose Adam
+    value is below HANDOFF_TOL is then polished.  Batches run as the caller
+    consumes rows, so a caller that stops early runs no more of them.
+    """
+    rng = np.random.default_rng(cfg.base_seed)
+    done, size = 0, 1
+    while done < cfg.restarts:
+        size = min(size, cfg.restarts - done)
+        # one (size, nparam) draw yields the numbers of size one-row draws
+        explored, values = _adam(prob, INIT_SCALE * rng.standard_normal((size, prob.nparam)), cfg)
+        for theta, f in zip(explored, values):
+            if f < HANDOFF_TOL:
+                theta, f = _lm_polish(prob, theta)
+            yield prob.members(prob.unitaries(theta)[0])[0], f
+        done += size
+        size *= 2
+
+
 def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     """Search for k weighted-orthogonal unitaries for the given state.
 
-    Returns (best_objective, witness) where the witness EncodingFamily is
-    None unless the best objective fell within cfg.accept_tol.
+    Returns (objective, witness).  The witness is the first restart whose
+    members pass `verify_family` at cfg.accept_tol, or None when no restart
+    does; the objective is the witness's, or else that of the restart that
+    came closest.  With all k members fixed, they are the one candidate.
     """
     d = state.d
     if not d <= k <= d * d:
@@ -390,46 +427,20 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     fixed_stack = _prepare_fixed(state, fixed)
     if fixed_stack.shape[0] > k:
         raise ValueError(f"{fixed_stack.shape[0]} fixed members exceed family size {k}")
-    lam = state.lambdas
     if fixed_stack.shape[0] == k:
-        f = objective(lam, fixed_stack)
-        witness = None
-        if f <= cfg.accept_tol:
+        candidates = [(fixed_stack, None)]
+    else:
+        candidates = _restarts(_Problem(state, k, fixed_stack), cfg)
+    best, closest = np.inf, None
+    for stack, f in candidates:
+        if verify_family(stack, state, tol=cfg.accept_tol).passed:
             witness = EncodingFamily(
-                d=d,
-                members=tuple(fixed_stack),
-                label=f"search-K{k}",
-                target_lambda0=state.lambda0,
+                d=d, members=tuple(stack), label=f"search-K{k}", target_lambda0=state.lambda0
             )
-        return f, witness
-
-    prob = _Problem(state, k, fixed_stack)
-    rng = np.random.default_rng(cfg.base_seed)
-    best_total = np.inf
-    best_theta = None
-    done, size = 0, 1
-    while done < cfg.restarts and best_total > cfg.accept_tol:
-        size = min(size, cfg.restarts - done)
-        # one (size, nparam) draw yields the numbers of size one-row draws
-        explored, _ = _adam(prob, INIT_SCALE * rng.standard_normal((size, prob.nparam)), cfg)
-        for theta1 in explored:
-            theta2, f2 = _lm_polish(prob, theta1, cfg.polish_iters)
-            if f2 < best_total:
-                best_total = f2
-                best_theta = theta2
-            if best_total <= cfg.accept_tol:
-                break
-        done += size
-        size *= 2
-
-    members = tuple(prob.members(prob.unitaries(best_theta)[0])[0])
-    pure = objective(lam, members)
-    if best_total <= cfg.accept_tol:
-        witness = EncodingFamily(
-            d=d, members=members, label=f"search-K{k}", target_lambda0=state.lambda0
-        )
-        return pure, witness
-    return pure, None
+            return objective(state.lambdas, stack), witness
+        if closest is None or f < best:
+            best, closest = f, stack
+    return objective(state.lambdas, closest), None
 
 
 def _check_max_k(cfg: SearchConfig, d: int) -> None:

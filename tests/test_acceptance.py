@@ -12,10 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_sorted_weights
+from conftest import gram_equivalence_residual, haar_unitary, random_sorted_weights
 from dc_lab.analysis import (
     bns_excluded,
-    gram_equivalence_residual,
     kc_span_check,
     shift_family_obstructed,
     verify_family,
@@ -215,7 +214,7 @@ def test_criterion_8_shift_family_obstruction():
         worst = max(worst, verify_family(fam, state).max_pairwise_residual)
     assert worst <= 1e-12
 
-    cfg = SearchConfig(restarts=3, max_iters=300, polish_iters=25, base_seed=99)
+    cfg = SearchConfig(restarts=3, max_iters=300, base_seed=99)
     refused = 0
     total = 100
     for _ in range(total):

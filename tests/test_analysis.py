@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_sorted_weights
+from conftest import gram_equivalence_residual, haar_unitary, lambda_inner, random_sorted_weights
 from dc_lab.analysis import (
     _weighted_gram,
     bns_excluded,
-    diagonal_identity_obstructed,
-    gram_equivalence_residual,
     kc_span_check,
-    lambda_inner,
     shift_family_obstructed,
     verify_family,
     wcsg_bound,
 )
 from dc_lab.families import family_f46, family_f47, qutrit_five_family, shift, weyl_family
+from dc_lab.search import objective
 from dc_lab.states import make_state
 
 PSI_L = make_state(3, [3 / 5, 2 / 5, 0])
@@ -33,15 +31,16 @@ def test_lambda_inner_examples():
     assert lambda_inner(UNIFORM3, np.eye(3), shift(3)) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_lambda_inner_accepts_vector_or_state():
-    assert lambda_inner(PSI_L.lambdas, np.eye(3), SWAP3) == lambda_inner(PSI_L, np.eye(3), SWAP3)
+def test_objective_accepts_vector_or_state():
+    pair = [np.eye(3), SWAP3 @ np.diag([1, 1, -1])]
+    assert objective(PSI_H.lambdas, pair) == objective(PSI_H, pair) > 0
     with pytest.raises(ValueError, match="vector"):
-        lambda_inner(np.diag(PSI_L.lambdas), np.eye(3), SWAP3)
+        objective(np.diag(PSI_H.lambdas), pair)
 
 
-def test_lambda_inner_dimension_mismatch():
-    with pytest.raises(ValueError):
-        lambda_inner(PSI_L, np.eye(4), np.eye(4))
+def test_objective_dimension_mismatch():
+    with pytest.raises(ValueError, match="shape"):
+        objective(PSI_L, [np.eye(4), np.eye(4)])
 
 
 def test_verify_family_passes_f46():
@@ -176,9 +175,9 @@ def test_obstruction_predicates():
     assert shift_family_obstructed(make_state(3, [0.6, 0.2, 0.2]))
     assert not shift_family_obstructed(make_state(3, [0.5, 0.25, 0.25]))
     assert shift_family_obstructed(make_state(3, [0.51, 0.49, 0]))
-    assert diagonal_identity_obstructed(PSI_H)
-    assert not diagonal_identity_obstructed(UNIFORM3)
-    assert diagonal_identity_obstructed(make_state(2, [0.7, 0.3]))
+    assert shift_family_obstructed(PSI_H)
+    assert not shift_family_obstructed(UNIFORM3)
+    assert shift_family_obstructed(make_state(2, [0.7, 0.3]))
 
 
 def test_diagonal_obstruction_is_quantitative(rng):
@@ -189,7 +188,7 @@ def test_diagonal_obstruction_is_quantitative(rng):
             lam = np.array([0.6] + list(0.4 * lam[1:] / max(lam[1:].sum(), 1e-12)))
             lam = np.sort(lam / lam.sum())[::-1]
         state = make_state(d, lam)
-        if not diagonal_identity_obstructed(state):
+        if not shift_family_obstructed(state):
             continue
         diag = np.exp(2j * np.pi * rng.random(d))
         inner = lambda_inner(state, np.eye(d), np.diag(diag))

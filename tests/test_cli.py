@@ -132,6 +132,9 @@ def _identity_pairs(d):
         (_document(2, [_identity_pairs(2), [[None, 0.0]] * 4]), "member 1 entries must be [re, im] pairs"),
         (_document(2, [_identity_pairs(2), _identity_pairs(2)[:3] + [[float("nan"), 0.0]]]), "finite"),
         (_document(2, [_identity_pairs(2), _identity_pairs(2)[:3] + [[1.0, float("inf")]]]), "finite"),
+        pytest.param('{"d": ' + "[" * 100000 + "]" * 100000 + "}", "nested too deeply", id="deep-nesting"),
+        pytest.param('{"schema_version": 1, "members": []}', "family document has no 'd' field", id="no-d"),
+        pytest.param('{"schema_version": 1, "d": 2}', "family document has no 'members' field", id="no-members"),
     ],
 )
 def test_verify_rejects_invalid_documents_before_printing(tmp_path, capsys, text, error):

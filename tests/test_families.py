@@ -4,13 +4,13 @@ import pytest
 from conftest import haar_unitary, random_sorted_weights
 from dc_lab.analysis import verify_family
 from dc_lab.families import (
+    _root_of_unity,
     family_2dm1,
     family_dp2,
     family_f46,
     family_f47,
     phase,
     qutrit_five_family,
-    root_of_unity,
     shift,
     shift_diag_family,
     weyl_family,
@@ -60,7 +60,7 @@ def test_phase_trace_vanishes(d):
 def test_root_of_unity_sums_vanish(n):
     # sum of all n-th roots of unity generated by any non-unit root
     for k in range(1, n):
-        total = sum(root_of_unity(n, j * k) for j in range(n))
+        total = sum(_root_of_unity(n, j * k) for j in range(n))
         assert abs(total) <= 1e-12
 
 
