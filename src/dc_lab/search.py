@@ -2,27 +2,30 @@
 
 For a state with weight vector lambda and a requested family size K, the
 search fixes U_0 = I (any valid family can be rotated so one member is the
-identity), parametrizes each remaining member as U = exp(iH) with H Hermitian
-(d^2 real parameters per member), and minimizes
+identity) and minimizes
+    f = sum_{i<j} |tr(Lambda U_i^dag U_j)|^2
+over the remaining members, which vanishes exactly on valid families.  The
+iterate is the members themselves.  Each is moved in its own body frame,
+U -> U cay(H), where H is Hermitian with d^2 real coordinates and
+cay(H) = (I - iH/2)^{-1} (I + iH/2) is the Cayley transform, so the members
+stay unitary with no matrix exponential.  At H = 0 the gradient costs a few
+matrix products and a step costs one batched linear solve.
 
-    f = sum_{i<j} |tr(Lambda U_i^dag U_j)|^2,
+Each restart starts from the Cayley transform of a random H drawn from a
+generator seeded by the configured base seed and runs Adam on that gradient.
+A restart whose Adam value falls below HANDOFF_TOL is handed to a
+Levenberg-Marquardt polish in the same coordinates, which stops once every
+pair residual is within accept_tol; a restart that stalls above it is not
+polished.  A restart is accepted exactly when `verify_family` passes its
+members at accept_tol, the same check `dc-lab verify --tol` makes.
 
-which vanishes exactly on valid families.  Each restart draws a fresh random
-H from a generator seeded by the configured base seed and runs Adam on the
-analytic gradient.  A restart whose Adam value falls below HANDOFF_TOL is
-handed to a Levenberg-Marquardt polish that drives true zeros far below any
-tolerance; a restart that stalls above it is not polished.  A restart is
-accepted exactly when `verify_family` passes its members at the configured
-accept_tol, the same check `dc-lab verify --tol` makes.
-
-Restarts run in lockstep batches of 1, 2, 4, ... rows: one batched
-eigendecomposition and a few stacked matrix products serve every row of a
-batch, and each row leaves the batch when its own Adam run hands off or
-stalls.  The rows of a batch are then polished and verified in index order,
-and the lowest-index accepted restart wins, as in a one-at-a-time loop.
-Every row's arithmetic is independent of the others, so results do not
-depend on the batch schedule, and every run with the same configuration is
-bit-for-bit reproducible.
+Restarts run in lockstep batches of 1, 2, 4, ... rows: a few stacked matrix
+products and one batched solve per step serve every row of a batch, and each
+row leaves the batch when its own Adam run hands off or stalls.  The rows of
+a batch are then polished and verified in index order, and the lowest-index
+accepted restart wins, as in a one-at-a-time loop.  Every row's arithmetic is
+independent of the others, so results do not depend on the batch schedule,
+and every run with the same configuration is bit-for-bit reproducible.
 
 A failed search is evidence, not proof: results label such outcomes
 "not found (heuristic)".  Only the closed-form exclusion predicates from
@@ -53,8 +56,6 @@ from .analysis import (
 from .families import EncodingFamily, shift_diag_family
 from .linalg import UNITARITY_TOL, unitarity_residual
 from .states import SchmidtState, _member_stack, entropy_bits, make_state
-
-_DEGENERACY_EPS = 1e-12
 
 # Adam: step size, scale of the random start, the objective below which a
 # restart hands off to the polish, and the relative improvement a stall
@@ -135,16 +136,6 @@ class SearchResult:
 # per-search context and batched kernel
 
 
-def _divided_difference(w: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """First divided differences of x -> exp(ix) over each eigenvalue pair."""
-    dw = w[:, :, None] - w[:, None, :]
-    near = np.abs(dw) < _DEGENERACY_EPS
-    gamma = (phases[:, :, None] - phases[:, None, :]) / np.where(near, 1.0, dw)
-    # coincident eigenvalues (always the diagonal) take the derivative instead
-    gamma[near] = 1j * np.exp(1j * (0.5 * (w[:, :, None] + w[:, None, :]))[near])
-    return gamma
-
-
 def _read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
@@ -179,10 +170,11 @@ def _hermitian_basis(d: int):
 class _Problem:
     """Constants of one search: weights, fixed prefix, sizes and index arrays.
 
-    A parameter row holds n_free blocks of d^2 reals, one Hermitian H per
-    free member: d diagonal entries, then the real and imaginary parts of
-    the strict upper triangle in row-major order.  Batched methods take rows
-    of shape (R, n_free * d^2) and treat every row independently.
+    Batched methods take the free members of R rows as an (R, n_free, d, d)
+    stack and treat every row independently.  A coordinate row holds n_free
+    blocks of d^2 reals, one Hermitian H per free member: d diagonal entries,
+    then the real and imaginary parts of the strict upper triangle in
+    row-major order.  It moves each member U to U cay(H).
     """
 
     def __init__(self, state: SchmidtState, k: int, fixed_stack: np.ndarray):
@@ -198,25 +190,22 @@ class _Problem:
         self.pairs = (iu, ju)
         self.basis, self.dual = _hermitian_basis(d)
 
-    def unitaries(self, theta: np.ndarray):
-        """exp(iH) for every free member of every row, via one batched eigh.
+    def hermitian(self, theta: np.ndarray) -> np.ndarray:
+        """The (R, n_free, d, d) Hermitian blocks of (R, nparam) coordinates."""
+        h = np.asarray(theta, dtype=float).reshape(-1, self.d * self.d) @ self.basis
+        return h.reshape(-1, self.n_free, self.d, self.d)
 
-        Returns the (rows * n_free, d, d) unitaries with the eigenvalues,
-        eigenvectors, their adjoints and the phases exp(i w).
-        """
-        d = self.d
-        h = np.asarray(theta, dtype=float).reshape(-1, d * d) @ self.basis
-        w, v = np.linalg.eigh(h.reshape(-1, d, d))
-        phases = np.exp(1j * w)
-        vh = v.conj().swapaxes(1, 2)
-        return (v * phases[:, None, :]) @ vh, w, v, vh, phases
+    def cayley(self, theta: np.ndarray) -> np.ndarray:
+        """cay(H) = (I - iH/2)^{-1} (I + iH/2) of every block, by one batched solve."""
+        h = 0.5j * self.hermitian(theta)
+        eye = np.eye(self.d)
+        return np.linalg.solve(eye - h, eye + h)
 
     def members(self, ufree: np.ndarray) -> np.ndarray:
-        """(rows, k, d, d) member stacks: the fixed prefix, then the free unitaries."""
-        rows = ufree.shape[0] // self.n_free
-        stack = np.empty((rows, self.k, self.d, self.d), dtype=np.complex128)
+        """(R, k, d, d) member stacks: the fixed prefix, then the free members."""
+        stack = np.empty((ufree.shape[0], self.k, self.d, self.d), dtype=np.complex128)
         stack[:, : self.nf] = self.fixed
-        stack[:, self.nf :] = ufree.reshape(rows, self.n_free, self.d, self.d)
+        stack[:, self.nf :] = ufree
         return stack
 
     def _objective(self, stack: np.ndarray):
@@ -229,28 +218,30 @@ class _Problem:
         tp = t.reshape(t.shape[0], -1).take(self.pair_flat, axis=1)
         return np.sum(tp.real * tp.real + tp.imag * tp.imag, axis=1), t
 
-    def objective(self, theta: np.ndarray) -> np.ndarray:
-        """Objective of every row of theta, shape (R,)."""
-        return self._objective(self.members(self.unitaries(theta)[0]))[0]
+    def objective(self, ufree: np.ndarray) -> np.ndarray:
+        """Objective of every row of free members, shape (R,)."""
+        return self._objective(self.members(ufree))[0]
 
-    def objective_and_gradient(self, theta: np.ndarray):
-        """Objective (R,) and analytic gradient (R, nparam) of every row.
+    def objective_and_gradient(self, ufree: np.ndarray, chart=None):
+        """Objective (R,) and gradient (R, nparam) of every row of free members.
 
-        The gradient flows through exp(iH) with the divided-difference form
-        of the derivative of a matrix function at a Hermitian argument.
+        The gradient is in the body-frame coordinates at H = 0, where
+        d cay(H) = i dH: with Omega_m = U_m^dag G_m and
+        G_m = sum_j conj(T_mj) U_j Lambda, it is 2 Im tr(Omega_m dH/dtheta).
+        For members U = cay(H) away from H = 0, where d cay(H) = i A^-1 dH A^-1
+        with A = I - iH/2, `chart` = A^-1 gives the gradient in H instead.
         """
         d, k = self.d, self.k
-        ufree, w, v, vh, phases = self.unitaries(theta)
         stack = self.members(ufree)
         rows = stack.shape[0]
         f, t = self._objective(stack)
         c = t.conj()
         c.reshape(rows, k * k)[:, :: k + 1] = 0.0
-        wmat = (c[:, self.nf :] @ stack.reshape(rows, k, d * d)).reshape(-1, d, d) * self.lam
-        p = vh @ wmat @ v
-        g = v @ (p * _divided_difference(w, phases).conj()) @ vh
-        grad = 2.0 * self.trace_layout(g).real
-        return f, grad.reshape(rows, self.nparam)
+        g = (c[:, self.nf :] @ stack.reshape(rows, k, d * d)).reshape(ufree.shape) * self.lam
+        omega = ufree.conj().swapaxes(-1, -2) @ g
+        if chart is not None:
+            omega = chart @ omega @ chart.conj().swapaxes(-1, -2)
+        return f, 2.0 * self.trace_layout(omega).imag.reshape(rows, self.nparam)
 
     def trace_layout(self, z: np.ndarray) -> np.ndarray:
         """Coefficients of the parameters in tr(Z dH), for (..., d, d) Z -> (..., d^2)."""
@@ -269,13 +260,17 @@ def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None):
     """Public wrapper exposing the search objective and analytic gradient.
 
     `theta` parametrizes the k - len(fixed) free members (d^2 reals each)
-    appended after the fixed prefix (the identity by default).
+    appended after the fixed prefix (the identity by default): each is the
+    Cayley transform cay(H) = (I - iH/2)^{-1} (I + iH/2) of a Hermitian H,
+    the chart the search steps in around each member.
     """
     fixed_stack = _prepare_fixed(state, fixed)
     if k - fixed_stack.shape[0] <= 0:
         raise ValueError("no free members to differentiate")
     prob = _Problem(state, k, fixed_stack)
-    f, grad = prob.objective_and_gradient(np.asarray(theta, dtype=float).reshape(1, -1))
+    a = np.eye(state.d) - 0.5j * prob.hermitian(theta)
+    chart = np.linalg.inv(a)
+    f, grad = prob.objective_and_gradient(chart @ a.conj().swapaxes(-1, -2), chart)
     return float(f[0]), grad[0]
 
 
@@ -283,19 +278,17 @@ def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None):
 # Levenberg-Marquardt polish
 
 
-def _residuals_and_jacobian(prob: _Problem, theta: np.ndarray):
-    """Real and imaginary parts of every pair trace for one parameter row,
-    with their Jacobian in the row's parameters."""
+def _residuals_and_jacobian(prob: _Problem, ufree: np.ndarray):
+    """Real and imaginary parts of every pair trace for one row of free
+    members (1, n_free, d, d), with their Jacobian in its coordinates."""
     nf, dd = prob.nf, prob.d * prob.d
-    ufree, w, v, vh, phases = prob.unitaries(theta)
     stack = prob.members(ufree)[0]
     iu, ju = prob.pairs
     tvals = _weighted_gram(stack, prob.lam)[iu, ju]
-    gamma = _divided_difference(w, phases)
-    # s[m, q] is d tr(Lambda U_m^dag U_q) / d theta_m for free member m on the
-    # dagger side; on the other side the derivative is its conjugate.
-    x = vh[:, None] @ (stack * prob.lam)[None] @ v[:, None]
-    s = prob.trace_layout(v[:, None] @ (gamma.conj()[:, None] * x) @ vh[:, None])
+    # s[m, q] = -i tr(B_a U_m^dag U_q Lambda) is d tr(Lambda U_m^dag U_q) /
+    # d theta_m for free member m on the dagger side; on the other side the
+    # derivative is its conjugate.
+    s = -1j * prob.trace_layout(stack[nf:, None].conj().swapaxes(-1, -2) @ (stack * prob.lam)[None])
     jc = np.zeros((iu.size, prob.n_free, dd), dtype=np.complex128)
     left = np.nonzero(iu >= nf)[0]
     jc[left, iu[left] - nf] = s[iu[left] - nf, ju[left]]
@@ -305,13 +298,15 @@ def _residuals_and_jacobian(prob: _Problem, theta: np.ndarray):
     return np.concatenate([tvals.real, tvals.imag]), np.concatenate([jc.real, jc.imag])
 
 
-def _lm_polish(prob: _Problem, theta: np.ndarray):
-    theta = np.array(theta, dtype=float)
-    r, jac = _residuals_and_jacobian(prob, theta)
+def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
+    """Polish one row of free members until every pair residual is within tol
+    or one of LM's own stops is reached; returns the members and objective."""
+    r, jac = _residuals_and_jacobian(prob, ufree)
     f = float(r @ r)
     mu = LM_MU_START
+    n = r.size // 2
     for _ in range(LM_MAX_ITERS):
-        if f <= LM_F_STOP:
+        if f <= LM_F_STOP or np.max(np.abs(r[:n] + 1j * r[n:])) <= tol:
             break
         a = jac.T @ jac
         g = jac.T @ r
@@ -322,59 +317,60 @@ def _lm_polish(prob: _Problem, theta: np.ndarray):
             delta = np.linalg.solve(a + mu * damp, -g)
         except np.linalg.LinAlgError:
             delta = np.linalg.lstsq(a + mu * damp, -g, rcond=None)[0]
-        trial = theta + delta
+        trial = ufree @ prob.cayley(delta)
         ft = float(prob.objective(trial)[0])
         if ft < f:
-            theta = trial
+            ufree = trial
             f = ft
             mu = max(mu / 3.0, LM_MU_MIN)
-            r, jac = _residuals_and_jacobian(prob, theta)
+            r, jac = _residuals_and_jacobian(prob, ufree)
         else:
             mu *= 4.0
             if mu > LM_MU_MAX:
                 break
-    return theta, f
+    return ufree, f
 
 
 # ---------------------------------------------------------------------------
 # Adam exploration
 
 
-def _adam(prob: _Problem, theta: np.ndarray, cfg: SearchConfig):
-    """Adam on every row of an (R, nparam) stack in lockstep.
+def _adam(prob: _Problem, ufree: np.ndarray, cfg: SearchConfig):
+    """Adam on every row of an (R, n_free, d, d) member stack in lockstep.
 
-    Returns each row's best point (R, nparam) and value (R,).  A row leaves
-    the batch once its best value is below HANDOFF_TOL, or at the end of a
-    stall window that improved it by less than STALL_RTOL; its result
-    is the one a run on that row alone would give.
+    Each step moves every member U to U cay(H), with H from the Adam step in
+    body-frame coordinates.  Returns each row's best members and value (R,).
+    A row leaves the batch once its best value is below HANDOFF_TOL, or at
+    the end of a stall window that improved it by less than STALL_RTOL; its
+    result is the one a run on that row alone would give.
     """
-    best_theta = np.array(theta, dtype=float)
-    best_f = np.full(best_theta.shape[0], np.inf)
-    rows = np.arange(best_theta.shape[0])  # batch row of each active row
-    theta = best_theta.copy()
-    mom = np.zeros_like(theta)
-    vel = np.zeros_like(theta)
+    best_u = np.array(ufree, dtype=np.complex128)
+    best_f = np.full(best_u.shape[0], np.inf)
+    rows = np.arange(best_u.shape[0])  # batch row of each active row
+    u = best_u.copy()
+    mom = np.zeros((rows.size, prob.nparam))
+    vel = np.zeros_like(mom)
     prev_mark = np.full(rows.size, np.inf)
     b1, b2, eps = 0.9, 0.999, 1e-8
     for it in range(1, cfg.max_iters + 1):
-        f, g = prob.objective_and_gradient(theta)
+        f, g = prob.objective_and_gradient(u)
         better = f < best_f[rows]
         best_f[rows[better]] = f[better]
-        best_theta[rows[better]] = theta[better]
+        best_u[rows[better]] = u[better]
         keep = ~(best_f[rows] < HANDOFF_TOL)
         mom = b1 * mom + (1 - b1) * g
         vel = b2 * vel + (1 - b2) * g * g
         mhat = mom / (1 - b1**it)
         vhat = vel / (1 - b2**it)
-        theta = theta - STEP_SIZE * mhat / (np.sqrt(vhat) + eps)
+        u = u @ prob.cayley(-STEP_SIZE * mhat / (np.sqrt(vhat) + eps))
         if it % cfg.stall_window == 0:
             keep &= ~(best_f[rows] > prev_mark * (1 - STALL_RTOL))
             prev_mark = best_f[rows]
         if not keep.all():
-            rows, theta, mom, vel, prev_mark = (a[keep] for a in (rows, theta, mom, vel, prev_mark))
+            rows, u, mom, vel, prev_mark = (a[keep] for a in (rows, u, mom, vel, prev_mark))
             if rows.size == 0:
                 break
-    return best_theta, best_f
+    return best_u, best_f
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +400,12 @@ def _restarts(prob: _Problem, cfg: SearchConfig):
     while done < cfg.restarts:
         size = min(size, cfg.restarts - done)
         # one (size, nparam) draw yields the numbers of size one-row draws
-        explored, values = _adam(prob, INIT_SCALE * rng.standard_normal((size, prob.nparam)), cfg)
-        for theta, f in zip(explored, values):
+        start = prob.cayley(INIT_SCALE * rng.standard_normal((size, prob.nparam)))
+        explored, values = _adam(prob, start, cfg)
+        for ufree, f in zip(explored[:, None], values):
             if f < HANDOFF_TOL:
-                theta, f = _lm_polish(prob, theta)
-            yield prob.members(prob.unitaries(theta)[0])[0], f
+                ufree, f = _lm_polish(prob, ufree, cfg.accept_tol)
+            yield prob.members(ufree)[0], f
         done += size
         size *= 2
 

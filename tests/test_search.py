@@ -12,6 +12,7 @@ from conftest import random_sorted_weights
 from dc_lab import search
 from dc_lab.analysis import verify_family, wcsg_bound
 from dc_lab.families import qutrit_five_family, shift, shift_diag_family
+from dc_lab.linalg import unitarity_residual
 from dc_lab.search import (
     SearchConfig,
     _adam,
@@ -309,57 +310,72 @@ def test_adam_batch_matches_one_row_runs(state):
     # short stall windows make the rows leave the batch at different steps
     cfg = SearchConfig(max_iters=600, stall_window=100)
     prob = _problem(state, 5)
-    theta = np.random.default_rng(3).standard_normal((5, prob.nparam))
-    best_theta, best_f = _adam(prob, theta, cfg)
-    for row in range(theta.shape[0]):
-        one_theta, one_f = _adam(prob, theta[row : row + 1], cfg)
-        assert np.array_equal(one_theta[0], best_theta[row])
+    start = prob.cayley(np.random.default_rng(3).standard_normal((5, prob.nparam)))
+    best_members, best_f = _adam(prob, start, cfg)
+    for row in range(start.shape[0]):
+        one_members, one_f = _adam(prob, start[row : row + 1], cfg)
+        assert np.array_equal(one_members[0], best_members[row])
         assert one_f[0] == best_f[row]
+
+
+@pytest.mark.parametrize(
+    "weights, k", [((3 / 5, 1 / 5, 1 / 5), 5), ((0.6, 0.2, 0.1, 0.1), 7)], ids=["d3-k5", "d4-k7"]
+)
+def test_members_stay_unitary_through_a_full_adam_run(weights, k):
+    # neither state supports k, so no row hands off and each takes 2000 Cayley steps
+    state = make_state(len(weights), weights)
+    prob = _problem(state, k)
+    start = prob.cayley(np.random.default_rng(k).standard_normal((2, prob.nparam)))
+    members, f = _adam(prob, start, SearchConfig(max_iters=2000, stall_window=2000))
+    assert np.all(f > search.HANDOFF_TOL)
+    assert max(unitarity_residual(m) for m in members.reshape(-1, state.d, state.d)) <= 1e-12
 
 
 def _one_restart_at_a_time(state, k, cfg):
     """The search as a plain loop: one draw and Adam run per restart, a polish
-    when Adam hands off, and acceptance when verify_family passes."""
+    when Adam hands off, and acceptance when verify_family passes.  Returns
+    every restart's members, objective, and whether it was polished and passed."""
     prob = _problem(state, k)
     rng = np.random.default_rng(cfg.base_seed)
-    best_total, best_members = np.inf, None
-    for restart in range(cfg.restarts):
-        theta0 = search.INIT_SCALE * rng.standard_normal(prob.nparam)
-        explored, values = _adam(prob, theta0[None], cfg)
-        theta, f = explored[0], values[0]
-        if f < search.HANDOFF_TOL:
-            theta, f = _lm_polish(prob, theta)
-        members = prob.members(prob.unitaries(theta)[0])[0]
-        if verify_family(members, state, tol=cfg.accept_tol).passed:
-            return objective(state, members), members, restart
-        if f < best_total:
-            best_total, best_members = f, members
-    return objective(state, best_members), best_members, None
+    runs = []
+    for _ in range(cfg.restarts):
+        start = prob.cayley(search.INIT_SCALE * rng.standard_normal((1, prob.nparam)))
+        members, values = _adam(prob, start, cfg)
+        f, polished = values[0], values[0] < search.HANDOFF_TOL
+        if polished:
+            members, f = _lm_polish(prob, members, cfg.accept_tol)
+        members = prob.members(members)[0]
+        runs.append((members, f, polished, verify_family(members, state, tol=cfg.accept_tol).passed))
+    return runs
 
 
 @pytest.mark.parametrize(
-    "weights, k, cfg",
+    "weights, k, cfg, accepted, polished",
     [
-        # restarts 3 and 6 both pass verification, in the third batch (rows
-        # 3-6), and 6 reaches the lower objective: restart 3 must win
-        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=7, base_seed=23)),
-        # refused: restart 0 is polished to 1.4e-15 and still fails
-        # verification, restarts 1-3 stall above the hand-off
-        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=4, base_seed=20)),
+        # restarts 1 and 2 both pass verification in the second batch (rows
+        # 1-2), and 2 reaches the lower objective: restart 1 must win
+        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=3, base_seed=11), 1, [True, True, True]),
+        # refused: both restarts are polished and fail verification
+        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=2, base_seed=18), None, [True, True]),
         # refused: every restart stalls, and none is polished
-        ((3 / 5, 1 / 5, 1 / 5), 5, SearchConfig(restarts=4, max_iters=200, base_seed=9)),
+        ((3 / 5, 1 / 5, 1 / 5), 5, SearchConfig(restarts=4, max_iters=200, base_seed=9), None, [False] * 4),
     ],
     ids=["found-late", "refused-after-polish", "refused"],
 )
-def test_find_family_matches_one_restart_at_a_time(weights, k, cfg):
+def test_find_family_matches_one_restart_at_a_time(weights, k, cfg, accepted, polished):
     state = make_state(len(weights), weights)
-    ref_best, ref_members, accepted = _one_restart_at_a_time(state, k, cfg)
+    runs = _one_restart_at_a_time(state, k, cfg)
+    assert [run[2] for run in runs] == polished
+    passed = [i for i, run in enumerate(runs) if run[3]]
     best, fam = find_family(state, k, cfg)
-    assert (fam is not None) == (accepted is not None)
-    if fam is not None:
-        assert accepted == 3
+    if accepted is None:
+        assert passed == [] and fam is None
+        ref_members = min(runs, key=lambda run: run[1])[0]
+    else:
+        assert passed[:2] == [accepted, accepted + 1] and runs[accepted + 1][1] < runs[accepted][1]
+        ref_members = runs[accepted][0]
         assert all(np.array_equal(a, b) for a, b in zip(fam.members, ref_members))
-    assert best == ref_best
+    assert best == objective(state, ref_members)
 
 
 @pytest.mark.parametrize(
@@ -371,17 +387,16 @@ def test_find_family_matches_one_restart_at_a_time(weights, k, cfg):
     ids=["identity-prefix", "two-member-prefix"],
 )
 def test_jacobian_matches_central_differences(weights, k, fixed, rng):
+    # the Jacobian is taken at theta = 0 of the moves U_m -> U_m cay(H(theta))
     state = make_state(3, weights)
     prob = _problem(state, k, fixed)
-    theta = rng.standard_normal(prob.nparam)
-    r, jac = _residuals_and_jacobian(prob, theta)
+    members = prob.cayley(rng.standard_normal((1, prob.nparam)))
+    r, jac = _residuals_and_jacobian(prob, members)
     assert jac.shape == (r.size, prob.nparam)
     step = 1e-6
     fd = np.empty_like(jac)
-    for p in range(prob.nparam):
-        plus, minus = theta.copy(), theta.copy()
-        plus[p] += step
-        minus[p] -= step
+    for p, e in enumerate(step * np.eye(prob.nparam)):
+        plus, minus = members @ prob.cayley(e), members @ prob.cayley(-e)
         fd[:, p] = (_residuals_and_jacobian(prob, plus)[0] - _residuals_and_jacobian(prob, minus)[0]) / (2 * step)
     assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(fd)
 
@@ -424,36 +439,41 @@ def test_estimate_nmax_rejects_max_k_below_d():
 # Each attempt's (k, status, repr(best_objective)) and the sha256 of the
 # witness members' complex128 bytes (in increasing K), for a default search
 # at base_seed=1, as recorded with numpy 2.4 and its bundled OpenBLAS on
-# x86-64.  Another LAPACK may round eigh differently and change them.
+# x86-64.  Another LAPACK may round the Cayley solves differently and change them.
 RECORDED_SEARCHES = {
     (3 / 5, 2 / 5, 0.0): (
-        [(3, "found", "0.0"), (4, "found", "1.7818092641884445e-30"), (5, "found", "2.303010910310625e-28")],
-        "ad8e108f9e07f24766a1726855ad1ac5664c1b806de031ad73d29f90480429a7",
+        [(3, "found", "0.0"), (4, "found", "3.634723630837066e-26"), (5, "found", "3.5186711402089565e-20")],
+        "4069a9bfb0b69cf429659b8361e5ab240c84cafafaf477ff8b0614cdc403bfe9",
     ),
     (3 / 5, 1 / 5, 1 / 5): (
-        [(3, "found", "0.0"), (4, "found", "1.360382099260229e-30"), (5, "not found (heuristic)", "0.0014636095624360058")],
-        "2397676ce984da4a2da227b089f865d29e2352e2f6341902ec490f4e077e54ab",
+        [(3, "found", "0.0"), (4, "found", "8.10265447952215e-27"), (5, "not found (heuristic)", "0.001463609440482416")],
+        "c7e22ccb6d9c07aa4fd8a45d8ab93ac19d8cf89d32d47edb596b4e5d91097e18",
     ),
     (4 / 6, 2 / 6, 0.0, 0.0): (
-        [(4, "found", "0.0"), (5, "found", "7.230985588297333e-30"), (6, "found", "6.971398056041453e-28")],
-        "32f6b5e41274d1c5b974b409de81c6a64d5fe803b14f464402550b5cc7ffad04",
+        [(4, "found", "0.0"), (5, "found", "4.160822900144865e-27"), (6, "found", "5.794883407381769e-20")],
+        "f4caca93d8eeddd7263c9221d50c826b60a43d0bac74d651db8369a14fab1c59",
     ),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _search_at_seed_1(weights):
-    """The recorded search, and the family size of every LM polish it ran."""
+    """The recorded search, and the family size of every LM polish it ran.
+    It runs with np.linalg.eigh raising, so it completes only without eigh."""
     state = make_state(len(weights), weights)
     polished = []
     polish = search._lm_polish
 
-    def counted(prob, theta):
+    def counted(prob, *args):
         polished.append(prob.k)
-        return polish(prob, theta)
+        return polish(prob, *args)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the search must not call eigh")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_lm_polish", counted)
+        mp.setattr(np.linalg, "eigh", no_eigh)
         result = estimate_nmax(state, SearchConfig(base_seed=1))
     return state, result, polished
 
@@ -479,6 +499,13 @@ def test_found_pair_residual_is_the_one_verify_reports(weights):
         report = verify_family(result.witnesses[attempt.k], state)
         assert report.passed
         assert attempt.max_pair_residual == report.max_pairwise_residual
+
+
+@pytest.mark.parametrize("weights, n_max", [((3 / 5, 2 / 5, 0.0), 5), ((3 / 5, 1 / 5, 1 / 5), 4)], ids=["psi-l", "psi-h"])
+def test_search_runs_without_eigh(weights, n_max):
+    # _search_at_seed_1 makes np.linalg.eigh raise
+    _, result, _ = _search_at_seed_1(weights)
+    assert result.n_max_estimate == n_max
 
 
 def test_headline_refusal_polishes_no_restart():
