@@ -32,7 +32,7 @@ def make_state(d: int, lambdas) -> SchmidtState:
 
     Weights are sorted into nonincreasing order.  A total within 1e-9 of one
     is renormalized exactly; anything further off is rejected, as is any
-    negative weight.
+    weight outside [0, 1], before summing, so huge weights cannot overflow.
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
@@ -41,8 +41,8 @@ def make_state(d: int, lambdas) -> SchmidtState:
         raise ValueError(f"expected {d} weights, got {lam.shape[0]}")
     if not np.all(np.isfinite(lam)):
         raise ValueError("weights must be finite")
-    if np.any(lam < 0):
-        raise ValueError(f"negative weight in {lam.tolist()}")
+    if np.any(lam < 0) or np.any(lam > 1 + NORMALIZATION_TOL):
+        raise ValueError(f"weights must lie in [0, 1], got {lam.tolist()}")
     total = float(lam.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"weights sum to {total!r}, more than {NORMALIZATION_TOL} from 1")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -415,6 +416,16 @@ def test_state_info_zero_denominator_is_bad_input(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: weight '1/0' divides by zero\n"
+
+
+def test_state_info_huge_weights_exit_cleanly_without_a_warning(capsys):
+    # summing the weights before range-checking them overflows with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["state-info", "--lambdas", "1e308", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weights must lie in [0, 1], got [1e+308, 1e+308]\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -352,11 +352,14 @@ def _one_restart_at_a_time(state, k, cfg):
 @pytest.mark.parametrize(
     "weights, k, cfg, accepted, polished",
     [
+        # restart 0 stops short of the hand-off in 300 Adam steps (at the
+        # default budget restart 0 verifies at every base_seed 1-79);
         # restarts 1 and 2 both pass verification in the second batch (rows
         # 1-2), and 2 reaches the lower objective: restart 1 must win
-        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=3, base_seed=11), 1, [True, True, True]),
-        # refused: both restarts are polished and fail verification
-        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=2, base_seed=18), None, [True, True]),
+        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=3, max_iters=300, base_seed=17), 1, [False, True, True]),
+        # refused: lambda0 > d/K, so no valid family exists; both restarts
+        # hand off near 1e-7, are polished and fail verification
+        ((0.6001, 0.3999, 0), 5, SearchConfig(restarts=2, base_seed=1), None, [True, True]),
         # refused: every restart stalls, and none is polished
         ((3 / 5, 1 / 5, 1 / 5), 5, SearchConfig(restarts=4, max_iters=200, base_seed=9), None, [False] * 4),
     ],
@@ -442,16 +445,16 @@ def test_estimate_nmax_rejects_max_k_below_d():
 # x86-64.  Another LAPACK may round the Cayley solves differently and change them.
 RECORDED_SEARCHES = {
     (3 / 5, 2 / 5, 0.0): (
-        [(3, "found", "0.0"), (4, "found", "3.634723630837066e-26"), (5, "found", "3.5186711402089565e-20")],
-        "4069a9bfb0b69cf429659b8361e5ab240c84cafafaf477ff8b0614cdc403bfe9",
+        [(3, "found", "0.0"), (4, "found", "1.076599320412877e-21"), (5, "found", "1.023627907735352e-20")],
+        "f20c8ded654466e9a05901380e88ec8606a4593a76c27a70810e782b4daa1eed",
     ),
     (3 / 5, 1 / 5, 1 / 5): (
-        [(3, "found", "0.0"), (4, "found", "8.10265447952215e-27"), (5, "not found (heuristic)", "0.001463609440482416")],
-        "c7e22ccb6d9c07aa4fd8a45d8ab93ac19d8cf89d32d47edb596b4e5d91097e18",
+        [(3, "found", "0.0"), (4, "found", "1.3010163974877347e-24"), (5, "not found (heuristic)", "0.001463609440482416")],
+        "243be263605a6639f0742f79b34cd42d62467ba046c001b8004a7a0e52335910",
     ),
     (4 / 6, 2 / 6, 0.0, 0.0): (
-        [(4, "found", "0.0"), (5, "found", "4.160822900144865e-27"), (6, "found", "5.794883407381769e-20")],
-        "f4caca93d8eeddd7263c9221d50c826b60a43d0bac74d651db8369a14fab1c59",
+        [(4, "found", "0.0"), (5, "found", "1.07389107210931e-23"), (6, "found", "5.650863026832261e-20")],
+        "5034757455ef24a8bdfc561b3d8a01859e75213454418207b95092617bd98122",
     ),
 }
 
@@ -517,11 +520,16 @@ def test_headline_refusal_polishes_no_restart():
 
 
 @pytest.mark.parametrize("seed", range(1, 7))
-def test_saturated_rank_deficient_witnesses_verify(seed):
-    # (4/6, 2/6, 0, 0) saturates K = 6, where the LM Jacobian is singular and
-    # the polish converges slowly; a 60-step polish left pair residuals up
-    # to 3e-6 here, and the witness was accepted on its objective
+def test_saturated_rank_deficient_witnesses_verify(seed, monkeypatch):
+    # (4/6, 2/6, 0, 0) saturates K = 6, where the LM Jacobian is singular.
+    # The first polished restart must verify: with damping scaled by
+    # diag(J^T J), the first polish ended at pair residuals 4.8e-6 (seed 1)
+    # and 3.1e-10 (seed 6), and a second restart had to be polished
     state = make_state(4, [4 / 6, 2 / 6, 0, 0])
+    polished = []
+    polish = search._lm_polish
+    monkeypatch.setattr(search, "_lm_polish", lambda *args: polished.append(1) or polish(*args))
     _, witness = find_family(state, 6, SearchConfig(base_seed=seed))
+    assert len(polished) == 1
     assert witness is not None
     assert verify_family(witness, state).passed

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,14 @@ def test_make_state_f47_target():
 def test_make_state_rejects_negative():
     with pytest.raises(ValueError):
         make_state(3, [0.7, 0.4, -0.1])
+
+
+@pytest.mark.parametrize("weights", [[1e308, 1e308], [1 + 2e-9, 0.0], [np.finfo(float).max, -1.0]])
+def test_make_state_rejects_weights_above_one_without_a_warning(weights):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            make_state(2, weights)
 
 
 def test_make_state_rejects_bad_normalization():
