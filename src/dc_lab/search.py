@@ -19,13 +19,18 @@ pair residual is within accept_tol; a restart that stalls above it is not
 polished.  A restart is accepted exactly when `verify_family` passes its
 members at accept_tol, the same check `dc-lab verify --tol` makes.
 
-Restarts run in lockstep batches of 1, 2, 4, ... rows: a few stacked matrix
-products and one batched solve per step serve every row of a batch, and each
-row leaves the batch when its own Adam run hands off or stalls.  The rows of
-a batch are then polished and verified in index order, and the lowest-index
-accepted restart wins, as in a one-at-a-time loop.  Every row's arithmetic is
-independent of the others, so results do not depend on the batch schedule,
-and every run with the same configuration is bit-for-bit reproducible.
+Adam runs in a lockstep engine.  A search submits its restarts in batches of
+1, 2, 4, ... rows, and the rows of every search that shares d, K, the fixed
+prefix, max_iters and stall_window form one group: a few stacked matrix
+products and one batched solve per step serve all of them, whichever search
+they belong to, and rows join and leave at any step.  Once every row of a
+batch has handed off or stalled, its rows are polished and verified in index
+order, and the lowest-index accepted restart wins, as in a one-at-a-time
+loop.  Each row carries its own weights, step count and stall window, so its
+arithmetic is that of a run on that row alone: results do not depend on
+which rows share a step, and every run with the same configuration is
+bit-for-bit reproducible.  A sweep worker runs all of its cells through one
+engine.
 
 A failed search is evidence, not proof: results label such outcomes
 "not found (heuristic)".  Only the closed-form exclusion predicates from
@@ -37,7 +42,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -55,12 +59,15 @@ from .analysis import (
 )
 from .families import EncodingFamily, shift_diag_family
 from .linalg import UNITARITY_TOL, unitarity_residual
-from .states import SchmidtState, _member_stack, entropy_bits, make_state
+from .states import SchmidtState, _is_int, _member_stack, entropy_bits, make_state
 
-# Adam: step size, scale of the random start, the objective below which a
-# restart hands off to the polish, and the relative improvement a stall
-# window must make.
+# Adam: step size, moment decay rates and epsilon, scale of the random start,
+# the objective below which a restart hands off to the polish, and the
+# relative improvement a stall window must make.
 STEP_SIZE = 0.15
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 INIT_SCALE = 1.0
 HANDOFF_TOL = 1e-6
 STALL_RTOL = 1e-3
@@ -103,10 +110,6 @@ class SearchConfig:
             raise ValueError(f"max_k must be an integer or None, got {self.max_k!r}")
         if not 0 < self.accept_tol < math.inf:
             raise ValueError(f"accept_tol must be positive and finite, got {self.accept_tol!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,7 @@ class _Problem:
         iu, ju, self.pair_flat = _pairs(k)
         self.pairs = (iu, ju)
         self.basis, self.dual = _hermitian_basis(d)
+        self.eye = np.eye(d)
 
     def hermitian(self, theta: np.ndarray) -> np.ndarray:
         """The (R, n_free, d, d) Hermitian blocks of (R, nparam) coordinates."""
@@ -197,8 +201,7 @@ class _Problem:
     def cayley(self, theta: np.ndarray) -> np.ndarray:
         """cay(H) = (I - iH/2)^{-1} (I + iH/2) of every block, by one batched solve."""
         h = 0.5j * self.hermitian(theta)
-        eye = np.eye(self.d)
-        return np.linalg.solve(eye - h, eye + h)
+        return np.linalg.solve(self.eye - h, self.eye + h)
 
     def members(self, ufree: np.ndarray) -> np.ndarray:
         """(R, k, d, d) member stacks: the fixed prefix, then the free members."""
@@ -207,9 +210,9 @@ class _Problem:
         stack[:, self.nf :] = ufree
         return stack
 
-    def _objective(self, stack: np.ndarray):
+    def _objective(self, stack: np.ndarray, lam: np.ndarray):
         """Per-row objective and the weighted Gram matrices."""
-        t = _weighted_gram(stack, self.lam)
+        t = _weighted_gram(stack, lam)
         # Each row's value must not depend on the row count.  So: squares of
         # the real and imaginary parts (complex np.abs rounds differently in
         # its vector and scalar loops), summed along C-ordered rows (a plain
@@ -219,10 +222,11 @@ class _Problem:
 
     def objective(self, ufree: np.ndarray) -> np.ndarray:
         """Objective of every row of free members, shape (R,)."""
-        return self._objective(self.members(ufree))[0]
+        return self._objective(self.members(ufree), self.lam)[0]
 
-    def objective_and_gradient(self, ufree: np.ndarray, chart=None):
-        """Objective (R,) and gradient (R, nparam) of every row of free members.
+    def objective_and_gradient(self, ufree: np.ndarray, lam: np.ndarray, chart=None):
+        """Objective (R,) and gradient (R, nparam) of every row of free members
+        under weights `lam`: this search's (d,), or one (R, 1, 1, d) row each.
 
         The gradient is in the body-frame coordinates at H = 0, where
         d cay(H) = i dH: with Omega_m = U_m^dag G_m and
@@ -233,10 +237,10 @@ class _Problem:
         d, k = self.d, self.k
         stack = self.members(ufree)
         rows = stack.shape[0]
-        f, t = self._objective(stack)
+        f, t = self._objective(stack, lam)
         c = t.conj()
         c.reshape(rows, k * k)[:, :: k + 1] = 0.0
-        g = (c[:, self.nf :] @ stack.reshape(rows, k, d * d)).reshape(ufree.shape) * self.lam
+        g = (c[:, self.nf :] @ stack.reshape(rows, k, d * d)).reshape(ufree.shape) * lam
         omega = ufree.conj().swapaxes(-1, -2) @ g
         if chart is not None:
             omega = chart @ omega @ chart.conj().swapaxes(-1, -2)
@@ -269,7 +273,7 @@ def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None):
     prob = _Problem(state, k, fixed_stack)
     a = np.eye(state.d) - 0.5j * prob.hermitian(theta)
     chart = np.linalg.inv(a)
-    f, grad = prob.objective_and_gradient(chart @ a.conj().swapaxes(-1, -2), chart)
+    f, grad = prob.objective_and_gradient(chart @ a.conj().swapaxes(-1, -2), prob.lam, chart)
     return float(f[0]), grad[0]
 
 
@@ -331,45 +335,153 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# Adam exploration
+# lockstep Adam engine
 
 
-def _adam(prob: _Problem, ufree: np.ndarray, cfg: SearchConfig):
-    """Adam on every row of an (R, n_free, d, d) member stack in lockstep.
+class _Batch:
+    """One search's rows in a group: they joined at group step `joined`;
+    `slots` are the batch indices of those still in Adam, in row order, and
+    `members` and `values` collect each row's best as it leaves."""
+
+    def __init__(self, search: int, joined: int, start: np.ndarray):
+        self.search, self.joined = search, joined
+        self.slots = list(range(start.shape[0]))
+        self.members, self.values = np.empty_like(start), np.empty(start.shape[0])
+
+
+class _Group:
+    """The Adam rows of every search that shares d, K, the fixed prefix,
+    max_iters and stall_window, stepped in lockstep.
 
     Each step moves every member U to U cay(H), with H from the Adam step in
-    body-frame coordinates.  Returns each row's best members and value (R,).
-    A row leaves the batch once its best value is below HANDOFF_TOL, or at
-    the end of a stall window that improved it by less than STALL_RTOL; its
-    result is the one a run on that row alone would give.
+    body-frame coordinates.  A row leaves once its best value is below
+    HANDOFF_TOL, at the end of one of its stall windows that improved it by
+    less than STALL_RTOL, or after max_iters steps.  Each row has its own
+    weights, moments and stall mark, and each batch its own step count, so
+    what a row leaves with is what a run on that row alone gives.  A batch's
+    rows are contiguous, in the order the batches joined.
     """
-    best_u = np.array(ufree, dtype=np.complex128)
-    best_f = np.full(best_u.shape[0], np.inf)
-    rows = np.arange(best_u.shape[0])  # batch row of each active row
-    u = best_u.copy()
-    mom = np.zeros((rows.size, prob.nparam))
-    vel = np.zeros_like(mom)
-    prev_mark = np.full(rows.size, np.inf)
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    for it in range(1, cfg.max_iters + 1):
-        f, g = prob.objective_and_gradient(u)
-        better = f < best_f[rows]
-        best_f[rows[better]] = f[better]
-        best_u[rows[better]] = u[better]
-        keep = ~(best_f[rows] < HANDOFF_TOL)
+
+    def __init__(self, prob: _Problem, cfg: SearchConfig):
+        self.prob = prob
+        self.max_iters, self.window = cfg.max_iters, cfg.stall_window
+        self.clock = 0
+        self.batches: list[_Batch] = []
+        self.rows = None  # members, weights, moments, stall marks, best members and values
+
+    def join(self, lam: np.ndarray, start: np.ndarray, search: int) -> None:
+        """Add one batch of (R, n_free, d, d) starting members under weights lam."""
+        n = start.shape[0]
+        new = (
+            np.array(start, dtype=np.complex128),
+            np.broadcast_to(lam.reshape(1, 1, 1, -1), (n, 1, 1, lam.size)),
+            np.zeros((n, self.prob.nparam)),
+            np.zeros((n, self.prob.nparam)),
+            np.full(n, np.inf),
+            np.array(start, dtype=np.complex128),
+            np.full(n, np.inf),
+        )
+        self.rows = new if self.rows is None else tuple(np.concatenate(pair) for pair in zip(self.rows, new))
+        self.batches.append(_Batch(search, self.clock, start))
+
+    def step(self) -> list[_Batch]:
+        """One Adam step of every row; returns the batches whose last row left."""
+        u, lam, mom, vel, mark, best_u, best_f = self.rows
+        f, g = self.prob.objective_and_gradient(u, lam)
+        better = f < best_f
+        np.copyto(best_f, f, where=better)
+        np.copyto(best_u, u, where=better[:, None, None, None])
+        self.clock += 1
+        leave = best_f < HANDOFF_TOL
+        end = 0
+        for batch in self.batches:
+            t, start, end = self.clock - batch.joined, end, end + len(batch.slots)
+            if t == self.max_iters:
+                leave[start:end] = True
+            elif t % self.window == 0:
+                leave[start:end] |= best_f[start:end] > mark[start:end] * (1 - STALL_RTOL)
+                mark[start:end] = best_f[start:end]
+        done = []
+        if leave.any():
+            row = 0
+            for batch in self.batches:
+                slots, batch.slots = batch.slots, []
+                for slot in slots:
+                    if leave[row]:
+                        batch.members[slot], batch.values[slot] = best_u[row], best_f[row]
+                    else:
+                        batch.slots.append(slot)
+                    row += 1
+                if not batch.slots:
+                    done.append(batch)
+            self.batches = [batch for batch in self.batches if batch.slots]
+            if not self.batches:
+                self.rows = None
+                return done
+            keep = ~leave
+            u, lam, mom, vel, mark, best_u, best_f, g = (
+                a[keep] for a in (u, lam, mom, vel, mark, best_u, best_f, g)
+            )
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        steps = [self.clock - batch.joined for batch in self.batches]
+        if len(steps) == 1:  # a search by itself: no column to build
+            c1, c2 = 1 - b1 ** steps[0], 1 - b2 ** steps[0]
+        else:
+            # the same Python floats as a column, one entry per row; division
+            # by either rounds alike
+            sizes = [len(batch.slots) for batch in self.batches]
+            c1, c2 = (np.repeat([1 - b**t for t in steps], sizes)[:, None] for b in (b1, b2))
         mom = b1 * mom + (1 - b1) * g
         vel = b2 * vel + (1 - b2) * g * g
-        mhat = mom / (1 - b1**it)
-        vhat = vel / (1 - b2**it)
-        u = u @ prob.cayley(-STEP_SIZE * mhat / (np.sqrt(vhat) + eps))
-        if it % cfg.stall_window == 0:
-            keep &= ~(best_f[rows] > prev_mark * (1 - STALL_RTOL))
-            prev_mark = best_f[rows]
-        if not keep.all():
-            rows, u, mom, vel, prev_mark = (a[keep] for a in (rows, u, mom, vel, prev_mark))
-            if rows.size == 0:
-                break
-    return best_u, best_f
+        mhat = mom / c1
+        vhat = vel / c2
+        u = u @ self.prob.cayley(-STEP_SIZE * mhat / (np.sqrt(vhat) + ADAM_EPS))
+        self.rows = (u, lam, mom, vel, mark, best_u, best_f)
+        return done
+
+
+def _run(searches: list) -> list:
+    """Drive search generators through one lockstep engine; returns what each
+    returns, in order.
+
+    A search yields Adam batches (prob, start, cfg), where start holds (R,
+    n_free, d, d) members, and is sent (members, values), each row's best,
+    once every row of the batch has left.  A search has one batch in Adam at
+    a time, and its next batch joins at the next step.
+    """
+    groups: dict = {}
+    results = [None] * len(searches)
+
+    def advance(i, sent):
+        try:
+            prob, start, cfg = searches[i].send(sent)
+        except StopIteration as stop:
+            results[i] = stop.value
+            return
+        key = (prob.d, prob.k, prob.fixed.tobytes(), cfg.max_iters, cfg.stall_window)
+        if key not in groups:
+            groups[key] = _Group(prob, cfg)
+        groups[key].join(prob.lam, start, i)
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while groups:
+        for key, group in list(groups.items()):
+            for batch in group.step():
+                advance(batch.search, (batch.members, batch.values))
+            if not group.batches:
+                del groups[key]
+    return results
+
+
+def _adam(prob: _Problem, start: np.ndarray, cfg: SearchConfig):
+    """Adam on the rows of one batch by themselves: each row's best members
+    (R, n_free, d, d) and value (R,).  The tests' one-search reference."""
+
+    def one_batch():
+        return (yield prob, start, cfg)
+
+    return _run([one_batch()])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +499,52 @@ def _prepare_fixed(state: SchmidtState, fixed) -> np.ndarray:
     return stack
 
 
-def _restarts(prob: _Problem, cfg: SearchConfig):
-    """Each restart's member stack (k, d, d) and objective, in restart order.
+def _witness(state: SchmidtState, k: int, stack: np.ndarray, tol: float):
+    """The members as a search witness when `verify_family` passes them at tol, else None."""
+    if not verify_family(stack, state, tol=tol).passed:
+        return None
+    return EncodingFamily(d=state.d, members=tuple(stack), label=f"search-K{k}", target_lambda0=state.lambda0)
 
-    Batches of 1, 2, 4, ... rows run Adam in lockstep; a row whose Adam
-    value is below HANDOFF_TOL is then polished.  Batches run as the caller
-    consumes rows, so a caller that stops early runs no more of them.
+
+def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
+    """find_family as a search generator for `_run`.
+
+    Restarts run in batches of 1, 2, 4, ... rows, one random draw per batch;
+    a row whose Adam value is below HANDOFF_TOL is then polished.  Rows are
+    verified in restart order, and the search stops at the first that passes,
+    so a search decided early submits no more batches.
     """
+    d = state.d
+    if not _is_int(k):
+        raise ValueError(f"family size k must be an integer, got {k!r}")
+    if not d <= k <= d * d:
+        raise ValueError(f"family size {k} outside [{d}, {d * d}]")
+    fixed_stack = _prepare_fixed(state, fixed)
+    if fixed_stack.shape[0] > k:
+        raise ValueError(f"{fixed_stack.shape[0]} fixed members exceed family size {k}")
+    if fixed_stack.shape[0] == k:
+        return objective(state.lambdas, fixed_stack), _witness(state, k, fixed_stack, cfg.accept_tol)
+    prob = _Problem(state, k, fixed_stack)
     rng = np.random.default_rng(cfg.base_seed)
+    best, closest = np.inf, None
     done, size = 0, 1
     while done < cfg.restarts:
         size = min(size, cfg.restarts - done)
         # one (size, nparam) draw yields the numbers of size one-row draws
         start = prob.cayley(INIT_SCALE * rng.standard_normal((size, prob.nparam)))
-        explored, values = _adam(prob, start, cfg)
+        explored, values = yield prob, start, cfg
         for ufree, f in zip(explored[:, None], values):
             if f < HANDOFF_TOL:
                 ufree, f = _lm_polish(prob, ufree, cfg.accept_tol)
-            yield prob.members(ufree)[0], f
+            stack = prob.members(ufree)[0]
+            witness = _witness(state, k, stack, cfg.accept_tol)
+            if witness is not None:
+                return objective(state.lambdas, stack), witness
+            if closest is None or f < best:
+                best, closest = f, stack
         done += size
         size *= 2
+    return objective(state.lambdas, closest), None
 
 
 def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
@@ -417,26 +555,7 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     does; the objective is the witness's, or else that of the restart that
     came closest.  With all k members fixed, they are the one candidate.
     """
-    d = state.d
-    if not d <= k <= d * d:
-        raise ValueError(f"family size {k} outside [{d}, {d * d}]")
-    fixed_stack = _prepare_fixed(state, fixed)
-    if fixed_stack.shape[0] > k:
-        raise ValueError(f"{fixed_stack.shape[0]} fixed members exceed family size {k}")
-    if fixed_stack.shape[0] == k:
-        candidates = [(fixed_stack, None)]
-    else:
-        candidates = _restarts(_Problem(state, k, fixed_stack), cfg)
-    best, closest = np.inf, None
-    for stack, f in candidates:
-        if verify_family(stack, state, tol=cfg.accept_tol).passed:
-            witness = EncodingFamily(
-                d=d, members=tuple(stack), label=f"search-K{k}", target_lambda0=state.lambda0
-            )
-            return objective(state.lambdas, stack), witness
-        if closest is None or f < best:
-            best, closest = f, stack
-    return objective(state.lambdas, closest), None
+    return _run([_find(state, k, cfg, fixed)])[0]
 
 
 def _check_max_k(cfg: SearchConfig, d: int) -> None:
@@ -444,19 +563,20 @@ def _check_max_k(cfg: SearchConfig, d: int) -> None:
         raise ValueError(f"max_k={cfg.max_k} is below d={d}; K=d is always achievable")
 
 
-def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
-    """Estimate the largest K the state supports, scanning K = d, d+1, ...
+@functools.lru_cache(maxsize=16)
+def _shift_witness(d: int) -> EncodingFamily:
+    """The K = d witness {X^k}, valid for every state; cached, its members read-only."""
+    return shift_diag_family(d, [np.ones(d)] * d)
 
-    K = d needs no search: the shift family {X^k} is valid for every state,
-    so it is recorded as found with that witness.  The scan never queries K
-    beyond the weight bound, stops at the first K that is neither found nor
-    provably excluded, and reports the last certified K.  A failed K is
-    heuristic evidence only.
-    """
+
+def _scan(state: SchmidtState, cfg: SearchConfig):
+    """estimate_nmax's scan over K as a generator: it yields each K it must
+    search, is sent that search's (objective, witness), and returns the
+    SearchResult."""
     d = state.d
     _check_max_k(cfg, d)
     cap = min(cfg.max_k if cfg.max_k is not None else d * d, wcsg_bound(state))
-    shifts = shift_diag_family(d, [np.ones(d)] * d)
+    shifts = _shift_witness(d)
     attempts: list[KAttempt] = [
         KAttempt(
             k=d,
@@ -473,7 +593,7 @@ def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
                 KAttempt(k=k, status="excluded (proven)", best_objective=None, max_pair_residual=None)
             )
             break
-        best, fam = find_family(state, k, cfg)
+        best, fam = yield k
         if fam is not None:
             witnesses[k] = fam
             attempts.append(
@@ -498,6 +618,24 @@ def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
         witnesses=witnesses,
         n_max_estimate=n_max,
     )
+
+
+def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
+    """Estimate the largest K the state supports, scanning K = d, d+1, ...
+
+    K = d needs no search: the shift family {X^k} is valid for every state,
+    so it is recorded as found with that witness.  The scan never queries K
+    beyond the weight bound, stops at the first K that is neither found nor
+    provably excluded, and reports the last certified K.  A failed K is
+    heuristic evidence only.  Each K is one `find_family` call.
+    """
+    scan, found = _scan(state, cfg), None
+    while True:
+        try:
+            k = scan.send(found)
+        except StopIteration as stop:
+            return stop.value
+        found = find_family(state, k, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +684,8 @@ def triangle_grid(resolution: int) -> list[tuple[float, float, float]]:
     subdivision (all strictly inside the region), then appends the three
     proven target states (uniform, (3/5, 2/5, 0), (3/5, 1/5, 1/5)).
     """
+    if not _is_int(resolution):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 4:
         raise ValueError(f"resolution must be at least 4, got {resolution}")
     n = resolution
@@ -575,10 +715,18 @@ def _refusal_objective(result: SearchResult) -> float | None:
     return None
 
 
-def _sweep_cell(args) -> RegionCell:
-    index, lam3, d, cfg = args
+def _region_cell(index: int, lam3: tuple[float, float, float], d: int, cfg: SearchConfig):
+    """One cell's estimate_nmax as a search generator for `_run`: each K that
+    the scan asks for runs as `_find` batches.  Returns the RegionCell."""
     state = _cell_state(d, lam3)
-    result = estimate_nmax(state, cfg)
+    scan, found = _scan(state, cfg), None
+    while True:
+        try:
+            k = scan.send(found)
+        except StopIteration as stop:
+            result = stop.value
+            break
+        found = yield from _find(state, k, cfg)
     return RegionCell(
         index=index,
         lambda0=lam3[0],
@@ -592,6 +740,11 @@ def _sweep_cell(args) -> RegionCell:
     )
 
 
+def _sweep_share(tasks: list) -> list[RegionCell]:
+    """One worker's cells, all run through one engine."""
+    return _run([_region_cell(*task) for task in tasks])
+
+
 def _worker_count(workers: int | None, tasks: int) -> int:
     """Worker processes for `tasks` cells: the request (or DC_LAB_THREADS),
     clamped to at least one and at most the task and CPU counts."""
@@ -603,6 +756,8 @@ def _worker_count(workers: int | None, tasks: int) -> int:
                 workers = int(env)
             except ValueError:
                 raise ValueError(f"DC_LAB_THREADS must be an integer, got {env!r}") from None
+    elif not _is_int(workers):
+        raise ValueError(f"workers must be an integer or None, got {workers!r}")
     if workers is None:
         workers = cpus
     return max(1, min(workers, tasks, cpus))
@@ -611,9 +766,12 @@ def _worker_count(workers: int | None, tasks: int) -> int:
 def sweep_grid(resolution: int, cfg: SearchConfig, d: int = 3) -> list[tuple[float, float, float]]:
     """The weight triples a sweep visits, once its inputs are checked.
 
-    Raises ValueError for d < 3, a max_k below d or a resolution below 4, so
-    a caller can refuse a sweep before it starts anything.
+    Raises ValueError for a d or resolution that is not an integer, d < 3, a
+    max_k below d or a resolution below 4, so a caller can refuse a sweep
+    before it starts anything.
     """
+    if not _is_int(d):
+        raise ValueError(f"dimension d must be an integer, got {d!r}")
     if d < 3:
         raise ValueError("the sweep needs at least three weights; use d >= 3")
     _check_max_k(cfg, d)
@@ -623,12 +781,16 @@ def sweep_grid(resolution: int, cfg: SearchConfig, d: int = 3) -> list[tuple[flo
 def region_sweep(
     resolution: int, cfg: SearchConfig, d: int = 3, workers: int | None = None
 ) -> RegionMap:
-    """Estimate N_max over the weight triangle, cell by cell.
+    """Estimate N_max over the weight triangle, one estimate_nmax per cell.
 
-    Cells carry seeds base_seed XOR index, are processed independently
-    (optionally in parallel; DC_LAB_THREADS caps the workers), and are always
-    returned in index order, so the map is reproducible for a fixed seed.
-    For d > 3 the triangle states are padded with zero weights.
+    Cell i carries seed base_seed XOR i and goes to worker i mod n, where n
+    is `workers` (or DC_LAB_THREADS) clamped to the cell and CPU counts; with
+    n > 1 each worker is a process.  A worker runs all of its cells through
+    one lockstep engine, so the Adam rows of different cells share kernel
+    calls.  A cell's result is the one estimate_nmax gives for it alone,
+    whatever the worker count, and cells are returned in index order, so the
+    map is reproducible for a fixed seed.  For d > 3 the triangle states are
+    padded with zero weights.
     """
     pts = sweep_grid(resolution, cfg, d)
     if d != 3:
@@ -643,9 +805,10 @@ def region_sweep(
         # else needs
         from concurrent.futures import ProcessPoolExecutor
 
+        shares = [tasks[w::nworkers] for w in range(nworkers)]
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            cells = list(pool.map(_sweep_cell, tasks))
+            cells = [cell for share in pool.map(_sweep_share, shares) for cell in share]
     else:
-        cells = [_sweep_cell(task) for task in tasks]
+        cells = _sweep_share(tasks)
     cells.sort(key=lambda cell: cell.index)
     return RegionMap(d=d, resolution=resolution, base_seed=cfg.base_seed, cells=tuple(cells))

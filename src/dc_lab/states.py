@@ -8,6 +8,7 @@ message-vector and span computation in the package relies on.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,11 @@ class SchmidtState:
         return float(self.lambdas[0])
 
 
+def _is_int(value) -> bool:
+    """True for an integer of any integral type other than bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def make_state(d: int, lambdas) -> SchmidtState:
     """Validate, sort, and normalize a weight vector into a SchmidtState.
 
@@ -34,6 +40,8 @@ def make_state(d: int, lambdas) -> SchmidtState:
     is renormalized exactly; anything further off is rejected, as is any
     weight outside [0, 1], before summing, so huge weights cannot overflow.
     """
+    if not _is_int(d):
+        raise ValueError(f"dimension d must be an integer, got {d!r}")
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     lam = np.asarray(lambdas, dtype=float).reshape(-1)

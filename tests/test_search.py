@@ -20,6 +20,7 @@ from dc_lab.search import (
     _prepare_fixed,
     _Problem,
     _residuals_and_jacobian,
+    _run,
     _worker_count,
     estimate_nmax,
     find_family,
@@ -206,11 +207,46 @@ def test_region_sweep_sequential_deterministic():
         assert cell.n_max_estimate <= cell.wcsg_bound
 
 
-def test_region_sweep_parallel_matches_sequential():
+@pytest.mark.parametrize("workers", [2, 3])
+def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
+    # three workers get uneven shares of the 13 cells: 5, 4 and 4
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     cfg = SearchConfig(restarts=1, max_iters=100, base_seed=2)
     seq = region_sweep(4, cfg, workers=1)
-    par = region_sweep(4, cfg, workers=2)
+    par = region_sweep(4, cfg, workers=workers)
     assert seq.cells == par.cells
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda cfg: make_state(3.0, [0.5, 0.3, 0.2]), "dimension d"),
+        (lambda cfg: make_state(True, [1.0]), "dimension d"),
+        (lambda cfg: region_sweep(4.5, cfg), "resolution"),
+        (lambda cfg: region_sweep(True, cfg), "resolution"),
+        (lambda cfg: region_sweep(4, cfg, workers=1.5), "workers"),
+        (lambda cfg: region_sweep(4, cfg, workers=True), "workers"),
+        (lambda cfg: region_sweep(4, cfg, d=3.0), "dimension d"),
+        (lambda cfg: region_sweep(4, cfg, d=True), "dimension d"),
+        (lambda cfg: find_family(PSI_L, 5.0, cfg), "family size k"),
+        (lambda cfg: find_family(PSI_L, True, cfg), "family size k"),
+    ],
+    ids=[
+        "state-d-float",
+        "state-d-bool",
+        "resolution-float",
+        "resolution-bool",
+        "workers-float",
+        "workers-bool",
+        "sweep-d-float",
+        "sweep-d-bool",
+        "k-float",
+        "k-bool",
+    ],
+)
+def test_sizes_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=name):
+        call(SearchConfig(restarts=1, max_iters=10))
 
 
 def test_region_sweep_dimension_validation():
@@ -305,17 +341,34 @@ def _problem(state, k, fixed=None):
     return _Problem(state, k, _prepare_fixed(state, fixed))
 
 
-@pytest.mark.parametrize("state", [PSI_H, PSI_L], ids=["stalls", "hands-off"])
-def test_adam_batch_matches_one_row_runs(state):
-    # short stall windows make the rows leave the batch at different steps
+@pytest.mark.parametrize("states", [[PSI_H], [PSI_L], [PSI_H, PSI_L]], ids=["stalls", "hands-off", "mixed"])
+def test_adam_batch_matches_one_row_runs(states, monkeypatch):
+    # Short stall windows make the rows leave the batch at different steps.
+    # In the mixed case the psi_L rows join the psi_H rows' group 150 steps
+    # after them: their search first holds one psi_H row in a group of its
+    # own for exactly 150 steps (psi_H never hands off at K = 5, and the
+    # psi_H rows of the main group cannot stall before step 200).
     cfg = SearchConfig(max_iters=600, stall_window=100)
-    prob = _problem(state, 5)
-    start = prob.cayley(np.random.default_rng(3).standard_normal((5, prob.nparam)))
-    best_members, best_f = _adam(prob, start, cfg)
-    for row in range(start.shape[0]):
-        one_members, one_f = _adam(prob, start[row : row + 1], cfg)
-        assert np.array_equal(one_members[0], best_members[row])
-        assert one_f[0] == best_f[row]
+    wait = SearchConfig(max_iters=150, stall_window=151)
+    probs = [_problem(state, 5) for state in states]
+    starts = [prob.cayley(np.random.default_rng(3 + i).standard_normal((5, prob.nparam))) for i, prob in enumerate(probs)]
+
+    def batch_after_wait(i):
+        if i:
+            yield probs[0], starts[0][:1], wait
+        return (yield probs[i], starts[i], cfg)
+
+    shared = []
+    step = search._Group.step
+    monkeypatch.setattr(search._Group, "step", lambda group: shared.append({b.search for b in group.batches}) or step(group))
+    results = _run([batch_after_wait(i) for i in range(len(states))])
+    monkeypatch.undo()
+    assert (len(states) > 1) == ({0, 1} in shared)
+    for prob, start, (best_members, best_f) in zip(probs, starts, results):
+        for row in range(start.shape[0]):
+            one_members, one_f = _adam(prob, start[row : row + 1], cfg)
+            assert np.array_equal(one_members[0], best_members[row])
+            assert one_f[0] == best_f[row]
 
 
 @pytest.mark.parametrize(
@@ -431,6 +484,8 @@ def test_estimate_nmax_takes_k_equal_d_from_the_shift_family(monkeypatch):
     assert res.n_max_estimate == 3
     assert res.attempts[0].best_objective == 0.0
     assert verify_family(res.witnesses[3], state).passed
+    # the witness is built once per d and shared by every result
+    assert estimate_nmax(UNIFORM3, SearchConfig(max_k=3)).witnesses[3] is res.witnesses[3]
 
 
 def test_estimate_nmax_rejects_max_k_below_d():
