@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -57,6 +58,19 @@ def _member_pairs(member):
     return pairs.astype(np.float64, copy=False)
 
 
+def _check_header(label, target) -> None:
+    """Reject a label that is not a string and a target_lambda0 that is
+    neither None nor a finite int or float (a bool is not a number here)."""
+    if not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {type(label).__name__}")
+    if target is None or (isinstance(target, int) and not isinstance(target, bool)):
+        return
+    if not isinstance(target, float):
+        raise ValueError(f"target_lambda0 must be null or a finite number, got {type(target).__name__}")
+    if not math.isfinite(target):
+        raise ValueError(f"target_lambda0 must be null or a finite number, got {target!r}")
+
+
 def _field(doc: dict, key: str):
     if key not in doc:
         raise ValueError(f"family document has no {key!r} field")
@@ -67,9 +81,11 @@ def document_to_family(doc: dict) -> families.EncodingFamily:
     """Validate a parsed family document and return its family.
 
     Rejects, with ValueError, a missing `d` or `members`, a `d` that is not
-    an integer >= 2, members that are not d*d finite [re, im] number pairs
-    each, and a member count K outside [d, d*d].  A member is a list of
-    pairs, or the (n, 2) float array `read_family_document` converts it to.
+    an integer >= 2, a `label` that is not a string, a `target_lambda0` that
+    is not null or a finite number, members that are not d*d finite [re, im]
+    number pairs each, and a member count K outside [d, d*d].  A member is a
+    list of pairs, or the (n, 2) float array `read_family_document` converts
+    it to.
     Members are not checked for unitarity: verification reports that.
     """
     if not isinstance(doc, dict):
@@ -79,6 +95,8 @@ def document_to_family(doc: dict) -> families.EncodingFamily:
     d = _field(doc, "d")
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
+    label, target = doc.get("label", "file"), doc.get("target_lambda0")
+    _check_header(label, target)
     members = _field(doc, "members")
     if not isinstance(members, list):
         raise ValueError("members must be a list")
@@ -103,8 +121,8 @@ def document_to_family(doc: dict) -> families.EncodingFamily:
     return families.EncodingFamily(
         d=d,
         members=tuple(stack),
-        label=str(doc.get("label", "file")),
-        target_lambda0=doc.get("target_lambda0"),
+        label=label,
+        target_lambda0=target,
     )
 
 
@@ -113,11 +131,14 @@ def write_family_document(family: families.EncodingFamily, path: str) -> None:
 
     The header goes through json.dumps; the members are written one at a
     time, each float as float.__repr__, which is how json spells a finite
-    float.
+    float.  Refuses, before opening the file, what `document_to_family` would
+    reject: non-finite members, a non-string label or a target_lambda0 that is
+    not None or a finite number.
     """
     members = [np.ascontiguousarray(m, dtype=np.complex128).reshape(-1) for m in family.members]
     if not all(np.all(np.isfinite(m)) for m in members):
         raise ValueError("family members must be finite")
+    _check_header(family.label, family.target_lambda0)
     header = {
         "schema_version": SCHEMA_VERSION,
         "d": family.d,

@@ -23,14 +23,17 @@ Adam runs in a lockstep engine.  A search submits its restarts in batches of
 1, 2, 4, ... rows, and the rows of every search that shares d, K, the fixed
 prefix, max_iters and stall_window form one group: a few stacked matrix
 products and one batched solve per step serve all of them, whichever search
-they belong to, and rows join and leave at any step.  Once every row of a
-batch has handed off or stalled, its rows are polished and verified in index
-order, and the lowest-index accepted restart wins, as in a one-at-a-time
-loop.  Each row carries its own weights, step count and stall window, so its
-arithmetic is that of a run on that row alone: results do not depend on
-which rows share a step, and every run with the same configuration is
-bit-for-bit reproducible.  A sweep worker runs all of its cells through one
-engine.
+they belong to, and rows join and leave at any step.  A batch does not wait
+for the one before it to finish: it joins at that batch's first stall test,
+step 2 stall_window (a row still in Adam then is in a hard search), or once
+every earlier row has left, whichever comes first.  Rows are polished and
+verified in restart order as they leave, a row that leaves early waiting for
+every lower restart, and the lowest-index accepted restart wins, as in a
+one-at-a-time loop; the search's rows still in Adam are then dropped.  Each
+row carries its own weights, step count and stall window, so its arithmetic
+is that of a run on that row alone: results do not depend on which rows
+share a step, and every run with the same configuration is bit-for-bit
+reproducible.  A sweep worker runs all of its cells through one engine.
 
 A failed search is evidence, not proof: results label such outcomes
 "not found (heuristic)".  Only the closed-form exclusion predicates from
@@ -339,14 +342,14 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
 
 
 class _Batch:
-    """One search's rows in a group: they joined at group step `joined`;
-    `slots` are the batch indices of those still in Adam, in row order, and
-    `members` and `values` collect each row's best as it leaves."""
+    """Rows of one search that joined a group together, at group step
+    `joined`: `restarts` are the restart indices of those still in Adam, in
+    row order, and `end` is one past the batch's last restart."""
 
-    def __init__(self, search: int, joined: int, start: np.ndarray):
-        self.search, self.joined = search, joined
-        self.slots = list(range(start.shape[0]))
-        self.members, self.values = np.empty_like(start), np.empty(start.shape[0])
+    def __init__(self, search: int, prob: _Problem, group: _Group, first: int, size: int):
+        self.search, self.prob, self.group, self.joined = search, prob, group, group.clock
+        self.restarts = list(range(first, first + size))
+        self.end = first + size
 
 
 class _Group:
@@ -359,7 +362,10 @@ class _Group:
     less than STALL_RTOL, or after max_iters steps.  Each row has its own
     weights, moments and stall mark, and each batch its own step count, so
     what a row leaves with is what a run on that row alone gives.  A batch's
-    rows are contiguous, in the order the batches joined.
+    rows are contiguous, in the order the batches joined.  Each batch's stall
+    tests, its max_iters stop and its first stall test sit in tables keyed
+    by the group's step count, so a step looks them up instead of testing
+    every batch.
     """
 
     def __init__(self, prob: _Problem, cfg: SearchConfig):
@@ -368,10 +374,13 @@ class _Group:
         self.clock = 0
         self.batches: list[_Batch] = []
         self.rows = None  # members, weights, moments, stall marks, best members and values
+        self.tests: dict[int, list[_Batch]] = {}  # step -> batches with a stall test or max_iters then
+        self.firsts: dict[int, list[_Batch]] = {}  # step -> batches at their first stall test then
 
-    def join(self, lam: np.ndarray, start: np.ndarray, search: int) -> None:
-        """Add one batch of (R, n_free, d, d) starting members under weights lam."""
-        n = start.shape[0]
+    def join(self, search: int, prob: _Problem, first: int, start: np.ndarray) -> _Batch:
+        """Add (R, n_free, d, d) starting members of `search` under prob's
+        weights, as its restarts first, first + 1, ..."""
+        n, lam = start.shape[0], prob.lam
         new = (
             np.array(start, dtype=np.complex128),
             np.broadcast_to(lam.reshape(1, 1, 1, -1), (n, 1, 1, lam.size)),
@@ -382,10 +391,38 @@ class _Group:
             np.full(n, np.inf),
         )
         self.rows = new if self.rows is None else tuple(np.concatenate(pair) for pair in zip(self.rows, new))
-        self.batches.append(_Batch(search, self.clock, start))
+        batch = _Batch(search, prob, self, first, n)
+        self.batches.append(batch)
+        self._schedule(batch, min(self.window, self.max_iters))
+        # at step stall_window the stall mark is still inf, so no row can stall
+        self.firsts.setdefault(self.clock + 2 * self.window, []).append(batch)
+        return batch
 
-    def step(self) -> list[_Batch]:
-        """One Adam step of every row; returns the batches whose last row left."""
+    def _schedule(self, batch: _Batch, t: int) -> None:
+        self.tests.setdefault(batch.joined + t, []).append(batch)
+
+    def _spans(self):
+        """Each batch with the slice of its rows."""
+        row = 0
+        for batch in self.batches:
+            n = len(batch.restarts)
+            yield batch, slice(row, row + n)
+            row += n
+
+    def drop(self, search: int) -> None:
+        """Take every row of `search` out of Adam."""
+        keep = np.ones(self.rows[0].shape[0], dtype=bool)
+        for batch, rows in self._spans():
+            if batch.search == search:
+                keep[rows] = False
+                batch.restarts = []
+        self.batches = [batch for batch in self.batches if batch.restarts]
+        self.rows = tuple(a[keep] for a in self.rows) if self.batches else None
+
+    def step(self):
+        """One Adam step of every row.  Returns the rows that left, in row
+        order, as (batch, (restart, members (1, n_free, d, d), value)) at
+        each row's best value, and the batches at their first stall test."""
         u, lam, mom, vel, mark, best_u, best_f = self.rows
         f, g = self.prob.objective_and_gradient(u, lam)
         better = f < best_f
@@ -393,95 +430,140 @@ class _Group:
         np.copyto(best_u, u, where=better[:, None, None, None])
         self.clock += 1
         leave = best_f < HANDOFF_TOL
-        end = 0
-        for batch in self.batches:
-            t, start, end = self.clock - batch.joined, end, end + len(batch.slots)
-            if t == self.max_iters:
-                leave[start:end] = True
-            elif t % self.window == 0:
-                leave[start:end] |= best_f[start:end] > mark[start:end] * (1 - STALL_RTOL)
-                mark[start:end] = best_f[start:end]
-        done = []
+        tests = self.tests.pop(self.clock, None)
+        if tests:
+            spans = dict(self._spans())
+            for batch in tests:
+                rows = spans.get(batch)
+                if rows is None:  # every row of the batch has left
+                    continue
+                t = self.clock - batch.joined
+                if t == self.max_iters:
+                    leave[rows] = True
+                else:
+                    leave[rows] |= best_f[rows] > mark[rows] * (1 - STALL_RTOL)
+                    mark[rows] = best_f[rows]
+                    self._schedule(batch, min(t + self.window, self.max_iters))
+        firsts = self.firsts.pop(self.clock, [])
+        left = []
         if leave.any():
-            row = 0
-            for batch in self.batches:
-                slots, batch.slots = batch.slots, []
-                for slot in slots:
-                    if leave[row]:
-                        batch.members[slot], batch.values[slot] = best_u[row], best_f[row]
-                    else:
-                        batch.slots.append(slot)
-                    row += 1
-                if not batch.slots:
-                    done.append(batch)
-            self.batches = [batch for batch in self.batches if batch.slots]
+            for batch, rows in self._spans():
+                gone = leave[rows]
+                if gone.any():
+                    for j in np.flatnonzero(gone):
+                        r = rows.start + j
+                        left.append((batch, (batch.restarts[j], best_u[r : r + 1].copy(), best_f[r])))
+                    batch.restarts = [restart for restart, out in zip(batch.restarts, gone) if not out]
+            self.batches = [batch for batch in self.batches if batch.restarts]
             if not self.batches:
                 self.rows = None
-                return done
+                return left, firsts
             keep = ~leave
             u, lam, mom, vel, mark, best_u, best_f, g = (
                 a[keep] for a in (u, lam, mom, vel, mark, best_u, best_f, g)
             )
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         steps = [self.clock - batch.joined for batch in self.batches]
-        if len(steps) == 1:  # a search by itself: no column to build
+        if len(steps) == 1:  # a batch by itself: no column to build
             c1, c2 = 1 - b1 ** steps[0], 1 - b2 ** steps[0]
         else:
             # the same Python floats as a column, one entry per row; division
             # by either rounds alike
-            sizes = [len(batch.slots) for batch in self.batches]
-            c1, c2 = (np.repeat([1 - b**t for t in steps], sizes)[:, None] for b in (b1, b2))
+            sizes = [len(batch.restarts) for batch in self.batches]
+            c1, c2 = np.repeat([[1 - b**t for t in steps] for b in (b1, b2)], sizes, axis=1)[:, :, None]
         mom = b1 * mom + (1 - b1) * g
         vel = b2 * vel + (1 - b2) * g * g
         mhat = mom / c1
         vhat = vel / c2
         u = u @ self.prob.cayley(-STEP_SIZE * mhat / (np.sqrt(vhat) + ADAM_EPS))
         self.rows = (u, lam, mom, vel, mark, best_u, best_f)
-        return done
+        return left, firsts
 
 
 def _run(searches: list) -> list:
     """Drive search generators through one lockstep engine; returns what each
     returns, in order.
 
-    A search yields Adam batches (prob, start, cfg), where start holds (R,
-    n_free, d, d) members, and is sent (members, values), each row's best,
-    once every row of the batch has left.  A search has one batch in Adam at
-    a time, and its next batch joins at the next step.
+    A search yields a batch (prob, start, cfg), where start holds (R,
+    n_free, d, d) starting members, or None, and is sent (left, due) when
+    rows of it leave Adam or its next batch falls due.  `left` lists
+    (restart, members, value) for each row that left, at its best value,
+    with rows numbered in the order they joined; `due` says that it may
+    submit its next batch now.  That is at the first stall test of its
+    latest batch, or once every row it has in Adam has left, whichever comes
+    first.  A batch under another `_Problem` starts a new search, and the
+    rows of the last one still in Adam are dropped, as are a search's rows
+    when it returns.
     """
     groups: dict = {}
     results = [None] * len(searches)
+    latest = [None] * len(searches)  # each search's last batch
+    pending = [0] * len(searches)  # its rows in Adam
+
+    def drop(i):
+        if pending[i]:
+            latest[i].group.drop(i)
+            pending[i] = 0
 
     def advance(i, sent):
         try:
-            prob, start, cfg = searches[i].send(sent)
+            request = searches[i].send(sent)
         except StopIteration as stop:
             results[i] = stop.value
+            drop(i)
+            latest[i] = None
             return
+        if request is None:
+            return
+        prob, start, cfg = request
+        first = 0
+        if latest[i] is not None and latest[i].prob is prob:
+            first = latest[i].end
+        else:
+            drop(i)
         key = (prob.d, prob.k, prob.fixed.tobytes(), cfg.max_iters, cfg.stall_window)
         if key not in groups:
             groups[key] = _Group(prob, cfg)
-        groups[key].join(prob.lam, start, i)
+        latest[i] = groups[key].join(i, prob, first, start)
+        pending[i] += start.shape[0]
 
     for i in range(len(searches)):
         advance(i, None)
     while groups:
-        for key, group in list(groups.items()):
-            for batch in group.step():
-                advance(batch.search, (batch.members, batch.values))
-            if not group.batches:
-                del groups[key]
+        for group in list(groups.values()):
+            left, firsts = group.step()
+            woken: dict[int, list] = {}
+            for batch, row in left:
+                woken.setdefault(batch.search, []).append(row)
+                pending[batch.search] -= 1
+            due = {batch.search for batch in firsts if batch is latest[batch.search]}
+            for i in due:
+                woken.setdefault(i, [])
+            for i, rows in woken.items():
+                advance(i, (rows, i in due or not pending[i]))
+        for key in [key for key, group in groups.items() if not group.batches]:
+            del groups[key]
     return results
+
+
+def _one_batch(prob: _Problem, start: np.ndarray, cfg: SearchConfig):
+    """One batch of rows as a search for `_run`: returns each row's best
+    members (R, n_free, d, d) and value (R,) once every row has left."""
+    members, values = np.empty_like(start), np.empty(start.shape[0])
+    request, waiting = (prob, start, cfg), start.shape[0]
+    while waiting:
+        left, _ = yield request
+        request = None
+        for restart, ufree, f in left:
+            members[restart], values[restart] = ufree[0], f
+        waiting -= len(left)
+    return members, values
 
 
 def _adam(prob: _Problem, start: np.ndarray, cfg: SearchConfig):
     """Adam on the rows of one batch by themselves: each row's best members
     (R, n_free, d, d) and value (R,).  The tests' one-search reference."""
-
-    def one_batch():
-        return (yield prob, start, cfg)
-
-    return _run([one_batch()])[0]
+    return _run([_one_batch(prob, start, cfg)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +591,13 @@ def _witness(state: SchmidtState, k: int, stack: np.ndarray, tol: float):
 def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     """find_family as a search generator for `_run`.
 
-    Restarts run in batches of 1, 2, 4, ... rows, one random draw per batch;
-    a row whose Adam value is below HANDOFF_TOL is then polished.  Rows are
-    verified in restart order, and the search stops at the first that passes,
-    so a search decided early submits no more batches.
+    Restarts run in batches of 1, 2, 4, ... rows, one random draw per batch,
+    and each batch joins Adam when `_run` says it is due, so a batch need not
+    wait for the one before it to finish.  Rows are resolved in restart order
+    as they leave: a row whose Adam value is below HANDOFF_TOL is polished,
+    then verified, and the search stops at the first that passes, dropping
+    the rows it still has in Adam.  A search whose first restart hands off
+    and verifies before its first stall test steps that restart only.
     """
     d = state.d
     if not _is_int(k):
@@ -527,13 +612,21 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     prob = _Problem(state, k, fixed_stack)
     rng = np.random.default_rng(cfg.base_seed)
     best, closest = np.inf, None
-    done, size = 0, 1
-    while done < cfg.restarts:
-        size = min(size, cfg.restarts - done)
-        # one (size, nparam) draw yields the numbers of size one-row draws
-        start = prob.cayley(INIT_SCALE * rng.standard_normal((size, prob.nparam)))
-        explored, values = yield prob, start, cfg
-        for ufree, f in zip(explored[:, None], values):
+    waiting = {}  # restart -> (members, value) of rows that left before a lower restart
+    drawn, resolved, size, due = 0, 0, 1, True
+    while resolved < cfg.restarts:
+        batch = None
+        if due and drawn < cfg.restarts:
+            size = min(size, cfg.restarts - drawn)
+            # one (size, nparam) draw yields the numbers of size one-row draws
+            batch = prob, prob.cayley(INIT_SCALE * rng.standard_normal((size, prob.nparam))), cfg
+            drawn += size
+            size *= 2
+        left, due = yield batch
+        waiting.update((restart, (ufree, f)) for restart, ufree, f in left)
+        while resolved in waiting:
+            ufree, f = waiting.pop(resolved)
+            resolved += 1
             if f < HANDOFF_TOL:
                 ufree, f = _lm_polish(prob, ufree, cfg.accept_tol)
             stack = prob.members(ufree)[0]
@@ -542,8 +635,6 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
                 return objective(state.lambdas, stack), witness
             if closest is None or f < best:
                 best, closest = f, stack
-        done += size
-        size *= 2
     return objective(state.lambdas, closest), None
 
 

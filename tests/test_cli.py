@@ -136,6 +136,14 @@ def _identity_pairs(d):
         pytest.param('{"d": ' + "[" * 100000 + "]" * 100000 + "}", "nested too deeply", id="deep-nesting"),
         pytest.param('{"schema_version": 1, "members": []}', "family document has no 'd' field", id="no-d"),
         pytest.param('{"schema_version": 1, "d": 2}', "family document has no 'members' field", id="no-members"),
+        (_document(2, [_identity_pairs(2)] * 2, label={"a": 1}), "label must be a string, got dict"),
+        (_document(2, [_identity_pairs(2)] * 2, label=None), "label must be a string, got NoneType"),
+        (_document(2, [_identity_pairs(2)] * 2, label=7), "label must be a string, got int"),
+        (_document(2, [_identity_pairs(2)] * 2, target_lambda0=[1, 2]), "finite number, got list"),
+        (_document(2, [_identity_pairs(2)] * 2, target_lambda0="x"), "finite number, got str"),
+        (_document(2, [_identity_pairs(2)] * 2, target_lambda0=True), "finite number, got bool"),
+        (_document(2, [_identity_pairs(2)] * 2, target_lambda0=float("nan")), "finite number, got nan"),
+        (_document(2, [_identity_pairs(2)] * 2, target_lambda0=-float("inf")), "finite number, got -inf"),
     ],
 )
 def test_verify_rejects_invalid_documents_before_printing(tmp_path, capsys, text, error):
@@ -185,6 +193,26 @@ def test_verify_runs_verify_family_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(analysis, "verify_family", lambda *a, **k: calls.append(1) or original(*a, **k))
     assert run(["verify", str(path), "--lambdas", "4/7", "3/7", "0", "0"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("label, target", [("", None), ("t", 1), ("t", -0.0), ("t", 10**400)])
+def test_document_header_values_that_load(tmp_path, label, target):
+    path = tmp_path / "doc.json"
+    path.write_text(_document(2, [_identity_pairs(2)] * 2, label=label, target_lambda0=target))
+    fam = cli.read_family_document(str(path))
+    assert (fam.label, fam.target_lambda0) == (label, target)
+
+
+@pytest.mark.parametrize(
+    "label, target, error",
+    [("t", float("nan"), "finite"), ("t", float("inf"), "finite"), ("t", "0.5", "finite"), (None, 0.5, "label")],
+)
+def test_write_family_document_rejects_a_header_the_reader_rejects(tmp_path, label, target, error):
+    path = tmp_path / "doc.json"
+    fam = EncodingFamily(d=2, members=(np.eye(2, dtype=complex),) * 2, label=label, target_lambda0=target)
+    with pytest.raises(ValueError, match=error):
+        cli.write_family_document(fam, str(path))
+    assert not path.exists()
 
 
 def test_write_family_document_rejects_non_finite(tmp_path):

@@ -355,8 +355,8 @@ def test_adam_batch_matches_one_row_runs(states, monkeypatch):
 
     def batch_after_wait(i):
         if i:
-            yield probs[0], starts[0][:1], wait
-        return (yield probs[i], starts[i], cfg)
+            yield from search._one_batch(probs[0], starts[0][:1], wait)
+        return (yield from search._one_batch(probs[i], starts[i], cfg))
 
     shared = []
     step = search._Group.step
@@ -432,6 +432,80 @@ def test_find_family_matches_one_restart_at_a_time(weights, k, cfg, accepted, po
         ref_members = runs[accepted][0]
         assert all(np.array_equal(a, b) for a, b in zip(fam.members, ref_members))
     assert best == objective(state, ref_members)
+
+
+def _schedule(monkeypatch):
+    """Log the engine's joins as (step, first restart, rows), the rows that
+    leave Adam as (step, restart), and the number of rows in every step."""
+    joins, leaves, rows = [], [], []
+    join, step = search._Group.join, search._Group.step
+
+    def logged_join(group, i, prob, first, start):
+        joins.append((group.clock, first, start.shape[0]))
+        return join(group, i, prob, first, start)
+
+    def logged_step(group):
+        rows.append(group.rows[0].shape[0])
+        left, firsts = step(group)
+        leaves.extend((group.clock, restart) for _, (restart, _, _) in left)
+        return left, firsts
+
+    monkeypatch.setattr(search._Group, "join", logged_join)
+    monkeypatch.setattr(search._Group, "step", logged_step)
+    return joins, leaves, rows
+
+
+def test_next_batch_joins_at_the_first_stall_test(monkeypatch):
+    # restart 0 survives its first stall test, at step 2 * stall_window = 400,
+    # so restarts 1-2 join then, not when restart 0 stalls; restart 3 joins at
+    # their first stall test
+    joins, leaves, _ = _schedule(monkeypatch)
+    _, fam = find_family(PSI_H, 5, SearchConfig(restarts=4, base_seed=42))
+    assert fam is None
+    assert joins == [(0, 0, 1), (400, 1, 2), (800, 3, 1)]
+    assert sorted(restart for _, restart in leaves) == [0, 1, 2, 3]
+    assert dict((restart, at) for at, restart in leaves)[0] > 800
+
+
+def test_a_first_restart_that_verifies_before_its_stall_test_steps_alone(monkeypatch):
+    # restart 0 hands off at step 128 and verifies, so no other restart joins;
+    # at psi_L, K = 5 and base_seed 1, restart 0 runs past step 400 instead
+    joins, _, rows = _schedule(monkeypatch)
+    _, fam = find_family(make_state(3, [0.51, 0.30, 0.19]), 5, SearchConfig(base_seed=1))
+    assert fam is not None
+    assert joins == [(0, 0, 1)]
+    assert set(rows) == {1} and len(rows) < 400
+
+
+def test_acceptance_joins_no_later_batch(monkeypatch):
+    # restart 0 stops at max_iters = 300 unpolished, and restarts 1-2 join
+    # then; restart 2 leaves first but waits for restart 1, which verifies, so
+    # restart 2 is never polished and restarts 3-6 (due at step 700) never join
+    state = make_state(4, [4 / 6, 2 / 6, 0, 0])
+    cfg = SearchConfig(restarts=50, max_iters=300, base_seed=17)
+    runs = _one_restart_at_a_time(state, 6, dataclasses.replace(cfg, restarts=2))
+    assert [(run[2], run[3]) for run in runs] == [(False, False), (True, True)]
+    joins, leaves, _ = _schedule(monkeypatch)
+    polished = []
+    polish = search._lm_polish
+    monkeypatch.setattr(search, "_lm_polish", lambda *args: polished.append(1) or polish(*args))
+    best, fam = find_family(state, 6, cfg)
+    assert joins == [(0, 0, 1), (300, 1, 2)]
+    assert leaves[0] == (300, 0) and [restart for _, restart in leaves[1:]] == [2, 1]
+    assert len(polished) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(fam.members, runs[1][0]))
+    assert best == objective(state, runs[1][0])
+
+
+def test_acceptance_drops_the_rows_still_in_adam(monkeypatch):
+    # restart 0 verifies when it leaves Adam, with restarts 1 and 3-6 still in
+    # Adam: the engine takes no further step
+    joins, leaves, rows = _schedule(monkeypatch)
+    _, fam = find_family(PSI_L, 5, SearchConfig(base_seed=1))
+    assert fam is not None
+    assert joins == [(0, 0, 1), (400, 1, 2), (800, 3, 4)]
+    assert [restart for _, restart in leaves] == [2, 0]
+    assert len(rows) == leaves[-1][0] and rows[-1] == 6
 
 
 @pytest.mark.parametrize(
