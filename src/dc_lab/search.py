@@ -33,7 +33,9 @@ one-at-a-time loop; the search's rows still in Adam are then dropped.  Each
 row carries its own weights, step count and stall window, so its arithmetic
 is that of a run on that row alone: results do not depend on which rows
 share a step, and every run with the same configuration is bit-for-bit
-reproducible.  A sweep worker runs all of its cells through one engine.
+reproducible.  `dc-lab search` and each sweep cell run one scan generator
+through the engine, which searches K = d+1, d+2, ... in turn, and a sweep
+worker runs all of its cells through one engine.
 
 A failed search is evidence, not proof: results label such outcomes
 "not found (heuristic)".  Only the closed-form exclusion predicates from
@@ -265,15 +267,20 @@ def objective(weights, family) -> float:
 def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None):
     """Public wrapper exposing the search objective and analytic gradient.
 
-    `theta` parametrizes the k - len(fixed) free members (d^2 reals each)
-    appended after the fixed prefix (the identity by default): each is the
+    `theta`, a finite 1-D vector of (k - len(fixed)) d^2 reals, parametrizes
+    the free members appended after the fixed prefix (the identity by
+    default), d^2 reals each, for an integer k in [d, d^2]: each is the
     Cayley transform cay(H) = (I - iH/2)^{-1} (I + iH/2) of a Hermitian H,
     the chart the search steps in around each member.
     """
     fixed_stack = _prepare_fixed(state, fixed)
-    if k - fixed_stack.shape[0] <= 0:
+    _check_k(state.d, k, fixed_stack.shape[0])
+    if k == fixed_stack.shape[0]:
         raise ValueError("no free members to differentiate")
     prob = _Problem(state, k, fixed_stack)
+    theta = np.asarray(theta)
+    if theta.shape != (prob.nparam,) or theta.dtype.kind not in "iuf" or not np.all(np.isfinite(theta)):
+        raise ValueError(f"theta must be a finite 1-D vector of {prob.nparam} reals, got shape {theta.shape}")
     a = np.eye(state.d) - 0.5j * prob.hermitian(theta)
     chart = np.linalg.inv(a)
     f, grad = prob.objective_and_gradient(chart @ a.conj().swapaxes(-1, -2), prob.lam, chart)
@@ -493,7 +500,9 @@ def _run(searches: list) -> list:
     latest batch, or once every row it has in Adam has left, whichever comes
     first.  A batch under another `_Problem` starts a new search, and the
     rows of the last one still in Adam are dropped, as are a search's rows
-    when it returns.
+    when it returns.  Every search reaches the engine here: `find_family`
+    runs one `_find`, and `estimate_nmax` and each sweep cell one
+    `_estimate`, whose K scan runs one `_find` after another.
     """
     groups: dict = {}
     results = [None] * len(searches)
@@ -581,6 +590,17 @@ def _prepare_fixed(state: SchmidtState, fixed) -> np.ndarray:
     return stack
 
 
+def _check_k(d: int, k, n_fixed: int) -> None:
+    """Refuse a family size k that is not an integer in [d, d^2] or is below
+    the number of fixed members."""
+    if not _is_int(k):
+        raise ValueError(f"family size k must be an integer, got {k!r}")
+    if not d <= k <= d * d:
+        raise ValueError(f"family size {k} outside [{d}, {d * d}]")
+    if n_fixed > k:
+        raise ValueError(f"{n_fixed} fixed members exceed family size {k}")
+
+
 def _witness(state: SchmidtState, k: int, stack: np.ndarray, tol: float):
     """The members as a search witness when `verify_family` passes them at tol, else None."""
     if not verify_family(stack, state, tol=tol).passed:
@@ -599,14 +619,8 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     the rows it still has in Adam.  A search whose first restart hands off
     and verifies before its first stall test steps that restart only.
     """
-    d = state.d
-    if not _is_int(k):
-        raise ValueError(f"family size k must be an integer, got {k!r}")
-    if not d <= k <= d * d:
-        raise ValueError(f"family size {k} outside [{d}, {d * d}]")
     fixed_stack = _prepare_fixed(state, fixed)
-    if fixed_stack.shape[0] > k:
-        raise ValueError(f"{fixed_stack.shape[0]} fixed members exceed family size {k}")
+    _check_k(state.d, k, fixed_stack.shape[0])
     if fixed_stack.shape[0] == k:
         return objective(state.lambdas, fixed_stack), _witness(state, k, fixed_stack, cfg.accept_tol)
     prob = _Problem(state, k, fixed_stack)
@@ -660,54 +674,41 @@ def _shift_witness(d: int) -> EncodingFamily:
     return shift_diag_family(d, [np.ones(d)] * d)
 
 
-def _scan(state: SchmidtState, cfg: SearchConfig):
-    """estimate_nmax's scan over K as a generator: it yields each K it must
-    search, is sent that search's (objective, witness), and returns the
-    SearchResult."""
+def _found(state: SchmidtState, k: int, best: float, fam: EncodingFamily) -> KAttempt:
+    residual = _max_pairwise_residual(_member_stack(fam, state.d), state.lambdas)
+    return KAttempt(k=k, status="found", best_objective=best, max_pair_residual=residual)
+
+
+def _estimate(state: SchmidtState, cfg: SearchConfig):
+    """estimate_nmax as a search generator for `_run`: each K it must search
+    runs as `_find` batches.  Returns the SearchResult."""
     d = state.d
     _check_max_k(cfg, d)
     cap = min(cfg.max_k if cfg.max_k is not None else d * d, wcsg_bound(state))
     shifts = _shift_witness(d)
-    attempts: list[KAttempt] = [
-        KAttempt(
-            k=d,
-            status="found",
-            best_objective=objective(state, shifts),
-            max_pair_residual=_max_pairwise_residual(_member_stack(shifts, d), state.lambdas),
-        )
-    ]
+    attempts = [_found(state, d, objective(state, shifts), shifts)]
     witnesses: dict[int, EncodingFamily] = {d: shifts}
-    n_max = d
     for k in range(d + 1, cap + 1):
         if bns_excluded(state, k):
             attempts.append(
                 KAttempt(k=k, status="excluded (proven)", best_objective=None, max_pair_residual=None)
             )
             break
-        best, fam = yield k
-        if fam is not None:
-            witnesses[k] = fam
-            attempts.append(
-                KAttempt(
-                    k=k,
-                    status="found",
-                    best_objective=best,
-                    max_pair_residual=_max_pairwise_residual(_member_stack(fam, d), state.lambdas),
-                )
-            )
-            n_max = k
-        else:
+        best, fam = yield from _find(state, k, cfg)
+        if fam is None:
             attempts.append(
                 KAttempt(k=k, status="not found (heuristic)", best_objective=best, max_pair_residual=None)
             )
             break
+        witnesses[k] = fam
+        attempts.append(_found(state, k, best, fam))
     return SearchResult(
         d=d,
         lambdas=tuple(float(x) for x in state.lambdas),
         seed=cfg.base_seed,
         attempts=tuple(attempts),
         witnesses=witnesses,
-        n_max_estimate=n_max,
+        n_max_estimate=max(witnesses),
     )
 
 
@@ -718,15 +719,10 @@ def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
     so it is recorded as found with that witness.  The scan never queries K
     beyond the weight bound, stops at the first K that is neither found nor
     provably excluded, and reports the last certified K.  A failed K is
-    heuristic evidence only.  Each K is one `find_family` call.
+    heuristic evidence only.  The scan is one search generator run through
+    the lockstep engine, as each cell of `region_sweep` is.
     """
-    scan, found = _scan(state, cfg), None
-    while True:
-        try:
-            k = scan.send(found)
-        except StopIteration as stop:
-            return stop.value
-        found = find_family(state, k, cfg)
+    return _run([_estimate(state, cfg)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -806,34 +802,25 @@ def _refusal_objective(result: SearchResult) -> float | None:
     return None
 
 
-def _region_cell(index: int, lam3: tuple[float, float, float], d: int, cfg: SearchConfig):
-    """One cell's estimate_nmax as a search generator for `_run`: each K that
-    the scan asks for runs as `_find` batches.  Returns the RegionCell."""
-    state = _cell_state(d, lam3)
-    scan, found = _scan(state, cfg), None
-    while True:
-        try:
-            k = scan.send(found)
-        except StopIteration as stop:
-            result = stop.value
-            break
-        found = yield from _find(state, k, cfg)
-    return RegionCell(
-        index=index,
-        lambda0=lam3[0],
-        lambda1=lam3[1],
-        lambda2=lam3[2],
-        entropy_bits=entropy_bits(state),
-        wcsg_bound=wcsg_bound(state),
-        n_max_estimate=result.n_max_estimate,
-        best_objective_at_refusal=_refusal_objective(result),
-        seed=cfg.base_seed,
-    )
-
-
 def _sweep_share(tasks: list) -> list[RegionCell]:
-    """One worker's cells, all run through one engine."""
-    return _run([_region_cell(*task) for task in tasks])
+    """One worker's cells, each one estimate_nmax generator, all run through
+    one engine."""
+    cells = [(index, lam3, _cell_state(d, lam3), cfg) for index, lam3, d, cfg in tasks]
+    results = _run([_estimate(state, cfg) for _, _, state, cfg in cells])
+    return [
+        RegionCell(
+            index=index,
+            lambda0=lam3[0],
+            lambda1=lam3[1],
+            lambda2=lam3[2],
+            entropy_bits=entropy_bits(state),
+            wcsg_bound=wcsg_bound(state),
+            n_max_estimate=result.n_max_estimate,
+            best_objective_at_refusal=_refusal_objective(result),
+            seed=cfg.base_seed,
+        )
+        for (index, lam3, state, cfg), result in zip(cells, results)
+    ]
 
 
 def _worker_count(workers: int | None, tasks: int) -> int:

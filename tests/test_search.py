@@ -16,6 +16,7 @@ from dc_lab.linalg import unitarity_residual
 from dc_lab.search import (
     SearchConfig,
     _adam,
+    _cell_state,
     _lm_polish,
     _prepare_fixed,
     _Problem,
@@ -29,7 +30,7 @@ from dc_lab.search import (
     region_sweep,
     triangle_grid,
 )
-from dc_lab.states import make_state
+from dc_lab.states import entropy_bits, make_state
 
 PSI_L = make_state(3, [3 / 5, 2 / 5, 0])
 PSI_H = make_state(3, [3 / 5, 1 / 5, 1 / 5])
@@ -207,6 +208,23 @@ def test_region_sweep_sequential_deterministic():
         assert cell.n_max_estimate <= cell.wcsg_bound
 
 
+def test_a_sweep_cell_is_its_own_estimate_nmax():
+    cfg = SearchConfig(restarts=2, max_iters=150, base_seed=17)
+    cells = region_sweep(4, cfg, workers=1).cells
+    assert len(cells) == 13
+    refusals = 0
+    for cell in cells:
+        state = _cell_state(3, (cell.lambda0, cell.lambda1, cell.lambda2))
+        alone = estimate_nmax(state, dataclasses.replace(cfg, base_seed=17 ^ cell.index))
+        refusal = next((a.best_objective for a in alone.attempts if a.status != "found"), None)
+        assert cell.n_max_estimate == alone.n_max_estimate
+        assert cell.best_objective_at_refusal == refusal
+        assert cell.entropy_bits == entropy_bits(state)
+        assert cell.wcsg_bound == wcsg_bound(state)
+        refusals += refusal is not None
+    assert refusals > 0
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
     # three workers get uneven shares of the 13 cells: 5, 4 and 4
@@ -230,6 +248,8 @@ def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
         (lambda cfg: region_sweep(4, cfg, d=True), "dimension d"),
         (lambda cfg: find_family(PSI_L, 5.0, cfg), "family size k"),
         (lambda cfg: find_family(PSI_L, True, cfg), "family size k"),
+        (lambda cfg: objective_and_gradient(PSI_L, np.zeros(36), 5.0), "family size k"),
+        (lambda cfg: objective_and_gradient(PSI_L, np.zeros(36), True), "family size k"),
     ],
     ids=[
         "state-d-float",
@@ -242,11 +262,42 @@ def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
         "sweep-d-bool",
         "k-float",
         "k-bool",
+        "gradient-k-float",
+        "gradient-k-bool",
     ],
 )
 def test_sizes_must_be_integers(call, name):
     with pytest.raises(ValueError, match=name):
         call(SearchConfig(restarts=1, max_iters=10))
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        np.zeros(72),
+        np.zeros(35),
+        np.zeros((1, 36)),
+        np.zeros(()),
+        np.full(36, np.nan),
+        np.r_[np.zeros(35), np.inf],
+        np.zeros(36, dtype=complex),
+        ["0"] * 36,
+    ],
+    ids=["two-rows", "short", "2-d", "scalar", "nan", "inf", "complex", "strings"],
+)
+def test_gradient_theta_must_be_a_finite_vector_of_the_right_length(theta):
+    # PSI_L at K = 5 has four free members of 9 coordinates each
+    with pytest.raises(ValueError, match="theta .* 36 reals"):
+        objective_and_gradient(PSI_L, theta, 5)
+
+
+@pytest.mark.parametrize(
+    "k, fixed, message",
+    [(2, None, "outside"), (10, None, "outside"), (3, [np.eye(3)] * 4, "exceed"), (3, [np.eye(3)] * 3, "no free")],
+)
+def test_gradient_family_size_is_checked_as_the_search_checks_it(k, fixed, message):
+    with pytest.raises(ValueError, match=message):
+        objective_and_gradient(UNIFORM3, np.zeros(9), k, fixed=fixed)
 
 
 def test_region_sweep_dimension_validation():
@@ -550,7 +601,7 @@ def test_estimate_nmax_takes_k_equal_d_from_the_shift_family(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("K = d must not be searched")
 
-    monkeypatch.setattr(search, "find_family", no_search)
+    monkeypatch.setattr(search, "_find", no_search)
     # K = 4 is excluded by the strict bound, so nothing here needs a search
     state = make_state(3, [3 / 4, 1 / 8, 1 / 8])
     res = estimate_nmax(state, SearchConfig(base_seed=1))
