@@ -25,17 +25,17 @@ prefix, max_iters and stall_window form one group: a few stacked matrix
 products and one batched solve per step serve all of them, whichever search
 they belong to, and rows join and leave at any step.  A batch does not wait
 for the one before it to finish: it joins at that batch's first stall test,
-step 2 stall_window (a row still in Adam then is in a hard search), or once
-every earlier row has left, whichever comes first.  Rows are polished and
-verified in restart order as they leave, a row that leaves early waiting for
-every lower restart, and the lowest-index accepted restart wins, as in a
-one-at-a-time loop; the search's rows still in Adam are then dropped.  Each
-row carries its own weights, step count and stall window, so its arithmetic
-is that of a run on that row alone: results do not depend on which rows
-share a step, and every run with the same configuration is bit-for-bit
-reproducible.  `dc-lab search` and each sweep cell run one scan generator
-through the engine, which searches K = d+1, d+2, ... in turn, and a sweep
-worker runs all of its cells through one engine.
+step 2 stall_window, if a row of it is still in Adam then (a hard search),
+or once every earlier row has left, whichever comes first.  Rows are
+polished and verified in restart order as they leave, a row that leaves
+early waiting for every lower restart, and the lowest-index accepted restart
+wins, as in a one-at-a-time loop; the search's rows still in Adam are then
+dropped.  Each row carries its own weights, step count and stall window, so
+its arithmetic is that of a run on that row alone: results do not depend on
+which rows share a step, and every run with the same configuration is
+bit-for-bit reproducible.  `dc-lab search` and each sweep cell run one scan
+generator through the engine, which searches K = d+1, d+2, ... in turn, and
+a sweep worker runs all of its cells through one engine.
 
 A failed search is evidence, not proof: results label such outcomes
 "not found (heuristic)".  Only the closed-form exclusion predicates from
@@ -47,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -113,8 +114,17 @@ class SearchConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.max_k is not None and not _is_int(self.max_k):
             raise ValueError(f"max_k must be an integer or None, got {self.max_k!r}")
-        if not 0 < self.accept_tol < math.inf:
-            raise ValueError(f"accept_tol must be positive and finite, got {self.accept_tol!r}")
+        tol = self.accept_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+            raise ValueError(f"accept_tol must be positive and finite (a real number), got {tol!r}")
+
+
+def _check_types(**args) -> None:
+    """Refuse a `state` that is not a SchmidtState or a `cfg` not a SearchConfig."""
+    for name, value in args.items():
+        kind = SchmidtState if name == "state" else SearchConfig
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -273,6 +283,7 @@ def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None):
     Cayley transform cay(H) = (I - iH/2)^{-1} (I + iH/2) of a Hermitian H,
     the chart the search steps in around each member.
     """
+    _check_types(state=state)
     fixed_stack = _prepare_fixed(state, fixed)
     _check_k(state.d, k, fixed_stack.shape[0])
     if k == fixed_stack.shape[0]:
@@ -351,12 +362,11 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
 class _Batch:
     """Rows of one search that joined a group together, at group step
     `joined`: `restarts` are the restart indices of those still in Adam, in
-    row order, and `end` is one past the batch's last restart."""
+    row order, numbered from the `first` of the search's request."""
 
-    def __init__(self, search: int, prob: _Problem, group: _Group, first: int, size: int):
-        self.search, self.prob, self.group, self.joined = search, prob, group, group.clock
+    def __init__(self, search: int, joined: int, first: int, size: int):
+        self.search, self.joined = search, joined
         self.restarts = list(range(first, first + size))
-        self.end = first + size
 
 
 class _Group:
@@ -367,12 +377,14 @@ class _Group:
     body-frame coordinates.  A row leaves once its best value is below
     HANDOFF_TOL, at the end of one of its stall windows that improved it by
     less than STALL_RTOL, or after max_iters steps.  Each row has its own
-    weights, moments and stall mark, and each batch its own step count, so
+    weights, moments and stall mark, and each batch its own step count t, so
     what a row leaves with is what a run on that row alone gives.  A batch's
-    rows are contiguous, in the order the batches joined.  Each batch's stall
-    tests, its max_iters stop and its first stall test sit in tables keyed
-    by the group's step count, so a step looks them up instead of testing
-    every batch.
+    rows are contiguous, in the order the batches joined.  Its stall tests
+    are at the multiples of stall_window below max_iters, its stop at
+    t = max_iters, and its first stall test at t = 2 stall_window: at
+    t = stall_window the stall mark is still inf, so no row can stall.  A
+    first stall test past max_iters never comes, and need not: the batch has
+    left by then, so its search is due anyway.
     """
 
     def __init__(self, prob: _Problem, cfg: SearchConfig):
@@ -381,8 +393,6 @@ class _Group:
         self.clock = 0
         self.batches: list[_Batch] = []
         self.rows = None  # members, weights, moments, stall marks, best members and values
-        self.tests: dict[int, list[_Batch]] = {}  # step -> batches with a stall test or max_iters then
-        self.firsts: dict[int, list[_Batch]] = {}  # step -> batches at their first stall test then
 
     def join(self, search: int, prob: _Problem, first: int, start: np.ndarray) -> _Batch:
         """Add (R, n_free, d, d) starting members of `search` under prob's
@@ -398,32 +408,15 @@ class _Group:
             np.full(n, np.inf),
         )
         self.rows = new if self.rows is None else tuple(np.concatenate(pair) for pair in zip(self.rows, new))
-        batch = _Batch(search, prob, self, first, n)
+        batch = _Batch(search, self.clock, first, n)
         self.batches.append(batch)
-        self._schedule(batch, min(self.window, self.max_iters))
-        # at step stall_window the stall mark is still inf, so no row can stall
-        self.firsts.setdefault(self.clock + 2 * self.window, []).append(batch)
         return batch
-
-    def _schedule(self, batch: _Batch, t: int) -> None:
-        self.tests.setdefault(batch.joined + t, []).append(batch)
-
-    def _spans(self):
-        """Each batch with the slice of its rows."""
-        row = 0
-        for batch in self.batches:
-            n = len(batch.restarts)
-            yield batch, slice(row, row + n)
-            row += n
 
     def drop(self, search: int) -> None:
         """Take every row of `search` out of Adam."""
-        keep = np.ones(self.rows[0].shape[0], dtype=bool)
-        for batch, rows in self._spans():
-            if batch.search == search:
-                keep[rows] = False
-                batch.restarts = []
-        self.batches = [batch for batch in self.batches if batch.restarts]
+        sizes = [len(batch.restarts) for batch in self.batches]
+        keep = np.repeat([batch.search != search for batch in self.batches], sizes)
+        self.batches = [batch for batch in self.batches if batch.search != search]
         self.rows = tuple(a[keep] for a in self.rows) if self.batches else None
 
     def step(self):
@@ -437,32 +430,29 @@ class _Group:
         np.copyto(best_u, u, where=better[:, None, None, None])
         self.clock += 1
         leave = best_f < HANDOFF_TOL
-        tests = self.tests.pop(self.clock, None)
-        if tests:
-            spans = dict(self._spans())
-            for batch in tests:
-                rows = spans.get(batch)
-                if rows is None:  # every row of the batch has left
-                    continue
-                t = self.clock - batch.joined
-                if t == self.max_iters:
-                    leave[rows] = True
-                else:
-                    leave[rows] |= best_f[rows] > mark[rows] * (1 - STALL_RTOL)
-                    mark[rows] = best_f[rows]
-                    self._schedule(batch, min(t + self.window, self.max_iters))
-        firsts = self.firsts.pop(self.clock, [])
+        spans, firsts, row = [], [], 0  # spans: each batch, its rows and its step count
+        for batch in self.batches:
+            t, rows = self.clock - batch.joined, slice(row, row + len(batch.restarts))
+            row = rows.stop
+            spans.append((batch, rows, t))
+            if t == self.max_iters:
+                leave[rows] = True
+            elif t % self.window == 0:
+                leave[rows] |= best_f[rows] > mark[rows] * (1 - STALL_RTOL)
+                mark[rows] = best_f[rows]
+            if t == 2 * self.window:
+                firsts.append(batch)
         left = []
         if leave.any():
-            for batch, rows in self._spans():
+            for batch, rows, _ in spans:
                 gone = leave[rows]
-                if gone.any():
-                    for j in np.flatnonzero(gone):
-                        r = rows.start + j
-                        left.append((batch, (batch.restarts[j], best_u[r : r + 1].copy(), best_f[r])))
-                    batch.restarts = [restart for restart, out in zip(batch.restarts, gone) if not out]
-            self.batches = [batch for batch in self.batches if batch.restarts]
-            if not self.batches:
+                for j in np.flatnonzero(gone):
+                    r = rows.start + j
+                    left.append((batch, (batch.restarts[j], best_u[r : r + 1].copy(), best_f[r])))
+                batch.restarts = [restart for restart, out in zip(batch.restarts, gone) if not out]
+            spans = [span for span in spans if span[0].restarts]
+            self.batches = [batch for batch, _, _ in spans]
+            if not spans:
                 self.rows = None
                 return left, firsts
             keep = ~leave
@@ -470,14 +460,13 @@ class _Group:
                 a[keep] for a in (u, lam, mom, vel, mark, best_u, best_f, g)
             )
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        steps = [self.clock - batch.joined for batch in self.batches]
-        if len(steps) == 1:  # a batch by itself: no column to build
-            c1, c2 = 1 - b1 ** steps[0], 1 - b2 ** steps[0]
+        if len(spans) == 1:  # a batch by itself: no column to build
+            c1, c2 = 1 - b1 ** spans[0][2], 1 - b2 ** spans[0][2]
         else:
             # the same Python floats as a column, one entry per row; division
             # by either rounds alike
             sizes = [len(batch.restarts) for batch in self.batches]
-            c1, c2 = np.repeat([[1 - b**t for t in steps] for b in (b1, b2)], sizes, axis=1)[:, :, None]
+            c1, c2 = np.repeat([[1 - b**t for _, _, t in spans] for b in (b1, b2)], sizes, axis=1)[:, :, None]
         mom = b1 * mom + (1 - b1) * g
         vel = b2 * vel + (1 - b2) * g * g
         mhat = mom / c1
@@ -491,28 +480,26 @@ def _run(searches: list) -> list:
     """Drive search generators through one lockstep engine; returns what each
     returns, in order.
 
-    A search yields a batch (prob, start, cfg), where start holds (R,
-    n_free, d, d) starting members, or None, and is sent (left, due) when
-    rows of it leave Adam or its next batch falls due.  `left` lists
-    (restart, members, value) for each row that left, at its best value,
-    with rows numbered in the order they joined; `due` says that it may
-    submit its next batch now.  That is at the first stall test of its
-    latest batch, or once every row it has in Adam has left, whichever comes
-    first.  A batch under another `_Problem` starts a new search, and the
-    rows of the last one still in Adam are dropped, as are a search's rows
-    when it returns.  Every search reaches the engine here: `find_family`
-    runs one `_find`, and `estimate_nmax` and each sweep cell one
-    `_estimate`, whose K scan runs one `_find` after another.
+    A search yields a batch (prob, first, start, cfg), where start holds (R,
+    n_free, d, d) starting members for its restarts first, first + 1, ...,
+    or None, and is sent (left, due) when rows of it leave Adam or its next
+    batch falls due.  `left` lists (restart, members, value) for each row
+    that left, at its best value; `due` says that it may submit its next
+    batch now.  That is at the first stall test of its latest batch, or once
+    every row it has in Adam has left, whichever comes first.  A batch at
+    restart 0 starts a new search and drops the rows the search still has in
+    Adam, as its return does.  Every search reaches the engine here:
+    `find_family` runs one `_find`, and `estimate_nmax` and each sweep cell
+    one `_estimate`, whose K scan runs one `_find` after another.
     """
     groups: dict = {}
     results = [None] * len(searches)
-    latest = [None] * len(searches)  # each search's last batch
-    pending = [0] * len(searches)  # its rows in Adam
+    home = [None] * len(searches)  # the group of each search's latest batch
 
     def drop(i):
-        if pending[i]:
-            latest[i].group.drop(i)
-            pending[i] = 0
+        if home[i] is not None:
+            home[i].drop(i)
+            home[i] = None
 
     def advance(i, sent):
         try:
@@ -520,21 +507,17 @@ def _run(searches: list) -> list:
         except StopIteration as stop:
             results[i] = stop.value
             drop(i)
-            latest[i] = None
             return
         if request is None:
             return
-        prob, start, cfg = request
-        first = 0
-        if latest[i] is not None and latest[i].prob is prob:
-            first = latest[i].end
-        else:
+        prob, first, start, cfg = request
+        if first == 0:
             drop(i)
         key = (prob.d, prob.k, prob.fixed.tobytes(), cfg.max_iters, cfg.stall_window)
         if key not in groups:
             groups[key] = _Group(prob, cfg)
-        latest[i] = groups[key].join(i, prob, first, start)
-        pending[i] += start.shape[0]
+        home[i] = groups[key]
+        home[i].join(i, prob, first, start)
 
     for i in range(len(searches)):
         advance(i, None)
@@ -544,12 +527,13 @@ def _run(searches: list) -> list:
             woken: dict[int, list] = {}
             for batch, row in left:
                 woken.setdefault(batch.search, []).append(row)
-                pending[batch.search] -= 1
-            due = {batch.search for batch in firsts if batch is latest[batch.search]}
+            # a batch at its first stall test is its search's latest: the next
+            # joins only then, or once every row of the search has left
+            due = {batch.search for batch in firsts}
             for i in due:
                 woken.setdefault(i, [])
             for i, rows in woken.items():
-                advance(i, (rows, i in due or not pending[i]))
+                advance(i, (rows, i in due or all(batch.search != i for batch in group.batches)))
         for key in [key for key, group in groups.items() if not group.batches]:
             del groups[key]
     return results
@@ -559,7 +543,7 @@ def _one_batch(prob: _Problem, start: np.ndarray, cfg: SearchConfig):
     """One batch of rows as a search for `_run`: returns each row's best
     members (R, n_free, d, d) and value (R,) once every row has left."""
     members, values = np.empty_like(start), np.empty(start.shape[0])
-    request, waiting = (prob, start, cfg), start.shape[0]
+    request, waiting = (prob, 0, start, cfg), start.shape[0]
     while waiting:
         left, _ = yield request
         request = None
@@ -613,11 +597,12 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
 
     Restarts run in batches of 1, 2, 4, ... rows, one random draw per batch,
     and each batch joins Adam when `_run` says it is due, so a batch need not
-    wait for the one before it to finish.  Rows are resolved in restart order
-    as they leave: a row whose Adam value is below HANDOFF_TOL is polished,
-    then verified, and the search stops at the first that passes, dropping
-    the rows it still has in Adam.  A search whose first restart hands off
-    and verifies before its first stall test steps that restart only.
+    wait for the one before it to finish; its restarts are numbered on from
+    those drawn before it.  Rows are resolved in restart order as they leave:
+    a row whose Adam value is below HANDOFF_TOL is polished, then verified,
+    and the search stops at the first that passes, dropping the rows it
+    still has in Adam.  A search whose first restart hands off and verifies
+    before its first stall test steps that restart only.
     """
     fixed_stack = _prepare_fixed(state, fixed)
     _check_k(state.d, k, fixed_stack.shape[0])
@@ -633,7 +618,7 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
         if due and drawn < cfg.restarts:
             size = min(size, cfg.restarts - drawn)
             # one (size, nparam) draw yields the numbers of size one-row draws
-            batch = prob, prob.cayley(INIT_SCALE * rng.standard_normal((size, prob.nparam))), cfg
+            batch = prob, drawn, prob.cayley(INIT_SCALE * rng.standard_normal((size, prob.nparam))), cfg
             drawn += size
             size *= 2
         left, due = yield batch
@@ -660,6 +645,7 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     does; the objective is the witness's, or else that of the restart that
     came closest.  With all k members fixed, they are the one candidate.
     """
+    _check_types(state=state, cfg=cfg)
     return _run([_find(state, k, cfg, fixed)])[0]
 
 
@@ -722,6 +708,7 @@ def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
     heuristic evidence only.  The scan is one search generator run through
     the lockstep engine, as each cell of `region_sweep` is.
     """
+    _check_types(state=state, cfg=cfg)
     return _run([_estimate(state, cfg)])[0]
 
 
@@ -844,10 +831,12 @@ def _worker_count(workers: int | None, tasks: int) -> int:
 def sweep_grid(resolution: int, cfg: SearchConfig, d: int = 3) -> list[tuple[float, float, float]]:
     """The weight triples a sweep visits, once its inputs are checked.
 
-    Raises ValueError for a d or resolution that is not an integer, d < 3, a
-    max_k below d or a resolution below 4, so a caller can refuse a sweep
-    before it starts anything.
+    Raises ValueError for a cfg that is not a SearchConfig, a d or
+    resolution that is not an integer, d < 3, a max_k below d or a
+    resolution below 4, so a caller can refuse a sweep before it starts
+    anything.
     """
+    _check_types(cfg=cfg)
     if not _is_int(d):
         raise ValueError(f"dimension d must be an integer, got {d!r}")
     if d < 3:

@@ -311,11 +311,27 @@ def test_region_sweep_dimension_validation():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
-    for tol in (0.0, -1e-10, float("nan"), float("inf")):
+    for tol in (0.0, -1e-10, float("nan"), float("inf"), True, "x"):
         with pytest.raises(ValueError, match="accept_tol"):
             SearchConfig(accept_tol=tol)
     with pytest.raises(ValueError):
         SearchConfig(base_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: estimate_nmax([0.6, 0.4, 0.0], SearchConfig()), "state"),
+        (lambda: find_family([0.6, 0.4, 0.0], 5, SearchConfig()), "state"),
+        (lambda: objective_and_gradient([0.6, 0.4, 0.0], np.zeros(36), 5), "state"),
+        (lambda: estimate_nmax(PSI_L, {"restarts": 1}), "cfg"),
+        (lambda: region_sweep(4, {"restarts": 1}, workers=1), "cfg"),
+    ],
+    ids=["estimate-state", "find-state", "gradient-state", "estimate-cfg", "sweep-cfg"],
+)
+def test_search_entry_points_check_argument_types(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -557,6 +573,47 @@ def test_acceptance_drops_the_rows_still_in_adam(monkeypatch):
     assert joins == [(0, 0, 1), (400, 1, 2), (800, 3, 4)]
     assert [restart for _, restart in leaves] == [2, 0]
     assert len(rows) == leaves[-1][0] and rows[-1] == 6
+
+
+@pytest.mark.parametrize(
+    "cfg, joins, leaves",
+    [
+        # restart 0 stalls at t = 4 stall_window (step 600); the max_iters
+        # stop at t = 700, not a multiple of 150, ends restarts 1-2 (step
+        # 1000) and restart 3 (step 1300)
+        (
+            SearchConfig(restarts=4, max_iters=700, stall_window=150, base_seed=3),
+            [(0, 0, 1), (300, 1, 2), (600, 3, 1)],
+            [(600, 0), (1000, 1), (1000, 2), (1300, 3)],
+        ),
+        # restarts 0, 1, 3 and 4 stall at t = 3 stall_window; the max_iters
+        # stop at t = 1000, not a multiple of 300, ends restarts 2 and 5
+        (
+            SearchConfig(restarts=6, max_iters=1000, stall_window=300, base_seed=5),
+            [(0, 0, 1), (600, 1, 2), (1200, 3, 3)],
+            [(900, 0), (1500, 1), (1600, 2), (2100, 3), (2100, 4), (2200, 5)],
+        ),
+    ],
+    ids=["window-150-max-700", "window-300-max-1000"],
+)
+def test_schedule_past_the_first_stall_test(cfg, joins, leaves, monkeypatch):
+    logged_joins, logged_leaves, _ = _schedule(monkeypatch)
+    _, fam = find_family(PSI_H, 5, cfg)
+    assert fam is None
+    assert logged_joins == joins and logged_leaves == leaves
+
+
+def test_a_batch_gone_before_its_first_stall_test_makes_nothing_due(monkeypatch):
+    # restarts 1-2 hand off at steps 598 and 735, before their first stall
+    # test at step 800, while restart 0 is still in Adam: no batch is due at
+    # step 800, restart 0 leaves and verifies at step 975, and restarts 3-6
+    # never join
+    joins, leaves, rows = _schedule(monkeypatch)
+    _, fam = find_family(PSI_L, 5, SearchConfig(base_seed=7))
+    assert fam is not None
+    assert joins == [(0, 0, 1), (400, 1, 2)]
+    assert leaves == [(598, 1), (735, 2), (975, 0)]
+    assert max(rows) == 3
 
 
 @pytest.mark.parametrize(
