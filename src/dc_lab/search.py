@@ -13,9 +13,11 @@ matrix products and a step costs one batched linear solve.
 
 Each restart starts from the Cayley transform of a random H drawn from a
 generator seeded by the configured base seed and runs Adam on that gradient.
-A restart whose Adam value falls below HANDOFF_TOL is handed to a
-Levenberg-Marquardt polish in the same coordinates, which stops once every
-pair residual is within accept_tol; a restart that stalls above it is not
+A restart whose Adam value falls below HANDOFF_TOL = 1e-4, where Adam's slow
+tail begins, is handed to a Levenberg-Marquardt polish in the same
+coordinates, which stops once every pair residual is within accept_tol, or
+once LM_HALVING_ITERS iterations pass without halving the objective, as they
+do when no family lies near; a restart that stalls above HANDOFF_TOL is not
 polished.  A restart is accepted exactly when `verify_family` passes its
 members at accept_tol, the same check `dc-lab verify --tol` makes.
 
@@ -75,29 +77,38 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 INIT_SCALE = 1.0
-HANDOFF_TOL = 1e-6
+HANDOFF_TOL = 1e-4
 STALL_RTOL = 1e-3
 
 # Levenberg-Marquardt polish: initial damping, its lower and upper limits,
 # the stops on the objective and on the largest gradient entry, and the
-# ceiling on its iterations.  The damping is mu times the identity, a trust
-# region in the body-frame coordinates, whose basis rows have norm 1 or
-# sqrt(2).  Saturated states have singular Jacobians, yet at base_seeds 1-60
-# the first polish verifies within 308 iterations at (4/6, 2/6, 0, 0), K = 6.
+# progress stop: the polish ends once this many iterations, accepted or
+# rejected, pass without the objective falling to half its value at the last
+# halving.  From below HANDOFF_TOL to LM_F_STOP that bounds a polish at about
+# 20 log2(1e-4 / 1e-28) = 1,600 iterations, and it ends early a polish that
+# crawls toward a plateau with no root nearby.  The damping is mu times the
+# identity, a trust region in the body-frame coordinates, whose basis rows
+# have norm 1 or sqrt(2).  Saturated states have singular Jacobians, yet at
+# base_seeds 1-79 the first polish verifies within 320 iterations at
+# (4/6, 2/6, 0, 0), K = 6.
 LM_MU_START = 1e-3
 LM_MU_MIN = 1e-14
 LM_MU_MAX = 1e12
 LM_F_STOP = 1e-28
 LM_GRAD_STOP = 1e-15
-LM_MAX_ITERS = 2000
+LM_HALVING_ITERS = 20
 
 # A grid point within this of a mandatory sweep state stands for it.
 GRID_MATCH_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the restart search; defaults suit d <= 5 desk-scale runs."""
+    """Knobs for the restart search; defaults suit d <= 5 desk-scale runs.
+
+    Frozen, so every config has passed the checks below: derive a variant
+    with `dataclasses.replace`, which checks it again.
+    """
 
     max_k: int | None = None
     restarts: int = 50
@@ -326,16 +337,21 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
     """Polish one row of free members until every pair residual is within tol
     or one of LM's own stops is reached; returns the members and objective.
     Each step solves (J^T J + mu I) delta = -J^T r: in the body frame, mu
-    bounds the step alike in every direction, flat ones included."""
+    bounds the step alike in every direction, flat ones included.  No
+    ceiling is needed: the polish ends once LM_HALVING_ITERS iterations,
+    accepted or rejected, pass without f falling to half its value at the
+    last halving."""
     r, jac = _residuals_and_jacobian(prob, ufree)
     f = float(r @ r)
     a, g = jac.T @ jac, jac.T @ r
     mu = LM_MU_START
     n = r.size // 2
     eye = np.eye(prob.nparam)
-    for _ in range(LM_MAX_ITERS):
+    halved, since = f, 0  # the value at the last halving, and iterations since
+    while since < LM_HALVING_ITERS:
         if f <= LM_F_STOP or np.max(np.abs(r[:n] + 1j * r[n:])) <= tol or np.max(np.abs(g)) < LM_GRAD_STOP:
             break
+        since += 1
         try:
             delta = np.linalg.solve(a + mu * eye, -g)
         except np.linalg.LinAlgError:
@@ -346,6 +362,8 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
             ufree = trial
             f = ft
             mu = max(mu / 3.0, LM_MU_MIN)
+            if f <= halved / 2:
+                halved, since = f, 0
             r, jac = _residuals_and_jacobian(prob, ufree)
             a, g = jac.T @ jac, jac.T @ r
         else:

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_sorted_weights
 from dc_lab import search
-from dc_lab.analysis import verify_family, wcsg_bound
+from dc_lab.analysis import VERIFY_TOL, verify_family, wcsg_bound
 from dc_lab.families import qutrit_five_family, shift, shift_diag_family
 from dc_lab.linalg import unitarity_residual
 from dc_lab.search import (
@@ -318,6 +318,21 @@ def test_search_config_validation():
         SearchConfig(base_seed=-1)
 
 
+def test_search_config_is_frozen():
+    # a field set after construction would skip the checks: stall_window = 0
+    # used to die in the engine with ZeroDivisionError
+    cfg = SearchConfig(restarts=1, max_k=4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.stall_window = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.accept_tol = "x"
+    with pytest.raises(ValueError, match="stall_window"):
+        dataclasses.replace(cfg, stall_window=0)
+    with pytest.raises(ValueError, match="accept_tol"):
+        dataclasses.replace(cfg, accept_tol="x")
+    assert dataclasses.replace(cfg, base_seed=7) == SearchConfig(restarts=1, max_k=4, base_seed=7)
+
+
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -472,11 +487,11 @@ def _one_restart_at_a_time(state, k, cfg):
 @pytest.mark.parametrize(
     "weights, k, cfg, accepted, polished",
     [
-        # restart 0 stops short of the hand-off in 300 Adam steps (at the
+        # restart 0 stops short of the hand-off in 100 Adam steps (at the
         # default budget restart 0 verifies at every base_seed 1-79);
         # restarts 1 and 2 both pass verification in the second batch (rows
         # 1-2), and 2 reaches the lower objective: restart 1 must win
-        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=3, max_iters=300, base_seed=17), 1, [False, True, True]),
+        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=3, max_iters=100, base_seed=17), 1, [False, True, True]),
         # refused: lambda0 > d/K, so no valid family exists; both restarts
         # hand off near 1e-7, are polished and fail verification
         ((0.6001, 0.3999, 0), 5, SearchConfig(restarts=2, base_seed=1), None, [True, True]),
@@ -545,11 +560,11 @@ def test_a_first_restart_that_verifies_before_its_stall_test_steps_alone(monkeyp
 
 
 def test_acceptance_joins_no_later_batch(monkeypatch):
-    # restart 0 stops at max_iters = 300 unpolished, and restarts 1-2 join
+    # restart 0 stops at max_iters = 100 unpolished, and restarts 1-2 join
     # then; restart 2 leaves first but waits for restart 1, which verifies, so
-    # restart 2 is never polished and restarts 3-6 (due at step 700) never join
+    # restart 2 is never polished and restarts 3-6 (due at step 500) never join
     state = make_state(4, [4 / 6, 2 / 6, 0, 0])
-    cfg = SearchConfig(restarts=50, max_iters=300, base_seed=17)
+    cfg = SearchConfig(restarts=50, max_iters=100, base_seed=46)
     runs = _one_restart_at_a_time(state, 6, dataclasses.replace(cfg, restarts=2))
     assert [(run[2], run[3]) for run in runs] == [(False, False), (True, True)]
     joins, leaves, _ = _schedule(monkeypatch)
@@ -557,20 +572,21 @@ def test_acceptance_joins_no_later_batch(monkeypatch):
     polish = search._lm_polish
     monkeypatch.setattr(search, "_lm_polish", lambda *args: polished.append(1) or polish(*args))
     best, fam = find_family(state, 6, cfg)
-    assert joins == [(0, 0, 1), (300, 1, 2)]
-    assert leaves[0] == (300, 0) and [restart for _, restart in leaves[1:]] == [2, 1]
+    assert joins == [(0, 0, 1), (100, 1, 2)]
+    assert leaves[0] == (100, 0) and [restart for _, restart in leaves[1:]] == [2, 1]
     assert len(polished) == 1
     assert all(np.array_equal(a, b) for a, b in zip(fam.members, runs[1][0]))
     assert best == objective(state, runs[1][0])
 
 
 def test_acceptance_drops_the_rows_still_in_adam(monkeypatch):
-    # restart 0 verifies when it leaves Adam, with restarts 1 and 3-6 still in
-    # Adam: the engine takes no further step
+    # restart 0 verifies when it leaves Adam, after restarts 3-6 joined at its
+    # second batch's first stall test (step 4 stall_window = 100), with
+    # restarts 1 and 3-6 still in Adam: the engine takes no further step
     joins, leaves, rows = _schedule(monkeypatch)
-    _, fam = find_family(PSI_L, 5, SearchConfig(base_seed=1))
+    _, fam = find_family(PSI_L, 5, SearchConfig(stall_window=25, base_seed=27))
     assert fam is not None
-    assert joins == [(0, 0, 1), (400, 1, 2), (800, 3, 4)]
+    assert joins == [(0, 0, 1), (50, 1, 2), (100, 3, 4)]
     assert [restart for _, restart in leaves] == [2, 0]
     assert len(rows) == leaves[-1][0] and rows[-1] == 6
 
@@ -604,15 +620,15 @@ def test_schedule_past_the_first_stall_test(cfg, joins, leaves, monkeypatch):
 
 
 def test_a_batch_gone_before_its_first_stall_test_makes_nothing_due(monkeypatch):
-    # restarts 1-2 hand off at steps 598 and 735, before their first stall
-    # test at step 800, while restart 0 is still in Adam: no batch is due at
-    # step 800, restart 0 leaves and verifies at step 975, and restarts 3-6
+    # restarts 1-2 hand off at steps 319 and 344, before their first stall
+    # test at step 400, while restart 0 is still in Adam: no batch is due at
+    # step 400, restart 0 leaves and verifies at step 453, and restarts 3-6
     # never join
     joins, leaves, rows = _schedule(monkeypatch)
-    _, fam = find_family(PSI_L, 5, SearchConfig(base_seed=7))
+    _, fam = find_family(make_state(3, [0.4, 0.3, 0.3]), 7, SearchConfig(stall_window=100, base_seed=4))
     assert fam is not None
-    assert joins == [(0, 0, 1), (400, 1, 2)]
-    assert leaves == [(598, 1), (735, 2), (975, 0)]
+    assert joins == [(0, 0, 1), (200, 1, 2)]
+    assert leaves == [(319, 1), (344, 2), (453, 0)]
     assert max(rows) == 3
 
 
@@ -682,16 +698,16 @@ def test_estimate_nmax_rejects_max_k_below_d():
 # x86-64.  Another LAPACK may round the Cayley solves differently and change them.
 RECORDED_SEARCHES = {
     (3 / 5, 2 / 5, 0.0): (
-        [(3, "found", "0.0"), (4, "found", "1.076599320412877e-21"), (5, "found", "1.023627907735352e-20")],
-        "f20c8ded654466e9a05901380e88ec8606a4593a76c27a70810e782b4daa1eed",
+        [(3, "found", "0.0"), (4, "found", "1.843380829672565e-26"), (5, "found", "9.613440451211809e-21")],
+        "873e11158ef497aede5b7f5eacc2815653c9e2ffe5b8b55d2fb3d0176124969f",
     ),
     (3 / 5, 1 / 5, 1 / 5): (
-        [(3, "found", "0.0"), (4, "found", "1.3010163974877347e-24"), (5, "not found (heuristic)", "0.001463609440482416")],
-        "243be263605a6639f0742f79b34cd42d62467ba046c001b8004a7a0e52335910",
+        [(3, "found", "0.0"), (4, "found", "1.7732670568818676e-22"), (5, "not found (heuristic)", "0.001463609440482416")],
+        "0509ee0be89034b7ad4fd1e4013626021e3bd69c23a2b7526b425534b33614d0",
     ),
     (4 / 6, 2 / 6, 0.0, 0.0): (
-        [(4, "found", "0.0"), (5, "found", "1.07389107210931e-23"), (6, "found", "5.650863026832261e-20")],
-        "5034757455ef24a8bdfc561b3d8a01859e75213454418207b95092617bd98122",
+        [(4, "found", "0.0"), (5, "found", "8.951682523083977e-21"), (6, "found", "5.377228365316233e-20")],
+        "6a4088b9b5e70bfab3da6c5f2d435760fb4b3a98d10de5e70ca50a7b640a9859",
     ),
 }
 
@@ -756,17 +772,58 @@ def test_headline_refusal_polishes_no_restart():
     assert polished.count(5) == 0
 
 
-@pytest.mark.parametrize("seed", range(1, 7))
+@pytest.mark.parametrize("seed", range(1, 21))
 def test_saturated_rank_deficient_witnesses_verify(seed, monkeypatch):
     # (4/6, 2/6, 0, 0) saturates K = 6, where the LM Jacobian is singular.
     # The first polished restart must verify: with damping scaled by
     # diag(J^T J), the first polish ended at pair residuals 4.8e-6 (seed 1)
-    # and 3.1e-10 (seed 6), and a second restart had to be polished
+    # and 3.1e-10 (seed 6), and a second restart had to be polished; a
+    # progress stop that ends a polish after 10 iterations without halving
+    # the objective ended seed 1's at 3.2e-7
     state = make_state(4, [4 / 6, 2 / 6, 0, 0])
     polished = []
     polish = search._lm_polish
     monkeypatch.setattr(search, "_lm_polish", lambda *args: polished.append(1) or polish(*args))
     _, witness = find_family(state, 6, SearchConfig(base_seed=seed))
     assert len(polished) == 1
+    assert witness is not None
+    assert verify_family(witness, state).passed
+
+
+def test_a_polish_without_a_root_nearby_stops_early(monkeypatch):
+    # Sweep cell 12 at resolution 6 refuses K = 4.  Adam hands this row off
+    # at 9.9e-5, below HANDOFF_TOL, but no family lies near it.  Under the
+    # former ceiling of 2,000 iterations, LM spent all of them here (1,116
+    # accepted) creeping to a plateau at 9.36e-6.  The halving stop ends it
+    # after 26 iterations, one objective call each, at 9.7e-6.
+    state = make_state(3, triangle_grid(6)[12])
+    prob = _problem(state, 4)
+    start = prob.cayley(np.random.default_rng(4).standard_normal((1, prob.nparam)))
+    members, values = _adam(prob, start, SearchConfig())
+    assert 1e-6 < values[0] < search.HANDOFF_TOL
+    calls = []
+    objective_of = _Problem.objective
+    monkeypatch.setattr(_Problem, "objective", lambda self, u: calls.append(1) or objective_of(self, u))
+    members, f = _lm_polish(prob, members, VERIFY_TOL)
+    assert len(calls) <= 40
+    assert f > VERIFY_TOL
+    assert not verify_family(prob.members(members)[0], state).passed
+
+
+@pytest.mark.parametrize(
+    "weights, k",
+    [
+        ((5 / 8, 3 / 8, 0, 0, 0), 8),
+        ((6 / 9, 3 / 9, 0, 0, 0, 0), 9),
+        ((6 / 10, 4 / 10, 0, 0, 0, 0), 10),
+    ],
+    ids=["d5-k8", "d6-k9", "d6-k10"],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_saturated_d_plus_j_families_are_found_above_d_4(weights, k, seed):
+    # claim (ii) at d >= 5: lambda0 = d/K with two nonzero weights, where the
+    # d+2 and 2d-1 constructions do not reach
+    state = make_state(len(weights), weights)
+    _, witness = find_family(state, k, SearchConfig(restarts=8, base_seed=seed))
     assert witness is not None
     assert verify_family(witness, state).passed
