@@ -337,10 +337,9 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
     """Polish one row of free members until every pair residual is within tol
     or one of LM's own stops is reached; returns the members and objective.
     Each step solves (J^T J + mu I) delta = -J^T r: in the body frame, mu
-    bounds the step alike in every direction, flat ones included.  No
-    ceiling is needed: the polish ends once LM_HALVING_ITERS iterations,
-    accepted or rejected, pass without f falling to half its value at the
-    last halving."""
+    bounds the step alike in every direction, flat ones included.  The
+    progress stop, LM_HALVING_ITERS iterations without halving f, bounds the
+    iteration count."""
     r, jac = _residuals_and_jacobian(prob, ufree)
     f = float(r @ r)
     a, g = jac.T @ jac, jac.T @ r
