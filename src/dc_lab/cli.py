@@ -336,7 +336,10 @@ def _cmd_search(args) -> int:
                 f"  max pair residual={attempt.max_pair_residual:.3e}"
             )
         elif attempt.best_objective is not None:
-            print(f"K={attempt.k}: {attempt.status}  best objective={attempt.best_objective:.3e}")
+            print(
+                f"K={attempt.k}: {attempt.status}  best objective={attempt.best_objective:.3e}"
+                f"  max pair residual={attempt.max_pair_residual:.3e}"
+            )
         else:
             print(f"K={attempt.k}: {attempt.status}")
     print(f"n_max estimate: {result.n_max_estimate}")

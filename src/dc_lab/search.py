@@ -13,12 +13,12 @@ matrix products and a step costs one batched linear solve.
 
 Each restart starts from the Cayley transform of a random H drawn from a
 generator seeded by the configured base seed and runs Adam on that gradient.
-A restart whose Adam value falls below HANDOFF_TOL = 1e-4, where Adam's slow
-tail begins, is handed to a Levenberg-Marquardt polish in the same
-coordinates, which stops once every pair residual is within accept_tol, or
-once LM_HALVING_ITERS iterations pass without halving the objective, as they
-do when no family lies near; a restart that stalls above HANDOFF_TOL is not
-polished.  A restart is accepted exactly when `verify_family` passes its
+Adam makes only the first descent: a restart whose Adam value falls below
+HANDOFF_TOL = 0.1 is handed to a Levenberg-Marquardt polish in the same
+coordinates, which does the rest.  It stops once every pair residual is
+within accept_tol, or once LM_HALVING_ITERS iterations pass without halving
+the objective, as they do when no family lies near; a restart that stalls
+above HANDOFF_TOL is not polished.  A restart is accepted exactly when `verify_family` passes its
 members at accept_tol, the same check `dc-lab verify --tol` makes.
 
 Adam runs in a lockstep engine.  A search submits its restarts in batches of
@@ -77,7 +77,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 INIT_SCALE = 1.0
-HANDOFF_TOL = 1e-4
+HANDOFF_TOL = 0.1
 STALL_RTOL = 1e-3
 
 # Levenberg-Marquardt polish: initial damping, its lower and upper limits,
@@ -85,11 +85,11 @@ STALL_RTOL = 1e-3
 # progress stop: the polish ends once this many iterations, accepted or
 # rejected, pass without the objective falling to half its value at the last
 # halving.  From below HANDOFF_TOL to LM_F_STOP that bounds a polish at about
-# 20 log2(1e-4 / 1e-28) = 1,600 iterations, and it ends early a polish that
+# 20 log2(0.1 / 1e-28) = 1,800 iterations, and it ends early a polish that
 # crawls toward a plateau with no root nearby.  The damping is mu times the
 # identity, a trust region in the body-frame coordinates, whose basis rows
 # have norm 1 or sqrt(2).  Saturated states have singular Jacobians, yet at
-# base_seeds 1-79 the first polish verifies within 320 iterations at
+# base_seeds 1-79 the first polish verifies within 378 iterations at
 # (4/6, 2/6, 0, 0), K = 6.
 LM_MU_START = 1e-3
 LM_MU_MIN = 1e-14
@@ -140,7 +140,9 @@ def _check_types(**args) -> None:
 
 @dataclass(frozen=True)
 class KAttempt:
-    """Outcome of the search at one family size."""
+    """Outcome of the search at one family size.  The objective and the
+    largest pair residual are the witness's when found, those of the restart
+    that came closest when not found, and None when excluded."""
 
     k: int
     status: str  # "found" | "not found (heuristic)" | "excluded (proven)"
@@ -619,12 +621,14 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     a row whose Adam value is below HANDOFF_TOL is polished, then verified,
     and the search stops at the first that passes, dropping the rows it
     still has in Adam.  A search whose first restart hands off and verifies
-    before its first stall test steps that restart only.
+    before its first stall test steps that restart only.  Returns the members
+    (k, d, d) of the accepted restart, or else of the one that came closest,
+    and the witness or None.
     """
     fixed_stack = _prepare_fixed(state, fixed)
     _check_k(state.d, k, fixed_stack.shape[0])
     if fixed_stack.shape[0] == k:
-        return objective(state.lambdas, fixed_stack), _witness(state, k, fixed_stack, cfg.accept_tol)
+        return fixed_stack, _witness(state, k, fixed_stack, cfg.accept_tol)
     prob = _Problem(state, k, fixed_stack)
     rng = np.random.default_rng(cfg.base_seed)
     best, closest = np.inf, None
@@ -648,10 +652,10 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
             stack = prob.members(ufree)[0]
             witness = _witness(state, k, stack, cfg.accept_tol)
             if witness is not None:
-                return objective(state.lambdas, stack), witness
+                return stack, witness
             if closest is None or f < best:
                 best, closest = f, stack
-    return objective(state.lambdas, closest), None
+    return closest, None
 
 
 def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
@@ -663,7 +667,8 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     came closest.  With all k members fixed, they are the one candidate.
     """
     _check_types(state=state, cfg=cfg)
-    return _run([_find(state, k, cfg, fixed)])[0]
+    stack, witness = _run([_find(state, k, cfg, fixed)])[0]
+    return objective(state.lambdas, stack), witness
 
 
 def _check_max_k(cfg: SearchConfig, d: int) -> None:
@@ -677,9 +682,15 @@ def _shift_witness(d: int) -> EncodingFamily:
     return shift_diag_family(d, [np.ones(d)] * d)
 
 
-def _found(state: SchmidtState, k: int, best: float, fam: EncodingFamily) -> KAttempt:
-    residual = _max_pairwise_residual(_member_stack(fam, state.d), state.lambdas)
-    return KAttempt(k=k, status="found", best_objective=best, max_pair_residual=residual)
+def _attempt(state: SchmidtState, k: int, stack: np.ndarray, found: bool) -> KAttempt:
+    """The outcome at k with the objective and largest pair residual of
+    `stack`: the witness, or the closest restart of a refusal."""
+    return KAttempt(
+        k=k,
+        status="found" if found else "not found (heuristic)",
+        best_objective=objective(state.lambdas, stack),
+        max_pair_residual=_max_pairwise_residual(stack, state.lambdas),
+    )
 
 
 def _estimate(state: SchmidtState, cfg: SearchConfig):
@@ -689,7 +700,7 @@ def _estimate(state: SchmidtState, cfg: SearchConfig):
     _check_max_k(cfg, d)
     cap = min(cfg.max_k if cfg.max_k is not None else d * d, wcsg_bound(state))
     shifts = _shift_witness(d)
-    attempts = [_found(state, d, objective(state, shifts), shifts)]
+    attempts = [_attempt(state, d, _member_stack(shifts, d), True)]
     witnesses: dict[int, EncodingFamily] = {d: shifts}
     for k in range(d + 1, cap + 1):
         if bns_excluded(state, k):
@@ -697,14 +708,11 @@ def _estimate(state: SchmidtState, cfg: SearchConfig):
                 KAttempt(k=k, status="excluded (proven)", best_objective=None, max_pair_residual=None)
             )
             break
-        best, fam = yield from _find(state, k, cfg)
+        stack, fam = yield from _find(state, k, cfg)
+        attempts.append(_attempt(state, k, stack, fam is not None))
         if fam is None:
-            attempts.append(
-                KAttempt(k=k, status="not found (heuristic)", best_objective=best, max_pair_residual=None)
-            )
             break
         witnesses[k] = fam
-        attempts.append(_found(state, k, best, fam))
     return SearchResult(
         d=d,
         lambdas=tuple(float(x) for x in state.lambdas),

@@ -508,6 +508,16 @@ def test_search_command_smoke(capsys):
     assert "n_max estimate: 4" in text
 
 
+def test_search_refusal_line_reports_its_pair_residual(capsys):
+    # the refusal prints the largest pair residual of the restart that came
+    # closest, the quantity acceptance tests; recorded with numpy 2.4 and its
+    # bundled OpenBLAS on x86-64
+    assert run(["search", "--lambdas", "3/5", "1/5", "1/5", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "K=5: not found (heuristic)  best objective=1.464e-03  max pair residual=1.427e-02" in lines
+    assert lines[-1] == "n_max estimate: 4"
+
+
 def test_sweep_writes_deterministic_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DC_LAB_THREADS", "1")
     out1 = tmp_path / "a.csv"
@@ -520,7 +530,7 @@ def test_sweep_writes_deterministic_csv(tmp_path, capsys, monkeypatch):
     # recorded with numpy 2.4 and its bundled OpenBLAS on x86-64 (13 cells, 3
     # of them refusals).  Another LAPACK may round the Cayley solves
     # differently and change them.
-    assert hashlib.sha256(first).hexdigest() == "3022e80c471d9b7e0471af5ff5aa63fecc5bb9b3d8c0c705c0f0d1b2421d338c"
+    assert hashlib.sha256(first).hexdigest() == "8fa8274401d27b97c52ddb0815541bfe305e7f9e773f284c3654f5ce0526113e"
     lines = first.decode().splitlines()
     assert lines[0] == "lambda0,lambda1,lambda2,entropy_bits,wcsg_bound,n_max_estimate,best_objective_at_refusal,seed"
     assert len(lines) == 1 + 13

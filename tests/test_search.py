@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -454,10 +455,11 @@ def test_adam_batch_matches_one_row_runs(states, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "weights, k", [((3 / 5, 1 / 5, 1 / 5), 5), ((0.6, 0.2, 0.1, 0.1), 7)], ids=["d3-k5", "d4-k7"]
+    "weights, k", [((3 / 5, 1 / 5, 1 / 5), 7), ((0.6, 0.2, 0.1, 0.1), 9)], ids=["d3-k7", "d4-k9"]
 )
 def test_members_stay_unitary_through_a_full_adam_run(weights, k):
-    # neither state supports k, so no row hands off and each takes 2000 Cayley steps
+    # neither state supports k, and Adam's plateaus there (0.42 and 0.44) lie
+    # above the hand-off, so no row hands off and each takes 2000 Cayley steps
     state = make_state(len(weights), weights)
     prob = _problem(state, k)
     start = prob.cayley(np.random.default_rng(k).standard_normal((2, prob.nparam)))
@@ -487,16 +489,17 @@ def _one_restart_at_a_time(state, k, cfg):
 @pytest.mark.parametrize(
     "weights, k, cfg, accepted, polished",
     [
-        # restart 0 stops short of the hand-off in 100 Adam steps (at the
+        # restart 0 stops short of the hand-off in 20 Adam steps (at the
         # default budget restart 0 verifies at every base_seed 1-79);
         # restarts 1 and 2 both pass verification in the second batch (rows
         # 1-2), and 2 reaches the lower objective: restart 1 must win
-        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=3, max_iters=100, base_seed=17), 1, [False, True, True]),
+        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=3, max_iters=20, base_seed=78), 1, [False, True, True]),
         # refused: lambda0 > d/K, so no valid family exists; both restarts
         # hand off near 1e-7, are polished and fail verification
         ((0.6001, 0.3999, 0), 5, SearchConfig(restarts=2, base_seed=1), None, [True, True]),
-        # refused: every restart stalls, and none is polished
-        ((3 / 5, 1 / 5, 1 / 5), 5, SearchConfig(restarts=4, max_iters=200, base_seed=9), None, [False] * 4),
+        # refused: K = 7 lies beyond the weight bound, every restart stalls
+        # near 0.42, above the hand-off, and none is polished
+        ((3 / 5, 1 / 5, 1 / 5), 7, SearchConfig(restarts=4, max_iters=200, base_seed=9), None, [False] * 4),
     ],
     ids=["found-late", "refused-after-polish", "refused"],
 )
@@ -538,15 +541,16 @@ def _schedule(monkeypatch):
 
 
 def test_next_batch_joins_at_the_first_stall_test(monkeypatch):
-    # restart 0 survives its first stall test, at step 2 * stall_window = 400,
-    # so restarts 1-2 join then, not when restart 0 stalls; restart 3 joins at
-    # their first stall test
+    # at K = 7, beyond the weight bound, Adam's plateau (0.42) lies above the
+    # hand-off.  Restart 0 survives its first stall test, at step
+    # 2 * stall_window = 50, so restarts 1-2 join then, not when restart 0
+    # stalls (step 175); restart 3 joins at their first stall test
     joins, leaves, _ = _schedule(monkeypatch)
-    _, fam = find_family(PSI_H, 5, SearchConfig(restarts=4, base_seed=42))
+    _, fam = find_family(PSI_H, 7, SearchConfig(restarts=4, stall_window=25, base_seed=42))
     assert fam is None
-    assert joins == [(0, 0, 1), (400, 1, 2), (800, 3, 1)]
+    assert joins == [(0, 0, 1), (50, 1, 2), (100, 3, 1)]
     assert sorted(restart for _, restart in leaves) == [0, 1, 2, 3]
-    assert dict((restart, at) for at, restart in leaves)[0] > 800
+    assert dict((restart, at) for at, restart in leaves)[0] > 100
 
 
 def test_a_first_restart_that_verifies_before_its_stall_test_steps_alone(monkeypatch):
@@ -560,11 +564,13 @@ def test_a_first_restart_that_verifies_before_its_stall_test_steps_alone(monkeyp
 
 
 def test_acceptance_joins_no_later_batch(monkeypatch):
-    # restart 0 stops at max_iters = 100 unpolished, and restarts 1-2 join
+    # restart 0 stops at max_iters = 20 unpolished, and restarts 1-2 join
     # then; restart 2 leaves first but waits for restart 1, which verifies, so
-    # restart 2 is never polished and restarts 3-6 (due at step 500) never join
+    # restart 2 is never polished and restarts 3-6 (due once restarts 1-2
+    # have both left, since their first stall test lies past max_iters)
+    # never join
     state = make_state(4, [4 / 6, 2 / 6, 0, 0])
-    cfg = SearchConfig(restarts=50, max_iters=100, base_seed=46)
+    cfg = SearchConfig(restarts=50, max_iters=20, base_seed=10)
     runs = _one_restart_at_a_time(state, 6, dataclasses.replace(cfg, restarts=2))
     assert [(run[2], run[3]) for run in runs] == [(False, False), (True, True)]
     joins, leaves, _ = _schedule(monkeypatch)
@@ -572,8 +578,8 @@ def test_acceptance_joins_no_later_batch(monkeypatch):
     polish = search._lm_polish
     monkeypatch.setattr(search, "_lm_polish", lambda *args: polished.append(1) or polish(*args))
     best, fam = find_family(state, 6, cfg)
-    assert joins == [(0, 0, 1), (100, 1, 2)]
-    assert leaves[0] == (100, 0) and [restart for _, restart in leaves[1:]] == [2, 1]
+    assert joins == [(0, 0, 1), (20, 1, 2)]
+    assert leaves[0] == (20, 0) and [restart for _, restart in leaves[1:]] == [2, 1]
     assert len(polished) == 1
     assert all(np.array_equal(a, b) for a, b in zip(fam.members, runs[1][0]))
     assert best == objective(state, runs[1][0])
@@ -581,12 +587,12 @@ def test_acceptance_joins_no_later_batch(monkeypatch):
 
 def test_acceptance_drops_the_rows_still_in_adam(monkeypatch):
     # restart 0 verifies when it leaves Adam, after restarts 3-6 joined at its
-    # second batch's first stall test (step 4 stall_window = 100), with
+    # second batch's first stall test (step 4 stall_window = 12), with
     # restarts 1 and 3-6 still in Adam: the engine takes no further step
     joins, leaves, rows = _schedule(monkeypatch)
-    _, fam = find_family(PSI_L, 5, SearchConfig(stall_window=25, base_seed=27))
+    _, fam = find_family(PSI_L, 5, SearchConfig(stall_window=3, base_seed=42))
     assert fam is not None
-    assert joins == [(0, 0, 1), (50, 1, 2), (100, 3, 4)]
+    assert joins == [(0, 0, 1), (6, 1, 2), (12, 3, 4)]
     assert [restart for _, restart in leaves] == [2, 0]
     assert len(rows) == leaves[-1][0] and rows[-1] == 6
 
@@ -594,41 +600,47 @@ def test_acceptance_drops_the_rows_still_in_adam(monkeypatch):
 @pytest.mark.parametrize(
     "cfg, joins, leaves",
     [
-        # restart 0 stalls at t = 4 stall_window (step 600); the max_iters
-        # stop at t = 700, not a multiple of 150, ends restarts 1-2 (step
-        # 1000) and restart 3 (step 1300)
+        # restart 0 stalls at t = 4 stall_window (step 200) and restart 1 at
+        # t = 3 stall_window (step 250); the max_iters stop at t = 220, not a
+        # multiple of 50, ends restart 2 (step 320) and restart 3 (step 420)
         (
-            SearchConfig(restarts=4, max_iters=700, stall_window=150, base_seed=3),
-            [(0, 0, 1), (300, 1, 2), (600, 3, 1)],
-            [(600, 0), (1000, 1), (1000, 2), (1300, 3)],
+            SearchConfig(restarts=4, max_iters=220, stall_window=50, base_seed=4),
+            [(0, 0, 1), (100, 1, 2), (200, 3, 1)],
+            [(200, 0), (250, 1), (320, 2), (420, 3)],
         ),
-        # restarts 0, 1, 3 and 4 stall at t = 3 stall_window; the max_iters
-        # stop at t = 1000, not a multiple of 300, ends restarts 2 and 5
+        # restarts 0, 1 and 4 stall at t = 3 stall_window; the max_iters stop
+        # at t = 280, not a multiple of 75, ends restarts 2, 3 and 5
         (
-            SearchConfig(restarts=6, max_iters=1000, stall_window=300, base_seed=5),
-            [(0, 0, 1), (600, 1, 2), (1200, 3, 3)],
-            [(900, 0), (1500, 1), (1600, 2), (2100, 3), (2100, 4), (2200, 5)],
+            SearchConfig(restarts=6, max_iters=280, stall_window=75, base_seed=4),
+            [(0, 0, 1), (150, 1, 2), (300, 3, 3)],
+            [(225, 0), (375, 1), (430, 2), (525, 4), (580, 3), (580, 5)],
         ),
     ],
-    ids=["window-150-max-700", "window-300-max-1000"],
+    ids=["window-50-max-220", "window-75-max-280"],
 )
 def test_schedule_past_the_first_stall_test(cfg, joins, leaves, monkeypatch):
+    # at K = 7, beyond the weight bound, Adam's plateau (0.42) lies above the
+    # hand-off, so rows leave by the stall test or by max_iters
     logged_joins, logged_leaves, _ = _schedule(monkeypatch)
-    _, fam = find_family(PSI_H, 5, cfg)
+    _, fam = find_family(PSI_H, 7, cfg)
     assert fam is None
     assert logged_joins == joins and logged_leaves == leaves
 
 
 def test_a_batch_gone_before_its_first_stall_test_makes_nothing_due(monkeypatch):
-    # restarts 1-2 hand off at steps 319 and 344, before their first stall
-    # test at step 400, while restart 0 is still in Adam: no batch is due at
-    # step 400, restart 0 leaves and verifies at step 453, and restarts 3-6
-    # never join
+    # restarts 1-2 hand off at steps 16 and 19, before their first stall test
+    # at step 20, while restart 0 is still in Adam: no batch is due at step
+    # 20, restart 0 leaves and verifies at step 23, and restarts 3-6 never
+    # join.  Adam hands off at 0.1 within 7-29 steps at psi_L, K = 5, so a
+    # first restart that takes more than twice as long as the next two is
+    # rare: of base_seeds 1-6000, only 5593 has a stall window that puts the
+    # hand-offs of restarts 1 and 2, in that order, before their first stall
+    # test and restart 0's after it
     joins, leaves, rows = _schedule(monkeypatch)
-    _, fam = find_family(make_state(3, [0.4, 0.3, 0.3]), 7, SearchConfig(stall_window=100, base_seed=4))
+    _, fam = find_family(PSI_L, 5, SearchConfig(stall_window=5, base_seed=5593))
     assert fam is not None
-    assert joins == [(0, 0, 1), (200, 1, 2)]
-    assert leaves == [(319, 1), (344, 2), (453, 0)]
+    assert joins == [(0, 0, 1), (10, 1, 2)]
+    assert leaves == [(16, 1), (19, 2), (23, 0)]
     assert max(rows) == 3
 
 
@@ -698,37 +710,41 @@ def test_estimate_nmax_rejects_max_k_below_d():
 # x86-64.  Another LAPACK may round the Cayley solves differently and change them.
 RECORDED_SEARCHES = {
     (3 / 5, 2 / 5, 0.0): (
-        [(3, "found", "0.0"), (4, "found", "1.843380829672565e-26"), (5, "found", "9.613440451211809e-21")],
-        "873e11158ef497aede5b7f5eacc2815653c9e2ffe5b8b55d2fb3d0176124969f",
+        [(3, "found", "0.0"), (4, "found", "3.4250447138208885e-27"), (5, "found", "1.1681903575032792e-20")],
+        "650ef5307d0c1b92e4c66bc7a6db7c64b00e2e195cc63f93d1a966993f7762a5",
     ),
     (3 / 5, 1 / 5, 1 / 5): (
-        [(3, "found", "0.0"), (4, "found", "1.7732670568818676e-22"), (5, "not found (heuristic)", "0.001463609440482416")],
-        "0509ee0be89034b7ad4fd1e4013626021e3bd69c23a2b7526b425534b33614d0",
+        [(3, "found", "0.0"), (4, "found", "4.373337558581253e-22"), (5, "not found (heuristic)", "0.0014638935859067536")],
+        "1ec6d43fc29bddfa95ce6a47702ffbc68021ca41fd3b47e2a4a22c7a1791e62a",
     ),
     (4 / 6, 2 / 6, 0.0, 0.0): (
-        [(4, "found", "0.0"), (5, "found", "8.951682523083977e-21"), (6, "found", "5.377228365316233e-20")],
-        "6a4088b9b5e70bfab3da6c5f2d435760fb4b3a98d10de5e70ca50a7b640a9859",
+        [(4, "found", "0.0"), (5, "found", "7.627390978762363e-22"), (6, "found", "3.019768749747198e-20")],
+        "418873c773eb28c91b21ce033b70ec1cc5f8ad3ef1711a70f82bf2456a898f3f",
     ),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _search_at_seed_1(weights):
-    """The recorded search, and the family size of every LM polish it ran.
-    It runs with np.linalg.eigh raising, so it completes only without eigh."""
+    """The recorded search, and the family size and objective call count of
+    every LM polish it ran, one call per LM iteration.  It runs with
+    np.linalg.eigh raising, so it completes only without eigh."""
     state = make_state(len(weights), weights)
-    polished = []
-    polish = search._lm_polish
+    polished, calls = [], []
+    polish, objective_of = search._lm_polish, _Problem.objective
 
     def counted(prob, *args):
-        polished.append(prob.k)
-        return polish(prob, *args)
+        calls.clear()
+        out = polish(prob, *args)
+        polished.append((prob.k, len(calls)))
+        return out
 
     def no_eigh(*args, **kwargs):
         raise AssertionError("the search must not call eigh")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_lm_polish", counted)
+        mp.setattr(_Problem, "objective", lambda self, u: calls.append(1) or objective_of(self, u))
         mp.setattr(np.linalg, "eigh", no_eigh)
         result = estimate_nmax(state, SearchConfig(base_seed=1))
     return state, result, polished
@@ -764,12 +780,29 @@ def test_search_runs_without_eigh(weights, n_max):
     assert result.n_max_estimate == n_max
 
 
-def test_headline_refusal_polishes_no_restart():
-    # all 50 restarts at K = 5 stall near 1.46e-3, far above the hand-off
+def test_headline_refusal_polishes_every_restart():
+    # Adam hands each of the 50 restarts at K = 5 off at the end of its first
+    # descent, and LM takes every one to the same plateau near 1.4636e-3,
+    # where the halving stop ends it: within 26-53 objective calls each
     _, result, polished = _search_at_seed_1((3 / 5, 1 / 5, 1 / 5))
-    assert result.attempts[-1].k == 5 and result.attempts[-1].status == "not found (heuristic)"
-    assert 4 in polished
-    assert polished.count(5) == 0
+    assert [(a.k, a.status) for a in result.attempts[1:]] == [(4, "found"), (5, "not found (heuristic)")]
+    at_5 = [n for k, n in polished if k == 5]
+    assert len(at_5) == 50
+    assert max(at_5) <= 60
+    assert result.attempts[-1].best_objective == pytest.approx(1.4636e-3, rel=1e-3)
+
+
+def test_a_refusal_reports_the_pair_residual_of_its_closest_restart():
+    # the quantity acceptance tests, of the restart that came closest
+    _, result, _ = _search_at_seed_1((3 / 5, 1 / 5, 1 / 5))
+    refusal = result.attempts[-1]
+    closest, witness = _run([search._find(PSI_H, 5, SearchConfig(base_seed=1))])[0]
+    assert witness is None
+    assert refusal.best_objective == objective(PSI_H, closest)
+    assert refusal.max_pair_residual == verify_family(closest, PSI_H).max_pairwise_residual
+    assert refusal.max_pair_residual > SearchConfig().accept_tol
+    # the objective sums the 10 squared pair residuals
+    assert refusal.best_objective / 10 <= refusal.max_pair_residual**2 <= refusal.best_objective
 
 
 @pytest.mark.parametrize("seed", range(1, 21))
@@ -792,10 +825,13 @@ def test_saturated_rank_deficient_witnesses_verify(seed, monkeypatch):
 
 def test_a_polish_without_a_root_nearby_stops_early(monkeypatch):
     # Sweep cell 12 at resolution 6 refuses K = 4.  Adam hands this row off
-    # at 9.9e-5, below HANDOFF_TOL, but no family lies near it.  Under the
-    # former ceiling of 2,000 iterations, LM spent all of them here (1,116
-    # accepted) creeping to a plateau at 9.36e-6.  The halving stop ends it
-    # after 26 iterations, one objective call each, at 9.7e-6.
+    # at 0.091, below HANDOFF_TOL, but no family lies near it.  With a
+    # ceiling of 2,000 iterations and no halving stop, a row of this cell
+    # handed off at 9.9e-5 ran all of them, creeping to 9.36e-6.  Each halving
+    # of the objective restarts the count of LM_HALVING_ITERS iterations, so a
+    # polish that halves it h times ends within LM_HALVING_ITERS (h + 1)
+    # iterations, one objective call each, and h <= log2(f_start / f_end):
+    # here at most 20 * 14 = 280.  It ends after 42, at 1.09e-5.
     state = make_state(3, triangle_grid(6)[12])
     prob = _problem(state, 4)
     start = prob.cayley(np.random.default_rng(4).standard_normal((1, prob.nparam)))
@@ -805,7 +841,7 @@ def test_a_polish_without_a_root_nearby_stops_early(monkeypatch):
     objective_of = _Problem.objective
     monkeypatch.setattr(_Problem, "objective", lambda self, u: calls.append(1) or objective_of(self, u))
     members, f = _lm_polish(prob, members, VERIFY_TOL)
-    assert len(calls) <= 40
+    assert len(calls) <= search.LM_HALVING_ITERS * (1 + math.floor(math.log2(values[0] / f)))
     assert f > VERIFY_TOL
     assert not verify_family(prob.members(members)[0], state).passed
 
