@@ -330,18 +330,15 @@ def _cmd_search(args) -> int:
     print(f"state: d={state.d} lambdas=" + " ".join(repr(float(x)) for x in state.lambdas))
     print(f"seed: {cfg.base_seed}  restarts: {cfg.restarts}  accept_tol: {cfg.accept_tol:.1e}")
     for attempt in result.attempts:
-        if attempt.status == "found":
-            print(
-                f"K={attempt.k}: found  objective={attempt.best_objective:.3e}"
-                f"  max pair residual={attempt.max_pair_residual:.3e}"
-            )
-        elif attempt.best_objective is not None:
-            print(
-                f"K={attempt.k}: {attempt.status}  best objective={attempt.best_objective:.3e}"
-                f"  max pair residual={attempt.max_pair_residual:.3e}"
-            )
-        else:
+        if attempt.best_objective is None:
             print(f"K={attempt.k}: {attempt.status}")
+        else:
+            # a refusal reports the restart that came closest
+            label = "objective" if attempt.status == "found" else "best objective"
+            print(
+                f"K={attempt.k}: {attempt.status}  {label}={attempt.best_objective:.3e}"
+                f"  max pair residual={attempt.max_pair_residual:.3e}"
+            )
     print(f"n_max estimate: {result.n_max_estimate}")
     return 0
 
