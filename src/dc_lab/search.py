@@ -17,24 +17,23 @@ Adam makes only the first descent: a restart whose Adam value falls below
 HANDOFF_TOL = 0.1 is handed to a Levenberg-Marquardt polish in the same
 coordinates, which does the rest.  It stops once every pair residual is
 within accept_tol, or once LM_HALVING_ITERS iterations pass without halving
-the objective, as they do when no family lies near; a restart that stalls
-above HANDOFF_TOL is not polished.  A restart is accepted exactly when
+the objective, as they do when no family lies near; a restart still above
+HANDOFF_TOL after max_iters Adam steps is not polished.  A restart is accepted exactly when
 `verify_family` passes its members at accept_tol, the same check
 `dc-lab verify --tol` makes.
 
 Adam runs in a lockstep engine.  A search submits its restarts in batches of
 1, 2, 4, ... rows, and the rows of every search that shares d, K, the fixed
-prefix, max_iters and stall_window form one group: a few stacked matrix
-products and one batched solve per step serve all of them, whichever search
-they belong to, and rows join and leave at any step.  A batch does not wait
-for the one before it to finish: it joins at that batch's first stall test,
-step 2 stall_window, if a row of it is still in Adam then (a hard search),
-or once every earlier row has left, whichever comes first.  Rows are
-polished and verified in restart order as they leave, a row that leaves
-early waiting for every lower restart, and the lowest-index accepted restart
-wins, as in a one-at-a-time loop; the search's rows still in Adam are then
-dropped.  Each row carries its own weights, step count and stall window, so
-its arithmetic is that of a run on that row alone: results do not depend on
+prefix and max_iters form one group: a few stacked matrix products and one
+batched solve per step serve all of them, whichever search they belong to,
+and rows join and leave at any step.  A row leaves Adam by the hand-off or
+after max_iters steps, and a search's next batch joins once every row of
+the one before it has left, so a search has at most one batch in Adam.
+Rows are polished and verified in restart order as they leave, a row that
+leaves early waiting for every lower restart, and the lowest-index accepted
+restart wins, as in a one-at-a-time loop; the search's rows still in Adam
+are then dropped.  Each row carries its own weights and step count, so its
+arithmetic is that of a run on that row alone: results do not depend on
 which rows share a step, and every run with the same configuration is
 bit-for-bit reproducible.  `dc-lab search` and each sweep cell run one scan
 generator through the engine, which searches K = d+1, d+2, ... in turn, and
@@ -71,15 +70,13 @@ from .linalg import UNITARITY_TOL, unitarity_residual
 from .states import SchmidtState, _is_int, _member_stack, entropy_bits, make_state
 
 # Adam: step size, moment decay rates and epsilon, scale of the random start,
-# the objective below which a restart hands off to the polish, and the
-# relative improvement a stall window must make.
+# and the objective below which a restart hands off to the polish.
 STEP_SIZE = 0.15
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 INIT_SCALE = 1.0
 HANDOFF_TOL = 0.1
-STALL_RTOL = 1e-3
 
 # Levenberg-Marquardt polish: initial damping, its lower and upper limits,
 # the stops on the objective and on the largest gradient entry, and the
@@ -113,13 +110,12 @@ class SearchConfig:
 
     max_k: int | None = None
     restarts: int = 50
-    max_iters: int = 2000
+    max_iters: int = 400
     accept_tol: float = VERIFY_TOL
-    stall_window: int = 200
     base_seed: int = 42
 
     def __post_init__(self):
-        lows = {"restarts": 1, "max_iters": 1, "stall_window": 1, "base_seed": 0}
+        lows = {"restarts": 1, "max_iters": 1, "base_seed": 0}
         for name, low in lows.items():
             value = getattr(self, name)
             if not _is_int(value) or value < low:
@@ -390,29 +386,23 @@ class _Batch:
 
 
 class _Group:
-    """The Adam rows of every search that shares d, K, the fixed prefix,
-    max_iters and stall_window, stepped in lockstep.
+    """The Adam rows of every search that shares d, K, the fixed prefix and
+    max_iters, stepped in lockstep.
 
     Each step moves every member U to U cay(H), with H from the Adam step in
     body-frame coordinates.  A row leaves once its best value is below
-    HANDOFF_TOL, at the end of one of its stall windows that improved it by
-    less than STALL_RTOL, or after max_iters steps.  Each row has its own
-    weights, moments and stall mark, and each batch its own step count t, so
-    what a row leaves with is what a run on that row alone gives.  A batch's
-    rows are contiguous, in the order the batches joined.  Its stall tests
-    are at the multiples of stall_window below max_iters, its stop at
-    t = max_iters, and its first stall test at t = 2 stall_window: at
-    t = stall_window the stall mark is still inf, so no row can stall.  A
-    first stall test past max_iters never comes, and need not: the batch has
-    left by then, so its search is due anyway.
+    HANDOFF_TOL, or at t = max_iters.  Each row has its own weights and
+    moments, and each batch its own step count t, so what a row leaves with
+    is what a run on that row alone gives.  A batch's rows are contiguous,
+    in the order the batches joined.
     """
 
     def __init__(self, prob: _Problem, cfg: SearchConfig):
         self.prob = prob
-        self.max_iters, self.window = cfg.max_iters, cfg.stall_window
+        self.max_iters = cfg.max_iters
         self.clock = 0
         self.batches: list[_Batch] = []
-        self.rows = None  # members, weights, moments, stall marks, best members and values
+        self.rows = None  # members, weights, moments, best members and values
 
     def join(self, search: int, prob: _Problem, first: int, start: np.ndarray) -> _Batch:
         """Add (R, n_free, d, d) starting members of `search` under prob's
@@ -423,7 +413,6 @@ class _Group:
             np.broadcast_to(lam.reshape(1, 1, 1, -1), (n, 1, 1, lam.size)),
             np.zeros((n, self.prob.nparam)),
             np.zeros((n, self.prob.nparam)),
-            np.full(n, np.inf),
             np.array(start, dtype=np.complex128),
             np.full(n, np.inf),
         )
@@ -442,26 +431,21 @@ class _Group:
     def step(self):
         """One Adam step of every row.  Returns the rows that left, in row
         order, as (batch, (restart, members (1, n_free, d, d), value)) at
-        each row's best value, and the batches at their first stall test."""
-        u, lam, mom, vel, mark, best_u, best_f = self.rows
+        each row's best value."""
+        u, lam, mom, vel, best_u, best_f = self.rows
         f, g = self.prob.objective_and_gradient(u, lam)
         better = f < best_f
         np.copyto(best_f, f, where=better)
         np.copyto(best_u, u, where=better[:, None, None, None])
         self.clock += 1
         leave = best_f < HANDOFF_TOL
-        spans, firsts, row = [], [], 0  # spans: each batch, its rows and its step count
+        spans, row = [], 0  # spans: each batch, its rows and its step count
         for batch in self.batches:
             t, rows = self.clock - batch.joined, slice(row, row + len(batch.restarts))
             row = rows.stop
             spans.append((batch, rows, t))
             if t == self.max_iters:
                 leave[rows] = True
-            elif t % self.window == 0:
-                leave[rows] |= best_f[rows] > mark[rows] * (1 - STALL_RTOL)
-                mark[rows] = best_f[rows]
-            if t == 2 * self.window:
-                firsts.append(batch)
         left = []
         if leave.any():
             for batch, rows, _ in spans:
@@ -474,11 +458,9 @@ class _Group:
             self.batches = [batch for batch, _, _ in spans]
             if not spans:
                 self.rows = None
-                return left, firsts
+                return left
             keep = ~leave
-            u, lam, mom, vel, mark, best_u, best_f, g = (
-                a[keep] for a in (u, lam, mom, vel, mark, best_u, best_f, g)
-            )
+            u, lam, mom, vel, best_u, best_f, g = (a[keep] for a in (u, lam, mom, vel, best_u, best_f, g))
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         if len(spans) == 1:  # a batch by itself: no column to build
             c1, c2 = 1 - b1 ** spans[0][2], 1 - b2 ** spans[0][2]
@@ -492,8 +474,8 @@ class _Group:
         mhat = mom / c1
         vhat = vel / c2
         u = u @ self.prob.cayley(-STEP_SIZE * mhat / (np.sqrt(vhat) + ADAM_EPS))
-        self.rows = (u, lam, mom, vel, mark, best_u, best_f)
-        return left, firsts
+        self.rows = (u, lam, mom, vel, best_u, best_f)
+        return left
 
 
 def _run(searches: list) -> list:
@@ -502,11 +484,8 @@ def _run(searches: list) -> list:
 
     A search yields a batch (prob, first, start, cfg), where start holds (R,
     n_free, d, d) starting members for its restarts first, first + 1, ...,
-    or None, and is sent (left, due) when rows of it leave Adam or its next
-    batch falls due.  `left` lists (restart, members, value) for each row
-    that left, at its best value; `due` says that it may submit its next
-    batch now.  That is at the first stall test of its latest batch, or once
-    every row it has in Adam has left, whichever comes first.  A batch at
+    or None, and is sent `left` when rows of it leave Adam: (restart,
+    members, value) for each row that left, at its best value.  A batch at
     restart 0 starts a new search and drops the rows the search still has in
     Adam, as its return does.  Every search reaches the engine here:
     `find_family` runs one `_find`, and `estimate_nmax` and each sweep cell
@@ -533,7 +512,7 @@ def _run(searches: list) -> list:
         prob, first, start, cfg = request
         if first == 0:
             drop(i)
-        key = (prob.d, prob.k, prob.fixed.tobytes(), cfg.max_iters, cfg.stall_window)
+        key = (prob.d, prob.k, prob.fixed.tobytes(), cfg.max_iters)
         if key not in groups:
             groups[key] = _Group(prob, cfg)
         home[i] = groups[key]
@@ -543,17 +522,11 @@ def _run(searches: list) -> list:
         advance(i, None)
     while groups:
         for group in list(groups.values()):
-            left, firsts = group.step()
             woken: dict[int, list] = {}
-            for batch, row in left:
+            for batch, row in group.step():
                 woken.setdefault(batch.search, []).append(row)
-            # a batch at its first stall test is its search's latest: the next
-            # joins only then, or once every row of the search has left
-            due = {batch.search for batch in firsts}
-            for i in due:
-                woken.setdefault(i, [])
             for i, rows in woken.items():
-                advance(i, (rows, i in due or all(batch.search != i for batch in group.batches)))
+                advance(i, rows)
         for key in [key for key, group in groups.items() if not group.batches]:
             del groups[key]
     return results
@@ -565,7 +538,7 @@ def _one_batch(prob: _Problem, start: np.ndarray, cfg: SearchConfig):
     members, values = np.empty_like(start), np.empty(start.shape[0])
     request, waiting = (prob, 0, start, cfg), start.shape[0]
     while waiting:
-        left, _ = yield request
+        left = yield request
         request = None
         for restart, ufree, f in left:
             members[restart], values[restart] = ufree[0], f
@@ -616,15 +589,14 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     """find_family as a search generator for `_run`.
 
     Restarts run in batches of 1, 2, 4, ... rows, one random draw per batch,
-    and each batch joins Adam when `_run` says it is due, so a batch need not
-    wait for the one before it to finish; its restarts are numbered on from
-    those drawn before it.  Rows are resolved in restart order as they leave:
-    a row whose Adam value is below HANDOFF_TOL is polished, then verified,
-    and the search stops at the first that passes, dropping the rows it
-    still has in Adam.  A search whose first restart hands off and verifies
-    before its first stall test steps that restart only.  Returns the members
-    (k, d, d) of the accepted restart, or else of the one that came closest,
-    and the witness or None.
+    and each batch joins Adam once every row of the one before it has left;
+    its restarts are numbered on from those drawn before it.  Rows are
+    resolved in restart order as they leave: a row whose Adam value is below
+    HANDOFF_TOL is polished, then verified, and the search stops at the
+    first that passes, dropping the rows it still has in Adam.  A search
+    whose first restart verifies steps that restart only.  Returns the
+    members (k, d, d) of the accepted restart, or else of the one that came
+    closest, and the witness or None.
     """
     fixed_stack = _prepare_fixed(state, fixed)
     _check_k(state.d, k, fixed_stack.shape[0])
@@ -634,16 +606,17 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     rng = np.random.default_rng(cfg.base_seed)
     best, closest = np.inf, None
     waiting = {}  # restart -> (members, value) of rows that left before a lower restart
-    drawn, resolved, size, due = 0, 0, 1, True
+    drawn, resolved, size = 0, 0, 1
     while resolved < cfg.restarts:
         batch = None
-        if due and drawn < cfg.restarts:
+        # every drawn row has left Adam, and so been resolved: draw the next batch
+        if resolved == drawn:
             size = min(size, cfg.restarts - drawn)
             # one (size, nparam) draw yields the numbers of size one-row draws
             batch = prob, drawn, prob.cayley(INIT_SCALE * rng.standard_normal((size, prob.nparam))), cfg
             drawn += size
             size *= 2
-        left, due = yield batch
+        left = yield batch
         waiting.update((restart, (ufree, f)) for restart, ufree, f in left)
         while resolved in waiting:
             ufree, f = waiting.pop(resolved)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -312,6 +313,9 @@ def test_region_sweep_dimension_validation():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
+    # the stall test and its window are gone: an old caller fails loudly
+    with pytest.raises(TypeError, match="stall_window"):
+        SearchConfig(stall_window=200)
     for tol in (0.0, -1e-10, float("nan"), float("inf"), True, "x"):
         with pytest.raises(ValueError, match="accept_tol"):
             SearchConfig(accept_tol=tol)
@@ -320,15 +324,16 @@ def test_search_config_validation():
 
 
 def test_search_config_is_frozen():
-    # a field set after construction would skip the checks: stall_window = 0
-    # used to die in the engine with ZeroDivisionError
+    # a field set after construction would skip the checks: with max_iters = 0
+    # the engine's stop at t = max_iters never comes, and a row that never
+    # hands off would step forever
     cfg = SearchConfig(restarts=1, max_k=4)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.stall_window = 0
+        cfg.max_iters = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.accept_tol = "x"
-    with pytest.raises(ValueError, match="stall_window"):
-        dataclasses.replace(cfg, stall_window=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        dataclasses.replace(cfg, max_iters=0)
     with pytest.raises(ValueError, match="accept_tol"):
         dataclasses.replace(cfg, accept_tol="x")
     assert dataclasses.replace(cfg, base_seed=7) == SearchConfig(restarts=1, max_k=4, base_seed=7)
@@ -359,8 +364,6 @@ def test_search_entry_points_check_argument_types(call, name):
         ("max_iters", 0),
         ("max_iters", -5),
         ("max_iters", 100.0),
-        ("stall_window", 0),
-        ("stall_window", None),
         ("base_seed", 1.0),
         ("base_seed", False),
         ("max_k", 4.0),
@@ -374,7 +377,7 @@ def test_search_config_requires_integer_knobs(field, value):
 
 
 def test_search_config_accepts_integer_knobs_at_their_limits():
-    cfg = SearchConfig(restarts=1, max_iters=1, stall_window=1, base_seed=0, max_k=np.int64(5))
+    cfg = SearchConfig(restarts=1, max_iters=1, base_seed=0, max_k=np.int64(5))
     assert estimate_nmax(PSI_L, cfg).attempts[0].status == "found"
     assert SearchConfig(restarts=np.int64(2)).restarts == 2
 
@@ -424,15 +427,18 @@ def _problem(state, k, fixed=None):
     return _Problem(state, k, _prepare_fixed(state, fixed))
 
 
-@pytest.mark.parametrize("states", [[PSI_H], [PSI_L], [PSI_H, PSI_L]], ids=["stalls", "hands-off", "mixed"])
+PLATEAU = make_state(3, [0.8, 0.15, 0.05])
+
+
+@pytest.mark.parametrize("states", [[PLATEAU], [PSI_L], [PLATEAU, PSI_L]], ids=["stalls", "hands-off", "mixed"])
 def test_adam_batch_matches_one_row_runs(states, monkeypatch):
-    # Short stall windows make the rows leave the batch at different steps.
-    # In the mixed case the psi_L rows join the psi_H rows' group 150 steps
-    # after them: their search first holds one psi_H row in a group of its
-    # own for exactly 150 steps (psi_H never hands off at K = 5, and the
-    # psi_H rows of the main group cannot stall before step 200).
-    cfg = SearchConfig(max_iters=600, stall_window=100)
-    wait = SearchConfig(max_iters=150, stall_window=151)
+    # The psi_L rows hand off at different steps.  At K = 5, Adam stalls on a
+    # plateau near 0.437 at (0.8, 0.15, 0.05), above the hand-off, so those
+    # rows stop together at max_iters.  In the mixed case the psi_L rows join
+    # the plateau rows' group 150 steps after them: their search first holds
+    # one plateau row in a group of its own for exactly 150 steps.
+    cfg = SearchConfig(max_iters=600)
+    wait = SearchConfig(max_iters=150)
     probs = [_problem(state, 5) for state in states]
     starts = [prob.cayley(np.random.default_rng(3 + i).standard_normal((5, prob.nparam))) for i, prob in enumerate(probs)]
 
@@ -463,7 +469,7 @@ def test_members_stay_unitary_through_a_full_adam_run(weights, k):
     state = make_state(len(weights), weights)
     prob = _problem(state, k)
     start = prob.cayley(np.random.default_rng(k).standard_normal((2, prob.nparam)))
-    members, f = _adam(prob, start, SearchConfig(max_iters=2000, stall_window=2000))
+    members, f = _adam(prob, start, SearchConfig(max_iters=2000))
     assert np.all(f > search.HANDOFF_TOL)
     assert max(unitarity_residual(m) for m in members.reshape(-1, state.d, state.d)) <= 1e-12
 
@@ -497,8 +503,8 @@ def _one_restart_at_a_time(state, k, cfg):
         # refused: lambda0 > d/K, so no valid family exists; both restarts
         # hand off near 1e-7, are polished and fail verification
         ((0.6001, 0.3999, 0), 5, SearchConfig(restarts=2, base_seed=1), None, [True, True]),
-        # refused: K = 7 lies beyond the weight bound, every restart stalls
-        # near 0.42, above the hand-off, and none is polished
+        # refused: K = 7 lies beyond the weight bound, every restart stays
+        # near 0.42, above the hand-off, until max_iters, and none is polished
         ((3 / 5, 1 / 5, 1 / 5), 7, SearchConfig(restarts=4, max_iters=200, base_seed=9), None, [False] * 4),
     ],
     ids=["found-late", "refused-after-polish", "refused"],
@@ -531,31 +537,18 @@ def _schedule(monkeypatch):
 
     def logged_step(group):
         rows.append(group.rows[0].shape[0])
-        left, firsts = step(group)
+        left = step(group)
         leaves.extend((group.clock, restart) for _, (restart, _, _) in left)
-        return left, firsts
+        return left
 
     monkeypatch.setattr(search._Group, "join", logged_join)
     monkeypatch.setattr(search._Group, "step", logged_step)
     return joins, leaves, rows
 
 
-def test_next_batch_joins_at_the_first_stall_test(monkeypatch):
-    # at K = 7, beyond the weight bound, Adam's plateau (0.42) lies above the
-    # hand-off.  Restart 0 survives its first stall test, at step
-    # 2 * stall_window = 50, so restarts 1-2 join then, not when restart 0
-    # stalls (step 175); restart 3 joins at their first stall test
-    joins, leaves, _ = _schedule(monkeypatch)
-    _, fam = find_family(PSI_H, 7, SearchConfig(restarts=4, stall_window=25, base_seed=42))
-    assert fam is None
-    assert joins == [(0, 0, 1), (50, 1, 2), (100, 3, 1)]
-    assert sorted(restart for _, restart in leaves) == [0, 1, 2, 3]
-    assert dict((restart, at) for at, restart in leaves)[0] > 100
-
-
-def test_a_first_restart_that_verifies_before_its_stall_test_steps_alone(monkeypatch):
-    # restart 0 hands off at step 128 and verifies, so no other restart joins;
-    # at psi_L, K = 5 and base_seed 1, restart 0 runs past step 400 instead
+def test_a_first_restart_that_verifies_steps_alone(monkeypatch):
+    # restart 0 hands off at step 18 and verifies, so no other restart joins
+    # and every step holds that one row
     joins, _, rows = _schedule(monkeypatch)
     _, fam = find_family(make_state(3, [0.51, 0.30, 0.19]), 5, SearchConfig(base_seed=1))
     assert fam is not None
@@ -566,9 +559,8 @@ def test_a_first_restart_that_verifies_before_its_stall_test_steps_alone(monkeyp
 def test_acceptance_joins_no_later_batch(monkeypatch):
     # restart 0 stops at max_iters = 20 unpolished, and restarts 1-2 join
     # then; restart 2 leaves first but waits for restart 1, which verifies, so
-    # restart 2 is never polished and restarts 3-6 (due once restarts 1-2
-    # have both left, since their first stall test lies past max_iters)
-    # never join
+    # restart 2 is never polished and restarts 3-6, which would join once
+    # restarts 1-2 had both left, never join
     state = make_state(4, [4 / 6, 2 / 6, 0, 0])
     cfg = SearchConfig(restarts=50, max_iters=20, base_seed=10)
     runs = _one_restart_at_a_time(state, 6, dataclasses.replace(cfg, restarts=2))
@@ -586,62 +578,39 @@ def test_acceptance_joins_no_later_batch(monkeypatch):
 
 
 def test_acceptance_drops_the_rows_still_in_adam(monkeypatch):
-    # restart 0 verifies when it leaves Adam, after restarts 3-6 joined at its
-    # second batch's first stall test (step 4 stall_window = 12), with
-    # restarts 1 and 3-6 still in Adam: the engine takes no further step
+    # restart 0 hands off at step 24 but fails verification, so restarts 1-2
+    # join then; restart 1 verifies when it leaves Adam, at step 40, with
+    # restart 2 still in Adam: the engine takes no further step.  Of
+    # base_seeds 1-1999 at psi_L, K = 5, only 429 and 864 accept a row while
+    # another row of its batch is still in Adam
     joins, leaves, rows = _schedule(monkeypatch)
-    _, fam = find_family(PSI_L, 5, SearchConfig(stall_window=3, base_seed=42))
+    _, fam = find_family(PSI_L, 5, SearchConfig(base_seed=429))
     assert fam is not None
-    assert joins == [(0, 0, 1), (6, 1, 2), (12, 3, 4)]
-    assert [restart for _, restart in leaves] == [2, 0]
-    assert len(rows) == leaves[-1][0] and rows[-1] == 6
+    assert joins == [(0, 0, 1), (24, 1, 2)]
+    assert [restart for _, restart in leaves] == [0, 1]
+    assert len(rows) == leaves[-1][0] and rows[-1] == 2
 
 
-@pytest.mark.parametrize(
-    "cfg, joins, leaves",
-    [
-        # restart 0 stalls at t = 4 stall_window (step 200) and restart 1 at
-        # t = 3 stall_window (step 250); the max_iters stop at t = 220, not a
-        # multiple of 50, ends restart 2 (step 320) and restart 3 (step 420)
-        (
-            SearchConfig(restarts=4, max_iters=220, stall_window=50, base_seed=4),
-            [(0, 0, 1), (100, 1, 2), (200, 3, 1)],
-            [(200, 0), (250, 1), (320, 2), (420, 3)],
-        ),
-        # restarts 0, 1 and 4 stall at t = 3 stall_window; the max_iters stop
-        # at t = 280, not a multiple of 75, ends restarts 2, 3 and 5
-        (
-            SearchConfig(restarts=6, max_iters=280, stall_window=75, base_seed=4),
-            [(0, 0, 1), (150, 1, 2), (300, 3, 3)],
-            [(225, 0), (375, 1), (430, 2), (525, 4), (580, 3), (580, 5)],
-        ),
-    ],
-    ids=["window-50-max-220", "window-75-max-280"],
-)
-def test_schedule_past_the_first_stall_test(cfg, joins, leaves, monkeypatch):
-    # at K = 7, beyond the weight bound, Adam's plateau (0.42) lies above the
-    # hand-off, so rows leave by the stall test or by max_iters
-    logged_joins, logged_leaves, _ = _schedule(monkeypatch)
-    _, fam = find_family(PSI_H, 7, cfg)
+def test_a_search_has_one_batch_in_adam_and_rows_leave_by_hand_off_or_max_iters(monkeypatch):
+    # K = 9 lies beyond what (0.6, 0.2, 0.1, 0.1) supports, and Adam's plateau
+    # there (0.44) lies above the hand-off, so every row stops at max_iters
+    # and the search's next batch joins only then
+    cfg = SearchConfig(restarts=8, base_seed=1)
+    batches, leaves = [], []
+    step = search._Group.step
+
+    def logged_step(group):
+        batches.append(max(collections.Counter(batch.search for batch in group.batches).values()))
+        left = step(group)
+        leaves.extend((group.clock - batch.joined, restart, f) for batch, (restart, _, f) in left)
+        return left
+
+    monkeypatch.setattr(search._Group, "step", logged_step)
+    _, fam = find_family(make_state(4, [0.6, 0.2, 0.1, 0.1]), 9, cfg)
     assert fam is None
-    assert logged_joins == joins and logged_leaves == leaves
-
-
-def test_a_batch_gone_before_its_first_stall_test_makes_nothing_due(monkeypatch):
-    # restarts 1-2 hand off at steps 16 and 19, before their first stall test
-    # at step 20, while restart 0 is still in Adam: no batch is due at step
-    # 20, restart 0 leaves and verifies at step 23, and restarts 3-6 never
-    # join.  Adam hands off at 0.1 within 7-29 steps at psi_L, K = 5, so a
-    # first restart that takes more than twice as long as the next two is
-    # rare: of base_seeds 1-6000, only 5593 has a stall window that puts the
-    # hand-offs of restarts 1 and 2, in that order, before their first stall
-    # test and restart 0's after it
-    joins, leaves, rows = _schedule(monkeypatch)
-    _, fam = find_family(PSI_L, 5, SearchConfig(stall_window=5, base_seed=5593))
-    assert fam is not None
-    assert joins == [(0, 0, 1), (10, 1, 2)]
-    assert leaves == [(16, 1), (19, 2), (23, 0)]
-    assert max(rows) == 3
+    assert max(batches) == 1
+    assert sorted(restart for _, restart, _ in leaves) == list(range(cfg.restarts))
+    assert all(f < search.HANDOFF_TOL or t == cfg.max_iters for t, _, f in leaves)
 
 
 @pytest.mark.parametrize(
