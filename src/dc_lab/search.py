@@ -18,9 +18,9 @@ HANDOFF_TOL = 0.1 is handed to a Levenberg-Marquardt polish in the same
 coordinates, which does the rest.  It stops once every pair residual is
 within accept_tol, or once LM_HALVING_ITERS iterations pass without halving
 the objective, as they do when no family lies near; a restart still above
-HANDOFF_TOL after max_iters Adam steps is not polished.  A restart is accepted exactly when
-`verify_family` passes its members at accept_tol, the same check
-`dc-lab verify --tol` makes.
+HANDOFF_TOL after max_iters Adam steps is not polished.  A restart is
+accepted exactly when `verify_family` passes its members at accept_tol, the
+same check `dc-lab verify --tol` makes.
 
 Adam runs in a lockstep engine.  A search submits its restarts in batches of
 1, 2, 4, ... rows, and the rows of every search that shares d, K, the fixed

@@ -313,7 +313,7 @@ def test_region_sweep_dimension_validation():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
-    # the stall test and its window are gone: an old caller fails loudly
+    # stall_window is no longer a field: a caller that still passes it fails loudly
     with pytest.raises(TypeError, match="stall_window"):
         SearchConfig(stall_window=200)
     for tol in (0.0, -1e-10, float("nan"), float("inf"), True, "x"):
