@@ -369,6 +369,10 @@ def test_search_entry_points_check_argument_types(call, name):
         ("max_k", 4.0),
         ("max_k", True),
         ("max_k", "5"),
+        # only max_k may be None
+        ("restarts", None),
+        ("max_iters", None),
+        ("base_seed", None),
     ],
 )
 def test_search_config_requires_integer_knobs(field, value):
@@ -589,6 +593,34 @@ def test_acceptance_drops_the_rows_still_in_adam(monkeypatch):
     assert joins == [(0, 0, 1), (24, 1, 2)]
     assert [restart for _, restart in leaves] == [0, 1]
     assert len(rows) == leaves[-1][0] and rows[-1] == 2
+
+
+def test_next_batch_joins_when_the_last_row_of_the_batch_before_leaves(monkeypatch):
+    # lambda0 > d/K, so every row hands off and fails verification; restart 2
+    # hands off at step 29, two steps before restart 1, and waits: restart 1
+    # steps alone until it leaves at step 31, and restarts 3-6 join only then
+    state = make_state(3, [0.6001, 0.3999, 0])
+    joins, leaves, rows = _schedule(monkeypatch)
+    _, fam = find_family(state, 5, SearchConfig(restarts=7, base_seed=2))
+    assert fam is None
+    assert joins == [(0, 0, 1), (16, 1, 2), (31, 3, 4)]
+    assert leaves[:3] == [(16, 0), (29, 2), (31, 1)]
+    assert rows[28:32] == [2, 1, 1, 4]
+    assert len(rows) == leaves[-1][0]
+
+
+@pytest.mark.parametrize("max_iters", [50, 75], ids=lambda m: f"max-{m}")
+def test_schedule_of_rows_that_stop_at_max_iters(max_iters, monkeypatch):
+    # K = 7 lies beyond the weight bound at psi_H, and Adam's plateau there
+    # (0.42) lies above the hand-off, so each batch steps max_iters times
+    # and the next batch, twice as large, joins when it stops
+    m = max_iters
+    joins, leaves, rows = _schedule(monkeypatch)
+    _, fam = find_family(make_state(3, [3 / 5, 1 / 5, 1 / 5]), 7, SearchConfig(restarts=7, max_iters=m, base_seed=4))
+    assert fam is None
+    assert joins == [(0, 0, 1), (m, 1, 2), (2 * m, 3, 4)]
+    assert leaves == [(m, 0), (2 * m, 1), (2 * m, 2)] + [(3 * m, restart) for restart in range(3, 7)]
+    assert rows == [1] * m + [2] * m + [4] * m
 
 
 def test_a_search_has_one_batch_in_adam_and_rows_leave_by_hand_off_or_max_iters(monkeypatch):
