@@ -2,42 +2,30 @@
 
 For a state with weight vector lambda and a requested family size K, the
 search fixes U_0 = I (any valid family can be rotated so one member is the
-identity) and minimizes
-    f = sum_{i<j} |tr(Lambda U_i^dag U_j)|^2
-over the remaining members, which vanishes exactly on valid families.  The
-iterate is the members themselves.  Each is moved in its own body frame,
-U -> U cay(H), where H is Hermitian with d^2 real coordinates and
-cay(H) = (I - iH/2)^{-1} (I + iH/2) is the Cayley transform, so the members
-stay unitary with no matrix exponential.  At H = 0 the gradient costs a few
-matrix products and a step costs one batched linear solve.
+identity) and drives to zero the pair traces tr(Lambda U_i^dag U_j), i < j,
+whose squared moduli sum to the objective
+    f = sum_{i<j} |tr(Lambda U_i^dag U_j)|^2,
+which vanishes exactly on valid families.  The iterate is the members
+themselves.  Each is moved in its own body frame, U -> U cay(H), where H is
+Hermitian with d^2 real coordinates and cay(H) = (I - iH/2)^{-1} (I + iH/2)
+is the Cayley transform, so the members stay unitary with no matrix
+exponential, and a step costs one batched linear solve.
 
 Each restart starts from the Cayley transform of a random H drawn from a
-generator seeded by the configured base seed and runs Adam on that gradient.
-Adam makes only the first descent: a restart whose Adam value falls below
-HANDOFF_TOL = 0.1 is handed to a Levenberg-Marquardt polish in the same
-coordinates, which does the rest.  It stops once every pair residual is
-within accept_tol, or once LM_HALVING_ITERS iterations pass without halving
-the objective, as they do when no family lies near; a restart still above
-HANDOFF_TOL after max_iters Adam steps is not polished.  A restart is
-accepted exactly when `verify_family` passes its members at accept_tol, the
-same check `dc-lab verify --tol` makes.
+generator seeded by the configured base seed, and a Levenberg-Marquardt
+(LM) polish in the same coordinates does the whole search.  It stops once
+every pair residual is within accept_tol, or once LM_HALVING_ITERS
+iterations pass without halving the objective, as they do when no family
+lies near.  At saturation, lambda_0 = d/K to roundoff with K < d^2, the LM
+also drives the span blocks to zero (see `_residuals`), so a witness found
+there passes `kc_span_check`.  A restart is accepted exactly when
+`verify_family` passes its members at accept_tol, the same check
+`dc-lab verify --tol` makes.
 
-Adam runs in a lockstep engine.  A search submits its restarts in batches of
-1, 2, 4, ... rows, and the rows of every search that shares d, K, the fixed
-prefix and max_iters form one group: a few stacked matrix products and one
-batched solve per step serve all of them, whichever search they belong to,
-and rows join and leave at any step.  A row leaves Adam by the hand-off or
-after max_iters steps, and a search's next batch joins once every row of
-the one before it has left, so a search has at most one batch in Adam.
-Rows are polished and verified in restart order as they leave, a row that
-leaves early waiting for every lower restart, and the lowest-index accepted
-restart wins, as in a one-at-a-time loop; the search's rows still in Adam
-are then dropped.  Each row carries its own weights and step count, so its
-arithmetic is that of a run on that row alone: results do not depend on
-which rows share a step, and every run with the same configuration is
-bit-for-bit reproducible.  `dc-lab search` and each sweep cell run one scan
-generator through the engine, which searches K = d+1, d+2, ... in turn, and
-a sweep worker runs all of its cells through one engine.
+Restarts run one after another, and the first that verifies wins; every run
+with the same configuration is bit-for-bit reproducible.  `estimate_nmax`
+searches K = d+1, d+2, ... in turn, and a sweep worker runs its cells one
+after another.
 
 A failed search is evidence, not proof: results label such outcomes
 "not found (heuristic)".  Only the closed-form exclusion predicates from
@@ -57,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    STRICT_BOUND_TOL,
     VERIFY_TOL,
     _diagonal_of,
     _max_pairwise_residual,
@@ -69,26 +58,20 @@ from .families import EncodingFamily, shift_diag_family
 from .linalg import UNITARITY_TOL, unitarity_residual
 from .states import SchmidtState, _is_int, _member_stack, entropy_bits, make_state
 
-# Adam: step size, moment decay rates and epsilon, scale of the random start,
-# and the objective below which a restart hands off to the polish.
-STEP_SIZE = 0.15
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
+# Scale of the random start.
 INIT_SCALE = 1.0
-HANDOFF_TOL = 0.1
 
 # Levenberg-Marquardt polish: initial damping, its lower and upper limits,
 # the stops on the objective and on the largest gradient entry, and the
 # progress stop: the polish ends once this many iterations, accepted or
 # rejected, pass without the objective falling to half its value at the last
-# halving.  From below HANDOFF_TOL to LM_F_STOP that bounds a polish at about
-# 20 log2(0.1 / 1e-28) = 1,800 iterations, and it ends early a polish that
-# crawls toward a plateau with no root nearby.  The damping is mu times the
-# identity, a trust region in the body-frame coordinates, whose basis rows
-# have norm 1 or sqrt(2).  Saturated states have singular Jacobians, yet at
-# base_seeds 1-79 the first polish verifies within 378 iterations at
-# (4/6, 2/6, 0, 0), K = 6.
+# halving.  Random starts have objectives of about 1-12 (d <= 6), so from
+# there to LM_F_STOP that bounds a polish at about 20 log2(12 / 1e-28) =
+# 1,900 iterations, and it ends early a polish that crawls toward a plateau
+# with no root nearby.  The damping is mu times the identity, a trust region
+# in the body-frame coordinates, whose basis rows have norm 1 or sqrt(2).
+# With the span blocks the saturated roots are regular: at base_seeds 1-79
+# the first polish verifies within 12 iterations at (4/6, 2/6, 0, 0), K = 6.
 LM_MU_START = 1e-3
 LM_MU_MIN = 1e-14
 LM_MU_MAX = 1e12
@@ -110,12 +93,11 @@ class SearchConfig:
 
     max_k: int | None = None
     restarts: int = 50
-    max_iters: int = 400
     accept_tol: float = VERIFY_TOL
     base_seed: int = 42
 
     def __post_init__(self):
-        lows = {"restarts": 1, "max_iters": 1, "base_seed": 0}
+        lows = {"restarts": 1, "base_seed": 0}
         for name, low in lows.items():
             value = getattr(self, name)
             if not _is_int(value) or value < low:
@@ -213,10 +195,23 @@ class _Problem:
         self.nf = fixed_stack.shape[0]
         self.n_free = k - self.nf
         self.nparam = self.n_free * d * d
-        iu, ju, self.pair_flat = _pairs(k)
-        self.pairs = (iu, ju)
+        self.pair_flat = _pairs(k)[2]
         self.basis, self.dual = _hermitian_basis(d)
         self.eye = np.eye(d)
+        self.jac_rows = _pair_jacobian_rows(k, self.nf)
+        # At lambda_0 = d/K no family is a regular root of the pair equations
+        # alone, so LM converges only linearly there; the span blocks, which
+        # every family there satisfies, make the root regular.  At K = d^2
+        # the pair equations imply them.  They hold only at equality, so the
+        # test is at roundoff scale: a family at lambda_0 = d/K - eps misses
+        # them by about eps, and at SATURATION_TOL the blocks would keep LM
+        # from the families of states up to 1e-9 below d/K.
+        self.span = None
+        if k < d * d and abs(self.lam[0] - d / k) <= STRICT_BOUND_TOL:
+            cols = np.flatnonzero(self.lam > 0)
+            self.span = cols, np.sqrt(self.lam[0] * self.lam[cols])
+            blocks = self.basis.reshape(d * d, d, d)[:, :, cols]
+            self.span_basis = blocks.transpose(1, 0, 2).reshape(d, -1)
 
     def hermitian(self, theta: np.ndarray) -> np.ndarray:
         """The (R, n_free, d, d) Hermitian blocks of (R, nparam) coordinates."""
@@ -235,23 +230,8 @@ class _Problem:
         stack[:, self.nf :] = ufree
         return stack
 
-    def _objective(self, stack: np.ndarray, lam: np.ndarray):
-        """Per-row objective and the weighted Gram matrices."""
-        t = _weighted_gram(stack, lam)
-        # Each row's value must not depend on the row count.  So: squares of
-        # the real and imaginary parts (complex np.abs rounds differently in
-        # its vector and scalar loops), summed along C-ordered rows (a plain
-        # fancy index returns columns, which np.sum adds in another order).
-        tp = t.reshape(t.shape[0], -1).take(self.pair_flat, axis=1)
-        return np.sum(tp.real * tp.real + tp.imag * tp.imag, axis=1), t
-
-    def objective(self, ufree: np.ndarray) -> np.ndarray:
-        """Objective of every row of free members, shape (R,)."""
-        return self._objective(self.members(ufree), self.lam)[0]
-
-    def objective_and_gradient(self, ufree: np.ndarray, lam: np.ndarray, chart=None):
-        """Objective (R,) and gradient (R, nparam) of every row of free members
-        under weights `lam`: this search's (d,), or one (R, 1, 1, d) row each.
+    def objective_and_gradient(self, ufree: np.ndarray, chart=None):
+        """Objective (R,) and gradient (R, nparam) of every row of free members.
 
         The gradient is in the body-frame coordinates at H = 0, where
         d cay(H) = i dH: with Omega_m = U_m^dag G_m and
@@ -262,10 +242,12 @@ class _Problem:
         d, k = self.d, self.k
         stack = self.members(ufree)
         rows = stack.shape[0]
-        f, t = self._objective(stack, lam)
+        t = _weighted_gram(stack, self.lam)
+        tp = t.reshape(rows, -1).take(self.pair_flat, axis=1)
+        f = np.sum(tp.real * tp.real + tp.imag * tp.imag, axis=1)
         c = t.conj()
         c.reshape(rows, k * k)[:, :: k + 1] = 0.0
-        g = (c[:, self.nf :] @ stack.reshape(rows, k, d * d)).reshape(ufree.shape) * lam
+        g = (c[:, self.nf :] @ stack.reshape(rows, k, d * d)).reshape(ufree.shape) * self.lam
         omega = ufree.conj().swapaxes(-1, -2) @ g
         if chart is not None:
             omega = chart @ omega @ chart.conj().swapaxes(-1, -2)
@@ -304,7 +286,7 @@ def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None):
         raise ValueError(f"theta must be a finite 1-D vector of {prob.nparam} reals, got shape {theta.shape}")
     a = np.eye(state.d) - 0.5j * prob.hermitian(theta)
     chart = np.linalg.inv(a)
-    f, grad = prob.objective_and_gradient(chart @ a.conj().swapaxes(-1, -2), prob.lam, chart)
+    f, grad = prob.objective_and_gradient(chart @ a.conj().swapaxes(-1, -2), chart)
     return float(f[0]), grad[0]
 
 
@@ -312,244 +294,124 @@ def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None):
 # Levenberg-Marquardt polish
 
 
-def _residuals_and_jacobian(prob: _Problem, ufree: np.ndarray):
-    """Real and imaginary parts of every pair trace for one row of free
-    members (1, n_free, d, d), with their Jacobian in its coordinates."""
-    nf, dd = prob.nf, prob.d * prob.d
+@functools.lru_cache(maxsize=64)
+def _pair_jacobian_rows(k: int, nf: int):
+    """Gather table of the pair Jacobian; cached and read-only.
+
+    Entry [p, m] is the row of concat(s, conj(s), 0), with s flattened over
+    (free member, member), that holds d t_p / d theta_m for pair p = (i, j)
+    and free member m: s[i, j] when m is i, conj(s[j, i]) when m is j, and
+    the trailing zero row otherwise.
+    """
+    iu, ju, _ = _pairs(k)
+    n_free = k - nf
+    table = np.full((iu.size, n_free), 2 * n_free * k)
+    pair = np.arange(iu.size)
+    left, right = iu >= nf, ju >= nf
+    table[pair[left], iu[left] - nf] = (iu[left] - nf) * k + ju[left]
+    table[pair[right], ju[right] - nf] = (n_free + ju[right] - nf) * k + iu[right]
+    return _read_only(table)[0]
+
+
+def _residuals(prob: _Problem, ufree: np.ndarray):
+    """The member stack (k, d, d) of one row of free members, shape
+    (1, n_free, d, d), and its complex residuals: the pair traces
+    tr(Lambda U_i^dag U_j), i < j, then the entries of the span blocks when
+    the problem has them.
+
+    Span block j, for each weight lambda_j > 0, is R_j = w_j sum_i U_i|0><j|
+    U_i^dag - delta_j0 I with w_j = sqrt(lambda_0 lambda_j).  Row m of R_j
+    holds, conjugated, the components of P|m0> - |m0> along C^d x |j>, for P
+    the projector onto the span of the (orthonormal) message vectors, so the
+    blocks vanish exactly when every |m0> lies in the span: what
+    `kc_span_check` measures.
+    """
+    d = prob.d
     stack = prob.members(ufree)[0]
-    iu, ju = prob.pairs
-    tvals = _weighted_gram(stack, prob.lam)[iu, ju]
+    t = _weighted_gram(stack, prob.lam).ravel()[prob.pair_flat]
+    if prob.span is None:
+        return stack, t
+    cols, w = prob.span
+    # blocks[p, q, j] = w_j sum_i U_i[p, 0] conj(U_i[q, j]): one product gives every R_j
+    blocks = (stack[:, :, 0].T @ stack.conj().reshape(prob.k, d * d)).reshape(d, d, d)[:, :, cols] * w
+    blocks[:, :, 0] -= prob.eye
+    return stack, np.concatenate([t, blocks.ravel()])
+
+
+def _residuals_and_jacobian(prob: _Problem, ufree: np.ndarray, known=None):
+    """The complex residuals of one row of free members (1, n_free, d, d),
+    as `_residuals` gives them, and their complex Jacobian in its body-frame
+    coordinates.  `known`, what `_residuals` returned at ufree, spares
+    recomputing it."""
+    nf, d, dd = prob.nf, prob.d, prob.d * prob.d
+    stack, t = _residuals(prob, ufree) if known is None else known
     # s[m, q] = -i tr(B_a U_m^dag U_q Lambda) is d tr(Lambda U_m^dag U_q) /
     # d theta_m for free member m on the dagger side; on the other side the
     # derivative is its conjugate.
-    s = -1j * prob.trace_layout(stack[nf:, None].conj().swapaxes(-1, -2) @ (stack * prob.lam)[None])
-    jc = np.zeros((iu.size, prob.n_free, dd), dtype=np.complex128)
-    left = np.nonzero(iu >= nf)[0]
-    jc[left, iu[left] - nf] = s[iu[left] - nf, ju[left]]
-    right = np.nonzero(ju >= nf)[0]
-    jc[right, ju[right] - nf] = s[ju[right] - nf, iu[right]].conj()
-    jc = jc.reshape(iu.size, prob.nparam)
-    return np.concatenate([tvals.real, tvals.imag]), np.concatenate([jc.real, jc.imag])
+    s = -1j * prob.trace_layout(stack[nf:, None].conj().swapaxes(-1, -2) @ (stack * prob.lam)[None]).reshape(-1, dd)
+    jac = np.concatenate([s, s.conj(), np.zeros((1, dd))])[prob.jac_rows].reshape(-1, prob.nparam)
+    if prob.span is None:
+        return t, jac
+    cols, w = prob.span
+    u = stack[nf:]
+    # d R_j[p, q] / d theta_{m,a} = i w_j (U_m [B_a, |0><j|] U_m^dag)[p, q]
+    # = i w_j (x[m, p, a, 0] conj(U_m[q, j]) - U_m[p, 0] conj(x[m, q, a, j])),
+    # where x[m, p, a, c] = (U_m B_a)[p, cols[c]]; rows (p, q, j), columns (m, a)
+    x = (u.reshape(-1, d) @ prob.span_basis).reshape(prob.n_free, d, dd, cols.size)
+    iw = 1j * w
+    first = x[:, :, :, 0].transpose(1, 0, 2)[:, None, None] * (u.conj()[:, :, cols] * iw).transpose(1, 2, 0)[..., None]
+    second = u[:, :, 0].T[:, None, None, :, None] * (x.conj() * iw).transpose(1, 3, 0, 2)
+    return t, np.concatenate([jac, (first - second).reshape(-1, prob.nparam)])
+
+
+def _normal_equations(t: np.ndarray, jac: np.ndarray):
+    """J^T J and J^T r of the real residuals r, the real and imaginary parts
+    of the complex residuals t: one real product of the stacked parts of the
+    complex Jacobian gives Re(J^dag J) in half the arithmetic."""
+    real = np.concatenate([jac.real, jac.imag])
+    return real.T @ real, real.T @ np.concatenate([t.real, t.imag])
 
 
 def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
     """Polish one row of free members until every pair residual is within tol
-    or one of LM's own stops is reached; returns the members and objective.
+    or one of LM's own stops is reached; returns the members and the sum of
+    squared residuals, span blocks included.
     Each step solves (J^T J + mu I) delta = -J^T r: in the body frame, mu
     bounds the step alike in every direction, flat ones included.  The
     progress stop, LM_HALVING_ITERS iterations without halving f, bounds the
     iteration count."""
-    r, jac = _residuals_and_jacobian(prob, ufree)
-    f = float(r @ r)
-    a, g = jac.T @ jac, jac.T @ r
+    t, jac = _residuals_and_jacobian(prob, ufree)
+    f = float(np.vdot(t, t).real)
+    a, g = _normal_equations(t, jac)
     mu = LM_MU_START
-    n = r.size // 2
-    eye = np.eye(prob.nparam)
+    n, diagonal = prob.pair_flat.size, slice(None, None, prob.nparam + 1)
     halved, since = f, 0  # the value at the last halving, and iterations since
     while since < LM_HALVING_ITERS:
-        if f <= LM_F_STOP or np.max(np.abs(r[:n] + 1j * r[n:])) <= tol or np.max(np.abs(g)) < LM_GRAD_STOP:
+        if f <= LM_F_STOP or np.max(np.abs(t[:n])) <= tol or np.max(np.abs(g)) < LM_GRAD_STOP:
             break
         since += 1
+        damped = a.copy()
+        damped.flat[diagonal] += mu
         try:
-            delta = np.linalg.solve(a + mu * eye, -g)
+            delta = np.linalg.solve(damped, -g)
         except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(a + mu * eye, -g, rcond=None)[0]
+            delta = np.linalg.lstsq(damped, -g, rcond=None)[0]
         trial = ufree @ prob.cayley(delta)
-        ft = float(prob.objective(trial)[0])
+        known = _residuals(prob, trial)
+        ft = float(np.vdot(known[1], known[1]).real)
         if ft < f:
             ufree = trial
             f = ft
             mu = max(mu / 3.0, LM_MU_MIN)
             if f <= halved / 2:
                 halved, since = f, 0
-            r, jac = _residuals_and_jacobian(prob, ufree)
-            a, g = jac.T @ jac, jac.T @ r
+            t, jac = _residuals_and_jacobian(prob, trial, known)
+            a, g = _normal_equations(t, jac)
         else:
             mu *= 4.0
             if mu > LM_MU_MAX:
                 break
     return ufree, f
-
-
-# ---------------------------------------------------------------------------
-# lockstep Adam engine
-
-
-class _Batch:
-    """Rows of one search that joined a group together, at group step
-    `joined`: `restarts` are the restart indices of those still in Adam, in
-    row order, numbered from the `first` of the search's request."""
-
-    def __init__(self, search: int, joined: int, first: int, size: int):
-        self.search, self.joined = search, joined
-        self.restarts = list(range(first, first + size))
-
-
-class _Group:
-    """The Adam rows of every search that shares d, K, the fixed prefix and
-    max_iters, stepped in lockstep.
-
-    Each step moves every member U to U cay(H), with H from the Adam step in
-    body-frame coordinates.  A row leaves once its best value is below
-    HANDOFF_TOL, or at t = max_iters.  Each row has its own weights and
-    moments, and each batch its own step count t, so what a row leaves with
-    is what a run on that row alone gives.  A batch's rows are contiguous,
-    in the order the batches joined.
-    """
-
-    def __init__(self, prob: _Problem, cfg: SearchConfig):
-        self.prob = prob
-        self.max_iters = cfg.max_iters
-        self.clock = 0
-        self.batches: list[_Batch] = []
-        self.rows = None  # members, weights, moments, best members and values
-
-    def join(self, search: int, prob: _Problem, first: int, start: np.ndarray) -> _Batch:
-        """Add (R, n_free, d, d) starting members of `search` under prob's
-        weights, as its restarts first, first + 1, ..."""
-        n, lam = start.shape[0], prob.lam
-        new = (
-            np.array(start, dtype=np.complex128),
-            np.broadcast_to(lam.reshape(1, 1, 1, -1), (n, 1, 1, lam.size)),
-            np.zeros((n, self.prob.nparam)),
-            np.zeros((n, self.prob.nparam)),
-            np.array(start, dtype=np.complex128),
-            np.full(n, np.inf),
-        )
-        self.rows = new if self.rows is None else tuple(np.concatenate(pair) for pair in zip(self.rows, new))
-        batch = _Batch(search, self.clock, first, n)
-        self.batches.append(batch)
-        return batch
-
-    def drop(self, search: int) -> None:
-        """Take every row of `search` out of Adam."""
-        sizes = [len(batch.restarts) for batch in self.batches]
-        keep = np.repeat([batch.search != search for batch in self.batches], sizes)
-        self.batches = [batch for batch in self.batches if batch.search != search]
-        self.rows = tuple(a[keep] for a in self.rows) if self.batches else None
-
-    def step(self):
-        """One Adam step of every row.  Returns the rows that left, in row
-        order, as (batch, (restart, members (1, n_free, d, d), value)) at
-        each row's best value."""
-        u, lam, mom, vel, best_u, best_f = self.rows
-        f, g = self.prob.objective_and_gradient(u, lam)
-        better = f < best_f
-        np.copyto(best_f, f, where=better)
-        np.copyto(best_u, u, where=better[:, None, None, None])
-        self.clock += 1
-        leave = best_f < HANDOFF_TOL
-        spans, row = [], 0  # spans: each batch, its rows and its step count
-        for batch in self.batches:
-            t, rows = self.clock - batch.joined, slice(row, row + len(batch.restarts))
-            row = rows.stop
-            spans.append((batch, rows, t))
-            if t == self.max_iters:
-                leave[rows] = True
-        left = []
-        if leave.any():
-            for batch, rows, _ in spans:
-                gone = leave[rows]
-                for j in np.flatnonzero(gone):
-                    r = rows.start + j
-                    left.append((batch, (batch.restarts[j], best_u[r : r + 1].copy(), best_f[r])))
-                batch.restarts = [restart for restart, out in zip(batch.restarts, gone) if not out]
-            spans = [span for span in spans if span[0].restarts]
-            self.batches = [batch for batch, _, _ in spans]
-            if not spans:
-                self.rows = None
-                return left
-            keep = ~leave
-            u, lam, mom, vel, best_u, best_f, g = (a[keep] for a in (u, lam, mom, vel, best_u, best_f, g))
-        b1, b2 = ADAM_BETA1, ADAM_BETA2
-        if len(spans) == 1:  # a batch by itself: no column to build
-            c1, c2 = 1 - b1 ** spans[0][2], 1 - b2 ** spans[0][2]
-        else:
-            # the same Python floats as a column, one entry per row; division
-            # by either rounds alike
-            sizes = [len(batch.restarts) for batch in self.batches]
-            c1, c2 = np.repeat([[1 - b**t for _, _, t in spans] for b in (b1, b2)], sizes, axis=1)[:, :, None]
-        mom = b1 * mom + (1 - b1) * g
-        vel = b2 * vel + (1 - b2) * g * g
-        mhat = mom / c1
-        vhat = vel / c2
-        u = u @ self.prob.cayley(-STEP_SIZE * mhat / (np.sqrt(vhat) + ADAM_EPS))
-        self.rows = (u, lam, mom, vel, best_u, best_f)
-        return left
-
-
-def _run(searches: list) -> list:
-    """Drive search generators through one lockstep engine; returns what each
-    returns, in order.
-
-    A search yields a batch (prob, first, start, cfg), where start holds (R,
-    n_free, d, d) starting members for its restarts first, first + 1, ...,
-    or None, and is sent `left` when rows of it leave Adam: (restart,
-    members, value) for each row that left, at its best value.  A batch at
-    restart 0 starts a new search and drops the rows the search still has in
-    Adam, as its return does.  Every search reaches the engine here:
-    `find_family` runs one `_find`, and `estimate_nmax` and each sweep cell
-    one `_estimate`, whose K scan runs one `_find` after another.
-    """
-    groups: dict = {}
-    results = [None] * len(searches)
-    home = [None] * len(searches)  # the group of each search's latest batch
-
-    def drop(i):
-        if home[i] is not None:
-            home[i].drop(i)
-            home[i] = None
-
-    def advance(i, sent):
-        try:
-            request = searches[i].send(sent)
-        except StopIteration as stop:
-            results[i] = stop.value
-            drop(i)
-            return
-        if request is None:
-            return
-        prob, first, start, cfg = request
-        if first == 0:
-            drop(i)
-        key = (prob.d, prob.k, prob.fixed.tobytes(), cfg.max_iters)
-        if key not in groups:
-            groups[key] = _Group(prob, cfg)
-        home[i] = groups[key]
-        home[i].join(i, prob, first, start)
-
-    for i in range(len(searches)):
-        advance(i, None)
-    while groups:
-        for group in list(groups.values()):
-            woken: dict[int, list] = {}
-            for batch, row in group.step():
-                woken.setdefault(batch.search, []).append(row)
-            for i, rows in woken.items():
-                advance(i, rows)
-        for key in [key for key, group in groups.items() if not group.batches]:
-            del groups[key]
-    return results
-
-
-def _one_batch(prob: _Problem, start: np.ndarray, cfg: SearchConfig):
-    """One batch of rows as a search for `_run`: returns each row's best
-    members (R, n_free, d, d) and value (R,) once every row has left."""
-    members, values = np.empty_like(start), np.empty(start.shape[0])
-    request, waiting = (prob, 0, start, cfg), start.shape[0]
-    while waiting:
-        left = yield request
-        request = None
-        for restart, ufree, f in left:
-            members[restart], values[restart] = ufree[0], f
-        waiting -= len(left)
-    return members, values
-
-
-def _adam(prob: _Problem, start: np.ndarray, cfg: SearchConfig):
-    """Adam on the rows of one batch by themselves: each row's best members
-    (R, n_free, d, d) and value (R,).  The tests' one-search reference."""
-    return _run([_one_batch(prob, start, cfg)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +448,13 @@ def _witness(state: SchmidtState, k: int, stack: np.ndarray, tol: float):
 
 
 def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
-    """find_family as a search generator for `_run`.
+    """find_family's search: returns the members (k, d, d) of the accepted
+    restart, or else of the one that came closest, and the witness or None.
 
-    Restarts run in batches of 1, 2, 4, ... rows, one random draw per batch,
-    and each batch joins Adam once every row of the one before it has left;
-    its restarts are numbered on from those drawn before it.  Rows are
-    resolved in restart order as they leave: a row whose Adam value is below
-    HANDOFF_TOL is polished, then verified, and the search stops at the
-    first that passes, dropping the rows it still has in Adam.  A search
-    whose first restart verifies steps that restart only.  Returns the
-    members (k, d, d) of the accepted restart, or else of the one that came
-    closest, and the witness or None.
+    Restarts run in order, each drawing its start from one generator seeded
+    by cfg.base_seed, and the first whose polished members verify wins.  The
+    closest restart is the one of least pair objective, the value a refusal
+    reports.
     """
     fixed_stack = _prepare_fixed(state, fixed)
     _check_k(state.d, k, fixed_stack.shape[0])
@@ -605,30 +463,15 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     prob = _Problem(state, k, fixed_stack)
     rng = np.random.default_rng(cfg.base_seed)
     best, closest = np.inf, None
-    waiting = {}  # restart -> (members, value) of rows that left before a lower restart
-    drawn, resolved, size = 0, 0, 1
-    while resolved < cfg.restarts:
-        batch = None
-        # every drawn row has left Adam, and so been resolved: draw the next batch
-        if resolved == drawn:
-            size = min(size, cfg.restarts - drawn)
-            # one (size, nparam) draw yields the numbers of size one-row draws
-            batch = prob, drawn, prob.cayley(INIT_SCALE * rng.standard_normal((size, prob.nparam))), cfg
-            drawn += size
-            size *= 2
-        left = yield batch
-        waiting.update((restart, (ufree, f)) for restart, ufree, f in left)
-        while resolved in waiting:
-            ufree, f = waiting.pop(resolved)
-            resolved += 1
-            if f < HANDOFF_TOL:
-                ufree, f = _lm_polish(prob, ufree, cfg.accept_tol)
-            stack = prob.members(ufree)[0]
-            witness = _witness(state, k, stack, cfg.accept_tol)
-            if witness is not None:
-                return stack, witness
-            if closest is None or f < best:
-                best, closest = f, stack
+    for _ in range(cfg.restarts):
+        start = prob.cayley(INIT_SCALE * rng.standard_normal((1, prob.nparam)))
+        stack = prob.members(_lm_polish(prob, start, cfg.accept_tol)[0])[0]
+        witness = _witness(state, k, stack, cfg.accept_tol)
+        if witness is not None:
+            return stack, witness
+        f = objective(state.lambdas, stack)
+        if f < best:
+            best, closest = f, stack
     return closest, None
 
 
@@ -641,7 +484,7 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     came closest.  With all k members fixed, they are the one candidate.
     """
     _check_types(state=state, cfg=cfg)
-    stack, witness = _run([_find(state, k, cfg, fixed)])[0]
+    stack, witness = _find(state, k, cfg, fixed)
     return objective(state.lambdas, stack), witness
 
 
@@ -667,9 +510,16 @@ def _attempt(state: SchmidtState, k: int, stack: np.ndarray, found: bool) -> KAt
     )
 
 
-def _estimate(state: SchmidtState, cfg: SearchConfig):
-    """estimate_nmax as a search generator for `_run`: each K it must search
-    runs as `_find` batches.  Returns the SearchResult."""
+def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
+    """Estimate the largest K the state supports, scanning K = d, d+1, ...
+
+    K = d needs no search: the shift family {X^k} is valid for every state,
+    so it is recorded as found with that witness.  The scan never queries K
+    beyond the weight bound, stops at the first K that is neither found nor
+    provably excluded, and reports the last certified K.  A failed K is
+    heuristic evidence only.
+    """
+    _check_types(state=state, cfg=cfg)
     d = state.d
     _check_max_k(cfg, d)
     cap = min(cfg.max_k if cfg.max_k is not None else d * d, wcsg_bound(state))
@@ -682,7 +532,7 @@ def _estimate(state: SchmidtState, cfg: SearchConfig):
                 KAttempt(k=k, status="excluded (proven)", best_objective=None, max_pair_residual=None)
             )
             break
-        stack, fam = yield from _find(state, k, cfg)
+        stack, fam = _find(state, k, cfg)
         attempts.append(_attempt(state, k, stack, fam is not None))
         if fam is None:
             break
@@ -695,20 +545,6 @@ def _estimate(state: SchmidtState, cfg: SearchConfig):
         witnesses=witnesses,
         n_max_estimate=max(witnesses),
     )
-
-
-def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
-    """Estimate the largest K the state supports, scanning K = d, d+1, ...
-
-    K = d needs no search: the shift family {X^k} is valid for every state,
-    so it is recorded as found with that witness.  The scan never queries K
-    beyond the weight bound, stops at the first K that is neither found nor
-    provably excluded, and reports the last certified K.  A failed K is
-    heuristic evidence only.  The scan is one search generator run through
-    the lockstep engine, as each cell of `region_sweep` is.
-    """
-    _check_types(state=state, cfg=cfg)
-    return _run([_estimate(state, cfg)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -789,24 +625,25 @@ def _refusal_objective(result: SearchResult) -> float | None:
 
 
 def _sweep_share(tasks: list) -> list[RegionCell]:
-    """One worker's cells, each one estimate_nmax generator, all run through
-    one engine."""
-    cells = [(index, lam3, _cell_state(d, lam3), cfg) for index, lam3, d, cfg in tasks]
-    results = _run([_estimate(state, cfg) for _, _, state, cfg in cells])
-    return [
-        RegionCell(
-            index=index,
-            lambda0=lam3[0],
-            lambda1=lam3[1],
-            lambda2=lam3[2],
-            entropy_bits=entropy_bits(state),
-            wcsg_bound=wcsg_bound(state),
-            n_max_estimate=result.n_max_estimate,
-            best_objective_at_refusal=_refusal_objective(result),
-            seed=cfg.base_seed,
+    """One worker's cells, one estimate_nmax each, in turn."""
+    cells = []
+    for index, lam3, d, cfg in tasks:
+        state = _cell_state(d, lam3)
+        result = estimate_nmax(state, cfg)
+        cells.append(
+            RegionCell(
+                index=index,
+                lambda0=lam3[0],
+                lambda1=lam3[1],
+                lambda2=lam3[2],
+                entropy_bits=entropy_bits(state),
+                wcsg_bound=wcsg_bound(state),
+                n_max_estimate=result.n_max_estimate,
+                best_objective_at_refusal=_refusal_objective(result),
+                seed=cfg.base_seed,
+            )
         )
-        for (index, lam3, state, cfg), result in zip(cells, results)
-    ]
+    return cells
 
 
 def _worker_count(workers: int | None, tasks: int) -> int:
@@ -851,9 +688,8 @@ def region_sweep(
 
     Cell i carries seed base_seed XOR i and goes to worker i mod n, where n
     is `workers` (or DC_LAB_THREADS) clamped to the cell and CPU counts; with
-    n > 1 each worker is a process.  A worker runs all of its cells through
-    one lockstep engine, so the Adam rows of different cells share kernel
-    calls.  A cell's result is the one estimate_nmax gives for it alone,
+    n > 1 each worker is a process.  A worker runs its cells one after
+    another, so a cell's result is the one estimate_nmax gives for it
     whatever the worker count, and cells are returned in index order, so the
     map is reproducible for a fixed seed.  For d > 3 the triangle states are
     padded with zero weights.

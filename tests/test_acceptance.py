@@ -188,7 +188,7 @@ def test_criterion_7_bound_consistency():
         lam0 = d / (d + 1)
         state = make_state(d, [lam0] + [(1 - lam0) / (d - 1)] * (d - 1))
         equality_ok = equality_ok and bns_excluded(state, d + 1)
-    cfg = SearchConfig(restarts=3, max_iters=300, base_seed=5)
+    cfg = SearchConfig(restarts=3, base_seed=5)
     nmax_ok = True
     for _ in range(10):
         d = int(rng.integers(2, 4))
@@ -214,7 +214,7 @@ def test_criterion_8_shift_family_obstruction():
         worst = max(worst, verify_family(fam, state).max_pairwise_residual)
     assert worst <= 1e-12
 
-    cfg = SearchConfig(restarts=3, max_iters=300, base_seed=99)
+    cfg = SearchConfig(restarts=3, base_seed=99)
     refused = 0
     total = 100
     for _ in range(total):

@@ -12,18 +12,17 @@ import pytest
 
 from conftest import random_sorted_weights
 from dc_lab import search
-from dc_lab.analysis import VERIFY_TOL, verify_family, wcsg_bound
-from dc_lab.families import qutrit_five_family, shift, shift_diag_family
+from dc_lab.analysis import KC_RESIDUAL_TOL, VERIFY_TOL, kc_span_check, verify_family, wcsg_bound
+from dc_lab.families import family_2dm1, family_dp2, family_f46, family_f47, qutrit_five_family, shift, shift_diag_family
 from dc_lab.linalg import unitarity_residual
 from dc_lab.search import (
     SearchConfig,
-    _adam,
     _cell_state,
     _lm_polish,
     _prepare_fixed,
     _Problem,
+    _residuals,
     _residuals_and_jacobian,
-    _run,
     _worker_count,
     estimate_nmax,
     find_family,
@@ -105,7 +104,7 @@ def test_find_family_with_fixed_prefix_cannot_extend_shift_family(rng):
     state = make_state(d, [0.62, 0.23, 0.15])
     diags = [np.ones(d)] + [np.exp(2j * np.pi * rng.random(d)) for _ in range(d - 1)]
     prefix = shift_diag_family(d, diags)
-    cfg = SearchConfig(restarts=2, max_iters=250, base_seed=11)
+    cfg = SearchConfig(restarts=2, base_seed=11)
     best, fam = find_family(state, d + 1, cfg, fixed=prefix)
     assert fam is None
     assert best > 1e-6
@@ -155,7 +154,7 @@ def test_estimate_nmax_marks_proven_exclusion():
 
 
 def test_estimate_nmax_never_exceeds_weight_bound(rng):
-    cfg = SearchConfig(restarts=2, max_iters=200, base_seed=0)
+    cfg = SearchConfig(restarts=2, base_seed=0)
     for _ in range(5):
         state = make_state(2, random_sorted_weights(rng, 2))
         res = estimate_nmax(state, cfg)
@@ -174,7 +173,7 @@ def test_search_determinism_bit_stable():
 
 
 def test_restart_monotonicity_on_refused_search():
-    small = SearchConfig(restarts=5, max_iters=120, base_seed=9)
+    small = SearchConfig(restarts=5, base_seed=9)
     large = dataclasses.replace(small, restarts=50)
     best_small, _ = find_family(PSI_H, 5, small)
     best_large, _ = find_family(PSI_H, 5, large)
@@ -199,7 +198,7 @@ def test_triangle_grid_rejects_low_resolution():
 
 
 def test_region_sweep_sequential_deterministic():
-    cfg = SearchConfig(restarts=2, max_iters=150, base_seed=17)
+    cfg = SearchConfig(restarts=2, base_seed=17)
     first = region_sweep(4, cfg, workers=1)
     second = region_sweep(4, cfg, workers=1)
     assert first.cells == second.cells
@@ -211,7 +210,7 @@ def test_region_sweep_sequential_deterministic():
 
 
 def test_a_sweep_cell_is_its_own_estimate_nmax():
-    cfg = SearchConfig(restarts=2, max_iters=150, base_seed=17)
+    cfg = SearchConfig(restarts=2, base_seed=17)
     cells = region_sweep(4, cfg, workers=1).cells
     assert len(cells) == 13
     refusals = 0
@@ -231,7 +230,7 @@ def test_a_sweep_cell_is_its_own_estimate_nmax():
 def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
     # three workers get uneven shares of the 13 cells: 5, 4 and 4
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-    cfg = SearchConfig(restarts=1, max_iters=100, base_seed=2)
+    cfg = SearchConfig(restarts=1, base_seed=2)
     seq = region_sweep(4, cfg, workers=1)
     par = region_sweep(4, cfg, workers=workers)
     assert seq.cells == par.cells
@@ -270,7 +269,7 @@ def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
 )
 def test_sizes_must_be_integers(call, name):
     with pytest.raises(ValueError, match=name):
-        call(SearchConfig(restarts=1, max_iters=10))
+        call(SearchConfig(restarts=1))
 
 
 @pytest.mark.parametrize(
@@ -313,9 +312,11 @@ def test_region_sweep_dimension_validation():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
-    # stall_window is no longer a field: a caller that still passes it fails loudly
-    with pytest.raises(TypeError, match="stall_window"):
-        SearchConfig(stall_window=200)
+    # stall_window and max_iters are no longer fields: a caller that still
+    # passes one fails loudly
+    for field in ("stall_window", "max_iters"):
+        with pytest.raises(TypeError, match=field):
+            SearchConfig(**{field: 200})
     for tol in (0.0, -1e-10, float("nan"), float("inf"), True, "x"):
         with pytest.raises(ValueError, match="accept_tol"):
             SearchConfig(accept_tol=tol)
@@ -324,16 +325,15 @@ def test_search_config_validation():
 
 
 def test_search_config_is_frozen():
-    # a field set after construction would skip the checks: with max_iters = 0
-    # the engine's stop at t = max_iters never comes, and a row that never
-    # hands off would step forever
+    # a field set after construction would skip the checks: with restarts = 0
+    # a search would return no members at all
     cfg = SearchConfig(restarts=1, max_k=4)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.max_iters = 0
+        cfg.restarts = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.accept_tol = "x"
-    with pytest.raises(ValueError, match="max_iters"):
-        dataclasses.replace(cfg, max_iters=0)
+    with pytest.raises(ValueError, match="restarts"):
+        dataclasses.replace(cfg, restarts=0)
     with pytest.raises(ValueError, match="accept_tol"):
         dataclasses.replace(cfg, accept_tol="x")
     assert dataclasses.replace(cfg, base_seed=7) == SearchConfig(restarts=1, max_k=4, base_seed=7)
@@ -361,9 +361,6 @@ def test_search_entry_points_check_argument_types(call, name):
         ("restarts", 2.5),
         ("restarts", True),
         ("restarts", "3"),
-        ("max_iters", 0),
-        ("max_iters", -5),
-        ("max_iters", 100.0),
         ("base_seed", 1.0),
         ("base_seed", False),
         ("max_k", 4.0),
@@ -371,7 +368,6 @@ def test_search_entry_points_check_argument_types(call, name):
         ("max_k", "5"),
         # only max_k may be None
         ("restarts", None),
-        ("max_iters", None),
         ("base_seed", None),
     ],
 )
@@ -381,7 +377,7 @@ def test_search_config_requires_integer_knobs(field, value):
 
 
 def test_search_config_accepts_integer_knobs_at_their_limits():
-    cfg = SearchConfig(restarts=1, max_iters=1, base_seed=0, max_k=np.int64(5))
+    cfg = SearchConfig(restarts=1, base_seed=0, max_k=np.int64(5))
     assert estimate_nmax(PSI_L, cfg).attempts[0].status == "found"
     assert SearchConfig(restarts=np.int64(2)).restarts == 2
 
@@ -409,9 +405,11 @@ def test_index_tables_are_built_once_and_read_only(d, k):
     for got, want in zip((first.basis, first.dual), _reference_basis(d)):
         assert np.array_equal(got, want)
     iu, ju = np.triu_indices(k, 1)
-    assert np.array_equal(first.pairs[0], iu) and np.array_equal(first.pairs[1], ju)
+    pairs = search._pairs(k)
+    assert np.array_equal(pairs[0], iu) and np.array_equal(pairs[1], ju)
     assert np.array_equal(first.pair_flat, iu * k + ju)
-    for table in (first.basis, first.dual, first.pair_flat, *first.pairs):
+    assert first.jac_rows is second.jac_rows
+    for table in (first.basis, first.dual, first.pair_flat, first.jac_rows, *pairs):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
 
@@ -431,218 +429,71 @@ def _problem(state, k, fixed=None):
     return _Problem(state, k, _prepare_fixed(state, fixed))
 
 
-PLATEAU = make_state(3, [0.8, 0.15, 0.05])
-
-
-@pytest.mark.parametrize("states", [[PLATEAU], [PSI_L], [PLATEAU, PSI_L]], ids=["stalls", "hands-off", "mixed"])
-def test_adam_batch_matches_one_row_runs(states, monkeypatch):
-    # The psi_L rows hand off at different steps.  At K = 5, Adam stalls on a
-    # plateau near 0.437 at (0.8, 0.15, 0.05), above the hand-off, so those
-    # rows stop together at max_iters.  In the mixed case the psi_L rows join
-    # the plateau rows' group 150 steps after them: their search first holds
-    # one plateau row in a group of its own for exactly 150 steps.
-    cfg = SearchConfig(max_iters=600)
-    wait = SearchConfig(max_iters=150)
-    probs = [_problem(state, 5) for state in states]
-    starts = [prob.cayley(np.random.default_rng(3 + i).standard_normal((5, prob.nparam))) for i, prob in enumerate(probs)]
-
-    def batch_after_wait(i):
-        if i:
-            yield from search._one_batch(probs[0], starts[0][:1], wait)
-        return (yield from search._one_batch(probs[i], starts[i], cfg))
-
-    shared = []
-    step = search._Group.step
-    monkeypatch.setattr(search._Group, "step", lambda group: shared.append({b.search for b in group.batches}) or step(group))
-    results = _run([batch_after_wait(i) for i in range(len(states))])
-    monkeypatch.undo()
-    assert (len(states) > 1) == ({0, 1} in shared)
-    for prob, start, (best_members, best_f) in zip(probs, starts, results):
-        for row in range(start.shape[0]):
-            one_members, one_f = _adam(prob, start[row : row + 1], cfg)
-            assert np.array_equal(one_members[0], best_members[row])
-            assert one_f[0] == best_f[row]
-
-
 @pytest.mark.parametrize(
     "weights, k", [((3 / 5, 1 / 5, 1 / 5), 7), ((0.6, 0.2, 0.1, 0.1), 9)], ids=["d3-k7", "d4-k9"]
 )
-def test_members_stay_unitary_through_a_full_adam_run(weights, k):
-    # neither state supports k, and Adam's plateaus there (0.42 and 0.44) lie
-    # above the hand-off, so no row hands off and each takes 2000 Cayley steps
+def test_members_stay_unitary_through_a_refused_polish(weights, k):
+    # neither state supports k, so each polish runs until its halving stop,
+    # a Cayley step per iteration
     state = make_state(len(weights), weights)
     prob = _problem(state, k)
-    start = prob.cayley(np.random.default_rng(k).standard_normal((2, prob.nparam)))
-    members, f = _adam(prob, start, SearchConfig(max_iters=2000))
-    assert np.all(f > search.HANDOFF_TOL)
-    assert max(unitarity_residual(m) for m in members.reshape(-1, state.d, state.d)) <= 1e-12
+    for row in np.random.default_rng(k).standard_normal((2, prob.nparam)):
+        members, _ = _lm_polish(prob, prob.cayley(row), VERIFY_TOL)
+        assert not verify_family(prob.members(members)[0], state).passed
+        assert max(unitarity_residual(m) for m in members[0]) <= 1e-12
 
 
 def _one_restart_at_a_time(state, k, cfg):
-    """The search as a plain loop: one draw and Adam run per restart, a polish
-    when Adam hands off, and acceptance when verify_family passes.  Returns
-    every restart's members, objective, and whether it was polished and passed."""
+    """The search as a plain loop: one draw and one polish per restart, and
+    acceptance when verify_family passes.  Returns every restart's members,
+    pair objective, and whether it passed."""
     prob = _problem(state, k)
     rng = np.random.default_rng(cfg.base_seed)
     runs = []
     for _ in range(cfg.restarts):
         start = prob.cayley(search.INIT_SCALE * rng.standard_normal((1, prob.nparam)))
-        members, values = _adam(prob, start, cfg)
-        f, polished = values[0], values[0] < search.HANDOFF_TOL
-        if polished:
-            members, f = _lm_polish(prob, members, cfg.accept_tol)
-        members = prob.members(members)[0]
-        runs.append((members, f, polished, verify_family(members, state, tol=cfg.accept_tol).passed))
+        members = prob.members(search._lm_polish(prob, start, cfg.accept_tol)[0])[0]
+        runs.append((members, objective(state, members), verify_family(members, state, tol=cfg.accept_tol).passed))
     return runs
 
 
 @pytest.mark.parametrize(
-    "weights, k, cfg, accepted, polished",
+    "weights, k, cfg, unpolished, accepted",
     [
-        # restart 0 stops short of the hand-off in 20 Adam steps (at the
-        # default budget restart 0 verifies at every base_seed 1-79);
-        # restarts 1 and 2 both pass verification in the second batch (rows
-        # 1-2), and 2 reaches the lower objective: restart 1 must win
-        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=3, max_iters=20, base_seed=78), 1, [False, True, True]),
-        # refused: lambda0 > d/K, so no valid family exists; both restarts
-        # hand off near 1e-7, are polished and fail verification
-        ((0.6001, 0.3999, 0), 5, SearchConfig(restarts=2, base_seed=1), None, [True, True]),
-        # refused: K = 7 lies beyond the weight bound, every restart stays
-        # near 0.42, above the hand-off, until max_iters, and none is polished
-        ((3 / 5, 1 / 5, 1 / 5), 7, SearchConfig(restarts=4, max_iters=200, base_seed=9), None, [False] * 4),
+        # restart 0 is left at its random start and fails verification, so
+        # restart 1, polished from the second draw, is accepted before
+        # restart 2 is drawn (at the default budget restart 0 verifies at
+        # every base_seed 1-20)
+        ((4 / 6, 2 / 6, 0, 0), 6, SearchConfig(restarts=3, base_seed=78), 1, 1),
+        # refused: lambda0 > d/K, so no valid family exists; the closest of
+        # the two polished restarts is reported
+        ((0.6001, 0.3999, 0), 5, SearchConfig(restarts=2, base_seed=1), 0, None),
+        # refused: K = 7 lies beyond the weight bound
+        ((3 / 5, 1 / 5, 1 / 5), 7, SearchConfig(restarts=4, base_seed=9), 0, None),
     ],
-    ids=["found-late", "refused-after-polish", "refused"],
+    ids=["found-late", "refused-near-saturation", "refused"],
 )
-def test_find_family_matches_one_restart_at_a_time(weights, k, cfg, accepted, polished):
+def test_find_family_matches_one_restart_at_a_time(weights, k, cfg, unpolished, accepted, monkeypatch):
+    polish, calls = search._lm_polish, []
+
+    def leave_the_first_unpolished(prob, start, tol):
+        calls.append(1)
+        return (start, None) if len(calls) <= unpolished else polish(prob, start, tol)
+
+    monkeypatch.setattr(search, "_lm_polish", leave_the_first_unpolished)
     state = make_state(len(weights), weights)
     runs = _one_restart_at_a_time(state, k, cfg)
-    assert [run[2] for run in runs] == polished
-    passed = [i for i, run in enumerate(runs) if run[3]]
+    passed = [i for i, run in enumerate(runs) if run[2]]
+    calls.clear()
     best, fam = find_family(state, k, cfg)
     if accepted is None:
         assert passed == [] and fam is None
         ref_members = min(runs, key=lambda run: run[1])[0]
     else:
-        assert passed[:2] == [accepted, accepted + 1] and runs[accepted + 1][1] < runs[accepted][1]
+        assert passed[0] == accepted and len(calls) == accepted + 1
         ref_members = runs[accepted][0]
         assert all(np.array_equal(a, b) for a, b in zip(fam.members, ref_members))
     assert best == objective(state, ref_members)
-
-
-def _schedule(monkeypatch):
-    """Log the engine's joins as (step, first restart, rows), the rows that
-    leave Adam as (step, restart), and the number of rows in every step."""
-    joins, leaves, rows = [], [], []
-    join, step = search._Group.join, search._Group.step
-
-    def logged_join(group, i, prob, first, start):
-        joins.append((group.clock, first, start.shape[0]))
-        return join(group, i, prob, first, start)
-
-    def logged_step(group):
-        rows.append(group.rows[0].shape[0])
-        left = step(group)
-        leaves.extend((group.clock, restart) for _, (restart, _, _) in left)
-        return left
-
-    monkeypatch.setattr(search._Group, "join", logged_join)
-    monkeypatch.setattr(search._Group, "step", logged_step)
-    return joins, leaves, rows
-
-
-def test_a_first_restart_that_verifies_steps_alone(monkeypatch):
-    # restart 0 hands off at step 18 and verifies, so no other restart joins
-    # and every step holds that one row
-    joins, _, rows = _schedule(monkeypatch)
-    _, fam = find_family(make_state(3, [0.51, 0.30, 0.19]), 5, SearchConfig(base_seed=1))
-    assert fam is not None
-    assert joins == [(0, 0, 1)]
-    assert set(rows) == {1} and len(rows) < 400
-
-
-def test_acceptance_joins_no_later_batch(monkeypatch):
-    # restart 0 stops at max_iters = 20 unpolished, and restarts 1-2 join
-    # then; restart 2 leaves first but waits for restart 1, which verifies, so
-    # restart 2 is never polished and restarts 3-6, which would join once
-    # restarts 1-2 had both left, never join
-    state = make_state(4, [4 / 6, 2 / 6, 0, 0])
-    cfg = SearchConfig(restarts=50, max_iters=20, base_seed=10)
-    runs = _one_restart_at_a_time(state, 6, dataclasses.replace(cfg, restarts=2))
-    assert [(run[2], run[3]) for run in runs] == [(False, False), (True, True)]
-    joins, leaves, _ = _schedule(monkeypatch)
-    polished = []
-    polish = search._lm_polish
-    monkeypatch.setattr(search, "_lm_polish", lambda *args: polished.append(1) or polish(*args))
-    best, fam = find_family(state, 6, cfg)
-    assert joins == [(0, 0, 1), (20, 1, 2)]
-    assert leaves[0] == (20, 0) and [restart for _, restart in leaves[1:]] == [2, 1]
-    assert len(polished) == 1
-    assert all(np.array_equal(a, b) for a, b in zip(fam.members, runs[1][0]))
-    assert best == objective(state, runs[1][0])
-
-
-def test_acceptance_drops_the_rows_still_in_adam(monkeypatch):
-    # restart 0 hands off at step 24 but fails verification, so restarts 1-2
-    # join then; restart 1 verifies when it leaves Adam, at step 40, with
-    # restart 2 still in Adam: the engine takes no further step.  Of
-    # base_seeds 1-1999 at psi_L, K = 5, only 429 and 864 accept a row while
-    # another row of its batch is still in Adam
-    joins, leaves, rows = _schedule(monkeypatch)
-    _, fam = find_family(PSI_L, 5, SearchConfig(base_seed=429))
-    assert fam is not None
-    assert joins == [(0, 0, 1), (24, 1, 2)]
-    assert [restart for _, restart in leaves] == [0, 1]
-    assert len(rows) == leaves[-1][0] and rows[-1] == 2
-
-
-def test_next_batch_joins_when_the_last_row_of_the_batch_before_leaves(monkeypatch):
-    # lambda0 > d/K, so every row hands off and fails verification; restart 2
-    # hands off at step 29, two steps before restart 1, and waits: restart 1
-    # steps alone until it leaves at step 31, and restarts 3-6 join only then
-    state = make_state(3, [0.6001, 0.3999, 0])
-    joins, leaves, rows = _schedule(monkeypatch)
-    _, fam = find_family(state, 5, SearchConfig(restarts=7, base_seed=2))
-    assert fam is None
-    assert joins == [(0, 0, 1), (16, 1, 2), (31, 3, 4)]
-    assert leaves[:3] == [(16, 0), (29, 2), (31, 1)]
-    assert rows[28:32] == [2, 1, 1, 4]
-    assert len(rows) == leaves[-1][0]
-
-
-@pytest.mark.parametrize("max_iters", [50, 75], ids=lambda m: f"max-{m}")
-def test_schedule_of_rows_that_stop_at_max_iters(max_iters, monkeypatch):
-    # K = 7 lies beyond the weight bound at psi_H, and Adam's plateau there
-    # (0.42) lies above the hand-off, so each batch steps max_iters times
-    # and the next batch, twice as large, joins when it stops
-    m = max_iters
-    joins, leaves, rows = _schedule(monkeypatch)
-    _, fam = find_family(make_state(3, [3 / 5, 1 / 5, 1 / 5]), 7, SearchConfig(restarts=7, max_iters=m, base_seed=4))
-    assert fam is None
-    assert joins == [(0, 0, 1), (m, 1, 2), (2 * m, 3, 4)]
-    assert leaves == [(m, 0), (2 * m, 1), (2 * m, 2)] + [(3 * m, restart) for restart in range(3, 7)]
-    assert rows == [1] * m + [2] * m + [4] * m
-
-
-def test_a_search_has_one_batch_in_adam_and_rows_leave_by_hand_off_or_max_iters(monkeypatch):
-    # K = 9 lies beyond what (0.6, 0.2, 0.1, 0.1) supports, and Adam's plateau
-    # there (0.44) lies above the hand-off, so every row stops at max_iters
-    # and the search's next batch joins only then
-    cfg = SearchConfig(restarts=8, base_seed=1)
-    batches, leaves = [], []
-    step = search._Group.step
-
-    def logged_step(group):
-        batches.append(max(collections.Counter(batch.search for batch in group.batches).values()))
-        left = step(group)
-        leaves.extend((group.clock - batch.joined, restart, f) for batch, (restart, _, f) in left)
-        return left
-
-    monkeypatch.setattr(search._Group, "step", logged_step)
-    _, fam = find_family(make_state(4, [0.6, 0.2, 0.1, 0.1]), 9, cfg)
-    assert fam is None
-    assert max(batches) == 1
-    assert sorted(restart for _, restart, _ in leaves) == list(range(cfg.restarts))
-    assert all(f < search.HANDOFF_TOL or t == cfg.max_iters for t, _, f in leaves)
 
 
 @pytest.mark.parametrize(
@@ -650,15 +501,23 @@ def test_a_search_has_one_batch_in_adam_and_rows_leave_by_hand_off_or_max_iters(
     [
         ((0.5, 0.3, 0.2), 5, None),
         ((0.5, 0.3, 0.2), 5, [np.eye(3), shift(3)]),
+        ((3 / 5, 1 / 5, 1 / 5), 5, None),
+        ((3 / 5, 1 / 5, 1 / 5), 5, [np.eye(3), shift(3)]),
+        ((3 / 5, 2 / 5, 0), 5, None),
+        ((4 / 7, 3 / 7, 0, 0), 7, [np.eye(4), shift(4)]),
     ],
-    ids=["identity-prefix", "two-member-prefix"],
+    ids=["identity-prefix", "two-member-prefix", "saturated", "saturated-prefix", "saturated-zero-weight", "saturated-d4"],
 )
 def test_jacobian_matches_central_differences(weights, k, fixed, rng):
-    # the Jacobian is taken at theta = 0 of the moves U_m -> U_m cay(H(theta))
-    state = make_state(3, weights)
+    # the Jacobian is taken at theta = 0 of the moves U_m -> U_m cay(H(theta));
+    # at lambda0 = d/K the residuals carry a span block per nonzero weight
+    state = make_state(len(weights), weights)
     prob = _problem(state, k, fixed)
+    blocks = 0 if prob.span is None else np.count_nonzero(state.lambdas) * state.d**2
+    assert (blocks > 0) == (abs(state.lambda0 - state.d / k) < 1e-12)
     members = prob.cayley(rng.standard_normal((1, prob.nparam)))
     r, jac = _residuals_and_jacobian(prob, members)
+    assert r.shape == (k * (k - 1) // 2 + blocks,)
     assert jac.shape == (r.size, prob.nparam)
     step = 1e-6
     fd = np.empty_like(jac)
@@ -666,6 +525,52 @@ def test_jacobian_matches_central_differences(weights, k, fixed, rng):
         plus, minus = members @ prob.cayley(e), members @ prob.cayley(-e)
         fd[:, p] = (_residuals_and_jacobian(prob, plus)[0] - _residuals_and_jacobian(prob, minus)[0]) / (2 * step)
     assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def _target(fam):
+    """The state a constructed family saturates: (lambda0, 1 - lambda0, 0, ...)."""
+    return make_state(fam.d, [fam.target_lambda0, 1 - fam.target_lambda0] + [0.0] * (fam.d - 2))
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [qutrit_five_family(), family_f46(), family_f47()]
+    + [family_dp2(d) for d in range(3, 9)]
+    + [family_2dm1(d) for d in range(4, 9)],
+    ids=lambda fam: f"{fam.label}-d{fam.d}",
+)
+def test_span_blocks_vanish_on_exact_saturated_families(fam):
+    state = _target(fam)
+    k = len(fam.members)
+    stack = np.asarray(fam.members)
+    prob = _problem(state, k, fixed=stack[:1])
+    assert prob.span is not None
+    _, r = _residuals(prob, stack[None, 1:])
+    assert r.size == k * (k - 1) // 2 + 2 * state.d**2
+    assert np.max(np.abs(r)) <= 1e-12
+
+
+def test_a_state_just_below_saturation_is_searched_without_the_span_blocks():
+    # lambda0 = 3/5 - 5e-10 lies within SATURATION_TOL of d/K = 3/5, but its
+    # families miss the span blocks by about 5e-10: with the blocks, the LM
+    # ended between the two, and none of these restarts verified
+    state = make_state(3, [3 / 5 - 5e-10, 2 / 5 + 5e-10, 0])
+    assert _problem(state, 5).span is None
+    _, witness = find_family(state, 5, SearchConfig(restarts=5, base_seed=1))
+    assert witness is not None
+
+
+@pytest.mark.parametrize(
+    "weights, k",
+    [((1 / 3, 1 / 3, 1 / 3), 9), ((1 / 2, 1 / 2), 4), ((0.5, 0.3, 0.2), 5), ((3 / 5, 2 / 5, 0), 4), ((0.6001, 0.3999, 0), 5)],
+    ids=["uniform-d3-k9", "uniform-d2-k4", "unsaturated", "psi-l-k4", "near-saturation"],
+)
+def test_no_span_blocks_at_k_equal_d_squared_or_off_saturation(weights, k):
+    state = make_state(len(weights), weights)
+    prob = _problem(state, k)
+    assert prob.span is None
+    members = prob.cayley(np.random.default_rng(k).standard_normal((1, prob.nparam)))
+    assert _residuals(prob, members)[1].shape == (k * (k - 1) // 2,)
 
 
 def test_worker_count_clamps_to_tasks_and_cpus(monkeypatch):
@@ -711,28 +616,28 @@ def test_estimate_nmax_rejects_max_k_below_d():
 # x86-64.  Another LAPACK may round the Cayley solves differently and change them.
 RECORDED_SEARCHES = {
     (3 / 5, 2 / 5, 0.0): (
-        [(3, "found", "0.0"), (4, "found", "3.4250447138208885e-27"), (5, "found", "1.1681903575032792e-20")],
-        "650ef5307d0c1b92e4c66bc7a6db7c64b00e2e195cc63f93d1a966993f7762a5",
+        [(3, "found", "0.0"), (4, "found", "8.10001709654148e-22"), (5, "found", "7.063944165720826e-22")],
+        "456926063395685f4eb9301f0a06b8f2e4d9409f43894d0a491e93a5abe05573",
     ),
     (3 / 5, 1 / 5, 1 / 5): (
-        [(3, "found", "0.0"), (4, "found", "4.373337558581253e-22"), (5, "not found (heuristic)", "0.0014638935859067536")],
-        "1ec6d43fc29bddfa95ce6a47702ffbc68021ca41fd3b47e2a4a22c7a1791e62a",
+        [(3, "found", "0.0"), (4, "found", "1.0178089228339292e-24"), (5, "not found (heuristic)", "0.0015036158035837467")],
+        "eecc4bbc03ed27ea266ace7bc7dbd5229192c4cc0ebda50cab9898638f283afa",
     ),
     (4 / 6, 2 / 6, 0.0, 0.0): (
-        [(4, "found", "0.0"), (5, "found", "7.627390978762363e-22"), (6, "found", "3.019768749747198e-20")],
-        "418873c773eb28c91b21ce033b70ec1cc5f8ad3ef1711a70f82bf2456a898f3f",
+        [(4, "found", "0.0"), (5, "found", "4.0583986338041986e-22"), (6, "found", "7.367160814872251e-28")],
+        "efdec3bfab98694abda7860b30c1dde16f609dc1334e52e6acef1deb8f47513a",
     ),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _search_at_seed_1(weights):
-    """The recorded search, and the family size and objective call count of
-    every LM polish it ran, one call per LM iteration.  It runs with
-    np.linalg.eigh raising, so it completes only without eigh."""
+    """The recorded search, and the family size and residual call count of
+    every LM polish it ran: one at its start, and one per LM iteration.  It
+    runs with np.linalg.eigh raising, so it completes only without eigh."""
     state = make_state(len(weights), weights)
     polished, calls = [], []
-    polish, objective_of = search._lm_polish, _Problem.objective
+    polish, residuals_of = search._lm_polish, search._residuals
 
     def counted(prob, *args):
         calls.clear()
@@ -745,7 +650,7 @@ def _search_at_seed_1(weights):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_lm_polish", counted)
-        mp.setattr(_Problem, "objective", lambda self, u: calls.append(1) or objective_of(self, u))
+        mp.setattr(search, "_residuals", lambda *args: calls.append(1) or residuals_of(*args))
         mp.setattr(np.linalg, "eigh", no_eigh)
         result = estimate_nmax(state, SearchConfig(base_seed=1))
     return state, result, polished
@@ -782,22 +687,22 @@ def test_search_runs_without_eigh(weights, n_max):
 
 
 def test_headline_refusal_polishes_every_restart():
-    # Adam hands each of the 50 restarts at K = 5 off at the end of its first
-    # descent, and LM takes every one to the same plateau near 1.4636e-3,
-    # where the halving stop ends it: within 26-53 objective calls each
+    # LM takes each of the 50 restarts at K = 5 from its random start to the
+    # same plateau, pair objective near 1.5036e-3, where the halving stop
+    # ends it: within 24-46 residual calls each
     _, result, polished = _search_at_seed_1((3 / 5, 1 / 5, 1 / 5))
     assert [(a.k, a.status) for a in result.attempts[1:]] == [(4, "found"), (5, "not found (heuristic)")]
     at_5 = [n for k, n in polished if k == 5]
     assert len(at_5) == 50
     assert max(at_5) <= 60
-    assert result.attempts[-1].best_objective == pytest.approx(1.4636e-3, rel=1e-3)
+    assert result.attempts[-1].best_objective == pytest.approx(1.5036e-3, rel=1e-3)
 
 
 def test_a_refusal_reports_the_pair_residual_of_its_closest_restart():
     # the quantity acceptance tests, of the restart that came closest
     _, result, _ = _search_at_seed_1((3 / 5, 1 / 5, 1 / 5))
     refusal = result.attempts[-1]
-    closest, witness = _run([search._find(PSI_H, 5, SearchConfig(base_seed=1))])[0]
+    closest, witness = search._find(PSI_H, 5, SearchConfig(base_seed=1))
     assert witness is None
     assert refusal.best_objective == objective(PSI_H, closest)
     assert refusal.max_pair_residual == verify_family(closest, PSI_H).max_pairwise_residual
@@ -808,12 +713,10 @@ def test_a_refusal_reports_the_pair_residual_of_its_closest_restart():
 
 @pytest.mark.parametrize("seed", range(1, 21))
 def test_saturated_rank_deficient_witnesses_verify(seed, monkeypatch):
-    # (4/6, 2/6, 0, 0) saturates K = 6, where the LM Jacobian is singular.
-    # The first polished restart must verify: with damping scaled by
-    # diag(J^T J), the first polish ended at pair residuals 4.8e-6 (seed 1)
-    # and 3.1e-10 (seed 6), and a second restart had to be polished; a
-    # progress stop that ends a polish after 10 iterations without halving
-    # the objective ended seed 1's at 3.2e-7
+    # (4/6, 2/6, 0, 0) saturates K = 6, where the Jacobian of the pair
+    # equations alone is singular.  The first polished restart must verify
+    # and pass kc_span_check: without the span blocks, LM converged only
+    # linearly there, and its witnesses missed kc_span_check at about 1e-5
     state = make_state(4, [4 / 6, 2 / 6, 0, 0])
     polished = []
     polish = search._lm_polish
@@ -822,29 +725,71 @@ def test_saturated_rank_deficient_witnesses_verify(seed, monkeypatch):
     assert len(polished) == 1
     assert witness is not None
     assert verify_family(witness, state).passed
+    assert kc_span_check(witness, state).max_residual <= KC_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+@pytest.mark.parametrize(
+    "weights, k",
+    [((3 / 5, 2 / 5, 0), 5), ((4 / 6, 2 / 6, 0, 0), 6), ((4 / 7, 3 / 7, 0, 0), 7)],
+    ids=["psi-l-k5", "d4-k6", "d4-k7"],
+)
+def test_saturated_witnesses_pass_kc_span_check(weights, k, seed):
+    # search-find's three rank-deficient saturated states; without the span
+    # blocks their witnesses missed KC_RESIDUAL_TOL by 1.1e-5 to 1.4e-5
+    state = make_state(len(weights), weights)
+    _, witness = find_family(state, k, SearchConfig(base_seed=seed))
+    assert witness is not None
+    report = kc_span_check(witness, state)
+    assert report.saturated
+    assert report.max_residual <= KC_RESIDUAL_TOL
 
 
 def test_a_polish_without_a_root_nearby_stops_early(monkeypatch):
-    # Sweep cell 12 at resolution 6 refuses K = 4.  Adam hands this row off
-    # at 0.091, below HANDOFF_TOL, but no family lies near it.  With a
-    # ceiling of 2,000 iterations and no halving stop, a row of this cell
-    # handed off at 9.9e-5 ran all of them, creeping to 9.36e-6.  Each halving
+    # Sweep cell 12 at resolution 6 refuses K = 4, and no family lies near
+    # this start.  With a ceiling of 2,000 iterations and no halving stop, a
+    # polish there once ran all of them, creeping to 9.36e-6.  Each halving
     # of the objective restarts the count of LM_HALVING_ITERS iterations, so a
     # polish that halves it h times ends within LM_HALVING_ITERS (h + 1)
-    # iterations, one objective call each, and h <= log2(f_start / f_end):
-    # here at most 20 * 14 = 280.  It ends after 42, at 1.09e-5.
+    # iterations, one residual call each after the first, and
+    # h <= log2(f_start / f_end): here at most 20 * 17 = 340.  It ends after
+    # 62, at 1.11e-5.
     state = make_state(3, triangle_grid(6)[12])
     prob = _problem(state, 4)
     start = prob.cayley(np.random.default_rng(4).standard_normal((1, prob.nparam)))
-    members, values = _adam(prob, start, SearchConfig())
-    assert 1e-6 < values[0] < search.HANDOFF_TOL
+    f_start = objective(state, prob.members(start)[0])
     calls = []
-    objective_of = _Problem.objective
-    monkeypatch.setattr(_Problem, "objective", lambda self, u: calls.append(1) or objective_of(self, u))
-    members, f = _lm_polish(prob, members, VERIFY_TOL)
-    assert len(calls) <= search.LM_HALVING_ITERS * (1 + math.floor(math.log2(values[0] / f)))
+    residuals_of = search._residuals
+    monkeypatch.setattr(search, "_residuals", lambda *args: calls.append(1) or residuals_of(*args))
+    members, f = _lm_polish(prob, start, VERIFY_TOL)
+    assert len(calls) - 1 <= search.LM_HALVING_ITERS * (1 + math.floor(math.log2(f_start / f)))
     assert f > VERIFY_TOL
     assert not verify_family(prob.members(members)[0], state).passed
+
+
+def test_a_singular_lm_step_falls_back_to_least_squares(monkeypatch):
+    # np.linalg.solve raises on the third LM step of the polish (the Cayley
+    # transforms' batched solves pass through): that step is taken by lstsq,
+    # and the polish still ends at a witness that verifies
+    state = make_state(4, [4 / 6, 2 / 6, 0, 0])
+    prob = _problem(state, 6)
+    start = prob.cayley(np.random.default_rng(1).standard_normal((1, prob.nparam)))
+    solve, lstsq, steps, fallbacks = np.linalg.solve, np.linalg.lstsq, [], []
+
+    def failing_solve(a, b):
+        if b.ndim == 1:
+            steps.append(1)
+            if len(steps) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: fallbacks.append(1) or lstsq(*args, **kwargs))
+    members, _ = _lm_polish(prob, start, VERIFY_TOL)
+    assert len(fallbacks) == 1 and len(steps) > 3
+    stack = prob.members(members)[0]
+    assert verify_family(stack, state).passed
+    assert kc_span_check(stack, state).max_residual <= KC_RESIDUAL_TOL
 
 
 @pytest.mark.parametrize(
@@ -864,3 +809,4 @@ def test_saturated_d_plus_j_families_are_found_above_d_4(weights, k, seed):
     _, witness = find_family(state, k, SearchConfig(restarts=8, base_seed=seed))
     assert witness is not None
     assert verify_family(witness, state).passed
+    assert kc_span_check(witness, state).max_residual <= KC_RESIDUAL_TOL
