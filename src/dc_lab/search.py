@@ -230,14 +230,15 @@ class _Problem:
         stack[:, self.nf :] = ufree
         return stack
 
-    def objective_and_gradient(self, ufree: np.ndarray, chart=None):
-        """Objective (R,) and gradient (R, nparam) of every row of free members.
+    def objective_and_gradient(self, ufree: np.ndarray, chart: np.ndarray):
+        """Objective (R,) and gradient (R, nparam) of every row of free members
+        U = cay(H), in the coordinates of H.
 
-        The gradient is in the body-frame coordinates at H = 0, where
-        d cay(H) = i dH: with Omega_m = U_m^dag G_m and
-        G_m = sum_j conj(T_mj) U_j Lambda, it is 2 Im tr(Omega_m dH/dtheta).
-        For members U = cay(H) away from H = 0, where d cay(H) = i A^-1 dH A^-1
-        with A = I - iH/2, `chart` = A^-1 gives the gradient in H instead.
+        In the body frame at H = 0, where d cay(H) = i dH, the gradient is
+        2 Im tr(Omega_m dH/dtheta) with Omega_m = U_m^dag G_m and
+        G_m = sum_j conj(T_mj) U_j Lambda.  Away from H = 0,
+        d cay(H) = i A^-1 dH A^-1 with A = I - iH/2, and `chart` = A^-1 turns
+        Omega_m into chart Omega_m chart^dag.
         """
         d, k = self.d, self.k
         stack = self.members(ufree)
@@ -248,9 +249,7 @@ class _Problem:
         c = t.conj()
         c.reshape(rows, k * k)[:, :: k + 1] = 0.0
         g = (c[:, self.nf :] @ stack.reshape(rows, k, d * d)).reshape(ufree.shape) * self.lam
-        omega = ufree.conj().swapaxes(-1, -2) @ g
-        if chart is not None:
-            omega = chart @ omega @ chart.conj().swapaxes(-1, -2)
+        omega = chart @ (ufree.conj().swapaxes(-1, -2) @ g) @ chart.conj().swapaxes(-1, -2)
         return f, 2.0 * self.trace_layout(omega).imag.reshape(rows, self.nparam)
 
     def trace_layout(self, z: np.ndarray) -> np.ndarray:
