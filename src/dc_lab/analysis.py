@@ -18,8 +18,10 @@ from .states import SchmidtState, _member_stack, message_vectors
 VERIFY_TOL = 1e-10
 SATURATION_TOL = 1e-9
 KC_RESIDUAL_TOL = 1e-8
-# Slack on the strict d+1 bound lambda0 >= d/(d+1).  Kept at roundoff scale:
-# at SATURATION_TOL it would label reachable states "excluded (proven)".
+# Slack on the strict d+1 bound lambda0 >= d/(d+1), and on the saturation
+# point lambda0 = d/K (`saturates`).  Kept at roundoff scale: at
+# SATURATION_TOL it would label reachable states "excluded (proven)", and call
+# states up to 1e-9 below d/K saturated, where the span property fails.
 STRICT_BOUND_TOL = 1e-12
 
 
@@ -108,6 +110,17 @@ def bns_excluded(state: SchmidtState, k: int) -> bool:
     return k == d + 1 and state.lambda0 >= d / (d + 1) - STRICT_BOUND_TOL
 
 
+def saturates(state: SchmidtState, k: int) -> bool:
+    """True when lambda0 = d/K to roundoff, the equality of the weight bound.
+
+    Every valid K-family there puts each |m0> in the message span.  That
+    holds only at equality, so the test is at STRICT_BOUND_TOL, not
+    SATURATION_TOL: a valid K = 5 family for (3/5 - 1e-10, 2/5 + 1e-10, 0)
+    misses the span by 1.8e-5.
+    """
+    return abs(state.lambda0 - state.d / k) <= STRICT_BOUND_TOL
+
+
 @dataclass(frozen=True)
 class KcReport:
     """Span diagnostic at the saturation point lambda0 = d/K.
@@ -131,7 +144,7 @@ def kc_span_check(family, state: SchmidtState) -> KcReport:
     """Measure how far each |m0> basis vector is from the message span."""
     stack = _member_stack(family, state.d)
     k, d = stack.shape[0], state.d
-    saturated = abs(state.lambda0 - d / k) <= SATURATION_TOL
+    saturated = saturates(state, k)
     msgs = message_vectors(stack, state)
     # Near-miss families get an orthonormalization pass so the projector
     # diagnostic stays meaningful; clean families are projected as-is.

@@ -24,8 +24,12 @@ there passes `kc_span_check`.  A restart is accepted exactly when
 
 Restarts run one after another, and the first that verifies wins; every run
 with the same configuration is bit-for-bit reproducible.  `estimate_nmax`
-searches K = d+1, d+2, ... in turn, and a sweep worker runs its cells one
-after another.
+searches its cap, the weight bound or a lower max_k, first: the first k
+members of a valid K-family are a valid k-family, so when the cap is found,
+every smaller K is certified by a subset of that one witness, each verified
+on its own.  When the cap is refused, or a subset fails verification, it
+searches K = d+1, d+2, ... in turn, reusing the search at the cap.  A sweep
+hands its cells to the workers one at a time.
 
 A failed search is evidence, not proof: results label such outcomes
 "not found (heuristic)".  Only the closed-form exclusion predicates from
@@ -45,12 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    STRICT_BOUND_TOL,
     VERIFY_TOL,
     _diagonal_of,
     _max_pairwise_residual,
     _weighted_gram,
     bns_excluded,
+    saturates,
     verify_family,
     wcsg_bound,
 )
@@ -203,11 +207,12 @@ class _Problem:
         # alone, so LM converges only linearly there; the span blocks, which
         # every family there satisfies, make the root regular.  At K = d^2
         # the pair equations imply them.  They hold only at equality, so the
-        # test is at roundoff scale: a family at lambda_0 = d/K - eps misses
-        # them by about eps, and at SATURATION_TOL the blocks would keep LM
-        # from the families of states up to 1e-9 below d/K.
+        # test is `saturates`, at roundoff scale: a family at
+        # lambda_0 = d/K - eps misses them by about eps, and at SATURATION_TOL
+        # the blocks would keep LM from the families of states up to 1e-9
+        # below d/K.
         self.span = None
-        if k < d * d and abs(self.lam[0] - d / k) <= STRICT_BOUND_TOL:
+        if k < d * d and saturates(state, k):
             cols = np.flatnonzero(self.lam > 0)
             self.span = cols, np.sqrt(self.lam[0] * self.lam[cols])
             blocks = self.basis.reshape(d * d, d, d)[:, :, cols]
@@ -492,12 +497,6 @@ def _check_max_k(cfg: SearchConfig, d: int) -> None:
         raise ValueError(f"max_k={cfg.max_k} is below d={d}; K=d is always achievable")
 
 
-@functools.lru_cache(maxsize=16)
-def _shift_witness(d: int) -> EncodingFamily:
-    """The K = d witness {X^k}, valid for every state; cached, its members read-only."""
-    return shift_diag_family(d, [np.ones(d)] * d)
-
-
 def _attempt(state: SchmidtState, k: int, stack: np.ndarray, found: bool) -> KAttempt:
     """The outcome at k with the objective and largest pair residual of
     `stack`: the witness, or the closest restart of a refusal."""
@@ -509,29 +508,59 @@ def _attempt(state: SchmidtState, k: int, stack: np.ndarray, found: bool) -> KAt
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _shift_witness(d: int) -> tuple[EncodingFamily, KAttempt]:
+    """The K = d witness {X^k}, valid for every state, and its attempt;
+    cached, the members read-only.  The members have disjoint supports, so
+    every pair trace is exactly 0 whatever the weights, and the attempt is
+    the same for every state of dimension d."""
+    shifts = shift_diag_family(d, [np.ones(d)] * d)
+    return shifts, _attempt(make_state(d, np.full(d, 1 / d)), d, _member_stack(shifts, d), True)
+
+
 def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
-    """Estimate the largest K the state supports, scanning K = d, d+1, ...
+    """Estimate the largest K the state supports, from K = d up to the cap:
+    the weight bound, or cfg.max_k when that is lower.
 
     K = d needs no search: the shift family {X^k} is valid for every state,
-    so it is recorded as found with that witness.  The scan never queries K
-    beyond the weight bound, stops at the first K that is neither found nor
-    provably excluded, and reports the last certified K.  A failed K is
+    so it is recorded as found with that witness.  The cap is searched
+    first, unless it is provably excluded, because the first k members of a
+    valid K-family are a valid k-family (their pair traces are some of its
+    own).  When the cap is found, each k between d and the cap is certified
+    by the first k members of its witness, which must pass `verify_family`
+    at cfg.accept_tol on their own, and nothing else is searched.
+    Otherwise, when the cap is refused or some subset fails verification,
+    K = d+1, d+2, ... are searched in turn, as if the cap had not been
+    tried, except that the scan takes the cap's search as it stands when it
+    reaches it.  The scan stops at the first K that is neither found nor
+    provably excluded.  The estimate is the last certified K; a failed K is
     heuristic evidence only.
     """
     _check_types(state=state, cfg=cfg)
     d = state.d
     _check_max_k(cfg, d)
     cap = min(cfg.max_k if cfg.max_k is not None else d * d, wcsg_bound(state))
-    shifts = _shift_witness(d)
-    attempts = [_attempt(state, d, _member_stack(shifts, d), True)]
+    shifts, shift_attempt = _shift_witness(d)
+    attempts = [shift_attempt]
     witnesses: dict[int, EncodingFamily] = {d: shifts}
-    for k in range(d + 1, cap + 1):
+    scan = range(d + 1, cap + 1)
+    if cap > d and not bns_excluded(state, cap):
+        at_cap = stack, fam = _find(state, cap, cfg)
+        if fam is not None:
+            subsets = {k: _witness(state, k, stack[:k], cfg.accept_tol) for k in range(d + 1, cap)}
+            if all(w is not None for w in subsets.values()):
+                subsets[cap] = fam
+                attempts += [_attempt(state, k, stack[:k], True) for k in subsets]
+                witnesses |= subsets
+                scan = ()
+    for k in scan:
         if bns_excluded(state, k):
             attempts.append(
                 KAttempt(k=k, status="excluded (proven)", best_objective=None, max_pair_residual=None)
             )
             break
-        stack, fam = _find(state, k, cfg)
+        # the scan passes the exclusion test at the cap only when the cap was searched
+        stack, fam = at_cap if k == cap else _find(state, k, cfg)
         attempts.append(_attempt(state, k, stack, fam is not None))
         if fam is None:
             break
@@ -623,26 +652,22 @@ def _refusal_objective(result: SearchResult) -> float | None:
     return None
 
 
-def _sweep_share(tasks: list) -> list[RegionCell]:
-    """One worker's cells, one estimate_nmax each, in turn."""
-    cells = []
-    for index, lam3, d, cfg in tasks:
-        state = _cell_state(d, lam3)
-        result = estimate_nmax(state, cfg)
-        cells.append(
-            RegionCell(
-                index=index,
-                lambda0=lam3[0],
-                lambda1=lam3[1],
-                lambda2=lam3[2],
-                entropy_bits=entropy_bits(state),
-                wcsg_bound=wcsg_bound(state),
-                n_max_estimate=result.n_max_estimate,
-                best_objective_at_refusal=_refusal_objective(result),
-                seed=cfg.base_seed,
-            )
-        )
-    return cells
+def _sweep_cell(task) -> RegionCell:
+    """One sweep cell: the estimate_nmax of its state under its seed."""
+    index, lam3, d, cfg = task
+    state = _cell_state(d, lam3)
+    result = estimate_nmax(state, cfg)
+    return RegionCell(
+        index=index,
+        lambda0=lam3[0],
+        lambda1=lam3[1],
+        lambda2=lam3[2],
+        entropy_bits=entropy_bits(state),
+        wcsg_bound=wcsg_bound(state),
+        n_max_estimate=result.n_max_estimate,
+        best_objective_at_refusal=_refusal_objective(result),
+        seed=cfg.base_seed,
+    )
 
 
 def _worker_count(workers: int | None, tasks: int) -> int:
@@ -685,13 +710,14 @@ def region_sweep(
 ) -> RegionMap:
     """Estimate N_max over the weight triangle, one estimate_nmax per cell.
 
-    Cell i carries seed base_seed XOR i and goes to worker i mod n, where n
-    is `workers` (or DC_LAB_THREADS) clamped to the cell and CPU counts; with
-    n > 1 each worker is a process.  A worker runs its cells one after
-    another, so a cell's result is the one estimate_nmax gives for it
-    whatever the worker count, and cells are returned in index order, so the
-    map is reproducible for a fixed seed.  For d > 3 the triangle states are
-    padded with zero weights.
+    Cell i carries seed base_seed XOR i.  The cells run on n workers, where
+    n is `workers` (or DC_LAB_THREADS) clamped to the cell and CPU counts;
+    with n > 1 each worker is a process.  Cells are handed to the workers
+    one at a time, in index order, as they come free, so a worker that
+    draws slow cells leaves the rest to the others.  A cell's result is the
+    one estimate_nmax gives for it whatever the worker count, and cells are
+    returned in index order, so the map is reproducible for a fixed seed.
+    For d > 3 the triangle states are padded with zero weights.
     """
     pts = sweep_grid(resolution, cfg, d)
     if d != 3:
@@ -706,10 +732,8 @@ def region_sweep(
         # else needs
         from concurrent.futures import ProcessPoolExecutor
 
-        shares = [tasks[w::nworkers] for w in range(nworkers)]
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            cells = [cell for share in pool.map(_sweep_share, shares) for cell in share]
+            cells = tuple(pool.map(_sweep_cell, tasks))
     else:
-        cells = _sweep_share(tasks)
-    cells.sort(key=lambda cell: cell.index)
-    return RegionMap(d=d, resolution=resolution, base_seed=cfg.base_seed, cells=tuple(cells))
+        cells = tuple(map(_sweep_cell, tasks))
+    return RegionMap(d=d, resolution=resolution, base_seed=cfg.base_seed, cells=cells)

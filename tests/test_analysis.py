@@ -1,17 +1,29 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from conftest import gram_equivalence_residual, haar_unitary, lambda_inner, random_sorted_weights
 from dc_lab.analysis import (
+    KC_RESIDUAL_TOL,
     _weighted_gram,
     bns_excluded,
     kc_span_check,
+    saturates,
     shift_family_obstructed,
     verify_family,
     wcsg_bound,
 )
-from dc_lab.families import family_f46, family_f47, qutrit_five_family, shift, weyl_family
-from dc_lab.search import objective
+from dc_lab.families import (
+    family_2dm1,
+    family_dp2,
+    family_f46,
+    family_f47,
+    qutrit_five_family,
+    shift,
+    weyl_family,
+)
+from dc_lab.search import SearchConfig, find_family, objective
 from dc_lab.states import make_state
 
 PSI_L = make_state(3, [3 / 5, 2 / 5, 0])
@@ -162,6 +174,42 @@ def test_kc_span_check_advisory_when_not_saturated():
     report = kc_span_check(qutrit_five_family(), UNIFORM3)
     assert not report.saturated
     assert len(report.residuals) == 3
+
+
+def _fraction_target(d, k):
+    """(d/k, 1 - d/k, 0, ...) with both weights written as exact fractions,
+    as `dc-lab verify --lambdas` reads them."""
+    return make_state(d, [float(Fraction(d, k)), float(Fraction(k - d, k))] + [0.0] * (d - 2))
+
+
+SATURATED_CASES = {
+    "five": (qutrit_five_family(), PSI_L),
+    "f46": (family_f46(), _fraction_target(4, 6)),
+    "f47": (family_f47(), _fraction_target(4, 7)),
+    **{f"d-plus-two-d{d}": (family_dp2(d), _fraction_target(d, d + 2)) for d in range(3, 13)},
+    **{f"two-d-minus-one-d{d}": (family_2dm1(d), _fraction_target(d, 2 * d - 1)) for d in range(4, 13)},
+}
+
+
+@pytest.mark.parametrize("fam, state", list(SATURATED_CASES.values()), ids=list(SATURATED_CASES))
+def test_saturated_families_are_saturated(fam, state):
+    assert saturates(state, len(fam.members))
+    report = kc_span_check(fam, state)
+    assert report.saturated
+    assert report.max_residual <= KC_RESIDUAL_TOL
+
+
+def test_a_valid_family_just_below_saturation_is_not_saturated():
+    # lambda0 lies 1e-10 below d/K = 3/5, inside SATURATION_TOL: the search's
+    # K = 5 witness is valid there but misses the span, which only equality
+    # guarantees, so the check must not call the state saturated
+    state = make_state(3, [3 / 5 - 1e-10, 2 / 5 + 1e-10, 0])
+    _, witness = find_family(state, 5, SearchConfig(base_seed=1))
+    assert verify_family(witness, state).passed
+    report = kc_span_check(witness, state)
+    assert report.max_residual > KC_RESIDUAL_TOL
+    assert not saturates(state, 5)
+    assert not report.saturated
 
 
 def test_kc_span_check_orthonormalizes_near_misses(rng):

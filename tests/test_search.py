@@ -15,6 +15,7 @@ from dc_lab.analysis import KC_RESIDUAL_TOL, VERIFY_TOL, kc_span_check, verify_f
 from dc_lab.families import family_2dm1, family_dp2, family_f46, family_f47, qutrit_five_family, shift, shift_diag_family
 from dc_lab.linalg import unitarity_residual
 from dc_lab.search import (
+    KAttempt,
     SearchConfig,
     _cell_state,
     _lm_polish,
@@ -227,7 +228,8 @@ def test_a_sweep_cell_is_its_own_estimate_nmax():
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
-    # three workers get uneven shares of the 13 cells: 5, 4 and 4
+    # the pool hands out the 13 cells one at a time, so which worker runs
+    # which cell depends on timing; the map must not
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     cfg = SearchConfig(restarts=1, base_seed=2)
     seq = region_sweep(4, cfg, workers=1)
@@ -609,22 +611,143 @@ def test_estimate_nmax_rejects_max_k_below_d():
     assert estimate_nmax(PSI_L, SearchConfig(max_k=3)).n_max_estimate == 3
 
 
+def _count_finds(monkeypatch):
+    """Wrap search._find so each call records its family size; returns the list."""
+    find, sizes = search._find, []
+
+    def counted(state, k, *args):
+        sizes.append(k)
+        return find(state, k, *args)
+
+    monkeypatch.setattr(search, "_find", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "weights, cap",
+    [((1 / 3, 1 / 3, 1 / 3), 9), ((3 / 5, 2 / 5, 0), 5), ((4 / 7, 3 / 7, 0, 0), 7), ((0.51, 0.30, 0.19), 5)],
+    ids=["uniform", "psi-l", "d4-k7", "unsaturated"],
+)
+def test_a_cap_found_first_certifies_every_smaller_k(weights, cap, monkeypatch):
+    state = make_state(len(weights), weights)
+    sizes = _count_finds(monkeypatch)
+    res = estimate_nmax(state, SearchConfig(base_seed=1))
+    assert sizes == [cap]
+    assert [(a.k, a.status) for a in res.attempts] == [(k, "found") for k in range(state.d, cap + 1)]
+    top = res.witnesses[cap].members
+    for attempt in res.attempts[1:-1]:
+        members = res.witnesses[attempt.k].members
+        assert len(members) == attempt.k
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(members, top))
+        assert verify_family(members, state).passed
+        assert attempt.best_objective == objective(state, members)
+
+
+def _scan_from_d_plus_1(state, cfg):
+    """The scan without the cap first: _find at K = d+1, d+2, ... until a K
+    is refused or the weight bound is reached."""
+    attempts, witnesses = [], {}
+    for k in range(state.d + 1, wcsg_bound(state) + 1):
+        stack, fam = search._find(state, k, cfg)
+        found = fam is not None
+        status = "found" if found else "not found (heuristic)"
+        attempts.append((k, status, objective(state, stack), verify_family(stack, state).max_pairwise_residual))
+        if not found:
+            break
+        witnesses[k] = fam
+    return attempts, witnesses
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2, 3])
+def test_a_cap_refused_first_falls_back_to_the_scan(seed, monkeypatch):
+    # psi_H is refused at its bound K = 5; the scan then searches K = 4 and
+    # takes the K = 5 search as it stands, so the result is the plain scan's
+    cfg = SearchConfig(base_seed=seed)
+    attempts, witnesses = _scan_from_d_plus_1(PSI_H, cfg)
+    sizes = _count_finds(monkeypatch)
+    res = estimate_nmax(PSI_H, cfg)
+    assert sizes == [5, 4]
+    assert [(a.k, a.status, a.best_objective, a.max_pair_residual) for a in res.attempts[1:]] == attempts
+    assert res.n_max_estimate == 4 and sorted(res.witnesses) == [3, 4]
+    assert all(np.array_equal(a, b) for a, b in zip(res.witnesses[4].members, witnesses[4].members))
+
+
+def test_a_subset_that_fails_verification_falls_back_to_the_scan(monkeypatch):
+    # the first K = 4 candidate, the cap witness's first four members, is
+    # turned down; the scan then searches K = 4 and reuses the K = 5 witness
+    witness_of, turned_down = search._witness, []
+
+    def refuse_the_first_subset(state, k, stack, tol):
+        if k == 4 and not turned_down:
+            turned_down.append(stack)
+            return None
+        return witness_of(state, k, stack, tol)
+
+    cfg = SearchConfig(base_seed=1)
+    attempts, witnesses = _scan_from_d_plus_1(PSI_L, cfg)
+    monkeypatch.setattr(search, "_witness", refuse_the_first_subset)
+    sizes = _count_finds(monkeypatch)
+    res = estimate_nmax(PSI_L, cfg)
+    assert sizes == [5, 4]
+    assert [(a.k, a.status, a.best_objective, a.max_pair_residual) for a in res.attempts[1:]] == attempts
+    for k in (4, 5):
+        assert all(np.array_equal(a, b) for a, b in zip(res.witnesses[k].members, witnesses[k].members))
+    # the K = 4 witness is the K = 4 search's, not the subset that was turned down
+    assert not np.array_equal(np.asarray(res.witnesses[4].members), turned_down[0])
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_the_cached_k_equal_d_attempt_is_every_states_own(d):
+    shifts, attempt = search._shift_witness(d)
+    assert attempt == KAttempt(k=d, status="found", best_objective=0.0, max_pair_residual=0.0)
+    stack = np.asarray(shifts.members)
+    rng = np.random.default_rng(d)
+    for _ in range(50):
+        state = make_state(d, rng.dirichlet(np.ones(d)))
+        assert search._attempt(state, d, stack, True) == attempt
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_k_equal_d_plus_1_at_its_strict_bound_is_excluded_without_a_search(d, monkeypatch):
+    state = make_state(d, [d / (d + 1), 1 / (d + 1)] + [0.0] * (d - 2))
+    assert wcsg_bound(state) == d + 1
+    sizes = _count_finds(monkeypatch)
+    res = estimate_nmax(state, SearchConfig(base_seed=1))
+    assert sizes == []
+    assert [(a.k, a.status) for a in res.attempts] == [(d, "found"), (d + 1, "excluded (proven)")]
+
+
+@pytest.mark.parametrize(
+    "weights, max_k, statuses",
+    [((1 / 3, 1 / 3, 1 / 3), 6, ["found"] * 4), ((3 / 5, 1 / 5, 1 / 5), 4, ["found"] * 2)],
+    ids=["uniform-max-k-6", "psi-h-max-k-4"],
+)
+def test_a_max_k_below_the_bound_is_searched_first(weights, max_k, statuses, monkeypatch):
+    state = make_state(len(weights), weights)
+    assert wcsg_bound(state) > max_k
+    sizes = _count_finds(monkeypatch)
+    res = estimate_nmax(state, SearchConfig(max_k=max_k, base_seed=1))
+    assert sizes == [max_k]
+    assert [(a.k, a.status) for a in res.attempts] == list(zip(range(state.d, max_k + 1), statuses))
+    assert res.n_max_estimate == max_k
+
+
 # Each attempt's (k, status, repr(best_objective)) and the sha256 of the
 # witness members' complex128 bytes (in increasing K), for a default search
 # at base_seed=1, as recorded with numpy 2.4 and its bundled OpenBLAS on
 # x86-64.  Another LAPACK may round the Cayley solves differently and change them.
 RECORDED_SEARCHES = {
     (3 / 5, 2 / 5, 0.0): (
-        [(3, "found", "0.0"), (4, "found", "8.10001709654148e-22"), (5, "found", "7.063944165720826e-22")],
-        "456926063395685f4eb9301f0a06b8f2e4d9409f43894d0a491e93a5abe05573",
+        [(3, "found", "0.0"), (4, "found", "4.407129635975174e-22"), (5, "found", "7.063944165720826e-22")],
+        "283efb420c30faeb4445fe5f13ca6cd9842e7fbcb0cc21f2b33b1570e625b1e8",
     ),
     (3 / 5, 1 / 5, 1 / 5): (
         [(3, "found", "0.0"), (4, "found", "1.0178089228339292e-24"), (5, "not found (heuristic)", "0.0015036158035837467")],
         "eecc4bbc03ed27ea266ace7bc7dbd5229192c4cc0ebda50cab9898638f283afa",
     ),
     (4 / 6, 2 / 6, 0.0, 0.0): (
-        [(4, "found", "0.0"), (5, "found", "4.0583986338041986e-22"), (6, "found", "7.367160814872251e-28")],
-        "efdec3bfab98694abda7860b30c1dde16f609dc1334e52e6acef1deb8f47513a",
+        [(4, "found", "0.0"), (5, "found", "5.540844414764034e-28"), (6, "found", "7.367160814872251e-28")],
+        "ea1ba984f47b76a22c6e954af4ab433ba344b1bd945b7147026d23ab9600befe",
     ),
 }
 
