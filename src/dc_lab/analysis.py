@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SchmidtState, _member_stack, message_vectors
+from .states import SchmidtState, _members
 
 VERIFY_TOL = 1e-10
 SATURATION_TOL = 1e-9
@@ -23,6 +23,9 @@ KC_RESIDUAL_TOL = 1e-8
 # SATURATION_TOL it would label reachable states "excluded (proven)", and call
 # states up to 1e-9 below d/K saturated, where the span property fails.
 STRICT_BOUND_TOL = 1e-12
+# Matrix entries per block of the unitarity check: U^dag U is formed for this
+# many entries' worth of members at a time, for a whole small family at once.
+_BLOCK_ENTRIES = 1 << 12
 
 
 def _diagonal_of(weights) -> np.ndarray:
@@ -38,8 +41,9 @@ def _diagonal_of(weights) -> np.ndarray:
 def _weighted_gram(stack: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Matrix of tr(Lambda U_i^dag U_j) over all member pairs.
 
-    Takes a (..., K, d, d) stack and returns (..., K, K): each member is
-    flattened row-major, so Lambda weights column a of every row.
+    Takes a (..., K, d, c) stack, c columns to the c weights of lam, and
+    returns (..., K, K): each member is flattened row-major, so Lambda weights
+    column a of every row.
     """
     flat = stack.shape[:-2] + (-1,)
     return (stack.conj() * lam).reshape(flat) @ stack.reshape(flat).swapaxes(-1, -2)
@@ -63,17 +67,44 @@ class VerificationReport:
     passed: bool
 
 
+def _support(members, lam: np.ndarray):
+    """The members' columns U|j> for the weights lambda_j > 0, and those weights.
+
+    A column of zero weight adds exact zeros to the weighted Gram matrix and
+    to the message vectors, so both are the same on this (K, d, c) block as
+    on the whole stack; it is (K, d, 2) for every d+2 and 2d-1 target.
+    Column 0 is always kept, so each |m0> lies in the block's coordinates:
+    row-major, |m0> is coordinate m*c.
+    """
+    keep = lam > 0
+    keep[0] = True
+    if isinstance(members, np.ndarray):
+        return members[..., keep], lam[keep]
+    return np.stack([m[:, keep] for m in members]), lam[keep]
+
+
 def verify_family(family, state: SchmidtState, tol: float = VERIFY_TOL) -> VerificationReport:
     """Check pairwise weighted orthogonality, unitarity, and message norms.
 
-    Raises ValueError unless tol is finite and nonnegative.
+    The pairwise residuals and the norms come from the support block (see
+    `_support`), and unitarity is checked a block of members at a time, so
+    no (K, d, d) temporary is formed for a large family, nor a stack of an
+    EncodingFamily's members.  Raises ValueError unless tol is finite and
+    nonnegative.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    stack = _member_stack(family, state.d)
-    max_pair = _max_pairwise_residual(stack, state.lambdas)
-    max_unit = float(np.max(np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(state.d))))
-    norms = np.linalg.norm(message_vectors(stack, state), axis=1)
+    d = state.d
+    members = _members(family, d)
+    block, lam = _support(members, state.lambdas)
+    max_pair = _max_pairwise_residual(block, lam)
+    step = max(1, _BLOCK_ENTRIES // (d * d))
+    unit = []
+    for i in range(0, len(members), step):
+        u = np.asarray(members[i : i + step])
+        unit.append(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d))))
+    max_unit = float(np.max(unit))
+    norms = np.linalg.norm((block * np.sqrt(lam)).reshape(len(block), -1), axis=1)
     max_norm = float(np.max(np.abs(norms - 1.0)))
     passed = max_pair <= tol and max_unit <= tol and max_norm <= tol
     return VerificationReport(
@@ -126,7 +157,10 @@ class KcReport:
     """Span diagnostic at the saturation point lambda0 = d/K.
 
     residuals[m] is || P_S |m0> - |m0> || for the projector P_S onto the span
-    of the message vectors.  Under exact saturation every residual vanishes;
+    of the message vectors, and span_dim is the dimension of that span: the
+    rank of the message vectors, at np.linalg.matrix_rank's tolerance for
+    their (K, d^2) matrix, so a family with a repeated member spans fewer
+    than K dimensions.  Under exact saturation every residual vanishes;
     `saturated` records whether the hypothesis held (the residuals are still
     computed, as an advisory, when it does not).
     """
@@ -141,24 +175,35 @@ class KcReport:
 
 
 def kc_span_check(family, state: SchmidtState) -> KcReport:
-    """Measure how far each |m0> basis vector is from the message span."""
-    stack = _member_stack(family, state.d)
-    k, d = stack.shape[0], state.d
-    saturated = saturates(state, k)
-    msgs = message_vectors(stack, state)
-    # Near-miss families get an orthonormalization pass so the projector
-    # diagnostic stays meaningful; clean families are projected as-is.
-    if _max_pairwise_residual(stack, state.lambdas) > KC_RESIDUAL_TOL:
-        q, _ = np.linalg.qr(msgs.T.conj())
-        msgs = q.T.conj()
+    """Measure how far each |m0> basis vector is from the message span.
+
+    Works on the support block (see `_support`): its message vectors are the
+    full ones without their zero coordinates, which changes neither the span
+    nor any |m0>'s distance from it.  A family whose pairwise residual
+    exceeds KC_RESIDUAL_TOL is projected onto the right singular vectors of
+    its message vectors above the rank tolerance, an orthonormal basis of
+    their span; a valid family is projected on its message vectors as they
+    are.
+    """
+    d = state.d
+    block, lam = _support(_members(family, d), state.lambdas)
+    k, c = block.shape[0], block.shape[2]
+    msgs = (block * np.sqrt(lam)).reshape(k, -1)
+    near_miss = _max_pairwise_residual(block, lam) > KC_RESIDUAL_TOL
+    if near_miss:
+        _, sv, basis = np.linalg.svd(msgs, full_matrices=False)
+    else:
+        sv, basis = np.linalg.svd(msgs, compute_uv=False), msgs
+    span_dim = int(np.count_nonzero(sv > sv.max() * max(k, d * d) * np.finfo(float).eps))
+    if near_miss:
+        basis = basis[:span_dim]
     residuals = []
     for m in range(d):
-        idx = m * d
-        projected = msgs.T @ msgs[:, idx].conj()
+        idx = m * c
+        projected = basis.T @ basis[:, idx].conj()
         projected[idx] -= 1.0
         residuals.append(float(np.linalg.norm(projected)))
-    span_dim = int(np.linalg.matrix_rank(msgs))
-    return KcReport(residuals=tuple(residuals), span_dim=span_dim, saturated=saturated)
+    return KcReport(residuals=tuple(residuals), span_dim=span_dim, saturated=saturates(state, k))
 
 
 def shift_family_obstructed(state: SchmidtState) -> bool:

@@ -156,6 +156,76 @@ def write_family_document(family: families.EncodingFamily, path: str) -> None:
 
 _DECODER = json.JSONDecoder()
 _skip_ws = json.decoder.WHITESPACE.match
+# Characters of a family document read at a time.
+_CHUNK = 1 << 20
+
+
+class _Malformed(Exception):
+    """A syntax error: json's message and its position in the whole text."""
+
+    def __init__(self, msg: str, pos: int):
+        super().__init__(msg, pos)
+        self.msg, self.pos = msg, pos
+
+
+class _Text:
+    """The text of an open file, read _CHUNK characters at a time.
+
+    Positions count from the start of the whole text.  The buffer runs from
+    the start of the token being decoded to the end of what has been read;
+    reading more drops the text before that token.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.buf = ""
+        self.base = 0  # position of buf[0]
+        self.eof = False
+
+    def _read(self, pos: int, size: int) -> None:
+        """Drop the text before pos and append up to size more characters."""
+        more = self.fh.read(size)
+        self.eof = not more
+        self.buf = self.buf[pos - self.base :] + more
+        self.base = pos
+
+    def char(self, pos: int) -> str:
+        """The character at pos, or "" at the end of the file."""
+        i = pos - self.base
+        return self.buf[i : i + 1]
+
+    def skip(self, pos: int) -> int:
+        """Position of the first non-whitespace character at or after pos, or
+        of the end of the file."""
+        while True:
+            pos = _skip_ws(self.buf, pos - self.base).end() + self.base
+            if pos < self.base + len(self.buf) or self.eof:
+                return pos
+            self._read(pos, _CHUNK)
+
+    def decode(self, pos: int, parse):
+        """The value parse(buffer, index) -> (value, end) finds at pos, and the
+        position of its end.
+
+        A token cut by the end of the buffer is parsed again once more text
+        has arrived: one that fails to parse, and one that ends within 2
+        characters of the buffer's end, since raw_decode("0.") returns 0 when
+        a "5" follows.  Each consecutive retry reads twice as much as the one
+        before, so a token many chunks long is parsed a logarithmic number of
+        times.
+        """
+        size = _CHUNK
+        while True:
+            try:
+                value, end = parse(self.buf, pos - self.base)
+            except json.JSONDecodeError as exc:
+                if self.eof:
+                    raise _Malformed(exc.msg, exc.pos + self.base) from None
+            else:
+                if self.eof or end < len(self.buf) - 2:
+                    return value, end + self.base
+            self._read(pos, size)
+            size *= 2
 
 
 def _decode_member(text: str, pos: int):
@@ -165,88 +235,104 @@ def _decode_member(text: str, pos: int):
     return (member if pairs is None else pairs), end
 
 
-def _decode_members(text: str, pos: int):
-    """The members array whose "[" ends at text[pos - 1], one member at a time.
+def _scan_key(text: str, pos: int):
+    """The object key whose opening quote is text[pos], and its end."""
+    return json.decoder.scanstring(text, pos + 1)
+
+
+def _decode_members(src: _Text, pos: int):
+    """The members array whose "[" ends at pos - 1, one member at a time.
 
     Each member becomes its (n, 2) array as soon as it is decoded, so its
     nested lists are gone before the next member is read.  A member that
     does not convert stays as decoded, for `document_to_family` to report.
     """
     members = []
-    pos = _skip_ws(text, pos).end()
-    if text[pos : pos + 1] == "]":
+    pos = src.skip(pos)
+    if src.char(pos) == "]":
         return members, pos + 1
     while True:
-        member, pos = _decode_member(text, pos)
+        member, pos = src.decode(pos, _decode_member)
         members.append(member)
-        pos = _skip_ws(text, pos).end()
-        if text[pos : pos + 1] == "]":
+        pos = src.skip(pos)
+        if src.char(pos) == "]":
             return members, pos + 1
-        if text[pos : pos + 1] != ",":
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-        pos = _skip_ws(text, pos + 1).end()
+        if src.char(pos) != ",":
+            raise _Malformed("Expecting ',' delimiter", pos)
+        pos = src.skip(pos + 1)
 
 
-def _decode_object(text: str, pos: int):
-    """The object whose "{" ends at text[pos - 1], walked key by key as json's
+def _decode_object(src: _Text, pos: int):
+    """The object whose "{" ends at pos - 1, walked key by key as json's
     scanner walks it; a "members" array goes to `_decode_members`."""
     doc = {}
-    pos = _skip_ws(text, pos).end()
-    if text[pos : pos + 1] == "}":
+    pos = src.skip(pos)
+    if src.char(pos) == "}":
         return doc, pos + 1
     while True:
-        if text[pos : pos + 1] != '"':
-            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
-        key, pos = json.decoder.scanstring(text, pos + 1)
-        pos = _skip_ws(text, pos).end()
-        if text[pos : pos + 1] != ":":
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-        pos = _skip_ws(text, pos + 1).end()
-        if key == "members" and text[pos : pos + 1] == "[":
-            doc[key], pos = _decode_members(text, pos + 1)
+        if src.char(pos) != '"':
+            raise _Malformed("Expecting property name enclosed in double quotes", pos)
+        key, pos = src.decode(pos, _scan_key)
+        pos = src.skip(pos)
+        if src.char(pos) != ":":
+            raise _Malformed("Expecting ':' delimiter", pos)
+        pos = src.skip(pos + 1)
+        if key == "members" and src.char(pos) == "[":
+            doc[key], pos = _decode_members(src, pos + 1)
         else:
-            doc[key], pos = _DECODER.raw_decode(text, pos)
-        pos = _skip_ws(text, pos).end()
-        if text[pos : pos + 1] == "}":
+            doc[key], pos = src.decode(pos, _DECODER.raw_decode)
+        pos = src.skip(pos)
+        if src.char(pos) == "}":
             return doc, pos + 1
-        if text[pos : pos + 1] != ",":
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-        pos = _skip_ws(text, pos + 1).end()
+        if src.char(pos) != ",":
+            raise _Malformed("Expecting ',' delimiter", pos)
+        pos = src.skip(pos + 1)
 
 
-def _decode_document(text: str):
-    """json.loads(text), with a top-level object's "members" array decoded
-    one member at a time.
+def _decode_document(src: _Text):
+    """json.load of the file, with a top-level object's "members" array
+    decoded one member at a time.
 
-    Every syntax error, trailing data included, raises the JSONDecodeError
-    json.loads raises, at the same position, and a repeated key keeps its
-    last value.
+    Every syntax error, trailing data included, raises _Malformed with the
+    message and position of the JSONDecodeError json.load raises, and a
+    repeated key keeps its last value.
     """
-    if text.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    pos = _skip_ws(text, 0).end()
-    if text[pos : pos + 1] == "{":
-        doc, pos = _decode_object(text, pos + 1)
+    pos = src.skip(0)
+    if pos == 0 and src.char(0) == "\ufeff":
+        raise _Malformed("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+    if src.char(pos) == "{":
+        doc, pos = _decode_object(src, pos + 1)
     else:
-        doc, pos = _DECODER.raw_decode(text, pos)
-    pos = _skip_ws(text, pos).end()
-    if pos != len(text):
-        raise json.JSONDecodeError("Extra data", text, pos)
+        doc, pos = src.decode(pos, _DECODER.raw_decode)
+    pos = src.skip(pos)
+    if src.char(pos):
+        raise _Malformed("Extra data", pos)
     return doc
 
 
 def read_family_document(path: str) -> families.EncodingFamily:
     """Read and validate a family document.
 
-    The text is read once and decoded one member at a time, and it is
-    released before the members are stacked, so reading costs about twice the
-    document's size (the bytes and the decoded text) plus the family.
+    The file is read `_CHUNK` characters at a time and decoded one member at
+    a time, each member an array before the next is read.  Reading holds the
+    family twice (its decoded members, then their stack), one chunk of text
+    and one member's text and lists, not the whole text.  It accepts and
+    rejects what json.load does, with the same messages: on an error the
+    whole text is read again, since json.load decodes all of it first (so a
+    UnicodeDecodeError anywhere comes first) and counts a syntax error's line
+    and column in it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = _decode_document(fh.read())
-        except RecursionError:  # json's scanner recurses once per nesting level
-            raise ValueError("family document is nested too deeply") from None
+            doc = _decode_document(_Text(fh))
+        except (_Malformed, RecursionError, UnicodeDecodeError) as exc:
+            fh.seek(0)
+            text = fh.read()
+            if isinstance(exc, _Malformed):
+                raise json.JSONDecodeError(exc.msg, text, exc.pos) from None
+            if isinstance(exc, RecursionError):  # json's scanner recurses once per nesting level
+                raise ValueError("family document is nested too deeply") from None
+            raise
     return document_to_family(doc)
 
 

@@ -74,6 +74,26 @@ def _member_stack(family, d: int) -> np.ndarray:
     return stack
 
 
+def _members(family, d: int):
+    """The members of an EncodingFamily, a member sequence or an array, as
+    (d, d) complex arrays, without stacking them.
+
+    An array is returned as `_member_stack` returns it; a sequence becomes a
+    list, its members converted one at a time, so an EncodingFamily's
+    complex members are not copied.
+    """
+    members = getattr(family, "members", family)
+    if isinstance(members, np.ndarray):
+        return _member_stack(members, d)
+    members = [np.asarray(m, dtype=np.complex128) for m in members]
+    if not members:
+        raise ValueError("family has no members")
+    for m in members:
+        if m.shape != (d, d):
+            raise ValueError(f"family members have shape {m.shape}, state has d={d}")
+    return members
+
+
 def message_vectors(family, state: SchmidtState) -> np.ndarray:
     """Joint-space message vectors (U_i x I)|psi> as rows of a (K, d^2) array.
 

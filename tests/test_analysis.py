@@ -24,7 +24,7 @@ from dc_lab.families import (
     weyl_family,
 )
 from dc_lab.search import SearchConfig, find_family, objective
-from dc_lab.states import make_state
+from dc_lab.states import make_state, message_vectors
 
 PSI_L = make_state(3, [3 / 5, 2 / 5, 0])
 PSI_H = make_state(3, [3 / 5, 1 / 5, 1 / 5])
@@ -217,6 +217,64 @@ def test_kc_span_check_orthonormalizes_near_misses(rng):
     report = kc_span_check(fam, PSI_L)
     assert report.span_dim <= 3
     assert all(np.isfinite(r) for r in report.residuals)
+
+
+def test_kc_span_check_counts_a_repeated_member_once():
+    # member 4 replaced by member 3: the five message vectors span four
+    # dimensions, and the near-miss projector is onto those four
+    members = list(qutrit_five_family().members)
+    members[4] = members[3]
+    report = kc_span_check(members, PSI_L)
+    msgs = message_vectors(members, PSI_L)
+    assert report.span_dim == np.linalg.matrix_rank(msgs) == 4
+    assert report.saturated
+    # members 0-3 are a valid family, so their message vectors are an
+    # orthonormal basis of the span
+    basis = msgs[:4]
+    expected = [np.linalg.norm(basis.T @ basis[:, 3 * m].conj() - np.eye(9)[3 * m]) for m in range(3)]
+    assert np.allclose(report.residuals, expected, rtol=0, atol=1e-12)
+
+
+def test_span_checks_on_the_support_block_match_the_full_message_vectors(rng):
+    # near-miss families at states with zero weights: the rank, the
+    # projection and the verify residuals on the support block equal those
+    # of the whole stack and its (K, d^2) message matrix, up to roundoff
+    for d, lam in ((3, [3 / 5, 2 / 5, 0]), (4, [0.5, 0.3, 0.2, 0]), (5, [0.6, 0.4, 0, 0, 0])):
+        state = make_state(d, lam)
+        for k in (d, d + 2):
+            members = [haar_unitary(rng, d) for _ in range(k)]
+            members[-1] = members[0]
+            msgs = message_vectors(members, state)
+            report = kc_span_check(members, state)
+            assert report.span_dim == np.linalg.matrix_rank(msgs) == k - 1
+            basis = np.linalg.svd(msgs, full_matrices=False)[2][: report.span_dim]
+            expected = [np.linalg.norm(basis.T @ basis[:, m * d].conj() - np.eye(d * d)[m * d]) for m in range(d)]
+            assert np.allclose(report.residuals, expected, rtol=0, atol=1e-12)
+            gram = _weighted_gram(np.array(members), state.lambdas)
+            checked = verify_family(members, state)
+            assert abs(checked.max_pairwise_residual - np.max(np.abs(gram - np.diag(np.diag(gram))))) <= 1e-14
+            assert abs(checked.max_norm_deviation - np.max(np.abs(np.linalg.norm(msgs, axis=1) - 1))) <= 1e-14
+
+
+def test_verify_family_checks_unitarity_outside_the_support():
+    # column 2 carries no weight at psi_L, so only the unitarity check sees it
+    members = list(qutrit_five_family().members)
+    members[0] = members[0] * [1, 1, 2]
+    report = verify_family(members, PSI_L)
+    assert report.max_pairwise_residual <= 1e-15
+    assert report.max_norm_deviation <= 1e-15
+    assert report.max_unitarity_residual == pytest.approx(3.0)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("i", [0, 15, 16, 17])
+def test_verify_family_checks_every_unitarity_block(i):
+    # 18 members of d = 16 are checked in blocks of 16 and 2
+    members = list(family_dp2(16).members)
+    members[i] = 1.5 * members[i]
+    report = verify_family(members, _fraction_target(16, 18))
+    assert report.max_unitarity_residual == pytest.approx(1.25)
+    assert not report.passed
 
 
 def test_obstruction_predicates():

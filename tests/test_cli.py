@@ -3,6 +3,7 @@ import json
 import os
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dc_lab.families import (
     shift_diag_family,
     weyl_family,
 )
+from dc_lab.states import make_state
 
 
 def run(argv):
@@ -95,6 +97,17 @@ def test_verify_reports_span_residuals_at_saturation(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "saturated" in text
     assert "m=3" in text
+
+
+def test_verify_reports_the_span_dim_of_a_repeated_member(tmp_path, capsys):
+    members = list(qutrit_five_family().members)
+    members[4] = members[3]
+    path = tmp_path / "repeated.json"
+    cli.write_family_document(EncodingFamily(d=3, members=tuple(members), label="repeated"), str(path))
+    assert run(["verify", str(path), "--lambdas", "3/5", "2/5", "0"]) == 1
+    text = capsys.readouterr().out
+    assert "span dim 4," in text
+    assert "result: FAIL" in text
 
 
 def test_verify_malformed_document(tmp_path, capsys):
@@ -400,17 +413,116 @@ def test_family_documents_round_trip_bit_for_bit(tmp_path_factory, fam):
     assert [m.tobytes() for m in loaded.members] == [m.tobytes() for m in fam.members]
 
 
-def test_reading_a_document_costs_about_twice_its_size(tmp_path):
-    """json.load peaked at 4.2 times the 2d-1 d=32 document; streamed, the text is most of the peak."""
-    path = tmp_path / "f32.json"
-    cli.write_family_document(family_2dm1(32), str(path))
+# Chunk sizes that cut every token of a small document somewhere.
+SMALL_CHUNKS = (1, 2, 3, 7)
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES.keys())
+def test_reader_matches_json_load_across_chunk_boundaries(tmp_path, monkeypatch, text, chunk):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    assert _read_outcome(cli.read_family_document, path) == _read_outcome(_reference_read, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, len(_GOOD)), st.sampled_from(["insert", "delete", "replace"]), st.sampled_from(_EDITS)
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_reader_matches_json_load_on_edited_documents_across_chunk_boundaries(tmp_path_factory, edits):
+    chars = list(_GOOD)
+    for pos, op, piece in edits:
+        pos = min(pos, len(chars) - 1)
+        if op == "insert":
+            chars.insert(pos, piece)
+        elif op == "delete" and chars:
+            del chars[pos]
+        elif chars:
+            chars[pos] = piece
+    path = tmp_path_factory.mktemp("edited") / "doc.json"
+    path.write_text("".join(chars), encoding="utf-8")
+    expected = _read_outcome(_reference_read, path)
+    for chunk in SMALL_CHUNKS:
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            assert _read_outcome(cli.read_family_document, path) == expected
+
+
+def _many_chunk_family():
+    """25 members of d = 5 with exponents from -300 to 300, so that chunk
+    ends fall inside numbers, exponents and delimiters: about 1,500
+    characters of text per member."""
+    rng = np.random.default_rng(19)
+    pairs = rng.standard_normal((25, 5, 5, 2)) * 10.0 ** rng.integers(-300, 300, (25, 5, 5, 2))
+    return EncodingFamily(d=5, members=tuple(pairs.view(np.complex128)[..., 0]), label="many chunks", target_lambda0=0.2)
+
+
+@pytest.mark.parametrize("chunk", [7, 1000])
+def test_a_document_many_chunks_long_round_trips_bit_for_bit(tmp_path, monkeypatch, chunk):
+    fam = _many_chunk_family()
+    path = tmp_path / "doc.json"
+    cli.write_family_document(fam, str(path))
+    assert os.path.getsize(path) > 30 * chunk
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    loaded = cli.read_family_document(str(path))
+    assert (loaded.d, loaded.label, loaded.target_lambda0) == (fam.d, fam.label, fam.target_lambda0)
+    assert [m.tobytes() for m in loaded.members] == [m.tobytes() for m in fam.members]
+
+
+def test_a_member_longer_than_a_chunk_is_parsed_a_logarithmic_number_of_times(tmp_path, monkeypatch):
+    # each retry reads twice as much as the one before: a 1,500-character
+    # member read in 7-character chunks is parsed about 9 times, not 200
+    fam = _many_chunk_family()
+    path = tmp_path / "doc.json"
+    cli.write_family_document(fam, str(path))
+    calls = []
+    decode_member = cli._decode_member
+    monkeypatch.setattr(cli, "_decode_member", lambda text, pos: calls.append(pos) or decode_member(text, pos))
+    monkeypatch.setattr(cli, "_CHUNK", 7)
+    cli.read_family_document(str(path))
+    member_chars = os.path.getsize(path) / len(fam.members)
+    assert len(calls) <= len(fam.members) * (np.log2(member_chars / 7) + 2)
+
+
+def _traced_peak(fn, *args):
+    """Bytes fn(*args) allocates at its peak beyond what was held before."""
     tracemalloc.start()
     try:
-        cli.read_family_document(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * os.path.getsize(path)
+
+
+def test_reading_a_document_costs_about_twice_its_family(tmp_path, monkeypatch):
+    """Reading the whole text of the 2d-1 d=32 document at once peaked at 5.7
+    times its family's bytes; streamed in 16k-character chunks, the read
+    holds the decoded members and their stack, and little more."""
+    fam = family_2dm1(32)
+    family_bytes = sum(m.nbytes for m in fam.members)
+    path = tmp_path / "f32.json"
+    cli.write_family_document(fam, str(path))
+    monkeypatch.setattr(cli, "_CHUNK", 1 << 14)
+    assert os.path.getsize(path) > 100 * cli._CHUNK
+    assert _traced_peak(cli.read_family_document, str(path)) <= 2.5 * family_bytes
+
+
+def test_checking_a_family_costs_a_fraction_of_it():
+    """verify_family and kc_span_check allocated 3.1 and 4.1 times the 2d-1
+    d=32 family's bytes; on the (K, d, 2) support block and with unitarity
+    checked a block of members at a time, each stays under half of it."""
+    fam = family_2dm1(32)
+    family_bytes = sum(m.nbytes for m in fam.members)
+    state = make_state(32, [32 / 63, 31 / 63] + [0.0] * 30)
+    assert _traced_peak(analysis.verify_family, fam, state) <= 0.5 * family_bytes
+    assert _traced_peak(analysis.kc_span_check, fam, state) <= 0.5 * family_bytes
 
 
 def test_state_info_low_entropy_state(capsys):
