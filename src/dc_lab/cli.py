@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -320,14 +321,17 @@ def read_family_document(path: str) -> families.EncodingFamily:
     rejects what json.load does, with the same messages: on an error the
     whole text is read again, since json.load decodes all of it first (so a
     UnicodeDecodeError anywhere comes first) and counts a syntax error's line
-    and column in it.
+    and column in it.  A file that cannot seek, such as a pipe, is read
+    whole first.
     """
     with open(path, "r", encoding="utf-8") as fh:
+        # a pipe cannot be read again, so it is read whole, as json.load reads it
+        src = fh if fh.seekable() else io.StringIO(fh.read())
         try:
-            doc = _decode_document(_Text(fh))
+            doc = _decode_document(_Text(src))
         except (_Malformed, RecursionError, UnicodeDecodeError) as exc:
-            fh.seek(0)
-            text = fh.read()
+            src.seek(0)
+            text = src.read()
             if isinstance(exc, _Malformed):
                 raise json.JSONDecodeError(exc.msg, text, exc.pos) from None
             if isinstance(exc, RecursionError):  # json's scanner recurses once per nesting level

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -452,6 +453,23 @@ def test_reader_matches_json_load_on_edited_documents_across_chunk_boundaries(tm
     for chunk in SMALL_CHUNKS:
         with mock.patch.object(cli, "_CHUNK", chunk):
             assert _read_outcome(cli.read_family_document, path) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("case", ["written order", "header syntax error", "trailing data"])
+def test_reader_matches_json_load_on_a_pipe(tmp_path, case):
+    # a pipe cannot seek back for the whole text a syntax error is reported in
+    text = READER_CASES[case]
+    plain = tmp_path / "doc.json"
+    plain.write_text(text, encoding="utf-8")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True)
+    writer.start()
+    outcome = _read_outcome(cli.read_family_document, pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert outcome == _read_outcome(_reference_read, plain)
 
 
 def _many_chunk_family():
