@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -48,15 +47,15 @@ def _build_family(name: str, d: int) -> families.EncodingFamily:
     return build(d)
 
 
-def _member_pairs(member):
-    """`member` as an (n, 2) float array of [re, im] pairs, or None if it is not one."""
+def _member_pairs(member, copy: bool = False):
+    """`member` as a C-ordered (n, 2) float array of [re, im] pairs, a new one if copy, or None if it is not one."""
     try:
         pairs = np.asarray(member)
     except ValueError:  # ragged nesting
         return None
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
         return None
-    return pairs.astype(np.float64, copy=False)
+    return pairs.astype(np.float64, order="C", copy=copy)
 
 
 def _check_header(label, target) -> None:
@@ -83,12 +82,18 @@ def document_to_family(doc: dict) -> families.EncodingFamily:
 
     Rejects, with ValueError, a missing `d` or `members`, a `d` that is not
     an integer >= 2, a `label` that is not a string, a `target_lambda0` that
-    is not null or a finite number, members that are not d*d finite [re, im]
-    number pairs each, and a member count K outside [d, d*d].  A member is a
-    list of pairs, or the (n, 2) float array `read_family_document` converts
-    it to.
-    Members are not checked for unitarity: verification reports that.
+    is not null or a finite number, members that are not d*d [re, im] number
+    pairs each or, once every member's shape has been checked, not finite,
+    and a member count K outside [d, d*d].  A member is a list of pairs or an
+    (n, 2) array of them; the family shares no memory with `doc`.  Members
+    are not checked for unitarity: verification reports that.
     """
+    return _to_family(doc, copy=True)
+
+
+def _to_family(doc: dict, copy: bool) -> families.EncodingFamily:
+    """`document_to_family`, each member a complex (d, d) view of its [re, im]
+    pairs, which are copied first from an array member when copy is true."""
     if not isinstance(doc, dict):
         raise ValueError("family document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -106,38 +111,31 @@ def document_to_family(doc: dict) -> families.EncodingFamily:
         raise ValueError(f"family has {k} members, outside [{d}, {d * d}]")
     # One conversion per member: numpy's shape discovery over the whole nested
     # list would hold bookkeeping for every [re, im] pair at once.
-    entries = np.empty((k, d * d, 2))
+    stack = []
     for i, member in enumerate(members):
         if not isinstance(member, (list, np.ndarray)):
             raise ValueError(f"member {i} must be a list of [re, im] pairs")
         if len(member) != d * d:
             raise ValueError(f"member {i} has {len(member)} entries, expected {d * d}")
-        pairs = _member_pairs(member)
+        pairs = _member_pairs(member, copy)
         if pairs is None:
             raise ValueError(f"member {i} entries must be [re, im] pairs of numbers")
-        entries[i] = pairs
-    if not np.all(np.isfinite(entries)):
+        stack.append(pairs.view(np.complex128).reshape(d, d))
+    if not all(np.isfinite(m).all() for m in stack):
         raise ValueError("member entries must be finite")
-    stack = entries.view(np.complex128).reshape(k, d, d)
-    return families.EncodingFamily(
-        d=d,
-        members=tuple(stack),
-        label=label,
-        target_lambda0=target,
-    )
+    return families.EncodingFamily(d=d, members=tuple(stack), label=label, target_lambda0=target)
 
 
 def write_family_document(family: families.EncodingFamily, path: str) -> None:
     """Write `family` as the bytes of json.dump(document, indent=1) and a newline.
 
-    The header goes through json.dumps; the members are written one at a
-    time, each float as float.__repr__, which is how json spells a finite
+    The header goes through json.dumps; each member is converted and written
+    in turn, each float as float.__repr__, which is how json spells a finite
     float.  Refuses, before opening the file, what `document_to_family` would
     reject: non-finite members, a non-string label or a target_lambda0 that is
     not None or a finite number.
     """
-    members = [np.ascontiguousarray(m, dtype=np.complex128).reshape(-1) for m in family.members]
-    if not all(np.all(np.isfinite(m)) for m in members):
+    if not all(np.isfinite(np.asarray(m, dtype=np.complex128)).all() for m in family.members):
         raise ValueError("family members must be finite")
     _check_header(family.label, family.target_lambda0)
     header = {
@@ -148,11 +146,12 @@ def write_family_document(family: families.EncodingFamily, path: str) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, indent=1)[:-2] + ',\n "members": [')
-        for i, m in enumerate(members):
+        for i, m in enumerate(family.members):
+            m = np.ascontiguousarray(m, dtype=np.complex128).reshape(-1)
             parts = list(map(float.__repr__, m.view(np.float64).tolist()))
             pairs = map(",\n    ".join, zip(parts[0::2], parts[1::2]))
             fh.write((",\n" if i else "\n") + "  [\n   [\n    " + "\n   ],\n   [\n    ".join(pairs) + "\n   ]\n  ]")
-        fh.write("\n ]\n}\n" if members else "]\n}\n")
+        fh.write("\n ]\n}\n" if family.members else "]\n}\n")
 
 
 _DECODER = json.JSONDecoder()
@@ -170,18 +169,18 @@ class _Malformed(Exception):
 
 
 class _Text:
-    """The text of an open file, read _CHUNK characters at a time.
+    """The text of an open file, read _CHUNK characters at a time or given whole.
 
     Positions count from the start of the whole text.  The buffer runs from
     the start of the token being decoded to the end of what has been read;
     reading more drops the text before that token.
     """
 
-    def __init__(self, fh):
+    def __init__(self, fh, text: str | None = None):
         self.fh = fh
-        self.buf = ""
+        self.buf = "" if text is None else text
         self.base = 0  # position of buf[0]
-        self.eof = False
+        self.eof = text is not None
 
     def _read(self, pos: int, size: int) -> None:
         """Drop the text before pos and append up to size more characters."""
@@ -315,29 +314,30 @@ def read_family_document(path: str) -> families.EncodingFamily:
     """Read and validate a family document.
 
     The file is read `_CHUNK` characters at a time and decoded one member at
-    a time, each member an array before the next is read.  Reading holds the
-    family twice (its decoded members, then their stack), one chunk of text
-    and one member's text and lists, not the whole text.  It accepts and
-    rejects what json.load does, with the same messages: on an error the
-    whole text is read again, since json.load decodes all of it first (so a
+    a time, each member an array, which the family's member is a view of,
+    before the next is read.  Reading holds the family once, one chunk of
+    text and one member's text and lists.  It accepts and rejects what
+    json.load does, with the same messages: on an error the whole text is
+    read again, since json.load decodes all of it first (so a
     UnicodeDecodeError anywhere comes first) and counts a syntax error's line
     and column in it.  A file that cannot seek, such as a pipe, is read
-    whole first.
+    whole first, into one string that serves the decoding and any error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         # a pipe cannot be read again, so it is read whole, as json.load reads it
-        src = fh if fh.seekable() else io.StringIO(fh.read())
+        text = None if fh.seekable() else fh.read()
         try:
-            doc = _decode_document(_Text(src))
+            doc = _decode_document(_Text(fh, text))
         except (_Malformed, RecursionError, UnicodeDecodeError) as exc:
-            src.seek(0)
-            text = src.read()
+            if text is None:
+                fh.seek(0)
+                text = fh.read()
             if isinstance(exc, _Malformed):
                 raise json.JSONDecodeError(exc.msg, text, exc.pos) from None
             if isinstance(exc, RecursionError):  # json's scanner recurses once per nesting level
                 raise ValueError("family document is nested too deeply") from None
             raise
-    return document_to_family(doc)
+    return _to_family(doc, copy=False)
 
 
 def _parse_weight(text: str) -> float:

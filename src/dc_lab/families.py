@@ -38,18 +38,18 @@ class EncodingFamily:
 
 
 def _family(d: int, members, label: str, target_lambda0: float | None) -> EncodingFamily:
-    mats = tuple(as_matrix(m).copy() for m in members)
+    """The family of `members`, checked and made read-only, not copied: callers pass new arrays."""
+    mats = tuple(as_matrix(m) for m in members)
     for i, m in enumerate(mats):
         if m.shape != (d, d):
             raise ValueError(f"member {i} of {label} has shape {m.shape}, expected ({d}, {d})")
         res = unitarity_residual(m)
         if res > UNITARITY_TOL:
             raise ValueError(f"member {i} of {label} is not unitary: residual {res:.3e}")
+        m.flags.writeable = False
     k = len(mats)
     if not d <= k <= d * d:
         raise ValueError(f"{label} has {k} members, outside [{d}, {d * d}]")
-    for m in mats:
-        m.flags.writeable = False
     return EncodingFamily(d=d, members=mats, label=label, target_lambda0=target_lambda0)
 
 

@@ -104,7 +104,6 @@ def complete_to_unitary(partial_columns, d: int, tol: float = UNITARITY_TOL) -> 
     # would turn a -0.0 entry into +0.0.
     basis = np.zeros((n, d, d), dtype=np.complex128)
     basis[:, :k] = given.swapaxes(-1, -2)
-    conj = basis.conj()
     count = np.full(n, k)
     for idx in range(d):
         open_rows = count < d
@@ -114,8 +113,9 @@ def complete_to_unitary(partial_columns, d: int, tol: float = UNITARITY_TOL) -> 
         v[:, idx] = 1.0
         for _ in range(2):
             for j in range(int(count[open_rows].max())):
-                dots = conj[:, j, None, :] @ v[:, :, None]
-                v = np.where((count > j)[:, None], v - dots[:, :, 0] * basis[:, j], v)
+                col = basis[:, j]
+                dots = col.conj()[:, None, :] @ v[:, :, None]
+                v = np.where((count > j)[:, None], v - dots[:, :, 0] * col, v)
         re, im = v.real, v.imag
         nrm = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
         keep = np.flatnonzero(open_rows & (nrm > _KEEP_NORM))
@@ -123,10 +123,10 @@ def complete_to_unitary(partial_columns, d: int, tol: float = UNITARITY_TOL) -> 
         anchor = v[np.arange(len(keep)), np.argmax(np.abs(v) > _PHASE_EPS, axis=1)]
         v = v * (anchor.conj() / np.hypot(anchor.real, anchor.imag))[:, None]
         basis[keep, count[keep]] = v
-        conj[keep, count[keep]] = v.conj()
         count[keep] += 1
 
     if np.any(count < d):
         raise ValueError("could not complete the given columns to a unitary")
-    out = np.ascontiguousarray(basis.swapaxes(-1, -2))
-    return out if stacked else out[0]
+    for m in basis:  # each row becomes a column, in place rather than in a second stack
+        m[...] = m.T.copy()
+    return basis if stacked else basis[0]

@@ -199,6 +199,26 @@ def test_verify_integer_entries_load(tmp_path, capsys):
     assert "result: PASS" in capsys.readouterr().out
 
 
+def test_every_member_shape_is_checked_before_any_entry_is(tmp_path):
+    # member 0 is not finite and member 1 is too short: the length is reported
+    members = [_identity_pairs(2)[:3] + [[float("nan"), 0.0]], _identity_pairs(2)[:3]]
+    path = tmp_path / "doc.json"
+    path.write_text(_document(2, members))
+    for read in (cli.read_family_document, _reference_read):
+        with pytest.raises(ValueError, match="member 1 has 3 entries, expected 4"):
+            read(str(path))
+
+
+def test_a_family_shares_no_memory_with_its_document():
+    swap = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    arrays = [np.array(_identity_pairs(2)), np.asfortranarray(swap), np.array(swap, dtype=np.int64)]
+    doc = {"schema_version": 1, "d": 2, "members": [*arrays, swap]}
+    fam = cli.document_to_family(doc)
+    assert not any(np.shares_memory(m, a) for m in fam.members for a in arrays)
+    expected = [np.array(pairs, dtype=np.float64, order="C").view(np.complex128).reshape(2, 2) for pairs in doc["members"]]
+    assert [m.tobytes() for m in fam.members] == [m.tobytes() for m in expected]
+
+
 def test_verify_runs_verify_family_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "f47.json"
     run(["construct", "f47", "-d", "4", "--output", str(path)])
@@ -541,6 +561,59 @@ def test_checking_a_family_costs_a_fraction_of_it():
     state = make_state(32, [32 / 63, 31 / 63] + [0.0] * 30)
     assert _traced_peak(analysis.verify_family, fam, state) <= 0.5 * family_bytes
     assert _traced_peak(analysis.kc_span_check, fam, state) <= 0.5 * family_bytes
+
+
+@pytest.mark.parametrize("build", [family_2dm1, family_dp2])
+def test_building_a_family_costs_about_its_size(build):
+    """Copying the members the completion had just built, and a completion
+    holding its stack three times, peaked at 2.11 and 3.10 times the d=32
+    2d-1 and d+2 families' bytes."""
+    family_bytes = sum(m.nbytes for m in build(32).members)
+    assert _traced_peak(build, 32) <= 1.5 * family_bytes
+
+
+def test_reading_a_document_costs_about_its_family(tmp_path, monkeypatch):
+    """Copying the decoded members into one stack held the 2d-1 d=32 family
+    twice, 2.14 times its bytes; as views of the decoded arrays, the members
+    are held once, beside one chunk and one member's lists."""
+    fam = family_2dm1(32)
+    family_bytes = sum(m.nbytes for m in fam.members)
+    path = tmp_path / "f32.json"
+    cli.write_family_document(fam, str(path))
+    monkeypatch.setattr(cli, "_CHUNK", 1 << 14)
+    assert _traced_peak(cli.read_family_document, str(path)) <= 1.6 * family_bytes
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_reading_a_pipe_costs_about_twice_its_text(tmp_path):
+    """A pipe's text was copied into a StringIO, at up to 4 bytes a character:
+    the 2d-1 d=32 document peaked at 5.3 times its length in characters."""
+    path = tmp_path / "f32.json"
+    cli.write_family_document(family_2dm1(32), str(path))
+    text = path.read_text(encoding="utf-8")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    # encoded before tracing starts, so that the writer allocates next to nothing
+    writer = threading.Thread(target=pipe.write_bytes, args=(text.encode("utf-8"),), daemon=True)
+    writer.start()
+    peak = _traced_peak(cli.read_family_document, str(pipe))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert peak <= 2.5 * len(text)
+
+
+def test_writing_converts_one_member_at_a_time(tmp_path):
+    """Converting every member before writing any held a second copy of a
+    family whose members are not C-ordered: 1.15 times the Weyl d=16
+    family's bytes."""
+    fam = weyl_family(16)
+    fortran = EncodingFamily(
+        d=fam.d, members=tuple(map(np.asfortranarray, fam.members)), label=fam.label, target_lambda0=fam.target_lambda0
+    )
+    c_path, f_path = tmp_path / "c.json", tmp_path / "f.json"
+    cli.write_family_document(fam, str(c_path))
+    assert _traced_peak(cli.write_family_document, fortran, str(f_path)) <= 0.25 * sum(m.nbytes for m in fam.members)
+    assert f_path.read_bytes() == c_path.read_bytes()
 
 
 def test_state_info_low_entropy_state(capsys):
