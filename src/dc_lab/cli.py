@@ -160,48 +160,40 @@ _skip_ws = json.decoder.WHITESPACE.match
 _CHUNK = 1 << 20
 
 
-class _Malformed(Exception):
-    """A syntax error: json's message and its position in the whole text."""
-
-    def __init__(self, msg: str, pos: int):
-        super().__init__(msg, pos)
-        self.msg, self.pos = msg, pos
-
-
 class _Text:
     """The text of an open file, read _CHUNK characters at a time or given whole.
 
-    Positions count from the start of the whole text.  The buffer runs from
-    the start of the token being decoded to the end of what has been read;
-    reading more drops the text before that token.
+    Positions index the buffer, which runs from the start of the token being
+    decoded to the end of what has been read; reading more drops the text
+    before that token, which then starts at position 0.
     """
 
     def __init__(self, fh, text: str | None = None):
         self.fh = fh
         self.buf = "" if text is None else text
-        self.base = 0  # position of buf[0]
         self.eof = text is not None
 
     def _read(self, pos: int, size: int) -> None:
         """Drop the text before pos and append up to size more characters."""
+        tail = self.buf[pos:]
+        self.buf = ""  # the old buffer goes before the new one is built
         more = self.fh.read(size)
         self.eof = not more
-        self.buf = self.buf[pos - self.base :] + more
-        self.base = pos
+        self.buf = tail + more
 
     def char(self, pos: int) -> str:
         """The character at pos, or "" at the end of the file."""
-        i = pos - self.base
-        return self.buf[i : i + 1]
+        return self.buf[pos : pos + 1]
 
     def skip(self, pos: int) -> int:
         """Position of the first non-whitespace character at or after pos, or
         of the end of the file."""
         while True:
-            pos = _skip_ws(self.buf, pos - self.base).end() + self.base
-            if pos < self.base + len(self.buf) or self.eof:
+            pos = _skip_ws(self.buf, pos).end()
+            if pos < len(self.buf) or self.eof:
                 return pos
             self._read(pos, _CHUNK)
+            pos = 0
 
     def decode(self, pos: int, parse):
         """The value parse(buffer, index) -> (value, end) finds at pos, and the
@@ -212,20 +204,21 @@ class _Text:
         characters of the buffer's end, since raw_decode("0.") returns 0 when
         a "5" follows.  Each consecutive retry reads twice as much as the one
         before, so a token many chunks long is parsed a logarithmic number of
-        times.
+        times.  A token that still fails at the end of the file raises json's
+        JSONDecodeError.
         """
         size = _CHUNK
         while True:
             try:
-                value, end = parse(self.buf, pos - self.base)
-            except json.JSONDecodeError as exc:
+                value, end = parse(self.buf, pos)
+            except json.JSONDecodeError:
                 if self.eof:
-                    raise _Malformed(exc.msg, exc.pos + self.base) from None
+                    raise
             else:
                 if self.eof or end < len(self.buf) - 2:
-                    return value, end + self.base
+                    return value, end
             self._read(pos, size)
-            size *= 2
+            pos, size = 0, size * 2
 
 
 def _decode_member(text: str, pos: int):
@@ -240,73 +233,56 @@ def _scan_key(text: str, pos: int):
     return json.decoder.scanstring(text, pos + 1)
 
 
+def _punctuation(src: _Text, pos: int, chars: str):
+    """The position of the first non-whitespace character at or after pos,
+    and that character, which must be one of chars: any other character, or
+    the end of the file, stops the walk with a ValueError."""
+    pos = src.skip(pos)
+    char = src.char(pos)
+    if not char or char not in chars:
+        raise ValueError
+    return pos, char
+
+
 def _decode_members(src: _Text, pos: int):
-    """The members array whose "[" ends at pos - 1, one member at a time.
+    """The members array whose "[" is at pos, one member at a time, and its end.
 
     Each member becomes its (n, 2) array as soon as it is decoded, so its
     nested lists are gone before the next member is read.  A member that
     does not convert stays as decoded, for `document_to_family` to report.
     """
-    members = []
-    pos = src.skip(pos)
-    if src.char(pos) == "]":
-        return members, pos + 1
-    while True:
-        member, pos = src.decode(pos, _decode_member)
+    members, char = [], "["
+    while char != "]":
+        member, pos = src.decode(src.skip(pos + 1), _decode_member)
         members.append(member)
-        pos = src.skip(pos)
-        if src.char(pos) == "]":
-            return members, pos + 1
-        if src.char(pos) != ",":
-            raise _Malformed("Expecting ',' delimiter", pos)
-        pos = src.skip(pos + 1)
+        pos, char = _punctuation(src, pos, ",]")
+    return members, pos + 1
 
 
-def _decode_object(src: _Text, pos: int):
-    """The object whose "{" ends at pos - 1, walked key by key as json's
-    scanner walks it; a "members" array goes to `_decode_members`."""
+def _decode_document(src: _Text) -> dict:
+    """The family document in src: a top-level object, walked key by key as
+    json's scanner walks it, whose "members" array goes to `_decode_members`.
+
+    A repeated key keeps its last value.  Text that is not such a document,
+    such as a syntax error, trailing data or a top-level value that is not
+    an object with a key, stops the walk with a ValueError (json's
+    JSONDecodeError where json's own parse fails) or a RecursionError; the
+    walk reports no error itself.
+    """
+    pos, char = _punctuation(src, 0, "{")
     doc = {}
-    pos = src.skip(pos)
-    if src.char(pos) == "}":
-        return doc, pos + 1
-    while True:
-        if src.char(pos) != '"':
-            raise _Malformed("Expecting property name enclosed in double quotes", pos)
+    while char != "}":
+        pos, _ = _punctuation(src, pos + 1, '"')
         key, pos = src.decode(pos, _scan_key)
-        pos = src.skip(pos)
-        if src.char(pos) != ":":
-            raise _Malformed("Expecting ':' delimiter", pos)
+        pos, _ = _punctuation(src, pos, ":")
         pos = src.skip(pos + 1)
         if key == "members" and src.char(pos) == "[":
-            doc[key], pos = _decode_members(src, pos + 1)
+            doc[key], pos = _decode_members(src, pos)
         else:
             doc[key], pos = src.decode(pos, _DECODER.raw_decode)
-        pos = src.skip(pos)
-        if src.char(pos) == "}":
-            return doc, pos + 1
-        if src.char(pos) != ",":
-            raise _Malformed("Expecting ',' delimiter", pos)
-        pos = src.skip(pos + 1)
-
-
-def _decode_document(src: _Text):
-    """json.load of the file, with a top-level object's "members" array
-    decoded one member at a time.
-
-    Every syntax error, trailing data included, raises _Malformed with the
-    message and position of the JSONDecodeError json.load raises, and a
-    repeated key keeps its last value.
-    """
-    pos = src.skip(0)
-    if pos == 0 and src.char(0) == "\ufeff":
-        raise _Malformed("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
-    if src.char(pos) == "{":
-        doc, pos = _decode_object(src, pos + 1)
-    else:
-        doc, pos = src.decode(pos, _DECODER.raw_decode)
-    pos = src.skip(pos)
-    if src.char(pos):
-        raise _Malformed("Extra data", pos)
+        pos, char = _punctuation(src, pos, ",}")
+    if src.char(src.skip(pos + 1)):
+        raise ValueError
     return doc
 
 
@@ -316,27 +292,29 @@ def read_family_document(path: str) -> families.EncodingFamily:
     The file is read `_CHUNK` characters at a time and decoded one member at
     a time, each member an array, which the family's member is a view of,
     before the next is read.  Reading holds the family once, one chunk of
-    text and one member's text and lists.  It accepts and rejects what
-    json.load does, with the same messages: on an error the whole text is
-    read again, since json.load decodes all of it first (so a
-    UnicodeDecodeError anywhere comes first) and counts a syntax error's line
-    and column in it.  A file that cannot seek, such as a pipe, is read
-    whole first, into one string that serves the decoding and any error.
+    text and one member's text and lists.  Wherever that walk meets text
+    that is not a well-formed family document, the whole text is read again
+    and handed to json.loads, so the document is accepted or rejected by
+    json itself, as json.load would: a UnicodeDecodeError anywhere comes
+    first, and a syntax error is json's, with its line and column.  A file
+    that cannot seek, such as a pipe, is read whole first, into one string
+    that serves the walk and json.loads.
     """
     with open(path, "r", encoding="utf-8") as fh:
         # a pipe cannot be read again, so it is read whole, as json.load reads it
         text = None if fh.seekable() else fh.read()
         try:
             doc = _decode_document(_Text(fh, text))
-        except (_Malformed, RecursionError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError):
+            doc = None  # judged below, outside this block, which holds the walk's members and text
+        if doc is None:
             if text is None:
                 fh.seek(0)
                 text = fh.read()
-            if isinstance(exc, _Malformed):
-                raise json.JSONDecodeError(exc.msg, text, exc.pos) from None
-            if isinstance(exc, RecursionError):  # json's scanner recurses once per nesting level
+            try:
+                doc = json.loads(text)
+            except RecursionError:  # json's scanner recurses once per nesting level
                 raise ValueError("family document is nested too deeply") from None
-            raise
     return _to_family(doc, copy=False)
 
 

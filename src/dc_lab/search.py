@@ -62,9 +62,6 @@ from .families import EncodingFamily, shift_diag_family
 from .linalg import UNITARITY_TOL, unitarity_residual
 from .states import SchmidtState, _is_int, _member_stack, entropy_bits, make_state
 
-# Scale of the random start.
-INIT_SCALE = 1.0
-
 # Levenberg-Marquardt polish: initial damping, its lower and upper limits,
 # the stops on the objective and on the largest gradient entry, and the
 # progress stop: the polish ends once this many iterations, accepted or
@@ -468,7 +465,7 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     rng = np.random.default_rng(cfg.base_seed)
     best, closest = np.inf, None
     for _ in range(cfg.restarts):
-        start = prob.cayley(INIT_SCALE * rng.standard_normal((1, prob.nparam)))
+        start = prob.cayley(rng.standard_normal((1, prob.nparam)))
         stack = prob.members(_lm_polish(prob, start, cfg.accept_tol)[0])[0]
         witness = _witness(state, k, stack, cfg.accept_tol)
         if witness is not None:

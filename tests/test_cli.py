@@ -492,6 +492,62 @@ def test_reader_matches_json_load_on_a_pipe(tmp_path, case):
     assert outcome == _read_outcome(_reference_read, plain)
 
 
+@pytest.mark.parametrize("source", [7, None, "pipe"], ids=["chunk 7", "default chunk", "pipe"])
+def test_invalid_utf8_after_the_first_chunk_is_reported_as_json_load_reports_it(tmp_path, monkeypatch, source):
+    """A decode error raised while streaming counts its position from the
+    chunk being decoded; json.load counts it from the start of the file."""
+    path = tmp_path / "f16.json"
+    cli.write_family_document(family_2dm1(16), str(path))
+    data = bytearray(path.read_bytes())
+    data[177124] = 0xFF
+    path.write_bytes(bytes(data))
+    if source == "pipe":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(bytes(data),), daemon=True)
+        writer.start()
+        outcome = _read_outcome(cli.read_family_document, pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    else:
+        if source is not None:
+            monkeypatch.setattr(cli, "_CHUNK", source)
+        outcome = _read_outcome(cli.read_family_document, path)
+    assert outcome == _read_outcome(_reference_read, path)
+    assert outcome[0] is UnicodeDecodeError and "position 177124" in outcome[1]
+
+
+def _no_fallback(text):
+    raise AssertionError("a well-formed family document was handed to json.loads")
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("case", ["compact", "padded", "members before d", "duplicate members"])
+def test_a_well_formed_document_is_never_read_again(tmp_path, monkeypatch, case, chunk):
+    """The walk reads a family document whole: json.loads only judges text it stops at."""
+    path = tmp_path / "doc.json"
+    path.write_text(READER_CASES[case], encoding="utf-8")
+    expected = _read_outcome(_reference_read, path)
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+    monkeypatch.setattr(json, "loads", _no_fallback)
+    assert _read_outcome(cli.read_family_document, path) == expected
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, None])
+def test_a_large_document_is_never_read_again(tmp_path, monkeypatch, chunk):
+    fam = family_2dm1(32)
+    path = tmp_path / "f32.json"
+    cli.write_family_document(fam, str(path))
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+    monkeypatch.setattr(json, "loads", _no_fallback)
+    loaded = cli.read_family_document(str(path))
+    assert [m.tobytes() for m in loaded.members] == [m.tobytes() for m in fam.members]
+
+
 def _many_chunk_family():
     """25 members of d = 5 with exponents from -300 to 300, so that chunk
     ends fall inside numbers, exponents and delimiters: about 1,500
@@ -582,6 +638,19 @@ def test_reading_a_document_costs_about_its_family(tmp_path, monkeypatch):
     cli.write_family_document(fam, str(path))
     monkeypatch.setattr(cli, "_CHUNK", 1 << 14)
     assert _traced_peak(cli.read_family_document, str(path)) <= 1.6 * family_bytes
+
+
+def test_reading_holds_the_family_and_a_few_chunks_of_text(tmp_path):
+    """Appending a chunk while the buffer it replaces was still held read the
+    2d-1 d=32 document, at the default chunk, with 4.4 chunks of text beside
+    its family; 3.6 once the old buffer goes first."""
+    fam = family_2dm1(32)
+    family_bytes = sum(m.nbytes for m in fam.members)
+    path = tmp_path / "f32.json"
+    cli.write_family_document(fam, str(path))
+    assert os.path.getsize(path) > 2 * cli._CHUNK
+    # the document is ASCII: a character of text is one byte
+    assert _traced_peak(cli.read_family_document, str(path)) <= family_bytes + 4 * cli._CHUNK
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -452,7 +452,7 @@ def _one_restart_at_a_time(state, k, cfg):
     rng = np.random.default_rng(cfg.base_seed)
     runs = []
     for _ in range(cfg.restarts):
-        start = prob.cayley(search.INIT_SCALE * rng.standard_normal((1, prob.nparam)))
+        start = prob.cayley(rng.standard_normal((1, prob.nparam)))
         members = prob.members(search._lm_polish(prob, start, cfg.accept_tol)[0])[0]
         runs.append((members, objective(state, members), verify_family(members, state, tol=cfg.accept_tol).passed))
     return runs
