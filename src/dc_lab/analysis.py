@@ -9,19 +9,21 @@ encoded joint-space messages being pairwise orthogonal.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SchmidtState, _members
+from .states import SchmidtState, _check_state, _members
 
 VERIFY_TOL = 1e-10
-SATURATION_TOL = 1e-9
 KC_RESIDUAL_TOL = 1e-8
-# Slack on the strict d+1 bound lambda0 >= d/(d+1), and on the saturation
-# point lambda0 = d/K (`saturates`).  Kept at roundoff scale: at
-# SATURATION_TOL it would label reachable states "excluded (proven)", and call
-# states up to 1e-9 below d/K saturated, where the span property fails.
+# Slack on the weight bound lambda0 <= d/K (`wcsg_bound`), on the strict d+1
+# bound lambda0 >= d/(d+1), and on the saturation point lambda0 = d/K
+# (`saturates`).  Kept at roundoff scale: at 1e-9 it would label reachable
+# states "excluded (proven)", allow K = 5 at lambda0 = 3/5 + 1e-10, beyond the
+# bound, and call states up to 1e-9 below d/K saturated, where the span
+# property fails.
 STRICT_BOUND_TOL = 1e-12
 # Matrix entries per block of the unitarity check: U^dag U is formed for this
 # many entries' worth of members at a time, for a whole small family at once.
@@ -89,10 +91,11 @@ def verify_family(family, state: SchmidtState, tol: float = VERIFY_TOL) -> Verif
     The pairwise residuals and the norms come from the support block (see
     `_support`), and unitarity is checked a block of members at a time, so
     no (K, d, d) temporary is formed for a large family, nor a stack of an
-    EncodingFamily's members.  Raises ValueError unless tol is finite and
-    nonnegative.
+    EncodingFamily's members.  Raises ValueError unless state is a
+    SchmidtState and tol a finite nonnegative real number (not a bool).
     """
-    if not 0 <= tol < math.inf:
+    _check_state(state)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     d = state.d
     members = _members(family, d)
@@ -117,16 +120,19 @@ def verify_family(family, state: SchmidtState, tol: float = VERIFY_TOL) -> Verif
 
 
 def wcsg_bound(state: SchmidtState) -> int:
-    """Largest message count K not excluded by lambda0 * K <= d.
+    """Largest message count K not excluded by lambda0 <= d/K.
 
+    The equality is tested as `saturates` tests it, to STRICT_BOUND_TOL in
+    lambda0, so every K at which the state saturates is within the bound.
     The bound is capped at d^2; a zero largest weight is treated as the
     maximally-entangled cap.
     """
+    _check_state(state)
     d = state.d
     lam0 = state.lambda0
-    if lam0 <= 0.0:
+    if lam0 <= STRICT_BOUND_TOL:
         return d * d
-    return int(min(math.floor(d / lam0 + SATURATION_TOL), d * d))
+    return int(min(math.floor(d / (lam0 - STRICT_BOUND_TOL)), d * d))
 
 
 def bns_excluded(state: SchmidtState, k: int) -> bool:
@@ -135,6 +141,7 @@ def bns_excluded(state: SchmidtState, k: int) -> bool:
     Covers K beyond the weight bound and the strict d+1 case: no state with
     lambda0 >= d/(d+1) supports d+1 messages (equality included).
     """
+    _check_state(state)
     d = state.d
     if k > wcsg_bound(state):
         return True
@@ -145,9 +152,9 @@ def saturates(state: SchmidtState, k: int) -> bool:
     """True when lambda0 = d/K to roundoff, the equality of the weight bound.
 
     Every valid K-family there puts each |m0> in the message span.  That
-    holds only at equality, so the test is at STRICT_BOUND_TOL, not
-    SATURATION_TOL: a valid K = 5 family for (3/5 - 1e-10, 2/5 + 1e-10, 0)
-    misses the span by 1.8e-5.
+    holds only at equality, so the test is at STRICT_BOUND_TOL, at roundoff
+    scale: a valid K = 5 family for (3/5 - 1e-10, 2/5 + 1e-10, 0) misses the
+    span by 1.8e-5.
     """
     return abs(state.lambda0 - state.d / k) <= STRICT_BOUND_TOL
 
@@ -185,6 +192,7 @@ def kc_span_check(family, state: SchmidtState) -> KcReport:
     their span; a valid family is projected on its message vectors as they
     are.
     """
+    _check_state(state)
     d = state.d
     block, lam = _support(_members(family, d), state.lambdas)
     k, c = block.shape[0], block.shape[2]
@@ -213,4 +221,5 @@ def shift_family_obstructed(state: SchmidtState) -> bool:
     family contains both I and another diagonal unitary D: the triangle
     inequality forces |tr(Lambda D)| >= lambda0 - (1 - lambda0) > 0.
     """
+    _check_state(state)
     return state.lambda0 > 0.5

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import UNITARITY_TOL, as_matrix, complete_to_unitary, unitarity_residual
+from .states import _is_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +55,9 @@ def _family(d: int, members, label: str, target_lambda0: float | None) -> Encodi
 
 
 def _check_dimension(d: int) -> None:
+    """Refuse a dimension d that is not an integer of at least 2, as `make_state` does."""
+    if not _is_int(d):
+        raise ValueError(f"dimension d must be an integer, got {d!r}")
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
 
@@ -221,6 +225,7 @@ def family_2dm1(d: int) -> EncodingFamily:
     The d = 4 case does not fit the general pattern and is served by
     :func:`family_f47`.
     """
+    _check_dimension(d)
     if d < 4:
         raise ValueError(f"the 2d-1 construction needs d >= 4, got {d}")
     if d == 4:

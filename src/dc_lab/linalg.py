@@ -53,7 +53,7 @@ def _mgs_orthonormalize(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def complete_to_unitary(partial_columns, d: int, tol: float = UNITARITY_TOL) -> np.ndarray:
+def complete_to_unitary(partial_columns, d: int) -> np.ndarray:
     """Extend orthonormal columns to a full d x d unitary, deterministically.
 
     `partial_columns` is a sequence of k length-d columns, giving one (d, d)
@@ -67,8 +67,9 @@ def complete_to_unitary(partial_columns, d: int, tol: float = UNITARITY_TOL) -> 
     entry is real and positive.  The same inputs always yield the same matrix,
     and exactly-orthonormal inputs are preserved bit for bit as the leading
     columns.  Inputs whose pairwise inner products deviate by more than 1e-12
-    (but within `tol`) are re-orthonormalized first so the result still meets
-    the completion residual contract.
+    (but within UNITARITY_TOL, 1e-10) are re-orthonormalized first so the
+    result still meets the completion residual contract; a larger deviation
+    raises ValueError.
     """
     stacked = isinstance(partial_columns, np.ndarray) and partial_columns.ndim == 3
     if stacked:
@@ -91,9 +92,9 @@ def complete_to_unitary(partial_columns, d: int, tol: float = UNITARITY_TOL) -> 
         gram = given.conj().swapaxes(-1, -2) @ given
         gram_res = np.max(np.abs(gram - np.eye(k)), axis=(-2, -1))
         worst = float(np.max(gram_res, initial=0.0))
-        if worst > tol:
+        if worst > UNITARITY_TOL:
             raise ValueError(
-                f"input columns are not orthonormal: residual {worst:.3e} > {tol:.3e}"
+                f"input columns are not orthonormal: residual {worst:.3e} > {UNITARITY_TOL:.3e}"
             )
         for i in np.flatnonzero(gram_res > COMPLETION_RESIDUAL_TOL):
             given[i] = _mgs_orthonormalize(given[i])

@@ -60,7 +60,7 @@ from .analysis import (
 )
 from .families import EncodingFamily, shift_diag_family
 from .linalg import UNITARITY_TOL, unitarity_residual
-from .states import SchmidtState, _is_int, _member_stack, entropy_bits, make_state
+from .states import SchmidtState, _check_state, _is_int, _member_stack, entropy_bits, make_state
 
 # Levenberg-Marquardt polish: initial damping, its lower and upper limits,
 # the stops on the objective and on the largest gradient entry, and the
@@ -110,12 +110,10 @@ class SearchConfig:
             raise ValueError(f"accept_tol must be positive and finite (a real number), got {tol!r}")
 
 
-def _check_types(**args) -> None:
-    """Refuse a `state` that is not a SchmidtState or a `cfg` not a SearchConfig."""
-    for name, value in args.items():
-        kind = SchmidtState if name == "state" else SearchConfig
-        if not isinstance(value, kind):
-            raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+def _check_config(cfg) -> None:
+    """Refuse a `cfg` that is not a SearchConfig."""
+    if not isinstance(cfg, SearchConfig):
+        raise ValueError(f"cfg must be a SearchConfig, got {type(cfg).__name__}")
 
 
 @dataclass(frozen=True)
@@ -205,9 +203,9 @@ class _Problem:
         # every family there satisfies, make the root regular.  At K = d^2
         # the pair equations imply them.  They hold only at equality, so the
         # test is `saturates`, at roundoff scale: a family at
-        # lambda_0 = d/K - eps misses them by about eps, and at SATURATION_TOL
-        # the blocks would keep LM from the families of states up to 1e-9
-        # below d/K.
+        # lambda_0 = d/K - eps misses them by about eps, and at a tolerance of
+        # 1e-9 the blocks would keep LM from the families of states up to
+        # 1e-9 below d/K.
         self.span = None
         if k < d * d and saturates(state, k):
             cols = np.flatnonzero(self.lam > 0)
@@ -232,28 +230,6 @@ class _Problem:
         stack[:, self.nf :] = ufree
         return stack
 
-    def objective_and_gradient(self, ufree: np.ndarray, chart: np.ndarray):
-        """Objective (R,) and gradient (R, nparam) of every row of free members
-        U = cay(H), in the coordinates of H.
-
-        In the body frame at H = 0, where d cay(H) = i dH, the gradient is
-        2 Im tr(Omega_m dH/dtheta) with Omega_m = U_m^dag G_m and
-        G_m = sum_j conj(T_mj) U_j Lambda.  Away from H = 0,
-        d cay(H) = i A^-1 dH A^-1 with A = I - iH/2, and `chart` = A^-1 turns
-        Omega_m into chart Omega_m chart^dag.
-        """
-        d, k = self.d, self.k
-        stack = self.members(ufree)
-        rows = stack.shape[0]
-        t = _weighted_gram(stack, self.lam)
-        tp = t.reshape(rows, -1).take(self.pair_flat, axis=1)
-        f = np.sum(tp.real * tp.real + tp.imag * tp.imag, axis=1)
-        c = t.conj()
-        c.reshape(rows, k * k)[:, :: k + 1] = 0.0
-        g = (c[:, self.nf :] @ stack.reshape(rows, k, d * d)).reshape(ufree.shape) * self.lam
-        omega = chart @ (ufree.conj().swapaxes(-1, -2) @ g) @ chart.conj().swapaxes(-1, -2)
-        return f, 2.0 * self.trace_layout(omega).imag.reshape(rows, self.nparam)
-
     def trace_layout(self, z: np.ndarray) -> np.ndarray:
         """Coefficients of the parameters in tr(Z dH), for (..., d, d) Z -> (..., d^2)."""
         return z.reshape(z.shape[:-2] + (-1,)) @ self.dual
@@ -268,15 +244,18 @@ def objective(weights, family) -> float:
 
 
 def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None):
-    """Public wrapper exposing the search objective and analytic gradient.
+    """Public wrapper exposing the pair objective and its exact gradient.
 
     `theta`, a finite 1-D vector of (k - len(fixed)) d^2 reals, parametrizes
     the free members appended after the fixed prefix (the identity by
     default), d^2 reals each, for an integer k in [d, d^2]: each is the
     Cayley transform cay(H) = (I - iH/2)^{-1} (I + iH/2) of a Hermitian H,
     the chart the search steps in around each member.
+
+    The gradient is the LM's body-frame Jacobian of the pair traces, pulled
+    back through the chart: d cay(H) = U i A^-dag dH A^-1 with A = I - iH/2.
     """
-    _check_types(state=state)
+    _check_state(state)
     fixed_stack = _prepare_fixed(state, fixed)
     _check_k(state.d, k, fixed_stack.shape[0])
     if k == fixed_stack.shape[0]:
@@ -287,8 +266,15 @@ def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None):
         raise ValueError(f"theta must be a finite 1-D vector of {prob.nparam} reals, got shape {theta.shape}")
     a = np.eye(state.d) - 0.5j * prob.hermitian(theta)
     chart = np.linalg.inv(a)
-    f, grad = prob.objective_and_gradient(chart @ a.conj().swapaxes(-1, -2), chart)
-    return float(f[0]), grad[0]
+    t, jac = _residuals_and_jacobian(prob, chart @ a.conj().swapaxes(-1, -2))
+    pairs = prob.pair_flat.size  # the span-block rows, if any, follow the pairs
+    t, jac = t[:pairs], jac[:pairs]
+    g = 2.0 * (jac.real.T @ t.real + jac.imag.T @ t.imag)
+    # df = tr(Y dK) for the body-frame step dK = A^-dag dH A^-1, with
+    # Y = sum_b g_b B_b / tr(B_b B_b), so df = tr(A^-1 Y A^-dag dH)
+    y = prob.hermitian(g.reshape(-1, state.d**2) / np.sum(np.abs(prob.basis) ** 2, axis=1))
+    grad = prob.trace_layout(chart @ y @ chart.conj().swapaxes(-1, -2)).real
+    return float(np.vdot(t, t).real), grad.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +470,8 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     does; the objective is the witness's, or else that of the restart that
     came closest.  With all k members fixed, they are the one candidate.
     """
-    _check_types(state=state, cfg=cfg)
+    _check_state(state)
+    _check_config(cfg)
     stack, witness = _find(state, k, cfg, fixed)
     return objective(state.lambdas, stack), witness
 
@@ -533,7 +520,8 @@ def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
     provably excluded.  The estimate is the last certified K; a failed K is
     heuristic evidence only.
     """
-    _check_types(state=state, cfg=cfg)
+    _check_state(state)
+    _check_config(cfg)
     d = state.d
     _check_max_k(cfg, d)
     cap = min(cfg.max_k if cfg.max_k is not None else d * d, wcsg_bound(state))
@@ -693,7 +681,7 @@ def sweep_grid(resolution: int, cfg: SearchConfig, d: int = 3) -> list[tuple[flo
     resolution below 4, so a caller can refuse a sweep before it starts
     anything.
     """
-    _check_types(cfg=cfg)
+    _check_config(cfg)
     if not _is_int(d):
         raise ValueError(f"dimension d must be an integer, got {d!r}")
     if d < 3:

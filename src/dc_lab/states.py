@@ -28,6 +28,12 @@ class SchmidtState:
         return float(self.lambdas[0])
 
 
+def _check_state(state) -> None:
+    """Refuse a `state` that is not a SchmidtState."""
+    if not isinstance(state, SchmidtState):
+        raise ValueError(f"state must be a SchmidtState, got {type(state).__name__}")
+
+
 def _is_int(value) -> bool:
     """True for an integer of any integral type other than bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -61,6 +67,7 @@ def make_state(d: int, lambdas) -> SchmidtState:
 
 def entropy_bits(state: SchmidtState) -> float:
     """Entanglement entropy -sum lambda_j log2 lambda_j, with 0 log 0 = 0."""
+    _check_state(state)
     lam = state.lambdas[state.lambdas > 0.0]
     return float(-(lam * np.log2(lam)).sum())
 
@@ -100,5 +107,6 @@ def message_vectors(family, state: SchmidtState) -> np.ndarray:
     Row i holds sum_j sqrt(lambda_j) (U_i|j>) x |j> in the m*d + n basis
     ordering.  Rows have unit norm whenever the members are unitary.
     """
+    _check_state(state)
     stack = _member_stack(family, state.d)
     return (stack * np.sqrt(state.lambdas)).reshape(stack.shape[0], -1)

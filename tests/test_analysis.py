@@ -24,7 +24,7 @@ from dc_lab.families import (
     weyl_family,
 )
 from dc_lab.search import SearchConfig, find_family, objective
-from dc_lab.states import make_state, message_vectors
+from dc_lab.states import entropy_bits, make_state, message_vectors
 
 PSI_L = make_state(3, [3 / 5, 2 / 5, 0])
 PSI_H = make_state(3, [3 / 5, 1 / 5, 1 / 5])
@@ -61,10 +61,28 @@ def test_verify_family_passes_f46():
     assert report.max_pairwise_residual <= 1e-10
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, True, "x", 1e-10j])
 def test_verify_family_rejects_a_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
         verify_family(family_f46(), make_state(4, [2 / 3, 1 / 3, 0, 0]), tol=tol)
+
+
+STATE_TAKERS = {
+    "verify_family": lambda state: verify_family(weyl_family(2), state),
+    "kc_span_check": lambda state: kc_span_check(weyl_family(2), state),
+    "wcsg_bound": wcsg_bound,
+    "bns_excluded": lambda state: bns_excluded(state, 3),
+    "shift_family_obstructed": shift_family_obstructed,
+    "entropy_bits": entropy_bits,
+    "message_vectors": lambda state: message_vectors(weyl_family(2), state),
+}
+
+
+@pytest.mark.parametrize("call", list(STATE_TAKERS.values()), ids=list(STATE_TAKERS))
+def test_functions_of_a_state_refuse_a_weight_list(call):
+    # this died with "AttributeError: 'list' object has no attribute 'd'"
+    with pytest.raises(ValueError, match="^state must be a SchmidtState, got list$"):
+        call([0.5, 0.5])
 
 
 def test_verify_family_accepts_a_zero_tolerance():
@@ -130,6 +148,22 @@ def test_wcsg_bound_product_of_bound_and_weight(rng):
         d = int(rng.integers(2, 7))
         state = make_state(d, random_sorted_weights(rng, d))
         assert wcsg_bound(state) * state.lambda0 <= d + 1e-9
+
+
+@pytest.mark.parametrize(
+    "lambda0, bound",
+    [(0.6000000001, 4), (3 / 5 + 5e-13, 5), (3 / 5, 5), (0.5999999999, 5)],
+    ids=["1e-10-above", "roundoff-above", "at", "1e-10-below"],
+)
+def test_wcsg_bound_on_each_side_of_three_fifths(lambda0, bound):
+    # 5 lambda0 = 3.0000000005 > d at 0.6000000001, so K = 5 is beyond the
+    # bound; within roundoff of 3/5 the state saturates at K = 5, which must
+    # then be within the bound
+    state = make_state(3, [lambda0, 1 - lambda0, 0])
+    assert wcsg_bound(state) == bound
+    assert bns_excluded(state, 5) == (bound < 5)
+    if saturates(state, 5):
+        assert bound == 5
 
 
 def test_bns_excluded_examples():
@@ -200,7 +234,7 @@ def test_saturated_families_are_saturated(fam, state):
 
 
 def test_a_valid_family_just_below_saturation_is_not_saturated():
-    # lambda0 lies 1e-10 below d/K = 3/5, inside SATURATION_TOL: the search's
+    # lambda0 lies 1e-10 below d/K = 3/5, within 1e-9 of it: the search's
     # K = 5 witness is valid there but misses the span, which only equality
     # guarantees, so the check must not call the state saturated
     state = make_state(3, [3 / 5 - 1e-10, 2 / 5 + 1e-10, 0])

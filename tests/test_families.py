@@ -315,3 +315,28 @@ def test_constructors_reject_dimensions_below_two(d):
     for build in (weyl_family, family_dp2, lambda d: shift_diag_family(d, [np.ones(max(d, 0))] * max(d, 0))):
         with pytest.raises(ValueError, match=f"dimension must be at least 2, got {d}"):
             build(d)
+
+
+CONSTRUCTORS = {
+    "shift": shift,
+    "phase": phase,
+    "weyl": weyl_family,
+    "dp2": family_dp2,
+    "2dm1": family_2dm1,
+    "shift-diag": lambda d: shift_diag_family(d, [np.ones(5)] * 5),
+}
+
+
+@pytest.mark.parametrize("build", list(CONSTRUCTORS.values()), ids=list(CONSTRUCTORS))
+@pytest.mark.parametrize("d", [2.5, 3.0])
+def test_constructors_refuse_a_dimension_that_is_not_an_integer(build, d):
+    # family_dp2(2.5) recursed until RecursionError, and the others died in numpy
+    with pytest.raises(ValueError, match=f"dimension d must be an integer, got {d}"):
+        build(d)
+
+
+@pytest.mark.parametrize("build", list(CONSTRUCTORS.values()), ids=list(CONSTRUCTORS))
+def test_constructors_accept_a_numpy_integer_dimension(build):
+    got, want = build(np.int64(5)), build(5)
+    for a, b in zip(getattr(got, "members", [got]), getattr(want, "members", [want]), strict=True):
+        assert np.array_equal(a, b)

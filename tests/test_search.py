@@ -61,13 +61,29 @@ def test_objective_nonnegative_and_matches_verification(rng):
     assert objective(st, [np.eye(3), np.eye(3)]) > 0
 
 
-def test_gradient_matches_central_differences(rng):
-    st = make_state(3, [0.5, 0.3, 0.2])
-    k, d = 3, 3
-    nparam = (k - 1) * d * d
+@pytest.mark.parametrize(
+    "weights, k, fixed",
+    [
+        ((0.5, 0.3, 0.2), 3, None),
+        ((3 / 5, 2 / 5, 0), 5, None),
+        ((3 / 5, 1 / 5, 1 / 5), 5, [np.eye(3), shift(3)]),
+        ((4 / 7, 3 / 7, 0, 0), 7, [np.eye(4), shift(4)]),
+    ],
+    ids=["unsaturated-k3", "psi-l-k5", "psi-h-k5-prefix", "d4-k7-prefix"],
+)
+def test_gradient_matches_central_differences(rng, weights, k, fixed):
+    # the saturated cases carry span blocks in the search, which the pair
+    # objective leaves out
+    st = make_state(len(weights), weights)
+    d = st.d
+    prefix = [np.eye(d)] if fixed is None else fixed
+    nparam = (k - len(prefix)) * d * d
     for _ in range(5):
         theta = rng.standard_normal(nparam)
-        _, grad = objective_and_gradient(st, theta, k)
+        f, grad = objective_and_gradient(st, theta, k, fixed=fixed)
+        h = (theta.reshape(-1, d * d) @ _reference_basis(d)[0]).reshape(-1, d, d)
+        free = np.linalg.solve(np.eye(d) - 0.5j * h, np.eye(d) + 0.5j * h)
+        assert f == pytest.approx(objective(st, [*prefix, *free]), rel=1e-12)
         step = 1e-6
         fd = np.zeros(nparam)
         for p in range(nparam):
@@ -76,7 +92,7 @@ def test_gradient_matches_central_differences(rng):
             minus = theta.copy()
             minus[p] -= step
             fd[p] = (
-                objective_and_gradient(st, plus, k)[0] - objective_and_gradient(st, minus, k)[0]
+                objective_and_gradient(st, plus, k, fixed=fixed)[0] - objective_and_gradient(st, minus, k, fixed=fixed)[0]
             ) / (2 * step)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel <= 1e-6
@@ -552,7 +568,7 @@ def test_span_blocks_vanish_on_exact_saturated_families(fam):
 
 
 def test_a_state_just_below_saturation_is_searched_without_the_span_blocks():
-    # lambda0 = 3/5 - 5e-10 lies within SATURATION_TOL of d/K = 3/5, but its
+    # lambda0 = 3/5 - 5e-10 lies within 1e-9 of d/K = 3/5, but its
     # families miss the span blocks by about 5e-10: with the blocks, the LM
     # ended between the two, and none of these restarts verified
     state = make_state(3, [3 / 5 - 5e-10, 2 / 5 + 5e-10, 0])
