@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SchmidtState, _check_state, _members
+from .states import SchmidtState, _check_state, _members, _message_block
 
 VERIFY_TOL = 1e-10
 KC_RESIDUAL_TOL = 1e-8
@@ -28,16 +28,6 @@ STRICT_BOUND_TOL = 1e-12
 # Matrix entries per block of the unitarity check: U^dag U is formed for this
 # many entries' worth of members at a time, for a whole small family at once.
 _BLOCK_ENTRIES = 1 << 12
-
-
-def _diagonal_of(weights) -> np.ndarray:
-    """Accept a SchmidtState or a weight vector."""
-    if isinstance(weights, SchmidtState):
-        return np.asarray(weights.lambdas, dtype=float)
-    arr = np.asarray(weights).real.astype(float)
-    if arr.ndim != 1:
-        raise ValueError(f"weights must be a vector, got shape {arr.shape}")
-    return arr
 
 
 def _weighted_gram(stack: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -107,7 +97,7 @@ def verify_family(family, state: SchmidtState, tol: float = VERIFY_TOL) -> Verif
         u = np.asarray(members[i : i + step])
         unit.append(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d))))
     max_unit = float(np.max(unit))
-    norms = np.linalg.norm((block * np.sqrt(lam)).reshape(len(block), -1), axis=1)
+    norms = np.linalg.norm(_message_block(block, lam), axis=1)
     max_norm = float(np.max(np.abs(norms - 1.0)))
     passed = max_pair <= tol and max_unit <= tol and max_norm <= tol
     return VerificationReport(
@@ -196,7 +186,7 @@ def kc_span_check(family, state: SchmidtState) -> KcReport:
     d = state.d
     block, lam = _support(_members(family, d), state.lambdas)
     k, c = block.shape[0], block.shape[2]
-    msgs = (block * np.sqrt(lam)).reshape(k, -1)
+    msgs = _message_block(block, lam)
     near_miss = _max_pairwise_residual(block, lam) > KC_RESIDUAL_TOL
     if near_miss:
         _, sv, basis = np.linalg.svd(msgs, full_matrices=False)

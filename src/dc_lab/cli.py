@@ -355,10 +355,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     family = read_family_document(args.family_path)
-    lam = [_parse_weight(t) for t in args.lambdas]
-    if len(lam) != family.d:
-        raise ValueError(f"family has d={family.d} but {len(lam)} weights were given")
-    state = states.make_state(family.d, lam)
+    if len(args.lambdas) != family.d:
+        raise ValueError(f"family has d={family.d} but {len(args.lambdas)} weights were given")
+    state = _state_from_weights(args.lambdas)
     tol = args.tol if args.tol is not None else analysis.VERIFY_TOL
     report = analysis.verify_family(family, state, tol=tol)
     print(f"family: {family.label} (d={family.d}, K={len(family)})")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import UNITARITY_TOL, as_matrix, complete_to_unitary, unitarity_residual
-from .states import _is_int
+from .states import _check_dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,14 +52,6 @@ def _family(d: int, members, label: str, target_lambda0: float | None) -> Encodi
     if not d <= k <= d * d:
         raise ValueError(f"{label} has {k} members, outside [{d}, {d * d}]")
     return EncodingFamily(d=d, members=mats, label=label, target_lambda0=target_lambda0)
-
-
-def _check_dimension(d: int) -> None:
-    """Refuse a dimension d that is not an integer of at least 2, as `make_state` does."""
-    if not _is_int(d):
-        raise ValueError(f"dimension d must be an integer, got {d!r}")
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
 
 
 def _root_of_unity(n: int, k: int = 1) -> complex:

@@ -50,7 +50,6 @@ import numpy as np
 
 from .analysis import (
     VERIFY_TOL,
-    _diagonal_of,
     _max_pairwise_residual,
     _weighted_gram,
     bns_excluded,
@@ -60,7 +59,7 @@ from .analysis import (
 )
 from .families import EncodingFamily, shift_diag_family
 from .linalg import UNITARITY_TOL, unitarity_residual
-from .states import SchmidtState, _check_state, _is_int, _member_stack, entropy_bits, make_state
+from .states import SchmidtState, _check_dimension, _check_state, _is_int, _members, entropy_bits, make_state
 
 # Levenberg-Marquardt polish: initial damping, its lower and upper limits,
 # the stops on the objective and on the largest gradient entry, and the
@@ -235,10 +234,10 @@ class _Problem:
         return z.reshape(z.shape[:-2] + (-1,)) @ self.dual
 
 
-def objective(weights, family) -> float:
+def objective(state: SchmidtState, family) -> float:
     """Sum of squared pairwise weighted traces; zero iff the family is valid."""
-    lam = _diagonal_of(weights)
-    t = _weighted_gram(_member_stack(family, lam.shape[0]), lam)
+    _check_state(state)
+    t = _weighted_gram(np.asarray(_members(family, state.d)), state.lambdas)
     iu, ju, _ = _pairs(t.shape[0])
     return float(np.sum(np.abs(t[iu, ju]) ** 2))
 
@@ -408,7 +407,7 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
 def _prepare_fixed(state: SchmidtState, fixed) -> np.ndarray:
     if fixed is None:
         return np.eye(state.d, dtype=np.complex128)[None]
-    stack = _member_stack(fixed, state.d)
+    stack = np.asarray(_members(fixed, state.d))
     for i, m in enumerate(stack):
         res = unitarity_residual(m)
         if res > UNITARITY_TOL:
@@ -456,7 +455,7 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
         witness = _witness(state, k, stack, cfg.accept_tol)
         if witness is not None:
             return stack, witness
-        f = objective(state.lambdas, stack)
+        f = objective(state, stack)
         if f < best:
             best, closest = f, stack
     return closest, None
@@ -473,7 +472,7 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     _check_state(state)
     _check_config(cfg)
     stack, witness = _find(state, k, cfg, fixed)
-    return objective(state.lambdas, stack), witness
+    return objective(state, stack), witness
 
 
 def _check_max_k(cfg: SearchConfig, d: int) -> None:
@@ -487,7 +486,7 @@ def _attempt(state: SchmidtState, k: int, stack: np.ndarray, found: bool) -> KAt
     return KAttempt(
         k=k,
         status="found" if found else "not found (heuristic)",
-        best_objective=objective(state.lambdas, stack),
+        best_objective=objective(state, stack),
         max_pair_residual=_max_pairwise_residual(stack, state.lambdas),
     )
 
@@ -499,7 +498,7 @@ def _shift_witness(d: int) -> tuple[EncodingFamily, KAttempt]:
     every pair trace is exactly 0 whatever the weights, and the attempt is
     the same for every state of dimension d."""
     shifts = shift_diag_family(d, [np.ones(d)] * d)
-    return shifts, _attempt(make_state(d, np.full(d, 1 / d)), d, _member_stack(shifts, d), True)
+    return shifts, _attempt(make_state(d, np.full(d, 1 / d)), d, np.asarray(_members(shifts, d)), True)
 
 
 def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
@@ -682,8 +681,7 @@ def sweep_grid(resolution: int, cfg: SearchConfig, d: int = 3) -> list[tuple[flo
     anything.
     """
     _check_config(cfg)
-    if not _is_int(d):
-        raise ValueError(f"dimension d must be an integer, got {d!r}")
+    _check_dimension(d)
     if d < 3:
         raise ValueError("the sweep needs at least three weights; use d >= 3")
     _check_max_k(cfg, d)

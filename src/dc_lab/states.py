@@ -39,6 +39,14 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_dimension(d) -> None:
+    """Refuse a dimension d that is not an integer of at least 2."""
+    if not _is_int(d):
+        raise ValueError(f"dimension d must be an integer, got {d!r}")
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+
+
 def make_state(d: int, lambdas) -> SchmidtState:
     """Validate, sort, and normalize a weight vector into a SchmidtState.
 
@@ -46,10 +54,7 @@ def make_state(d: int, lambdas) -> SchmidtState:
     is renormalized exactly; anything further off is rejected, as is any
     weight outside [0, 1], before summing, so huge weights cannot overflow.
     """
-    if not _is_int(d):
-        raise ValueError(f"dimension d must be an integer, got {d!r}")
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_dimension(d)
     lam = np.asarray(lambdas, dtype=float).reshape(-1)
     if lam.shape != (d,):
         raise ValueError(f"expected {d} weights, got {lam.shape[0]}")
@@ -72,33 +77,34 @@ def entropy_bits(state: SchmidtState) -> float:
     return float(-(lam * np.log2(lam)).sum())
 
 
-def _member_stack(family, d: int) -> np.ndarray:
-    """(K, d, d) complex stack of an EncodingFamily, a member sequence or an array."""
-    # np.asarray raises ValueError itself for members of different shapes
-    stack = np.asarray(getattr(family, "members", family), dtype=np.complex128)
-    if stack.ndim != 3 or stack.shape[1:] != (d, d):
-        raise ValueError(f"family members have shape {stack.shape[1:]}, state has d={d}")
-    return stack
-
-
 def _members(family, d: int):
-    """The members of an EncodingFamily, a member sequence or an array, as
-    (d, d) complex arrays, without stacking them.
+    """The members of an EncodingFamily, a member list or tuple, or an array,
+    checked to be (d, d) and at least one.
 
-    An array is returned as `_member_stack` returns it; a sequence becomes a
-    list, its members converted one at a time, so an EncodingFamily's
-    complex members are not copied.
+    A list or tuple becomes a list, its members converted one at a time, so
+    an EncodingFamily's complex members are not copied; anything else
+    becomes a complex (K, d, d) stack.
     """
     members = getattr(family, "members", family)
-    if isinstance(members, np.ndarray):
-        return _member_stack(members, d)
-    members = [np.asarray(m, dtype=np.complex128) for m in members]
-    if not members:
+    if isinstance(members, (list, tuple)):
+        members = [np.asarray(m, dtype=np.complex128) for m in members]
+        empty, shapes = not members, [m.shape for m in members]
+    else:
+        members = np.asarray(members, dtype=np.complex128)
+        empty, shapes = members.shape[:1] == (0,), [members.shape[1:]]
+    if empty:
         raise ValueError("family has no members")
-    for m in members:
-        if m.shape != (d, d):
-            raise ValueError(f"family members have shape {m.shape}, state has d={d}")
+    for shape in shapes:
+        if shape != (d, d):
+            raise ValueError(f"family members have shape {shape}, state has d={d}")
     return members
+
+
+def _message_block(block: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Message vectors of a (K, d, c) block of member columns, c columns to
+    the c weights of lam, as rows of a (K, d c) array: row i holds
+    sqrt(lambda_j) U_i|j> x |j> in the m*c + j ordering."""
+    return (block * np.sqrt(lam)).reshape(len(block), -1)
 
 
 def message_vectors(family, state: SchmidtState) -> np.ndarray:
@@ -108,5 +114,4 @@ def message_vectors(family, state: SchmidtState) -> np.ndarray:
     ordering.  Rows have unit norm whenever the members are unitary.
     """
     _check_state(state)
-    stack = _member_stack(family, state.d)
-    return (stack * np.sqrt(state.lambdas)).reshape(stack.shape[0], -1)
+    return _message_block(np.asarray(_members(family, state.d)), state.lambdas)

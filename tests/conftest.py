@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dc_lab.analysis import _weighted_gram
-from dc_lab.states import _member_stack, message_vectors
+from dc_lab.states import _members, message_vectors
 
 
 def haar_unitary(rng, d):
@@ -31,7 +31,7 @@ def gram_equivalence_residual(family, state) -> float:
     vectors, the other from the weighted trace form.  They agree to roundoff
     for any members whatsoever.
     """
-    stack = _member_stack(family, state.d)
+    stack = np.asarray(_members(family, state.d))
     msgs = message_vectors(stack, state)
     return float(np.max(np.abs(msgs.conj() @ msgs.T - _weighted_gram(stack, state.lambdas))))
 

@@ -43,11 +43,10 @@ def test_lambda_inner_examples():
     assert lambda_inner(UNIFORM3, np.eye(3), shift(3)) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_objective_accepts_vector_or_state():
-    pair = [np.eye(3), SWAP3 @ np.diag([1, 1, -1])]
-    assert objective(PSI_H.lambdas, pair) == objective(PSI_H, pair) > 0
-    with pytest.raises(ValueError, match="vector"):
-        objective(np.diag(PSI_H.lambdas), pair)
+def test_objective_refuses_a_weight_vector():
+    for weights, kind in (([1, 1, 1], "list"), (PSI_H.lambdas, "ndarray")):
+        with pytest.raises(ValueError, match=f"^state must be a SchmidtState, got {kind}$"):
+            objective(weights, qutrit_five_family())
 
 
 def test_objective_dimension_mismatch():
@@ -75,7 +74,24 @@ STATE_TAKERS = {
     "shift_family_obstructed": shift_family_obstructed,
     "entropy_bits": entropy_bits,
     "message_vectors": lambda state: message_vectors(weyl_family(2), state),
+    "objective": lambda state: objective(state, weyl_family(2)),
 }
+
+
+FAMILY_TAKERS = {
+    "verify_family": lambda family: verify_family(family, PSI_L),
+    "kc_span_check": lambda family: kc_span_check(family, PSI_L),
+    "objective": lambda family: objective(PSI_L, family),
+    "message_vectors": lambda family: message_vectors(family, PSI_L),
+    "find_family": lambda family: find_family(PSI_L, 3, SearchConfig(restarts=1), fixed=family),
+}
+
+
+@pytest.mark.parametrize("empty", [[], np.zeros((0, 3, 3))], ids=["list", "array"])
+@pytest.mark.parametrize("call", list(FAMILY_TAKERS.values()), ids=list(FAMILY_TAKERS))
+def test_an_empty_family_is_refused(call, empty):
+    with pytest.raises(ValueError, match="^family has no members$"):
+        call(empty)
 
 
 @pytest.mark.parametrize("call", list(STATE_TAKERS.values()), ids=list(STATE_TAKERS))

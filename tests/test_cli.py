@@ -281,7 +281,14 @@ def test_written_documents_equal_json_dump(tmp_path):
 def test_verify_dimension_mismatch(tmp_path, capsys):
     out = tmp_path / "weyl3.json"
     run(["construct", "weyl", "-d", "3", "--output", str(out)])
-    assert run(["verify", str(out), "--lambdas", "0.5", "0.5"]) == 2
+    capsys.readouterr()
+    # the count is checked before the weights are read, so one weight is
+    # not refused as a dimension of 1, nor a bad weight before its count
+    for weights in (["0.5", "0.5"], ["1"], ["1/4"] * 4, ["x", "1/0"]):
+        assert run(["verify", str(out), "--lambdas", *weights]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: family has d=3 but {len(weights)} weights were given\n"
 
 
 def test_family_documents_round_trip_exactly(tmp_path):
@@ -880,8 +887,41 @@ CONSTRUCT_SHA256 = {
 }
 
 
+# sha256 of `dc-lab verify`'s stdout for each family above at its target
+# state: the weights (lambda0, 1 - lambda0, 0, ...), or uniform weights for
+# the Weyl and shift-diag families.  Every one passes.
+VERIFY_SHA256 = {
+    ("weyl", 2): "872c10aa3a8bcf119369390cbe65dc1efea754349cbf41674a28fdb73016edeb",
+    ("weyl", 3): "522d7cd0e415878e700f48eef72fcdb410edd41d0d50d30251b79cf3e21e03f8",
+    ("weyl", 4): "adc22c947cb0c0ea6d59749e1c7e72a8ab499916ebd44119ebce2be37e82c513",
+    ("weyl", 5): "cdc4e814f79aaacd3e605ef6e7d1ef1bb7dd68927ca55d401ff8149c1d6853eb",
+    ("five", 3): "0883d39d5205b56cd1681429b378f9bb317e4b1d48b7d5fe0f2a7bcea39a34d5",
+    ("f46", 4): "f12554925fa87b4aaaee020f4cb706fe7ec87946e9a11d652ed3431ed628d5af",
+    ("f47", 4): "23f38248fe65a2279088b74d482f2b243458f5bab22c3c2fbd864e14b449dbed",
+    ("shift-diag", 3): "d3251774e2f6357e8538b0cda2683c4d5b847c898a9efb42f272ac7610689250",
+    ("d-plus-two", 5): "c7e4751c804185e2747ab68821d965526e50a9cf0c145cffa2ac26fbcf8f4c74",
+    ("d-plus-two", 6): "6299a0e351ca72921e0278da2b4d150a7753b854ac15929a7a798ab3dc0cc446",
+    ("d-plus-two", 7): "14dc4a31d8beb7fe71b33405b87b2be48abb5b9def9aa4c74c55dd896a63a4f9",
+    ("d-plus-two", 8): "fa1332daec9a82bac80325811f5e87a2b96c9a2d2c75e719a46fd898a4dd511e",
+    ("d-plus-two", 17): "ff489d0d46515b24250f4f3b99e2faf88eee58a1815f1bfdd2b36eb7ee840e8b",
+    ("two-d-minus-one", 5): "d696ddca04285ee42b8cc726487cc4261b7b212482dc79db5cfa4728c54bb97a",
+    ("two-d-minus-one", 6): "4e391775d5f88c954908eaf211328fa827476fc30db6330a617fdb3100f530e1",
+    ("two-d-minus-one", 7): "26f3c6b432f56bc2262f55e932e024a238640b0a0efdc4fbe6af347c72bf9da6",
+    ("two-d-minus-one", 8): "846dfa68bedfd20779545090a46c1c45c773736225596814dc2aa851fbe83b5f",
+    ("two-d-minus-one", 17): "a0c75ccdf0097c06074235e586ae7795a88e010e52e8ffee4e57f48f31320ac8",
+}
+
+
 @pytest.mark.parametrize("family,d", sorted(CONSTRUCT_SHA256))
 def test_construct_documents_are_byte_identical(tmp_path, capsys, family, d):
     out = tmp_path / "doc.json"
     assert run(["construct", family, "-d", str(d), "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_SHA256[family, d]
+    lam0 = cli.read_family_document(str(out)).target_lambda0
+    if lam0 is None or abs(lam0 - 1 / d) < 1e-12:
+        weights = [f"1/{d}"] * d
+    else:
+        weights = [repr(lam0), repr(1 - lam0)] + ["0"] * (d - 2)
+    capsys.readouterr()
+    assert run(["verify", str(out), "--lambdas", *weights]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_SHA256[family, d]

@@ -168,6 +168,6 @@ def test_message_vectors_same_bytes_for_family_list_and_stack():
 
 def test_message_vectors_dimension_mismatch():
     s = make_state(3, [0.5, 0.3, 0.2])
-    for members in ([np.eye(4)], [np.eye(3), np.eye(4)], np.eye(3)):
+    for members in ([np.eye(4)], [np.eye(3), np.eye(4)], np.eye(3), 1.0):
         with pytest.raises(ValueError):
             message_vectors(members, s)
