@@ -59,44 +59,52 @@ class VerificationReport:
     passed: bool
 
 
-def _support(members, lam: np.ndarray):
-    """The members' columns U|j> for the weights lambda_j > 0, and those weights.
+def _support(lam: np.ndarray) -> np.ndarray:
+    """The mask of the member columns U|j> kept for the weights lam: those of
+    weight lambda_j > 0, and column 0.
 
     A column of zero weight adds exact zeros to the weighted Gram matrix and
-    to the message vectors, so both are the same on this (K, d, c) block as
-    on the whole stack; it is (K, d, 2) for every d+2 and 2d-1 target.
-    Column 0 is always kept, so each |m0> lies in the block's coordinates:
-    row-major, |m0> is coordinate m*c.
+    to the message vectors, so both are the same on the (K, d, c) block of
+    kept columns as on the whole stack; it is (K, d, 2) for every d+2 and
+    2d-1 target.  Column 0 is always kept, so each |m0> lies in the block's
+    coordinates: row-major, |m0> is coordinate m*c.
     """
     keep = lam > 0
     keep[0] = True
-    if isinstance(members, np.ndarray):
-        return members[..., keep], lam[keep]
-    return np.stack([m[:, keep] for m in members]), lam[keep]
+    return keep
 
 
-def verify_family(family, state: SchmidtState, tol: float = VERIFY_TOL) -> VerificationReport:
-    """Check pairwise weighted orthogonality, unitarity, and message norms.
+def _reduce(u: np.ndarray, keep: np.ndarray):
+    """The kept columns of a member, or of an (n, d, d) block of members, and
+    the largest entry of |U^dag U - I| over them."""
+    residual = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])))
+    return u[..., keep], float(residual)
 
-    The pairwise residuals and the norms come from the support block (see
-    `_support`), and unitarity is checked a block of members at a time, so
-    no (K, d, d) temporary is formed for a large family, nor a stack of an
-    EncodingFamily's members.  Raises ValueError unless state is a
-    SchmidtState and tol a finite nonnegative real number (not a bool).
+
+def _support_pass(members, lam: np.ndarray):
+    """One pass over the members: the (K, d, c) support block (see `_support`),
+    its c weights and the largest unitarity residual.
+
+    Members are reduced a block of _BLOCK_ENTRIES entries at a time, so no
+    (K, d, d) temporary is formed for a large family, nor a stack of an
+    EncodingFamily's members.
     """
-    _check_state(state)
+    keep = _support(lam)
+    step = max(1, _BLOCK_ENTRIES // lam.size**2)
+    parts = [_reduce(np.asarray(members[i : i + step]), keep) for i in range(0, len(members), step)]
+    return np.concatenate([block for block, _ in parts]), lam[keep], max(unit for _, unit in parts)
+
+
+def _check_tol(tol) -> None:
+    """Refuse a tolerance that is not a finite nonnegative real number (a bool is not one)."""
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    d = state.d
-    members = _members(family, d)
-    block, lam = _support(members, state.lambdas)
+
+
+def _verification(block: np.ndarray, lam: np.ndarray, max_unit: float, tol: float) -> VerificationReport:
+    """`verify_family`'s report from the support block, its weights and the
+    members' largest unitarity residual."""
     max_pair = _max_pairwise_residual(block, lam)
-    step = max(1, _BLOCK_ENTRIES // (d * d))
-    unit = []
-    for i in range(0, len(members), step):
-        u = np.asarray(members[i : i + step])
-        unit.append(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d))))
-    max_unit = float(np.max(unit))
     norms = np.linalg.norm(_message_block(block, lam), axis=1)
     max_norm = float(np.max(np.abs(norms - 1.0)))
     passed = max_pair <= tol and max_unit <= tol and max_norm <= tol
@@ -107,6 +115,20 @@ def verify_family(family, state: SchmidtState, tol: float = VERIFY_TOL) -> Verif
         tol=tol,
         passed=passed,
     )
+
+
+def verify_family(family, state: SchmidtState, tol: float = VERIFY_TOL) -> VerificationReport:
+    """Check pairwise weighted orthogonality, unitarity, and message norms.
+
+    The pairwise residuals and the norms come from the support block, and
+    unitarity is checked in the same pass over the members (`_support_pass`).
+    Raises ValueError unless state is a SchmidtState and tol a finite
+    nonnegative real number (not a bool).
+    """
+    _check_state(state)
+    _check_tol(tol)
+    block, lam, max_unit = _support_pass(_members(family, state.d), state.lambdas)
+    return _verification(block, lam, max_unit, tol)
 
 
 def wcsg_bound(state: SchmidtState) -> int:
@@ -171,20 +193,15 @@ class KcReport:
         return max(self.residuals)
 
 
-def kc_span_check(family, state: SchmidtState) -> KcReport:
-    """Measure how far each |m0> basis vector is from the message span.
+def _span_check(block: np.ndarray, lam: np.ndarray, state: SchmidtState) -> KcReport:
+    """`kc_span_check`'s report from the support block and its weights.
 
-    Works on the support block (see `_support`): its message vectors are the
-    full ones without their zero coordinates, which changes neither the span
-    nor any |m0>'s distance from it.  A family whose pairwise residual
-    exceeds KC_RESIDUAL_TOL is projected onto the right singular vectors of
-    its message vectors above the rank tolerance, an orthonormal basis of
-    their span; a valid family is projected on its message vectors as they
-    are.
+    A family whose pairwise residual exceeds KC_RESIDUAL_TOL is projected
+    onto the right singular vectors of its message vectors above the rank
+    tolerance, an orthonormal basis of their span; a valid family is
+    projected on its message vectors as they are.
     """
-    _check_state(state)
     d = state.d
-    block, lam = _support(_members(family, d), state.lambdas)
     k, c = block.shape[0], block.shape[2]
     msgs = _message_block(block, lam)
     near_miss = _max_pairwise_residual(block, lam) > KC_RESIDUAL_TOL
@@ -202,6 +219,18 @@ def kc_span_check(family, state: SchmidtState) -> KcReport:
         projected[idx] -= 1.0
         residuals.append(float(np.linalg.norm(projected)))
     return KcReport(residuals=tuple(residuals), span_dim=span_dim, saturated=saturates(state, k))
+
+
+def kc_span_check(family, state: SchmidtState) -> KcReport:
+    """Measure how far each |m0> basis vector is from the message span.
+
+    Works on the support block (see `_support`): its message vectors are the
+    full ones without their zero coordinates, which changes neither the span
+    nor any |m0>'s distance from it.
+    """
+    _check_state(state)
+    block, lam, _ = _support_pass(_members(family, state.d), state.lambdas)
+    return _span_check(block, lam, state)
 
 
 def shift_family_obstructed(state: SchmidtState) -> bool:

@@ -58,9 +58,12 @@ def _member_pairs(member, copy: bool = False):
     return pairs.astype(np.float64, order="C", copy=copy)
 
 
-def _check_header(label, target) -> None:
-    """Reject a label that is not a string and a target_lambda0 that is
-    neither None nor a finite int or float (a bool is not a number here)."""
+def _check_header(d, label, target) -> None:
+    """Reject a d that is not an integer >= 2 (a bool is not one), a label
+    that is not a string and a target_lambda0 that is neither None nor a
+    finite int or float."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+        raise ValueError(f"d must be an integer >= 2, got {d!r}")
     if not isinstance(label, str):
         raise ValueError(f"label must be a string, got {type(label).__name__}")
     if target is None or (isinstance(target, int) and not isinstance(target, bool)):
@@ -69,6 +72,21 @@ def _check_header(label, target) -> None:
         raise ValueError(f"target_lambda0 must be null or a finite number, got {type(target).__name__}")
     if not math.isfinite(target):
         raise ValueError(f"target_lambda0 must be null or a finite number, got {target!r}")
+
+
+def _check_count(k: int, d: int) -> None:
+    if not d <= k <= d * d:
+        raise ValueError(f"family has {k} members, outside [{d}, {d * d}]")
+
+
+def _check_entries(i: int, n: int, d: int) -> None:
+    if n != d * d:
+        raise ValueError(f"member {i} has {n} entries, expected {d * d}")
+
+
+def _check_finite(members) -> None:
+    if not all(np.isfinite(m).all() for m in members):
+        raise ValueError("member entries must be finite")
 
 
 def _field(doc: dict, key: str):
@@ -92,66 +110,82 @@ def document_to_family(doc: dict) -> families.EncodingFamily:
 
 
 def _to_family(doc: dict, copy: bool) -> families.EncodingFamily:
-    """`document_to_family`, each member a complex (d, d) view of its [re, im]
-    pairs, which are copied first from an array member when copy is true."""
+    d, label, target, members = _check_document(doc, copy)
+    return families.EncodingFamily(d=d, members=tuple(members), label=label, target_lambda0=target)
+
+
+def _check_document(doc: dict, copy: bool):
+    """The d, label, target_lambda0 and members of a document `document_to_family`
+    accepts, each member a complex (d, d) view of its [re, im] pairs, which
+    are copied first from an array member when copy is true.
+
+    A member that `verify` reduced as it read it, a (columns, residual) tuple
+    of the member's support columns and unitarity residual, was finite
+    [re, im] pairs, as many as its columns have rows squared; it is checked
+    for that count and kept as it is.
+    """
     if not isinstance(doc, dict):
         raise ValueError("family document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     d = _field(doc, "d")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ValueError(f"d must be an integer >= 2, got {d!r}")
     label, target = doc.get("label", "file"), doc.get("target_lambda0")
-    _check_header(label, target)
+    _check_header(d, label, target)
     members = _field(doc, "members")
     if not isinstance(members, list):
         raise ValueError("members must be a list")
-    k = len(members)
-    if not d <= k <= d * d:
-        raise ValueError(f"family has {k} members, outside [{d}, {d * d}]")
+    _check_count(len(members), d)
     # One conversion per member: numpy's shape discovery over the whole nested
     # list would hold bookkeeping for every [re, im] pair at once.
-    stack = []
+    checked = []
     for i, member in enumerate(members):
+        if isinstance(member, tuple):
+            _check_entries(i, len(member[0]) ** 2, d)
+            checked.append(member)
+            continue
         if not isinstance(member, (list, np.ndarray)):
             raise ValueError(f"member {i} must be a list of [re, im] pairs")
-        if len(member) != d * d:
-            raise ValueError(f"member {i} has {len(member)} entries, expected {d * d}")
+        _check_entries(i, len(member), d)
         pairs = _member_pairs(member, copy)
         if pairs is None:
             raise ValueError(f"member {i} entries must be [re, im] pairs of numbers")
-        stack.append(pairs.view(np.complex128).reshape(d, d))
-    if not all(np.isfinite(m).all() for m in stack):
-        raise ValueError("member entries must be finite")
-    return families.EncodingFamily(d=d, members=tuple(stack), label=label, target_lambda0=target)
+        checked.append(pairs.view(np.complex128).reshape(d, d))
+    _check_finite(m for m in checked if not isinstance(m, tuple))
+    return d, label, target, checked
 
 
 def write_family_document(family: families.EncodingFamily, path: str) -> None:
     """Write `family` as the bytes of json.dump(document, indent=1) and a newline.
 
     The header goes through json.dumps; each member is converted and written
-    in turn, each float as float.__repr__, which is how json spells a finite
-    float.  Refuses, before opening the file, what `document_to_family` would
-    reject: non-finite members, a non-string label or a target_lambda0 that is
-    not None or a finite number.
+    in turn, as one %-format of the document's member template, each float
+    as %r, float.__repr__, which is how json spells a finite float.  Refuses,
+    before opening the file, what `document_to_family` would reject, with
+    its messages: a d that is not an integer >= 2, a non-string label, a
+    target_lambda0 that is not None or a finite number, a member count
+    outside [d, d*d], a member of other than d*d entries and non-finite
+    members.
     """
-    if not all(np.isfinite(np.asarray(m, dtype=np.complex128)).all() for m in family.members):
-        raise ValueError("family members must be finite")
-    _check_header(family.label, family.target_lambda0)
+    d, members = family.d, family.members
+    _check_header(d, family.label, family.target_lambda0)
+    _check_count(len(members), d)
+    for i, m in enumerate(members):
+        _check_entries(i, np.size(m), d)
+    _check_finite(np.asarray(m, dtype=np.complex128) for m in members)
     header = {
         "schema_version": SCHEMA_VERSION,
-        "d": family.d,
+        "d": d,
         "label": family.label,
         "target_lambda0": family.target_lambda0,
     }
+    # json.dump's indent=1 layout of one member: d*d [re, im] pairs
+    template = "  [\n" + ",\n".join(["   [\n    %r,\n    %r\n   ]"] * (d * d)) + "\n  ]"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, indent=1)[:-2] + ',\n "members": [')
-        for i, m in enumerate(family.members):
-            m = np.ascontiguousarray(m, dtype=np.complex128).reshape(-1)
-            parts = list(map(float.__repr__, m.view(np.float64).tolist()))
-            pairs = map(",\n    ".join, zip(parts[0::2], parts[1::2]))
-            fh.write((",\n" if i else "\n") + "  [\n   [\n    " + "\n   ],\n   [\n    ".join(pairs) + "\n   ]\n  ]")
-        fh.write("\n ]\n}\n" if family.members else "]\n}\n")
+        fh.write(json.dumps(header, indent=1)[:-2] + ',\n "members": [\n')
+        for i, m in enumerate(members):
+            values = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).reshape(-1).tolist()
+            fh.write((",\n" if i else "") + template % tuple(values))
+        fh.write("\n ]\n}\n")
 
 
 _DECODER = json.JSONDecoder()
@@ -244,24 +278,26 @@ def _punctuation(src: _Text, pos: int, chars: str):
     return pos, char
 
 
-def _decode_members(src: _Text, pos: int):
+def _decode_members(src: _Text, pos: int, step):
     """The members array whose "[" is at pos, one member at a time, and its end.
 
     Each member becomes its (n, 2) array as soon as it is decoded, so its
-    nested lists are gone before the next member is read.  A member that
-    does not convert stays as decoded, for `document_to_family` to report.
+    nested lists are gone before the next member is read, and what
+    step(member) returns for it is kept.  A member that does not convert
+    stays as decoded, for `document_to_family` to report.
     """
     members, char = [], "["
     while char != "]":
         member, pos = src.decode(src.skip(pos + 1), _decode_member)
-        members.append(member)
+        members.append(step(member))
         pos, char = _punctuation(src, pos, ",]")
     return members, pos + 1
 
 
-def _decode_document(src: _Text) -> dict:
+def _decode_document(src: _Text, step) -> dict:
     """The family document in src: a top-level object, walked key by key as
-    json's scanner walks it, whose "members" array goes to `_decode_members`.
+    json's scanner walks it, whose "members" array goes to `_decode_members`
+    with step.
 
     A repeated key keeps its last value.  Text that is not such a document,
     such as a syntax error, trailing data or a top-level value that is not
@@ -277,7 +313,7 @@ def _decode_document(src: _Text) -> dict:
         pos, _ = _punctuation(src, pos, ":")
         pos = src.skip(pos + 1)
         if key == "members" and src.char(pos) == "[":
-            doc[key], pos = _decode_members(src, pos)
+            doc[key], pos = _decode_members(src, pos, step)
         else:
             doc[key], pos = src.decode(pos, _DECODER.raw_decode)
         pos, char = _punctuation(src, pos, ",}")
@@ -286,12 +322,12 @@ def _decode_document(src: _Text) -> dict:
     return doc
 
 
-def read_family_document(path: str) -> families.EncodingFamily:
-    """Read and validate a family document.
+def _read_document(path: str, step=lambda member: member) -> dict:
+    """The family document at path, its members walked through step (see
+    `_decode_members`), or, where the walk stops, as json.loads parses it.
 
     The file is read `_CHUNK` characters at a time and decoded one member at
-    a time, each member an array, which the family's member is a view of,
-    before the next is read.  Reading holds the family once, one chunk of
+    a time, so reading holds what step keeps of each member, one chunk of
     text and one member's text and lists.  Wherever that walk meets text
     that is not a well-formed family document, the whole text is read again
     and handed to json.loads, so the document is accepted or rejected by
@@ -304,7 +340,7 @@ def read_family_document(path: str) -> families.EncodingFamily:
         # a pipe cannot be read again, so it is read whole, as json.load reads it
         text = None if fh.seekable() else fh.read()
         try:
-            doc = _decode_document(_Text(fh, text))
+            doc = _decode_document(_Text(fh, text), step)
         except (ValueError, RecursionError):
             doc = None  # judged below, outside this block, which holds the walk's members and text
         if doc is None:
@@ -315,7 +351,16 @@ def read_family_document(path: str) -> families.EncodingFamily:
                 doc = json.loads(text)
             except RecursionError:  # json's scanner recurses once per nesting level
                 raise ValueError("family document is nested too deeply") from None
-    return _to_family(doc, copy=False)
+    return doc
+
+
+def read_family_document(path: str) -> families.EncodingFamily:
+    """Read and validate a family document (see `_read_document`).
+
+    Each member is an array, which the family's member is a view of, so the
+    read holds the family once beside a chunk of text.
+    """
+    return _to_family(_read_document(path), copy=False)
 
 
 def _parse_weight(text: str) -> float:
@@ -354,19 +399,46 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    family = read_family_document(args.family_path)
-    if len(args.lambdas) != family.d:
-        raise ValueError(f"family has d={family.d} but {len(args.lambdas)} weights were given")
-    state = _state_from_weights(args.lambdas)
+    """Verify the document against the weights, reducing each member, as it
+    is read, to its support columns and unitarity residual: the command holds
+    the support block, never the family.
+
+    Refusals come in the order of reading the family, then checking it: the
+    document's own errors, the weight count, the weights, then the
+    tolerance.  So a bad weight is held until the document is judged, and a
+    member that cannot be reduced, because the weights are bad or it is not
+    finite pairs as many as the weights squared, is kept as decoded.
+    """
+    try:
+        state = _state_from_weights(args.lambdas)
+    except (ValueError, OverflowError) as exc:
+        state, bad_weights = None, exc
+    n = len(args.lambdas)
+    keep = None if state is None else analysis._support(state.lambdas)
+
+    def reduce(member):
+        if keep is None or not isinstance(member, np.ndarray) or len(member) != n * n or not np.isfinite(member).all():
+            return member
+        return analysis._reduce(member.view(np.complex128).reshape(n, n), keep)
+
+    d, label, _, members = _check_document(_read_document(args.family_path, reduce), copy=False)
+    if n != d:
+        raise ValueError(f"family has d={d} but {n} weights were given")
+    if state is None:
+        raise bad_weights
     tol = args.tol if args.tol is not None else analysis.VERIFY_TOL
-    report = analysis.verify_family(family, state, tol=tol)
-    print(f"family: {family.label} (d={family.d}, K={len(family)})")
+    analysis._check_tol(tol)
+    # members json.loads parsed, where the walk stopped, are reduced here
+    rows = [m if isinstance(m, tuple) else analysis._reduce(m, keep) for m in members]
+    block, lam = np.stack([columns for columns, _ in rows]), state.lambdas[keep]
+    report = analysis._verification(block, lam, max(unit for _, unit in rows), tol)
+    print(f"family: {label} (d={d}, K={len(rows)})")
     print("state lambdas:", " ".join(repr(float(x)) for x in state.lambdas))
     print(f"max pairwise residual:  {report.max_pairwise_residual:.6e}")
     print(f"max unitarity residual: {report.max_unitarity_residual:.6e}")
     print(f"max norm deviation:     {report.max_norm_deviation:.6e}")
     print(f"tolerance:              {tol:.6e}")
-    kc = analysis.kc_span_check(family, state)
+    kc = analysis._span_check(block, lam, state)
     if kc.saturated:
         print(f"saturated (lambda0 = d/K): span dim {kc.span_dim}, |m0> residuals:")
         for m, r in enumerate(kc.residuals):

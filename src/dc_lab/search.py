@@ -372,16 +372,18 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
     mu = LM_MU_START
     n, diagonal = prob.pair_flat.size, slice(None, None, prob.nparam + 1)
     halved, since = f, 0  # the value at the last halving, and iterations since
+    moved = True  # f, t and g are new: the stop test and the system are formed again
     while since < LM_HALVING_ITERS:
-        if f <= LM_F_STOP or np.max(np.abs(t[:n])) <= tol or np.max(np.abs(g)) < LM_GRAD_STOP:
-            break
+        if moved:
+            if f <= LM_F_STOP or np.max(np.abs(t[:n])) <= tol or np.max(np.abs(g)) < LM_GRAD_STOP:
+                break
+            damped, rhs, moved = a.copy(), -g, False
         since += 1
-        damped = a.copy()
-        damped.flat[diagonal] += mu
+        damped.flat[diagonal] = a.flat[diagonal] + mu
         try:
-            delta = np.linalg.solve(damped, -g)
+            delta = np.linalg.solve(damped, rhs)
         except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(damped, -g, rcond=None)[0]
+            delta = np.linalg.lstsq(damped, rhs, rcond=None)[0]
         trial = ufree @ prob.cayley(delta)
         known = _residuals(prob, trial)
         ft = float(np.vdot(known[1], known[1]).real)
@@ -393,6 +395,7 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
                 halved, since = f, 0
             t, jac = _residuals_and_jacobian(prob, trial, known)
             a, g = _normal_equations(t, jac)
+            moved = True
         else:
             mu *= 4.0
             if mu > LM_MU_MAX:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -137,6 +138,7 @@ def _identity_pairs(d):
         (_document(True, [[[1.0, 0.0]]]), "d must be an integer >= 2"),
         (_document(2, [_identity_pairs(2)]), "1 members, outside [2, 4]"),
         (_document(2, [_identity_pairs(2)] * 5), "5 members, outside [2, 4]"),
+        (_document(2, [_identity_pairs(2)] * 4 + [[[1.0]]]), "5 members, outside [2, 4]"),
         (_document(2, {"0": _identity_pairs(2)}), "members must be a list"),
         (_document(2, [_identity_pairs(2), "member"]), "member 1 must be a list"),
         (_document(2, [_identity_pairs(2), _identity_pairs(2)[:3]]), "member 1 has 3 entries, expected 4"),
@@ -168,6 +170,18 @@ def test_verify_rejects_invalid_documents_before_printing(tmp_path, capsys, text
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and error in captured.err
+
+
+@pytest.mark.parametrize("weights", [["x", "1/2"], ["1/0", "1"], ["2", "-1"], ["1/2", "1/2", "0"]])
+def test_a_document_is_judged_before_its_weights(tmp_path, capsys, weights):
+    """`verify` reads its weights before the document, to reduce the members
+    as they are read, but refuses them only once the document is judged."""
+    path = tmp_path / "bad.json"
+    path.write_text(_document(2, [_identity_pairs(2), "member", _identity_pairs(2)]))
+    assert run(["verify", str(path), "--lambdas", *weights]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: member 1 must be a list of [re, im] pairs\n"
 
 
 def test_verify_nan_document_exits_cleanly(tmp_path, capsys):
@@ -219,14 +233,22 @@ def test_a_family_shares_no_memory_with_its_document():
     assert [m.tobytes() for m in fam.members] == [m.tobytes() for m in expected]
 
 
-def test_verify_runs_verify_family_once(tmp_path, capsys, monkeypatch):
+def test_verify_checks_one_support_block_once_each(tmp_path, capsys, monkeypatch):
+    """`verify` reduces the members as it reads them and runs each block-level
+    check once, on one support block, without the library's whole-family
+    reader or checks."""
     path = tmp_path / "f47.json"
     run(["construct", "f47", "-d", "4", "--output", str(path)])
-    calls = []
-    original = analysis.verify_family
-    monkeypatch.setattr(analysis, "verify_family", lambda *a, **k: calls.append(1) or original(*a, **k))
+    calls = {"_verification": [], "_span_check": []}
+    for name, seen in calls.items():
+        original = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *a, seen=seen, original=original: seen.append(a[0]) or original(*a))
+    for name in ("verify_family", "kc_span_check"):
+        monkeypatch.setattr(analysis, name, mock.Mock(side_effect=AssertionError(name)))
+    monkeypatch.setattr(cli, "read_family_document", mock.Mock(side_effect=AssertionError("read_family_document")))
     assert run(["verify", str(path), "--lambdas", "4/7", "3/7", "0", "0"]) == 0
-    assert len(calls) == 1
+    (verified,), (spanned,) = calls.values()
+    assert verified is spanned and verified.shape == (7, 4, 2)
 
 
 @pytest.mark.parametrize("label, target", [("", None), ("t", 1), ("t", -0.0), ("t", 10**400)])
@@ -249,6 +271,23 @@ def test_write_family_document_rejects_a_header_the_reader_rejects(tmp_path, lab
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "d, members, error",
+    [
+        (3, (), "family has 0 members, outside [3, 9]"),
+        (3, (np.eye(4, dtype=complex),) * 4, "member 0 has 16 entries, expected 9"),
+        (3, (np.eye(3, dtype=complex),), "family has 1 members, outside [3, 9]"),
+        (True, (np.eye(2, dtype=complex),) * 2, "d must be an integer >= 2, got True"),
+    ],
+)
+def test_write_family_document_rejects_a_shape_the_reader_rejects(tmp_path, capsys, d, members, error):
+    """Each of these was written, and then refused by `verify` with this message."""
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match=re.escape(error)):
+        cli.write_family_document(EncodingFamily(d=d, members=members, label="t"), str(path))
+    assert not path.exists()
+
+
 def test_write_family_document_rejects_non_finite(tmp_path):
     members = (np.eye(2, dtype=complex), np.array([[0, np.nan], [1, 0]], dtype=complex))
     path = tmp_path / "nan.json"
@@ -261,8 +300,7 @@ def test_written_documents_equal_json_dump(tmp_path):
     """Streamed output equals json.dump(indent=1) of the same document, plus a newline."""
     odd = np.array([[complex(-0.0, -0.0), complex(1e-300, -2.0)], [complex(np.pi, 0.0), complex(0.0, -2.5e17)]])
     fams = [
-        EncodingFamily(d=2, members=(), label="empty"),
-        EncodingFamily(d=2, members=(odd,), label="ü \"q\"", target_lambda0=0.25),
+        EncodingFamily(d=2, members=(odd, -odd), label="ü \"q\"", target_lambda0=0.25),
         family_2dm1(5),
     ]
     for fam in fams:
@@ -319,6 +357,12 @@ def _reference_read(path):
         return cli.document_to_family(json.load(fh))
 
 
+def _reference_load(path, step=None):
+    """The document as json.load parses it, its members as json gives them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _verify_outcome(path, capsys):
     code = run(["verify", str(path), "--lambdas", "1/2", "1/2"])
     captured = capsys.readouterr()
@@ -354,6 +398,8 @@ READER_CASES = {
     + " \n}\n\n ",
     "escaped members key": _GOOD.replace('"members"', '"m\\u0065mbers"'),
     "empty members": '{"schema_version": 1, "d": 2, "members": []}',
+    "empty members, then members": '{"schema_version": 1, "d": 2, "label": "t", "members": [], "members": [%s, %s]}'
+    % (_PAIRS_0, _PAIRS_1),
     "empty padded members": '{"schema_version": 1, "d": 2, "members": [ \n ]}',
     "non-finite members": _GOOD.replace("-1.0", "-Infinity").replace("[1.0, 0.0]]", "[NaN, 0.0]]"),
     "integer members": _GOOD.replace(".0", ""),
@@ -386,8 +432,44 @@ def test_reader_matches_json_load(tmp_path, capsys, monkeypatch, text):
     path.write_text(text, encoding="utf-8")
     assert _read_outcome(cli.read_family_document, path) == _read_outcome(_reference_read, path)
     streamed = _verify_outcome(path, capsys)
-    monkeypatch.setattr(cli, "read_family_document", _reference_read)
+    monkeypatch.setattr(cli, "_read_document", _reference_load)
     assert streamed == _verify_outcome(path, capsys)
+
+
+# READER_CASES that hold the family of "written order", and its label: the
+# first goes to json.loads where the walk stops, at the empty members array
+SAME_REPORT = (
+    "empty members, then members",
+    "members before d",
+    "compact",
+    "padded",
+    "escaped members key",
+    "integer members",
+)
+
+
+@pytest.mark.parametrize("source", [7, None, "pipe"], ids=["chunk 7", "default chunk", "pipe"])
+@pytest.mark.parametrize("case", SAME_REPORT)
+def test_verify_reports_a_document_as_written_whatever_its_layout(tmp_path, capsys, monkeypatch, case, source):
+    written = tmp_path / "written.json"
+    written.write_text(READER_CASES["written order"], encoding="utf-8")
+    expected = _verify_outcome(written, capsys)
+    assert "result: FAIL" in expected[1]  # its second member is not unitary
+    path = tmp_path / "doc.json"
+    path.write_text(READER_CASES[case], encoding="utf-8")
+    if source == "pipe":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        plain, path = path, tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(plain.read_bytes(),), daemon=True)
+        writer.start()
+    elif source is not None:
+        monkeypatch.setattr(cli, "_CHUNK", source)
+    assert _verify_outcome(path, capsys) == expected
+    if source == "pipe":
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 _EDITS = list('{}[],:" \n0123456789.e-tnN\\') + ['"members"', "NaN", "true", "null", "[1.0, 0.0]"]
@@ -645,6 +727,22 @@ def test_reading_a_document_costs_about_its_family(tmp_path, monkeypatch):
     cli.write_family_document(fam, str(path))
     monkeypatch.setattr(cli, "_CHUNK", 1 << 14)
     assert _traced_peak(cli.read_family_document, str(path)) <= 1.6 * family_bytes
+
+
+def test_verifying_a_document_costs_less_than_its_family(tmp_path, capsys, monkeypatch):
+    """`verify` read the whole family, then formed its support block once per
+    check: the 2d-1 d=32 document at 16k-character chunks peaked at 1.56
+    times its family's bytes.  Each member reduced to its support columns as
+    it is read, the command holds the (K, d, 2) block, a chunk of text and
+    one member: 0.73 times."""
+    fam = family_2dm1(32)
+    family_bytes = sum(m.nbytes for m in fam.members)
+    path = tmp_path / "f32.json"
+    cli.write_family_document(fam, str(path))
+    monkeypatch.setattr(cli, "_CHUNK", 1 << 14)
+    weights = ["32/63", "31/63"] + ["0"] * 30
+    assert _traced_peak(run, ["verify", str(path), "--lambdas", *weights]) < family_bytes
+    assert "span dim 63" in capsys.readouterr().out
 
 
 def test_reading_holds_the_family_and_a_few_chunks_of_text(tmp_path):
