@@ -75,24 +75,18 @@ def _support(lam: np.ndarray) -> np.ndarray:
 
 
 def _reduce(u: np.ndarray, keep: np.ndarray):
-    """The kept columns of a member, or of an (n, d, d) block of members, and
-    the largest entry of |U^dag U - I| over them."""
+    """The kept columns of an (n, d, d) block of members, and the largest
+    entry of |U^dag U - I| over them."""
     residual = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])))
     return u[..., keep], float(residual)
 
 
-def _support_pass(members, lam: np.ndarray):
-    """One pass over the members: the (K, d, c) support block (see `_support`),
-    its c weights and the largest unitarity residual.
-
-    Members are reduced a block of _BLOCK_ENTRIES entries at a time, so no
-    (K, d, d) temporary is formed for a large family, nor a stack of an
-    EncodingFamily's members.
-    """
-    keep = _support(lam)
-    step = max(1, _BLOCK_ENTRIES // lam.size**2)
-    parts = [_reduce(np.asarray(members[i : i + step]), keep) for i in range(0, len(members), step)]
-    return np.concatenate([block for block, _ in parts]), lam[keep], max(unit for _, unit in parts)
+def _support_block(parts, lam: np.ndarray):
+    """The (K, d, c) support block (see `_support`), its c weights and the
+    members' largest unitarity residual, from parts: each the kept columns
+    of a block of members and their largest residual, as `_reduce` gives
+    them."""
+    return np.concatenate([block for block, _ in parts]), lam[_support(lam)], max(unit for _, unit in parts)
 
 
 def _check_tol(tol) -> None:
@@ -121,14 +115,18 @@ def verify_family(family, state: SchmidtState, tol: float = VERIFY_TOL) -> Verif
     """Check pairwise weighted orthogonality, unitarity, and message norms.
 
     The pairwise residuals and the norms come from the support block, and
-    unitarity is checked in the same pass over the members (`_support_pass`).
-    Raises ValueError unless state is a SchmidtState and tol a finite
-    nonnegative real number (not a bool).
+    unitarity is checked in the same pass over the members, which reduces
+    them a block of _BLOCK_ENTRIES entries at a time, so no (K, d, d)
+    temporary is formed for a large family, nor a stack of an
+    EncodingFamily's members.  Raises ValueError unless state is a
+    SchmidtState and tol a finite nonnegative real number (not a bool).
     """
     _check_state(state)
     _check_tol(tol)
-    block, lam, max_unit = _support_pass(_members(family, state.d), state.lambdas)
-    return _verification(block, lam, max_unit, tol)
+    members, lam = _members(family, state.d), state.lambdas
+    keep, step = _support(lam), max(1, _BLOCK_ENTRIES // lam.size**2)
+    parts = [_reduce(np.asarray(members[i : i + step]), keep) for i in range(0, len(members), step)]
+    return _verification(*_support_block(parts, lam), tol)
 
 
 def wcsg_bound(state: SchmidtState) -> int:
@@ -229,8 +227,9 @@ def kc_span_check(family, state: SchmidtState) -> KcReport:
     nor any |m0>'s distance from it.
     """
     _check_state(state)
-    block, lam, _ = _support_pass(_members(family, state.d), state.lambdas)
-    return _span_check(block, lam, state)
+    members, keep = _members(family, state.d), _support(state.lambdas)
+    block = members[..., keep] if isinstance(members, np.ndarray) else np.stack([m[:, keep] for m in members])
+    return _span_check(block, state.lambdas[keep], state)
 
 
 def shift_family_obstructed(state: SchmidtState) -> bool:

@@ -114,15 +114,22 @@ def _to_family(doc: dict, copy: bool) -> families.EncodingFamily:
     return families.EncodingFamily(d=d, members=tuple(members), label=label, target_lambda0=target)
 
 
+class _Reduced:
+    """A member that `verify` reduced as it read it, from an (n, 2) array of
+    finite [re, im] pairs: n, and its support columns and unitarity residual
+    as `analysis._reduce` gives them."""
+
+    __slots__ = ("entries", "part")
+
+    def __init__(self, entries: int, part):
+        self.entries, self.part = entries, part
+
+
 def _check_document(doc: dict, copy: bool):
     """The d, label, target_lambda0 and members of a document `document_to_family`
     accepts, each member a complex (d, d) view of its [re, im] pairs, which
-    are copied first from an array member when copy is true.
-
-    A member that `verify` reduced as it read it, a (columns, residual) tuple
-    of the member's support columns and unitarity residual, was finite
-    [re, im] pairs, as many as its columns have rows squared; it is checked
-    for that count and kept as it is.
+    are copied first from an array member when copy is true.  A `_Reduced`
+    member is checked for its entry count and kept as it is.
     """
     if not isinstance(doc, dict):
         raise ValueError("family document must be a JSON object")
@@ -139,8 +146,8 @@ def _check_document(doc: dict, copy: bool):
     # list would hold bookkeeping for every [re, im] pair at once.
     checked = []
     for i, member in enumerate(members):
-        if isinstance(member, tuple):
-            _check_entries(i, len(member[0]) ** 2, d)
+        if isinstance(member, _Reduced):
+            _check_entries(i, member.entries, d)
             checked.append(member)
             continue
         if not isinstance(member, (list, np.ndarray)):
@@ -150,7 +157,7 @@ def _check_document(doc: dict, copy: bool):
         if pairs is None:
             raise ValueError(f"member {i} entries must be [re, im] pairs of numbers")
         checked.append(pairs.view(np.complex128).reshape(d, d))
-    _check_finite(m for m in checked if not isinstance(m, tuple))
+    _check_finite(m for m in checked if not isinstance(m, _Reduced))
     return d, label, target, checked
 
 
@@ -419,7 +426,7 @@ def _cmd_verify(args) -> int:
     def reduce(member):
         if keep is None or not isinstance(member, np.ndarray) or len(member) != n * n or not np.isfinite(member).all():
             return member
-        return analysis._reduce(member.view(np.complex128).reshape(n, n), keep)
+        return _Reduced(n * n, analysis._reduce(member.view(np.complex128).reshape(1, n, n), keep))
 
     d, label, _, members = _check_document(_read_document(args.family_path, reduce), copy=False)
     if n != d:
@@ -429,10 +436,10 @@ def _cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else analysis.VERIFY_TOL
     analysis._check_tol(tol)
     # members json.loads parsed, where the walk stopped, are reduced here
-    rows = [m if isinstance(m, tuple) else analysis._reduce(m, keep) for m in members]
-    block, lam = np.stack([columns for columns, _ in rows]), state.lambdas[keep]
-    report = analysis._verification(block, lam, max(unit for _, unit in rows), tol)
-    print(f"family: {label} (d={d}, K={len(rows)})")
+    parts = [m.part if isinstance(m, _Reduced) else analysis._reduce(m[None], keep) for m in members]
+    block, lam, max_unit = analysis._support_block(parts, state.lambdas)
+    report = analysis._verification(block, lam, max_unit, tol)
+    print(f"family: {label} (d={d}, K={len(members)})")
     print("state lambdas:", " ".join(repr(float(x)) for x in state.lambdas))
     print(f"max pairwise residual:  {report.max_pairwise_residual:.6e}")
     print(f"max unitarity residual: {report.max_unitarity_residual:.6e}")

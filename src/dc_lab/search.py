@@ -372,14 +372,15 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
     mu = LM_MU_START
     n, diagonal = prob.pair_flat.size, slice(None, None, prob.nparam + 1)
     halved, since = f, 0  # the value at the last halving, and iterations since
-    moved = True  # f, t and g are new: the stop test and the system are formed again
+    rhs = None  # -g, and the stop test, formed again only when a step is accepted
     while since < LM_HALVING_ITERS:
-        if moved:
+        if rhs is None:
             if f <= LM_F_STOP or np.max(np.abs(t[:n])) <= tol or np.max(np.abs(g)) < LM_GRAD_STOP:
                 break
-            damped, rhs, moved = a.copy(), -g, False
+            rhs = -g
         since += 1
-        damped.flat[diagonal] = a.flat[diagonal] + mu
+        damped = a.copy()
+        damped.flat[diagonal] += mu
         try:
             delta = np.linalg.solve(damped, rhs)
         except np.linalg.LinAlgError:
@@ -395,7 +396,7 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
                 halved, since = f, 0
             t, jac = _residuals_and_jacobian(prob, trial, known)
             a, g = _normal_equations(t, jac)
-            moved = True
+            rhs = None
         else:
             mu *= 4.0
             if mu > LM_MU_MAX:

@@ -233,6 +233,14 @@ def test_a_family_shares_no_memory_with_its_document():
     assert [m.tobytes() for m in fam.members] == [m.tobytes() for m in expected]
 
 
+@pytest.mark.parametrize("member", [((1.0, 0.0), (0.0, 0.0)), (), ("ab", None), tuple(map(tuple, _identity_pairs(2)))])
+def test_document_to_family_refuses_a_tuple_member(member):
+    """A member is a list of pairs or an (n, 2) array; a tuple is neither."""
+    doc = {"schema_version": 1, "d": 2, "members": [member, _identity_pairs(2)]}
+    with pytest.raises(ValueError, match=re.escape("member 0 must be a list of [re, im] pairs")):
+        cli.document_to_family(doc)
+
+
 def test_verify_checks_one_support_block_once_each(tmp_path, capsys, monkeypatch):
     """`verify` reduces the members as it reads them and runs each block-level
     check once, on one support block, without the library's whole-family
