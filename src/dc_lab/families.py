@@ -9,11 +9,15 @@ Several constructions pin down only the first two columns of a member; that is
 all that matters for weighted orthogonality when only lambda0 and lambda1 are
 nonzero, and the remaining columns come from the deterministic completion in
 :func:`dc_lab.linalg.complete_to_unitary`.
+
+Behind each constructor is a private function of d that returns the label,
+the target lambda0 and an iterable of the members, which a generator builds
+only as they are taken: the constructor collects them through `_family`, and
+`dc-lab construct` writes them one at a time, so it never holds the family.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,20 +42,52 @@ class EncodingFamily:
         return iter(self.members)
 
 
-def _family(d: int, members, label: str, target_lambda0: float | None) -> EncodingFamily:
-    """The family of `members`, checked and made read-only, not copied: callers pass new arrays."""
-    mats = tuple(as_matrix(m) for m in members)
-    for i, m in enumerate(mats):
+# Matrix entries per block of the orthonormal completion: 32 members at
+# d = 64.  Completing the 64 matrices of the 2d-1 family at d = 64 took
+# 0.18-0.20 s in one stack and in blocks of 32, 0.31 s in blocks of 16,
+# 0.36-0.45 s in blocks of 8 and 2.5 s one at a time: each call costs about
+# the same however few matrices it holds.
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _checked(d: int, label: str, members):
+    """Each of members, checked as a unitary (d, d) complex matrix and made
+    read-only, one at a time; a member count outside [d, d*d] raises once the
+    members run out.  No member is held once the next is taken."""
+    k = 0
+    for m in members:
+        m = as_matrix(m)
         if m.shape != (d, d):
-            raise ValueError(f"member {i} of {label} has shape {m.shape}, expected ({d}, {d})")
+            raise ValueError(f"member {k} of {label} has shape {m.shape}, expected ({d}, {d})")
         res = unitarity_residual(m)
         if res > UNITARITY_TOL:
-            raise ValueError(f"member {i} of {label} is not unitary: residual {res:.3e}")
+            raise ValueError(f"member {k} of {label} is not unitary: residual {res:.3e}")
         m.flags.writeable = False
-    k = len(mats)
+        yield m
+        k += 1
+        del m
     if not d <= k <= d * d:
         raise ValueError(f"{label} has {k} members, outside [{d}, {d * d}]")
+
+
+def _family(d: int, label: str, target_lambda0: float | None, members) -> EncodingFamily:
+    """The family of `members`, checked and made read-only, not copied: callers pass new arrays."""
+    mats = tuple(_checked(d, label, members))
     return EncodingFamily(d=d, members=mats, label=label, target_lambda0=target_lambda0)
+
+
+def _completed(columns: np.ndarray, d: int):
+    """The unitary completion of each (d, k) matrix of columns, in order, a
+    block of _BLOCK_ENTRIES entries at a time.
+
+    Each member is a view of its block, which is dropped once its last
+    member is taken, so a caller that holds no member while it takes the
+    next holds one block.  A matrix is completed bit for bit as it would be
+    alone, so the block size changes no member.
+    """
+    step = max(1, _BLOCK_ENTRIES // (d * d))
+    for start in range(0, len(columns), step):
+        yield from complete_to_unitary(columns[start : start + step], d)
 
 
 def _root_of_unity(n: int, k: int = 1) -> complex:
@@ -74,30 +110,31 @@ def phase(d: int) -> np.ndarray:
     return np.diag([_root_of_unity(d, k) for k in range(d)])
 
 
-def weyl_family(d: int) -> EncodingFamily:
-    """The d^2 products Z^a X^b, ordered lexicographically in (a, b).
-
-    Pairwise orthogonal against the maximally entangled state; for d = 2 this
-    is the identity together with Pauli-equivalent matrices.
-    """
-    _check_dimension(d)
-    members = []
+def _weyl_members(d: int):
     for a in range(d):
         for b in range(d):
             m = np.zeros((d, d), dtype=np.complex128)
             for j in range(d):
                 row = (j + b) % d
                 m[row, j] = _root_of_unity(d, a * row)
-            members.append(m)
-    return _family(d, members, "weyl", 1.0 / d)
+            yield m
 
 
-def qutrit_five_family() -> EncodingFamily:
-    """The five-member qutrit family {I, A, M, M*, U} aimed at lambda0 = 3/5.
+def _weyl(d: int):
+    _check_dimension(d)
+    return "weyl", 1.0 / d, _weyl_members(d)
 
-    Orthogonal against weights (3/5, 2/5, 0); every member has a zero at its
-    3,2 entry.
+
+def weyl_family(d: int) -> EncodingFamily:
+    """The d^2 products Z^a X^b, ordered lexicographically in (a, b).
+
+    Pairwise orthogonal against the maximally entangled state; for d = 2 this
+    is the identity together with Pauli-equivalent matrices.
     """
+    return _family(d, *_weyl(d))
+
+
+def _five():
     s3 = np.sqrt(3.0)
     s5 = np.sqrt(5.0)
     eye = np.eye(3, dtype=np.complex128)
@@ -118,11 +155,19 @@ def qutrit_five_family() -> EncodingFamily:
         ],
         dtype=np.complex128,
     )
-    return _family(3, [eye, a, m, m.conj(), u], "five", 3 / 5)
+    return "five", 3 / 5, [eye, a, m, m.conj(), u]
 
 
-def family_f46() -> EncodingFamily:
-    """Six 4x4 encoding unitaries {I, A, U1, U2, V1, V2} at lambda0 = 2/3."""
+def qutrit_five_family() -> EncodingFamily:
+    """The five-member qutrit family {I, A, M, M*, U} aimed at lambda0 = 3/5.
+
+    Orthogonal against weights (3/5, 2/5, 0); every member has a zero at its
+    3,2 entry.
+    """
+    return _family(3, *_five())
+
+
+def _f46():
     h = np.sqrt(3.0) / 2
     eye = np.eye(4, dtype=np.complex128)
     a = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.complex128)
@@ -138,11 +183,15 @@ def family_f46() -> EncodingFamily:
     v2 = np.array(
         [[0, 1, 0, 0], [-0.5, 0, h, 0], [0, 0, 0, 1], [h, 0, 0.5, 0]], dtype=np.complex128
     )
-    return _family(4, [eye, a, u1, u2, v1, v2], "F_4/6", 2 / 3)
+    return "F_4/6", 2 / 3, [eye, a, u1, u2, v1, v2]
 
 
-def family_f47() -> EncodingFamily:
-    """Seven 4x4 encoding unitaries {I, A1, A2, U, M0, M1, M2} at lambda0 = 4/7."""
+def family_f46() -> EncodingFamily:
+    """Six 4x4 encoding unitaries {I, A, U1, U2, V1, V2} at lambda0 = 2/3."""
+    return _family(4, *_f46())
+
+
+def _f47():
     s7 = np.sqrt(7.0)
     eye = np.eye(4, dtype=np.complex128)
     a1 = np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128)
@@ -170,7 +219,12 @@ def family_f47() -> EncodingFamily:
             dtype=np.complex128,
         )
         members.append(mj)
-    return _family(4, members, "F_4/7", 4 / 7)
+    return "F_4/7", 4 / 7, members
+
+
+def family_f47() -> EncodingFamily:
+    """Seven 4x4 encoding unitaries {I, A1, A2, U, M0, M1, M2} at lambda0 = 4/7."""
+    return _family(4, *_f47())
 
 
 def _block_shift(d: int, j: int) -> np.ndarray:
@@ -210,18 +264,8 @@ def _second_column_from_first(d: int, col1: np.ndarray) -> np.ndarray:
     return col2
 
 
-def family_2dm1(d: int) -> EncodingFamily:
-    """2d-1 encoding unitaries at lambda0 = d/(2d-1), for d >= 4.
-
-    Members are ordered A_0 = I, A_1, ..., A_{d-2}, M_0, ..., M_{d-2}, U.
-    The d = 4 case does not fit the general pattern and is served by
-    :func:`family_f47`.
-    """
-    _check_dimension(d)
-    if d < 4:
-        raise ValueError(f"the 2d-1 construction needs d >= 4, got {d}")
-    if d == 4:
-        return family_f47()
+def _2dm1_columns(d: int) -> np.ndarray:
+    """The (d, d, 2) stack of the first two columns of M_0, ..., M_{d-2}, U."""
     firsts = [_two_dm1_m_column(d, j) for j in range(d - 1)]
     seconds = [_second_column_from_first(d, col1) for col1 in firsts]
     u_col1 = np.zeros(d, dtype=np.complex128)
@@ -229,10 +273,33 @@ def family_2dm1(d: int) -> EncodingFamily:
     u_col1[d - 1] = -np.sqrt(2 * d - 1) / d
     u_col2 = np.zeros(d, dtype=np.complex128)
     u_col2[1] = 1.0
-    completed = complete_to_unitary(np.stack([firsts + [u_col1], seconds + [u_col2]], axis=-1), d)
-    members = [_block_shift(d, j) for j in range(d - 1)] + list(completed)
+    return np.stack([firsts + [u_col1], seconds + [u_col2]], axis=-1)
+
+
+def _2dm1_members(d: int):
+    for j in range(d - 1):
+        yield _block_shift(d, j)
+    yield from _completed(_2dm1_columns(d), d)
+
+
+def _2dm1(d: int):
+    _check_dimension(d)
+    if d < 4:
+        raise ValueError(f"the 2d-1 construction needs d >= 4, got {d}")
+    if d == 4:
+        return _f47()
     label = "2d-1-odd" if d % 2 == 1 else "2d-1-even"
-    return _family(d, members, label, d / (2 * d - 1))
+    return label, d / (2 * d - 1), _2dm1_members(d)
+
+
+def family_2dm1(d: int) -> EncodingFamily:
+    """2d-1 encoding unitaries at lambda0 = d/(2d-1), for d >= 4.
+
+    Members are ordered A_0 = I, A_1, ..., A_{d-2}, M_0, ..., M_{d-2}, U.
+    The d = 4 case does not fit the general pattern and is served by
+    :func:`family_f47`.
+    """
+    return _family(d, *_2dm1(d))
 
 
 def _rotate_second_entry_last(v: np.ndarray) -> np.ndarray:
@@ -292,27 +359,10 @@ def _dp2_first_columns(d: int):
     return us, vs, m
 
 
-def family_dp2(d: int) -> EncodingFamily:
-    """d+2 encoding unitaries at lambda0 = d/(d+2), for every d >= 2.
-
-    d = 2 is the identity-plus-Pauli-equivalents set, d = 3 the qutrit five
-    family, d = 4 the explicit six-member family; larger dimensions are built
-    recursively two dimensions at a time.  Members are ordered I, A
-    (first-two-columns swap), then M and its conjugate when d is odd, then
-    U_1..U_j, V_1..V_k.
-    """
-    _check_dimension(d)
-    if d == 2:
-        return dataclasses.replace(weyl_family(2), label="F_2/4")
-    if d == 3:
-        return qutrit_five_family()
-    if d == 4:
-        return family_f46()
-
+def _dp2_columns(d: int) -> np.ndarray:
+    """The (n, d, 2) stack of the first two columns of M (when d is odd),
+    U_1..U_j and V_1..V_k."""
     us, vs, m = _dp2_first_columns(d)
-    eye = np.eye(d, dtype=np.complex128)
-    a = eye.copy()
-    a[:, [0, 1]] = a[:, [1, 0]]
     e0 = np.zeros(d, dtype=np.complex128)
     e0[0] = 1.0
     e1 = np.zeros(d, dtype=np.complex128)
@@ -323,22 +373,54 @@ def family_dp2(d: int) -> EncodingFamily:
         m_col2[0] = (np.sqrt(3.0) / 2) * 1j
         m_col2[1] = 0.5
         firsts, seconds = [m] + firsts, [m_col2] + seconds
-    completed = list(complete_to_unitary(np.stack([firsts, seconds], axis=-1), d))
-    members = [eye, a]
-    if m is not None:
-        m_full = completed.pop(0)
-        members += [m_full, m_full.conj()]
-    members += completed
-    return _family(d, members, f"F_{d}/{d + 2}", d / (d + 2))
+    return np.stack([firsts, seconds], axis=-1)
 
 
-def shift_diag_family(d: int, diagonals) -> EncodingFamily:
-    """The family {X_d^k D_k} for unitary diagonal D_k, valid for every state.
+def _dp2_members(d: int):
+    yield np.eye(d, dtype=np.complex128)
+    yield np.eye(d, dtype=np.complex128)[:, [1, 0, *range(2, d)]]
+    completed = _completed(_dp2_columns(d), d)
+    if d % 2 == 1:
+        m_full = next(completed)
+        yield m_full
+        yield m_full.conj()
+        del m_full
+    yield from completed
 
-    Off the k = 0 member, every pairwise product has an all-zero main
-    diagonal, so weighted orthogonality holds regardless of the weights.
-    Diagonals may be given as length-d vectors or as (d, d) diagonal matrices.
+
+def _dp2(d: int):
+    _check_dimension(d)
+    if d == 2:
+        _, target, members = _weyl(2)
+        return "F_2/4", target, members
+    if d == 3:
+        return _five()
+    if d == 4:
+        return _f46()
+    return f"F_{d}/{d + 2}", d / (d + 2), _dp2_members(d)
+
+
+def family_dp2(d: int) -> EncodingFamily:
+    """d+2 encoding unitaries at lambda0 = d/(d+2), for every d >= 2.
+
+    d = 2 is the identity-plus-Pauli-equivalents set, d = 3 the qutrit five
+    family, d = 4 the explicit six-member family; larger dimensions are built
+    recursively two dimensions at a time.  Members are ordered I, A
+    (first-two-columns swap), then M and its conjugate when d is odd, then
+    U_1..U_j, V_1..V_k.
     """
+    return _family(d, *_dp2(d))
+
+
+def _shift_diag_members(d: int, diags):
+    for k, dk in enumerate(diags):
+        m = np.zeros((d, d), dtype=np.complex128)
+        for j in range(d):
+            m[(j + k) % d, j] = dk[j]
+        yield m
+
+
+def _shift_diag(d: int, diagonals):
     _check_dimension(d)
     diags = []
     for i, entry in enumerate(diagonals):
@@ -357,10 +439,14 @@ def shift_diag_family(d: int, diagonals) -> EncodingFamily:
         diags.append(arr)
     if len(diags) != d:
         raise ValueError(f"expected {d} diagonals, got {len(diags)}")
-    members = []
-    for k, dk in enumerate(diags):
-        m = np.zeros((d, d), dtype=np.complex128)
-        for j in range(d):
-            m[(j + k) % d, j] = dk[j]
-        members.append(m)
-    return _family(d, members, "shift-diag", None)
+    return "shift-diag", None, _shift_diag_members(d, diags)
+
+
+def shift_diag_family(d: int, diagonals) -> EncodingFamily:
+    """The family {X_d^k D_k} for unitary diagonal D_k, valid for every state.
+
+    Off the k = 0 member, every pairwise product has an all-zero main
+    diagonal, so weighted orthogonality holds regardless of the weights.
+    Diagonals may be given as length-d vectors or as (d, d) diagonal matrices.
+    """
+    return _family(d, *_shift_diag(d, diagonals))

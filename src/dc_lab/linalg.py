@@ -116,7 +116,7 @@ def complete_to_unitary(partial_columns, d: int) -> np.ndarray:
             for j in range(int(count[open_rows].max())):
                 col = basis[:, j]
                 dots = col.conj()[:, None, :] @ v[:, :, None]
-                v = np.where((count > j)[:, None], v - dots[:, :, 0] * col, v)
+                np.subtract(v, dots[:, :, 0] * col, out=v, where=(count > j)[:, None])
         re, im = v.real, v.imag
         nrm = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
         keep = np.flatnonzero(open_rows & (nrm > _KEEP_NORM))

@@ -67,14 +67,81 @@ def test_construct_rejects_wrong_dimension(tmp_path, capsys):
 
 
 def test_construct_resolves_constructors_when_called(tmp_path, capsys, monkeypatch):
-    """Constructors are looked up in `families` per call, so a wrapper put there is used."""
+    """The functions behind the constructors are looked up in `families` per
+    call, so a wrapper put there is used."""
     from dc_lab import families
 
     calls = []
-    original = families.family_dp2
-    monkeypatch.setattr(families, "family_dp2", lambda d: calls.append(d) or original(d))
+    original = families._dp2
+    monkeypatch.setattr(families, "_dp2", lambda d: calls.append(d) or original(d))
     assert run(["construct", "d-plus-two", "-d", "5", "--output", str(tmp_path / "f57.json")]) == 0
     assert calls == [5]
+
+
+@pytest.mark.parametrize("per_block", [1, 5])
+def test_construct_documents_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch, per_block):
+    """Members are completed a block at a time; a matrix is completed as it
+    would be alone, so blocks of 1 or 5 members, odd d+2 among them, where
+    M* must follow M, write the same bytes."""
+    from dc_lab import families
+
+    out = tmp_path / "doc.json"
+    for (family, d), digest in CONSTRUCT_SHA256.items():
+        monkeypatch.setattr(families, "_BLOCK_ENTRIES", per_block * d * d)
+        assert run(["construct", family, "-d", str(d), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (family, d)
+
+
+def test_construct_holds_a_block_of_members_not_the_family(tmp_path, capsys, monkeypatch):
+    """Building the whole family before writing it peaked at 1.27 times the
+    2d-1 d=32 family's bytes; built and written a block of 8 members at a
+    time, the command holds one block, one member's text and little more."""
+    from dc_lab import families
+
+    family_bytes = sum(m.nbytes for m in family_2dm1(32).members)
+    monkeypatch.setattr(families, "_BLOCK_ENTRIES", 8 * 32 * 32)
+    # what the first command of a process allocates once stays out of the peak
+    assert run(["construct", "two-d-minus-one", "-d", "5", "--output", str(tmp_path / "f5.json")]) == 0
+    argv = ["construct", "two-d-minus-one", "-d", "32", "--output", str(tmp_path / "f32.json")]
+    assert _traced_peak(run, argv) < 0.5 * family_bytes
+    assert "K=63 members" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("earlier", [None, b"an earlier file\n"])
+def test_construct_refusing_a_member_leaves_no_document(tmp_path, capsys, monkeypatch, earlier):
+    """A member refused after others were written leaves no partial
+    document at --output, and an earlier file there as it was."""
+    from dc_lab import families
+
+    original = families._2dm1
+
+    def third_not_unitary(d):
+        label, target, members = original(d)
+        return label, target, (2 * m if i == 2 else m for i, m in enumerate(members))
+
+    monkeypatch.setattr(families, "_2dm1", third_not_unitary)
+    with pytest.raises(ValueError) as refused:
+        families._family(6, *third_not_unitary(6))
+    out = tmp_path / "f6.json"
+    if earlier is not None:
+        out.write_bytes(earlier)
+    assert run(["construct", "two-d-minus-one", "-d", "6", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused.value}\n"
+    assert "member 2 of 2d-1-even is not unitary" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if earlier is None else ["f6.json"])
+    if earlier is not None:
+        assert out.read_bytes() == earlier
+
+
+def test_construct_opens_an_output_that_is_not_a_regular_file_as_it_is(tmp_path, capsys):
+    """A directory at --output is refused with the error opening it gives, as
+    before documents were written beside their destination."""
+    assert run(["construct", "five", "-d", "3", "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.parent.iterdir() if p.name.startswith(tmp_path.name)) == [tmp_path.name]
 
 
 def test_construct_rejects_unknown_family(tmp_path):
@@ -667,8 +734,12 @@ def test_a_document_many_chunks_long_round_trips_bit_for_bit(tmp_path, monkeypat
 
 
 def test_a_member_longer_than_a_chunk_is_parsed_a_logarithmic_number_of_times(tmp_path, monkeypatch):
-    # each retry reads twice as much as the one before: a 1,500-character
-    # member read in 7-character chunks is parsed about 9 times, not 200
+    """Text as long as the longest member so far is read before each member,
+    so only a member longer than every one before it is parsed more than
+    once, and each retry reads twice as much as the one before: the 25
+    members of about 1,500 characters, read in 7-character chunks, were
+    parsed 222 times when each member started from what the last chunk
+    left."""
     fam = _many_chunk_family()
     path = tmp_path / "doc.json"
     cli.write_family_document(fam, str(path))
@@ -677,8 +748,12 @@ def test_a_member_longer_than_a_chunk_is_parsed_a_logarithmic_number_of_times(tm
     monkeypatch.setattr(cli, "_decode_member", lambda text, pos: calls.append(pos) or decode_member(text, pos))
     monkeypatch.setattr(cli, "_CHUNK", 7)
     cli.read_family_document(str(path))
+    # a member's text in the document is its indent=1 dump plus a fixed indent per line
+    lengths = [len(json.dumps(m.view(np.float64).reshape(-1, 2).tolist(), indent=1)) for m in fam.members]
+    records = sum(length > max(lengths[:i], default=0) for i, length in enumerate(lengths))
     member_chars = os.path.getsize(path) / len(fam.members)
-    assert len(calls) <= len(fam.members) * (np.log2(member_chars / 7) + 2)
+    assert records < len(fam.members) / 2
+    assert len(calls) <= len(fam.members) - records + records * (np.log2(member_chars / 7) + 2)
 
 
 def _traced_peak(fn, *args):
@@ -829,6 +904,23 @@ def test_state_info_zero_denominator_is_bad_input(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: weight '1/0' divides by zero\n"
+
+
+@pytest.mark.parametrize("command", ["state-info", "search", "verify"])
+def test_a_fraction_weight_beyond_float_range_is_bad_input(tmp_path, capsys, command):
+    """float(Fraction) raised OverflowError, and each command died with a
+    traceback and exit code 1; such a weight is refused as 1e400 is."""
+    argv = [command]
+    if command == "verify":
+        doc = tmp_path / "weyl2.json"
+        assert run(["construct", "weyl", "-d", "2", "--output", str(doc)]) == 0
+        capsys.readouterr()
+        argv.append(str(doc))
+    for weights in (["1" + "0" * 320 + "/1", "0"], ["1e400", "0"]):
+        assert run([*argv, "--lambdas", *weights]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weights must be finite\n"
 
 
 def test_state_info_huge_weights_exit_cleanly_without_a_warning(capsys):
