@@ -191,8 +191,8 @@ class KcReport:
         return max(self.residuals)
 
 
-def _span_check(block: np.ndarray, lam: np.ndarray, state: SchmidtState) -> KcReport:
-    """`kc_span_check`'s report from the support block and its weights.
+def _span_check(block: np.ndarray, lam: np.ndarray, state: SchmidtState, max_pair: float) -> KcReport:
+    """`kc_span_check`'s report from the support block, its weights and its largest pair residual.
 
     A family whose pairwise residual exceeds KC_RESIDUAL_TOL is projected
     onto the right singular vectors of its message vectors above the rank
@@ -202,7 +202,7 @@ def _span_check(block: np.ndarray, lam: np.ndarray, state: SchmidtState) -> KcRe
     d = state.d
     k, c = block.shape[0], block.shape[2]
     msgs = _message_block(block, lam)
-    near_miss = _max_pairwise_residual(block, lam) > KC_RESIDUAL_TOL
+    near_miss = max_pair > KC_RESIDUAL_TOL
     if near_miss:
         _, sv, basis = np.linalg.svd(msgs, full_matrices=False)
     else:
@@ -229,7 +229,8 @@ def kc_span_check(family, state: SchmidtState) -> KcReport:
     _check_state(state)
     members, keep = _members(family, state.d), _support(state.lambdas)
     block = members[..., keep] if isinstance(members, np.ndarray) else np.stack([m[:, keep] for m in members])
-    return _span_check(block, state.lambdas[keep], state)
+    lam = state.lambdas[keep]
+    return _span_check(block, lam, state, _max_pairwise_residual(block, lam))
 
 
 def shift_family_obstructed(state: SchmidtState) -> bool:

@@ -10,7 +10,9 @@ precision.  Exit codes: 0 success or verification pass, 1 verification fail,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import json
 import math
 import os
@@ -23,32 +25,19 @@ from . import analysis, families, search, states
 
 SCHEMA_VERSION = 1
 
-# name -> (function of d giving the family's label, target lambda0 and
-# members, built only as they are taken; the dimensions it is defined for or
-# None when the function checks d itself; the error for any other d).  The
-# functions behind the public constructors are looked up in `families` at
-# call time, not bound here, so a wrapper put on `families` (a test) sees
-# every call.
+# name -> the function in `families` of d that checks d and gives the label,
+# target lambda0 and members (built as they are taken) of the family; looked
+# up when called, so that a wrapper put on `families` (a test) sees each call.
 _FAMILIES = {
-    "weyl": (lambda d: families._weyl(d), None, None),
-    "five": (lambda d: families._five(), (3,), "the five family is defined for d=3"),
-    "f46": (lambda d: families._f46(), (4,), "F_4/6 is defined for d=4"),
-    "f47": (lambda d: families._f47(), (4,), "F_4/7 is defined for d=4"),
-    "two-d-minus-one": (lambda d: families._2dm1(d), None, None),
-    "d-plus-two": (lambda d: families._dp2(d), None, None),
-    "shift-diag": (lambda d: families._shift_diag(d, [np.ones(d)] * d), None, None),
+    "weyl": "_weyl",
+    "five": "_five",
+    "f46": "_f46",
+    "f47": "_f47",
+    "two-d-minus-one": "_2dm1",
+    "d-plus-two": "_dp2",
+    "shift-diag": "_shifts",
 }
 FAMILY_CHOICES = tuple(_FAMILIES)
-
-
-def _build_family(name: str, d: int):
-    """The label, target lambda0 and members (an iterable) of family name at d."""
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown family {name!r}")
-    build, dims, wrong_d = _FAMILIES[name]
-    if dims is not None and d not in dims:
-        raise ValueError(wrong_d)
-    return build(d)
 
 
 def _member_pairs(member, copy: bool = False):
@@ -166,59 +155,70 @@ def _check_document(doc: dict, copy: bool):
 
 
 def write_family_document(family: families.EncodingFamily, path: str) -> None:
-    """Write `family` as `_write_document` does.
+    """Write `family` as `_write_document` does, with its refusals."""
+    _write_document(family.d, family.label, family.target_lambda0, family.members, path)
 
-    Refuses, before opening the file, what `document_to_family` would
-    reject, with its messages: a d that is not an integer >= 2, a non-string
-    label, a target_lambda0 that is not None or a finite number, a member
-    count outside [d, d*d], a member of other than d*d entries and non-finite
-    members.
+
+@contextlib.contextmanager
+def _output(path: str):
+    """The file to write, once, for --output path, within a `with` block
+    that replaces the file at path only if the block completes.
+
+    A directory is refused at once, with the error opening it gives, and any
+    other existing path that is not a regular file, such as a pipe or
+    /dev/stdout, is written directly.  Otherwise a link is resolved, so it
+    stays and its target is replaced, and the file is written beside the
+    destination as <path>.<pid>.tmp, created here so that an unwritable
+    place fails before any work, and moved on when the block completes; an
+    error removes it and leaves an earlier file as it was.
     """
-    d, members = family.d, family.members
-    _check_header(d, family.label, family.target_lambda0)
-    _check_count(len(members), d)
-    for i, m in enumerate(members):
-        _check_entries(i, np.size(m), d)
-    _check_finite(np.asarray(m, dtype=np.complex128) for m in members)
-    _write_document(d, family.label, family.target_lambda0, members, path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        yield path
+        return
+    path = os.path.realpath(path)
+    partial = f"{path}.{os.getpid()}.tmp"
+    open(partial, "w").close()
+    try:
+        yield partial
+        os.replace(partial, path)
+    except BaseException:
+        os.remove(partial)
+        raise
 
 
 def _write_document(d: int, label: str, target, members, path: str) -> int:
     """Write the family document of d, label, target_lambda0 and the members
     an iterable gives, as the bytes of json.dump(document, indent=1) and a
-    newline, and return the member count.
+    newline, to --output path (see `_output`), and return the member count.
 
     The header goes through json.dumps; each member is taken, converted and
     written in turn, as one %-format of the document's member template, each
     float as %r, float.__repr__, which is how json spells a finite float; no
-    member is held once the next is taken.  The document is written beside
-    path and moved onto it when complete, so an error raised while the
-    members are taken leaves no partial document, and an earlier file at
-    path intact.  A path that exists and is not a regular file, such as a
-    directory or /dev/stdout, is opened as it is.
+    member is held once the next is taken.  What `document_to_family` would
+    reject is refused with its messages, in the order the constructors
+    check: the header first, then each member's entry count and finiteness
+    as it is taken, then the member count.
     """
+    _check_header(d, label, target)
     header = {"schema_version": SCHEMA_VERSION, "d": d, "label": label, "target_lambda0": target}
     # json.dump's indent=1 layout of one member: d*d [re, im] pairs
     template = "  [\n" + ",\n".join(["   [\n    %r,\n    %r\n   ]"] * (d * d)) + "\n  ]"
-    direct = os.path.exists(path) and not os.path.isfile(path)
-    partial = path if direct else f"{path}.{os.getpid()}.tmp"
     k = 0
-    try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, indent=1)[:-2] + ',\n "members": [\n')
-            for m in members:
-                values = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).reshape(-1)
-                fh.write(",\n" if k else "")
-                # the Python floats live only as the format's operand, gone before its text is written
-                fh.write(template % tuple(values.tolist()))
-                k += 1
-                del m, values
-            fh.write("\n ]\n}\n")
-        if not direct:
-            os.replace(partial, path)
-    finally:
-        if not direct and os.path.exists(partial):
-            os.remove(partial)
+    with _output(path) as out, open(out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header, indent=1)[:-2] + ',\n "members": [\n')
+        for m in members:
+            _check_entries(k, np.size(m), d)
+            values = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).reshape(-1)
+            _check_finite((values,))
+            fh.write(",\n" if k else "")
+            # the Python floats live only as the format's operand, gone before its text is written
+            fh.write(template % tuple(values.tolist()))
+            k += 1
+            del m, values
+        _check_count(k, d)
+        fh.write("\n ]\n}\n")
     return k
 
 
@@ -432,16 +432,8 @@ def _state_from_weights(raw: list[str]) -> states.SchmidtState:
 
 
 def _config_from_args(args) -> search.SearchConfig:
-    kwargs = {}
-    if getattr(args, "restarts", None) is not None:
-        kwargs["restarts"] = args.restarts
-    if getattr(args, "tol", None) is not None:
-        kwargs["accept_tol"] = args.tol
-    if getattr(args, "max_k", None) is not None:
-        kwargs["max_k"] = args.max_k
-    if getattr(args, "seed", None) is not None:
-        kwargs["base_seed"] = args.seed
-    return search.SearchConfig(**kwargs)
+    given = {"restarts": args.restarts, "accept_tol": args.tol, "max_k": args.max_k, "base_seed": args.seed}
+    return search.SearchConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _cmd_construct(args) -> int:
@@ -449,7 +441,7 @@ def _cmd_construct(args) -> int:
     public constructors check it: the command holds a block of members at a
     time, never the family."""
     d = args.dimension
-    label, target, members = _build_family(args.family, d)
+    label, target, members = getattr(families, _FAMILIES[args.family])(d)
     k = _write_document(d, label, target, families._checked(d, label, members), args.output)
     target = "none" if target is None else repr(target)
     print(f"wrote {label}: K={k} members, d={d}, target lambda0={target}")
@@ -488,15 +480,17 @@ def _cmd_verify(args) -> int:
     analysis._check_tol(tol)
     # members json.loads parsed, where the walk stopped, are reduced here
     parts = [m.part if isinstance(m, _Reduced) else analysis._reduce(m[None], keep) for m in members]
+    del members
     block, lam, max_unit = analysis._support_block(parts, state.lambdas)
+    del parts  # the checks hold the support block alone
     report = analysis._verification(block, lam, max_unit, tol)
-    print(f"family: {label} (d={d}, K={len(members)})")
+    print(f"family: {label} (d={d}, K={len(block)})")
     print("state lambdas:", " ".join(repr(float(x)) for x in state.lambdas))
     print(f"max pairwise residual:  {report.max_pairwise_residual:.6e}")
     print(f"max unitarity residual: {report.max_unitarity_residual:.6e}")
     print(f"max norm deviation:     {report.max_norm_deviation:.6e}")
     print(f"tolerance:              {tol:.6e}")
-    kc = analysis._span_check(block, lam, state)
+    kc = analysis._span_check(block, lam, state, report.max_pairwise_residual)
     if kc.saturated:
         print(f"saturated (lambda0 = d/K): span dim {kc.span_dim}, |m0> residuals:")
         for m, r in enumerate(kc.residuals):
@@ -575,22 +569,9 @@ def write_sweep_csv(region: search.RegionMap, path: str) -> None:
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     search.sweep_grid(args.resolution, cfg, d=args.dimension)
-    if os.path.isdir(args.output):
-        raise IsADirectoryError(f"--output {args.output!r} is a directory")
-    # The CSV is written beside its destination and moved onto it when
-    # complete, so a failed run leaves an earlier CSV there intact.  Creating
-    # the temporary file first fails on an unwritable directory before the
-    # sweep runs.
-    partial = f"{args.output}.{os.getpid()}.tmp"
-    with open(partial, "w", encoding="utf-8"):
-        pass
-    try:
+    with _output(args.output) as out:
         region = search.region_sweep(args.resolution, cfg, d=args.dimension)
-        write_sweep_csv(region, partial)
-        os.replace(partial, args.output)
-    finally:
-        if os.path.exists(partial):
-            os.remove(partial)
+        write_sweep_csv(region, out)
     print(f"wrote {len(region.cells)} cells to {args.output}")
     return 0
 
@@ -620,26 +601,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sweep", help="map N_max over the weight triangle to CSV")
+    # the search budget of `sweep` and `search`
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--seed", type=int, default=None)
+    budget.add_argument("--restarts", type=int, default=None)
+    budget.add_argument("--max-k", type=int, default=None)
+    budget.add_argument("--tol", type=float, default=None, help=_SEARCH_TOL_HELP)
+
+    p = sub.add_parser("sweep", parents=[budget], help="map N_max over the weight triangle to CSV")
     p.add_argument("-d", "--dimension", type=int, default=3)
     p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", required=True)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help=_SEARCH_TOL_HELP)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("state-info", help="entropy, bounds, and obstruction flags for a state")
     p.add_argument("--lambdas", nargs="+", required=True)
     p.set_defaults(func=_cmd_state_info)
 
-    p = sub.add_parser("search", help="estimate the largest supported family size for a state")
+    p = sub.add_parser("search", parents=[budget], help="estimate the largest supported family size for a state")
     p.add_argument("--lambdas", nargs="+", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help=_SEARCH_TOL_HELP)
     p.set_defaults(func=_cmd_search)
 
     return parser

@@ -134,7 +134,9 @@ def weyl_family(d: int) -> EncodingFamily:
     return _family(d, *_weyl(d))
 
 
-def _five():
+def _five(d: int):
+    if d != 3:
+        raise ValueError("the five family is defined for d=3")
     s3 = np.sqrt(3.0)
     s5 = np.sqrt(5.0)
     eye = np.eye(3, dtype=np.complex128)
@@ -164,10 +166,12 @@ def qutrit_five_family() -> EncodingFamily:
     Orthogonal against weights (3/5, 2/5, 0); every member has a zero at its
     3,2 entry.
     """
-    return _family(3, *_five())
+    return _family(3, *_five(3))
 
 
-def _f46():
+def _f46(d: int):
+    if d != 4:
+        raise ValueError("F_4/6 is defined for d=4")
     h = np.sqrt(3.0) / 2
     eye = np.eye(4, dtype=np.complex128)
     a = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.complex128)
@@ -188,10 +192,12 @@ def _f46():
 
 def family_f46() -> EncodingFamily:
     """Six 4x4 encoding unitaries {I, A, U1, U2, V1, V2} at lambda0 = 2/3."""
-    return _family(4, *_f46())
+    return _family(4, *_f46(4))
 
 
-def _f47():
+def _f47(d: int):
+    if d != 4:
+        raise ValueError("F_4/7 is defined for d=4")
     s7 = np.sqrt(7.0)
     eye = np.eye(4, dtype=np.complex128)
     a1 = np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128)
@@ -224,7 +230,7 @@ def _f47():
 
 def family_f47() -> EncodingFamily:
     """Seven 4x4 encoding unitaries {I, A1, A2, U, M0, M1, M2} at lambda0 = 4/7."""
-    return _family(4, *_f47())
+    return _family(4, *_f47(4))
 
 
 def _block_shift(d: int, j: int) -> np.ndarray:
@@ -287,7 +293,7 @@ def _2dm1(d: int):
     if d < 4:
         raise ValueError(f"the 2d-1 construction needs d >= 4, got {d}")
     if d == 4:
-        return _f47()
+        return _f47(d)
     label = "2d-1-odd" if d % 2 == 1 else "2d-1-even"
     return label, d / (2 * d - 1), _2dm1_members(d)
 
@@ -394,9 +400,9 @@ def _dp2(d: int):
         _, target, members = _weyl(2)
         return "F_2/4", target, members
     if d == 3:
-        return _five()
+        return _five(d)
     if d == 4:
-        return _f46()
+        return _f46(d)
     return f"F_{d}/{d + 2}", d / (d + 2), _dp2_members(d)
 
 
@@ -440,6 +446,11 @@ def _shift_diag(d: int, diagonals):
     if len(diags) != d:
         raise ValueError(f"expected {d} diagonals, got {len(diags)}")
     return "shift-diag", None, _shift_diag_members(d, diags)
+
+
+def _shifts(d: int):
+    """The plain shift family {X_d^k}: `_shift_diag` with every diagonal 1."""
+    return _shift_diag(d, (np.ones(d) for _ in range(d)))
 
 
 def shift_diag_family(d: int, diagonals) -> EncodingFamily:

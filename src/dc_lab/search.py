@@ -658,21 +658,16 @@ def _sweep_cell(task) -> RegionCell:
     )
 
 
-def _worker_count(workers: int | None, tasks: int) -> int:
-    """Worker processes for `tasks` cells: the request (or DC_LAB_THREADS),
-    clamped to at least one and at most the task and CPU counts."""
+def _worker_count(tasks: int) -> int:
+    """Worker processes for `tasks` cells: DC_LAB_THREADS, or the CPU count
+    when it is unset or empty, clamped to at least one and at most the task
+    and CPU counts."""
     cpus = os.cpu_count() or 1
-    if workers is None:
-        env = os.environ.get("DC_LAB_THREADS")
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(f"DC_LAB_THREADS must be an integer, got {env!r}") from None
-    elif not _is_int(workers):
-        raise ValueError(f"workers must be an integer or None, got {workers!r}")
-    if workers is None:
-        workers = cpus
+    env = os.environ.get("DC_LAB_THREADS")
+    try:
+        workers = int(env) if env else cpus
+    except ValueError:
+        raise ValueError(f"DC_LAB_THREADS must be an integer, got {env!r}") from None
     return max(1, min(workers, tasks, cpus))
 
 
@@ -692,13 +687,11 @@ def sweep_grid(resolution: int, cfg: SearchConfig, d: int = 3) -> list[tuple[flo
     return triangle_grid(resolution)
 
 
-def region_sweep(
-    resolution: int, cfg: SearchConfig, d: int = 3, workers: int | None = None
-) -> RegionMap:
+def region_sweep(resolution: int, cfg: SearchConfig, d: int = 3) -> RegionMap:
     """Estimate N_max over the weight triangle, one estimate_nmax per cell.
 
     Cell i carries seed base_seed XOR i.  The cells run on n workers, where
-    n is `workers` (or DC_LAB_THREADS) clamped to the cell and CPU counts;
+    n is DC_LAB_THREADS (or the CPU count) clamped to the cell and CPU counts;
     with n > 1 each worker is a process.  Cells are handed to the workers
     one at a time, in index order, as they come free, so a worker that
     draws slow cells leaves the rest to the others.  A cell's result is the
@@ -713,7 +706,7 @@ def region_sweep(
         (idx, lam3, d, dataclasses.replace(cfg, base_seed=cfg.base_seed ^ idx))
         for idx, lam3 in enumerate(pts)
     ]
-    nworkers = _worker_count(workers, len(tasks))
+    nworkers = _worker_count(len(tasks))
     if nworkers > 1:
         # imported here: the pool pulls in multiprocessing, which nothing
         # else needs

@@ -1,9 +1,12 @@
+import errno
 import hashlib
 import json
 import os
 import re
+import stat
 import threading
 import tracemalloc
+import types
 import warnings
 from unittest import mock
 
@@ -142,6 +145,53 @@ def test_construct_opens_an_output_that_is_not_a_regular_file_as_it_is(tmp_path,
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
     assert list(tmp_path.iterdir()) == []
     assert sorted(p.name for p in tmp_path.parent.iterdir() if p.name.startswith(tmp_path.name)) == [tmp_path.name]
+
+
+# a short run of each command that writes --output
+OUTPUT_ARGV = {
+    "construct": ["construct", "five", "-d", "3"],
+    "sweep": ["sweep", "--resolution", "4", "--restarts", "1", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_ARGV))
+def test_a_symlinked_output_keeps_its_link_and_replaces_its_target(tmp_path, capsys, monkeypatch, command):
+    """Replacing the path itself turned the link into a regular file and left
+    its target as it was."""
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    direct = tmp_path / "direct"
+    assert run(OUTPUT_ARGV[command] + ["--output", str(direct)]) == 0
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "target"
+    target.write_bytes(b"an earlier file\n")
+    link = tmp_path / "link"
+    link.symlink_to(os.path.join("real", "target"))
+    assert run(OUTPUT_ARGV[command] + ["--output", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == os.path.join("real", "target")
+    assert target.read_bytes() == direct.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["direct", "link", "real"]
+    assert [p.name for p in target.parent.iterdir()] == ["target"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("command", sorted(OUTPUT_ARGV))
+def test_a_pipe_output_is_written_in_place(tmp_path, capsys, monkeypatch, command):
+    """A named pipe is opened once and written directly: it stays a pipe, and
+    its reader gets the bytes a regular file gets."""
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    direct = tmp_path / "direct"
+    assert run(OUTPUT_ARGV[command] + ["--output", str(direct)]) == 0
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert run(OUTPUT_ARGV[command] + ["--output", str(pipe)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [direct.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["direct", "pipe"]
 
 
 def test_construct_rejects_unknown_family(tmp_path):
@@ -828,6 +878,24 @@ def test_verifying_a_document_costs_less_than_its_family(tmp_path, capsys, monke
     assert "span dim 63" in capsys.readouterr().out
 
 
+def test_verifying_the_weyl_document_costs_about_four_times_its_family(tmp_path, capsys):
+    """`verify` held the members and their reduced parts beside the support
+    block, which for the Weyl family at uniform weights is the whole family,
+    and formed the weighted Gram matrix a second time for the span check:
+    the d=16 document peaked at 6.1 times the family's bytes, and at 4.0
+    times without them."""
+    fam = weyl_family(16)
+    family_bytes = sum(m.nbytes for m in fam.members)
+    path = tmp_path / "w16.json"
+    cli.write_family_document(fam, str(path))
+    del fam
+    argv = ["verify", str(path), "--lambdas", *["1/16"] * 16]
+    # what the first command of a process allocates once stays out of the peak
+    assert run(argv) == 0
+    assert _traced_peak(run, argv) <= 4.5 * family_bytes
+    assert capsys.readouterr().out.count("result: PASS") == 2
+
+
 def test_reading_holds_the_family_and_a_few_chunks_of_text(tmp_path):
     """Appending a chunk while the buffer it replaces was still held read the
     2d-1 d=32 document, at the default chunk, with 4.4 chunks of text beside
@@ -995,6 +1063,14 @@ def test_search_refusal_line_reports_its_pair_residual(capsys):
     assert lines[-1] == "n_max estimate: 4"
 
 
+def test_search_reports_a_size_the_strict_bound_excludes(capsys):
+    # lambda0 = 3/4 = d/(d+1): K = 4 is excluded without a search
+    assert run(["search", "--lambdas", "3/4", "1/4", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "K=4: excluded (proven)" in lines
+    assert lines[-1] == "n_max estimate: 3"
+
+
 def test_sweep_writes_deterministic_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DC_LAB_THREADS", "1")
     out1 = tmp_path / "a.csv"
@@ -1049,8 +1125,35 @@ def test_sweep_output_directory_is_bad_input(tmp_path, capsys, monkeypatch):
     called = []
     monkeypatch.setattr(cli.search, "region_sweep", lambda *a, **k: called.append(1))
     assert run(["sweep", "--resolution", "4", "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
     assert run(["sweep", "--resolution", "4", "--output", str(tmp_path / "missing" / "x.csv")]) == 2
     assert called == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sweep_that_fails_while_writing_leaves_the_earlier_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    out = tmp_path / "x.csv"
+    argv = OUTPUT_ARGV["sweep"] + ["--output", str(out)]
+    assert run(argv) == 0
+    earlier = out.read_bytes()
+    capsys.readouterr()
+    write = cli.write_sweep_csv
+
+    def fail_after_five_cells(region, path):
+        def cells():
+            yield from region.cells[:5]
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        write(types.SimpleNamespace(cells=cells()), path)
+
+    monkeypatch.setattr(cli, "write_sweep_csv", fail_after_five_cells)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert out.read_bytes() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
 def test_max_k_below_dimension_is_bad_input(tmp_path, capsys, monkeypatch):

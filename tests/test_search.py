@@ -213,10 +213,11 @@ def test_triangle_grid_rejects_low_resolution():
         triangle_grid(3)
 
 
-def test_region_sweep_sequential_deterministic():
+def test_region_sweep_sequential_deterministic(monkeypatch):
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
     cfg = SearchConfig(restarts=2, base_seed=17)
-    first = region_sweep(4, cfg, workers=1)
-    second = region_sweep(4, cfg, workers=1)
+    first = region_sweep(4, cfg)
+    second = region_sweep(4, cfg)
     assert first.cells == second.cells
     assert [c.index for c in first.cells] == list(range(13))
     for cell in first.cells:
@@ -225,9 +226,10 @@ def test_region_sweep_sequential_deterministic():
         assert cell.n_max_estimate <= cell.wcsg_bound
 
 
-def test_a_sweep_cell_is_its_own_estimate_nmax():
+def test_a_sweep_cell_is_its_own_estimate_nmax(monkeypatch):
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
     cfg = SearchConfig(restarts=2, base_seed=17)
-    cells = region_sweep(4, cfg, workers=1).cells
+    cells = region_sweep(4, cfg).cells
     assert len(cells) == 13
     refusals = 0
     for cell in cells:
@@ -248,8 +250,10 @@ def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
     # which cell depends on timing; the map must not
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     cfg = SearchConfig(restarts=1, base_seed=2)
-    seq = region_sweep(4, cfg, workers=1)
-    par = region_sweep(4, cfg, workers=workers)
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    seq = region_sweep(4, cfg)
+    monkeypatch.setenv("DC_LAB_THREADS", str(workers))
+    par = region_sweep(4, cfg)
     assert seq.cells == par.cells
 
 
@@ -260,8 +264,6 @@ def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
         (lambda cfg: make_state(True, [1.0]), "dimension d"),
         (lambda cfg: region_sweep(4.5, cfg), "resolution"),
         (lambda cfg: region_sweep(True, cfg), "resolution"),
-        (lambda cfg: region_sweep(4, cfg, workers=1.5), "workers"),
-        (lambda cfg: region_sweep(4, cfg, workers=True), "workers"),
         (lambda cfg: region_sweep(4, cfg, d=3.0), "dimension d"),
         (lambda cfg: region_sweep(4, cfg, d=True), "dimension d"),
         (lambda cfg: find_family(PSI_L, 5.0, cfg), "family size k"),
@@ -274,8 +276,6 @@ def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
         "state-d-bool",
         "resolution-float",
         "resolution-bool",
-        "workers-float",
-        "workers-bool",
         "sweep-d-float",
         "sweep-d-bool",
         "k-float",
@@ -326,6 +326,13 @@ def test_region_sweep_dimension_validation():
         region_sweep(3, cfg)
 
 
+def test_region_sweep_warns_when_it_pads_a_larger_dimension(monkeypatch):
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    with pytest.warns(UserWarning, match="padding zeros up to d=4"):
+        region = region_sweep(4, SearchConfig(restarts=1, max_k=5), d=4)
+    assert region.d == 4 and len(region.cells) == 13
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
@@ -363,7 +370,7 @@ def test_search_config_is_frozen():
         (lambda: find_family([0.6, 0.4, 0.0], 5, SearchConfig()), "state"),
         (lambda: objective_and_gradient([0.6, 0.4, 0.0], np.zeros(36), 5), "state"),
         (lambda: estimate_nmax(PSI_L, {"restarts": 1}), "cfg"),
-        (lambda: region_sweep(4, {"restarts": 1}, workers=1), "cfg"),
+        (lambda: region_sweep(4, {"restarts": 1}), "cfg"),
     ],
     ids=["estimate-state", "find-state", "gradient-state", "estimate-cfg", "sweep-cfg"],
 )
@@ -593,16 +600,18 @@ def test_no_span_blocks_at_k_equal_d_squared_or_off_saturation(weights, k):
 def test_worker_count_clamps_to_tasks_and_cpus(monkeypatch):
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     monkeypatch.delenv("DC_LAB_THREADS", raising=False)
-    assert _worker_count(None, 13) == 4
-    assert _worker_count(None, 2) == 2
-    assert _worker_count(64, 13) == 4
-    assert _worker_count(0, 13) == 1
+    assert _worker_count(13) == 4
+    assert _worker_count(2) == 2
+    monkeypatch.setenv("DC_LAB_THREADS", "")
+    assert _worker_count(13) == 4
+    monkeypatch.setenv("DC_LAB_THREADS", "0")
+    assert _worker_count(13) == 1
     monkeypatch.setenv("DC_LAB_THREADS", "1000")
-    assert _worker_count(None, 13) == 4
-    assert _worker_count(None, 3) == 3
+    assert _worker_count(13) == 4
+    assert _worker_count(3) == 3
     monkeypatch.setenv("DC_LAB_THREADS", "two")
     with pytest.raises(ValueError, match="DC_LAB_THREADS"):
-        _worker_count(None, 13)
+        _worker_count(13)
 
 
 def test_estimate_nmax_takes_k_equal_d_from_the_shift_family(monkeypatch):
