@@ -18,8 +18,6 @@ from .families import (
     EncodingFamily,
     family_2dm1,
     family_dp2,
-    family_f46,
-    family_f47,
     phase,
     qutrit_five_family,
     shift,
@@ -56,8 +54,6 @@ __all__ = [
     "estimate_nmax",
     "family_2dm1",
     "family_dp2",
-    "family_f46",
-    "family_f47",
     "find_family",
     "kc_span_check",
     "make_state",

@@ -40,15 +40,15 @@ _FAMILIES = {
 FAMILY_CHOICES = tuple(_FAMILIES)
 
 
-def _member_pairs(member, copy: bool = False):
-    """`member` as a C-ordered (n, 2) float array of [re, im] pairs, a new one if copy, or None if it is not one."""
+def _member_pairs(member):
+    """`member` as a C-ordered (n, 2) float array of [re, im] pairs, or None if it is not one."""
     try:
         pairs = np.asarray(member)
     except ValueError:  # ragged nesting
         return None
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
         return None
-    return pairs.astype(np.float64, order="C", copy=copy)
+    return pairs.astype(np.float64, order="C", copy=False)
 
 
 def _check_header(d, label, target) -> None:
@@ -88,25 +88,6 @@ def _field(doc: dict, key: str):
     return doc[key]
 
 
-def document_to_family(doc: dict) -> families.EncodingFamily:
-    """Validate a parsed family document and return its family.
-
-    Rejects, with ValueError, a missing `d` or `members`, a `d` that is not
-    an integer >= 2, a `label` that is not a string, a `target_lambda0` that
-    is not null or a finite number, members that are not d*d [re, im] number
-    pairs each or, once every member's shape has been checked, not finite,
-    and a member count K outside [d, d*d].  A member is a list of pairs or an
-    (n, 2) array of them; the family shares no memory with `doc`.  Members
-    are not checked for unitarity: verification reports that.
-    """
-    return _to_family(doc, copy=True)
-
-
-def _to_family(doc: dict, copy: bool) -> families.EncodingFamily:
-    d, label, target, members = _check_document(doc, copy)
-    return families.EncodingFamily(d=d, members=tuple(members), label=label, target_lambda0=target)
-
-
 class _Reduced:
     """A member that `verify` reduced as it read it, from an (n, 2) array of
     finite [re, im] pairs: n, and its support columns and unitarity residual
@@ -118,11 +99,17 @@ class _Reduced:
         self.entries, self.part = entries, part
 
 
-def _check_document(doc: dict, copy: bool):
-    """The d, label, target_lambda0 and members of a document `document_to_family`
-    accepts, each member a complex (d, d) view of its [re, im] pairs, which
-    are copied first from an array member when copy is true.  A `_Reduced`
-    member is checked for its entry count and kept as it is.
+def _check_document(doc: dict):
+    """The d, label, target_lambda0 and members of a parsed family document,
+    each member a complex (d, d) view of its [re, im] pairs, or a `_Reduced`
+    member, kept as it is once its entry count is checked.
+
+    Rejects, with ValueError, a missing `d` or `members`, a `d` that is not
+    an integer >= 2, a `label` that is not a string, a `target_lambda0` that
+    is not null or a finite number, members that are not lists or (n, 2)
+    arrays of d*d [re, im] number pairs or, once every member's shape has
+    been checked, not finite, and a member count K outside [d, d*d].
+    Unitarity is left to verification.
     """
     if not isinstance(doc, dict):
         raise ValueError("family document must be a JSON object")
@@ -146,7 +133,7 @@ def _check_document(doc: dict, copy: bool):
         if not isinstance(member, (list, np.ndarray)):
             raise ValueError(f"member {i} must be a list of [re, im] pairs")
         _check_entries(i, len(member), d)
-        pairs = _member_pairs(member, copy)
+        pairs = _member_pairs(member)
         if pairs is None:
             raise ValueError(f"member {i} entries must be [re, im] pairs of numbers")
         checked.append(pairs.view(np.complex128).reshape(d, d))
@@ -159,21 +146,44 @@ def write_family_document(family: families.EncodingFamily, path: str) -> None:
     _write_document(family.d, family.label, family.target_lambda0, family.members, path)
 
 
+def _descriptor(path: str):
+    """The descriptor N of this process that path reaches through links, one of them
+    in /proc/<pid>/fd, as /proc/self/fd/N, /dev/fd/N and /dev/stdout do; else None."""
+    for _ in range(40):  # the most links Linux follows in one lookup
+        if not os.path.islink(path):
+            break
+        if os.path.realpath(os.path.dirname(os.path.abspath(path))) == os.path.realpath("/proc/self/fd"):
+            return int(os.path.basename(path))
+        path = os.path.join(os.path.dirname(path), os.readlink(path))
+    return None
+
+
 @contextlib.contextmanager
 def _output(path: str):
     """The file to write, once, for --output path, within a `with` block
     that replaces the file at path only if the block completes.
 
-    A directory is refused at once, with the error opening it gives, and any
-    other existing path that is not a regular file, such as a pipe or
-    /dev/stdout, is written directly.  Otherwise a link is resolved, so it
-    stays and its target is replaced, and the file is written beside the
-    destination as <path>.<pid>.tmp, created here so that an unwritable
-    place fails before any work, and moved on when the block completes; an
-    error removes it and leaves an earlier file as it was.
+    A directory is refused at once, with the error opening it gives.  A
+    descriptor of this process (see `_descriptor`) gives a duplicate, which
+    open() writes at its own offset and mode, neither reopened nor truncated.
+    Any other existing path that is not a regular file, such as a pipe, is
+    written directly.  Otherwise a link is resolved, so it stays and its
+    target is replaced, and the file is written beside the destination as
+    <path>.<pid>.tmp, created here so that an unwritable place fails before
+    any work, and moved on when the block completes; an error removes it and
+    leaves an earlier file as it was.
     """
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if (fd := _descriptor(path)) is not None:
+        fd = os.dup(fd)
+        try:
+            yield fd
+        except BaseException:
+            with contextlib.suppress(OSError):  # unless the writer's open() closed it already
+                os.close(fd)
+            raise
+        return
     if os.path.exists(path) and not os.path.isfile(path):
         yield path
         return
@@ -196,7 +206,7 @@ def _write_document(d: int, label: str, target, members, path: str) -> int:
     The header goes through json.dumps; each member is taken, converted and
     written in turn, as one %-format of the document's member template, each
     float as %r, float.__repr__, which is how json spells a finite float; no
-    member is held once the next is taken.  What `document_to_family` would
+    member is held once the next is taken.  What `_check_document` would
     reject is refused with its messages, in the order the constructors
     check: the header first, then each member's entry count and finiteness
     as it is taken, then the member count.
@@ -325,7 +335,7 @@ def _decode_members(src: _Text, pos: int, step):
     Each member becomes its (n, 2) array as soon as it is decoded, so its
     nested lists are gone before the next member is read, and what
     step(member) returns for it is kept.  A member that does not convert
-    stays as decoded, for `document_to_family` to report.  Text as long as
+    stays as decoded, for `_check_document` to report.  Text as long as
     the longest member so far is read before a member is decoded, so a
     member no longer than those before it is parsed once.
     """
@@ -405,12 +415,11 @@ def _read_document(path: str, step=lambda member: member) -> dict:
 
 
 def read_family_document(path: str) -> families.EncodingFamily:
-    """Read and validate a family document (see `_read_document`).
-
-    Each member is an array, which the family's member is a view of, so the
-    read holds the family once beside a chunk of text.
-    """
-    return _to_family(_read_document(path), copy=False)
+    """Read a family document (see `_read_document`) and check it (see
+    `_check_document`); each member is an array, which the family's member is
+    a view of, so the read holds the family once beside a chunk of text."""
+    d, label, target, members = _check_document(_read_document(path))
+    return families.EncodingFamily(d=d, members=tuple(members), label=label, target_lambda0=target)
 
 
 def _parse_weight(text: str) -> float:
@@ -471,7 +480,7 @@ def _cmd_verify(args) -> int:
             return member
         return _Reduced(n * n, analysis._reduce(member.view(np.complex128).reshape(1, n, n), keep))
 
-    d, label, _, members = _check_document(_read_document(args.family_path, reduce), copy=False)
+    d, label, _, members = _check_document(_read_document(args.family_path, reduce))
     if n != d:
         raise ValueError(f"family has d={d} but {n} weights were given")
     if state is None:

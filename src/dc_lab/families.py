@@ -190,11 +190,6 @@ def _f46(d: int):
     return "F_4/6", 2 / 3, [eye, a, u1, u2, v1, v2]
 
 
-def family_f46() -> EncodingFamily:
-    """Six 4x4 encoding unitaries {I, A, U1, U2, V1, V2} at lambda0 = 2/3."""
-    return _family(4, *_f46(4))
-
-
 def _f47(d: int):
     if d != 4:
         raise ValueError("F_4/7 is defined for d=4")
@@ -226,11 +221,6 @@ def _f47(d: int):
         )
         members.append(mj)
     return "F_4/7", 4 / 7, members
-
-
-def family_f47() -> EncodingFamily:
-    """Seven 4x4 encoding unitaries {I, A1, A2, U, M0, M1, M2} at lambda0 = 4/7."""
-    return _family(4, *_f47(4))
 
 
 def _block_shift(d: int, j: int) -> np.ndarray:
@@ -302,8 +292,7 @@ def family_2dm1(d: int) -> EncodingFamily:
     """2d-1 encoding unitaries at lambda0 = d/(2d-1), for d >= 4.
 
     Members are ordered A_0 = I, A_1, ..., A_{d-2}, M_0, ..., M_{d-2}, U.
-    The d = 4 case does not fit the general pattern and is served by
-    :func:`family_f47`.
+    The d = 4 case does not fit the general pattern: it is F_4/7.
     """
     return _family(d, *_2dm1(d))
 
@@ -410,7 +399,7 @@ def family_dp2(d: int) -> EncodingFamily:
     """d+2 encoding unitaries at lambda0 = d/(d+2), for every d >= 2.
 
     d = 2 is the identity-plus-Pauli-equivalents set, d = 3 the qutrit five
-    family, d = 4 the explicit six-member family; larger dimensions are built
+    family, d = 4 the six-member F_4/6; larger dimensions are built
     recursively two dimensions at a time.  Members are ordered I, A
     (first-two-columns swap), then M and its conjugate when d is odd, then
     U_1..U_j, V_1..V_k.
@@ -431,13 +420,6 @@ def _shift_diag(d: int, diagonals):
     diags = []
     for i, entry in enumerate(diagonals):
         arr = np.asarray(entry, dtype=np.complex128)
-        if arr.ndim == 2:
-            if arr.shape != (d, d):
-                raise ValueError(f"diagonal {i} has shape {arr.shape}, expected ({d}, {d})")
-            off = arr - np.diag(np.diag(arr))
-            if np.max(np.abs(off)) > UNITARITY_TOL:
-                raise ValueError(f"matrix {i} is not diagonal")
-            arr = np.diag(arr)
         if arr.shape != (d,):
             raise ValueError(f"diagonal {i} has length {arr.shape}, expected {d}")
         if np.max(np.abs(np.abs(arr) - 1.0)) > UNITARITY_TOL:
@@ -458,6 +440,6 @@ def shift_diag_family(d: int, diagonals) -> EncodingFamily:
 
     Off the k = 0 member, every pairwise product has an all-zero main
     diagonal, so weighted orthogonality holds regardless of the weights.
-    Diagonals may be given as length-d vectors or as (d, d) diagonal matrices.
+    Each diagonal is given as a length-d vector.
     """
     return _family(d, *_shift_diag(d, diagonals))

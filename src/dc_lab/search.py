@@ -61,22 +61,20 @@ from .families import EncodingFamily, shift_diag_family
 from .linalg import UNITARITY_TOL, unitarity_residual
 from .states import SchmidtState, _check_dimension, _check_state, _is_int, _members, entropy_bits, make_state
 
-# Levenberg-Marquardt polish: initial damping, its lower and upper limits,
-# the stops on the objective and on the largest gradient entry, and the
-# progress stop: the polish ends once this many iterations, accepted or
-# rejected, pass without the objective falling to half its value at the last
-# halving.  Random starts have objectives of about 1-12 (d <= 6), so from
-# there to LM_F_STOP that bounds a polish at about 20 log2(12 / 1e-28) =
-# 1,900 iterations, and it ends early a polish that crawls toward a plateau
-# with no root nearby.  The damping is mu times the identity, a trust region
-# in the body-frame coordinates, whose basis rows have norm 1 or sqrt(2).
-# With the span blocks the saturated roots are regular: at base_seeds 1-79
-# the first polish verifies within 12 iterations at (4/6, 2/6, 0, 0), K = 6.
+# Levenberg-Marquardt polish: initial damping, its lower limit, the stop on
+# the objective, and the progress stop: the polish ends once this many
+# iterations, accepted or rejected, pass without the objective falling to half
+# its value at the last halving.  Random starts have objectives of about 1-12
+# (d <= 6), so from there to LM_F_STOP that bounds a polish at about
+# 20 log2(12 / 1e-28) = 1,900 iterations, and it ends early a polish that
+# crawls toward a plateau with no root nearby.  The damping is mu times the
+# identity, a trust region in the body-frame coordinates, whose basis rows
+# have norm 1 or sqrt(2).  With the span blocks the saturated roots are
+# regular: at base_seeds 1-79 the first polish verifies within 12 iterations
+# at (4/6, 2/6, 0, 0), K = 6.
 LM_MU_START = 1e-3
 LM_MU_MIN = 1e-14
-LM_MU_MAX = 1e12
 LM_F_STOP = 1e-28
-LM_GRAD_STOP = 1e-15
 LM_HALVING_ITERS = 20
 
 # A grid point within this of a mandatory sweep state stands for it.
@@ -242,24 +240,21 @@ def objective(state: SchmidtState, family) -> float:
     return float(np.sum(np.abs(t[iu, ju]) ** 2))
 
 
-def objective_and_gradient(state: SchmidtState, theta, k: int, fixed=None):
+def objective_and_gradient(state: SchmidtState, theta, k: int):
     """Public wrapper exposing the pair objective and its exact gradient.
 
-    `theta`, a finite 1-D vector of (k - len(fixed)) d^2 reals, parametrizes
-    the free members appended after the fixed prefix (the identity by
-    default), d^2 reals each, for an integer k in [d, d^2]: each is the
-    Cayley transform cay(H) = (I - iH/2)^{-1} (I + iH/2) of a Hermitian H,
-    the chart the search steps in around each member.
+    `theta`, a finite 1-D vector of (k - 1) d^2 reals, parametrizes the
+    k - 1 free members appended after the identity, d^2 reals each, for an
+    integer k in [d, d^2]: each is the Cayley transform
+    cay(H) = (I - iH/2)^{-1} (I + iH/2) of a Hermitian H, the chart the
+    search steps in around each member.
 
     The gradient is the LM's body-frame Jacobian of the pair traces, pulled
     back through the chart: d cay(H) = U i A^-dag dH A^-1 with A = I - iH/2.
     """
     _check_state(state)
-    fixed_stack = _prepare_fixed(state, fixed)
-    _check_k(state.d, k, fixed_stack.shape[0])
-    if k == fixed_stack.shape[0]:
-        raise ValueError("no free members to differentiate")
-    prob = _Problem(state, k, fixed_stack)
+    _check_k(state.d, k, 1)
+    prob = _Problem(state, k, _prepare_fixed(state, None))
     theta = np.asarray(theta)
     if theta.shape != (prob.nparam,) or theta.dtype.kind not in "iuf" or not np.all(np.isfinite(theta)):
         raise ValueError(f"theta must be a finite 1-D vector of {prob.nparam} reals, got shape {theta.shape}")
@@ -359,13 +354,13 @@ def _normal_equations(t: np.ndarray, jac: np.ndarray):
 
 
 def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
-    """Polish one row of free members until every pair residual is within tol
-    or one of LM's own stops is reached; returns the members and the sum of
-    squared residuals, span blocks included.
+    """Polish one row of free members until every pair residual is within
+    tol, f reaches LM_F_STOP, or LM_HALVING_ITERS iterations pass without
+    halving f; returns the members and the sum of squared residuals, span
+    blocks included.
     Each step solves (J^T J + mu I) delta = -J^T r: in the body frame, mu
     bounds the step alike in every direction, flat ones included.  The
-    progress stop, LM_HALVING_ITERS iterations without halving f, bounds the
-    iteration count."""
+    progress stop bounds the iteration count."""
     t, jac = _residuals_and_jacobian(prob, ufree)
     f = float(np.vdot(t, t).real)
     a, g = _normal_equations(t, jac)
@@ -375,7 +370,7 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
     rhs = None  # -g, and the stop test, formed again only when a step is accepted
     while since < LM_HALVING_ITERS:
         if rhs is None:
-            if f <= LM_F_STOP or np.max(np.abs(t[:n])) <= tol or np.max(np.abs(g)) < LM_GRAD_STOP:
+            if f <= LM_F_STOP or np.max(np.abs(t[:n])) <= tol:
                 break
             rhs = -g
         since += 1
@@ -399,8 +394,6 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
             rhs = None
         else:
             mu *= 4.0
-            if mu > LM_MU_MAX:
-                break
     return ufree, f
 
 

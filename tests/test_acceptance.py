@@ -23,8 +23,6 @@ from dc_lab.analysis import (
 from dc_lab.families import (
     family_2dm1,
     family_dp2,
-    family_f46,
-    family_f47,
     qutrit_five_family,
     shift_diag_family,
     weyl_family,
@@ -55,8 +53,8 @@ def golden_families():
     for d in range(2, 9):
         fams.append((weyl_family(d), _uniform(d), False))
     fams.append((qutrit_five_family(), PSI_L, True))
-    fams.append((family_f46(), _two_weight(4, 2 / 3), True))
-    fams.append((family_f47(), _two_weight(4, 4 / 7), True))
+    fams.append((family_dp2(4), _two_weight(4, 2 / 3), True))
+    fams.append((family_2dm1(4), _two_weight(4, 4 / 7), True))
     for d in range(4, 26):
         fams.append((family_2dm1(d), _two_weight(d, d / (2 * d - 1)), True))
     for d in range(2, 21):

@@ -17,14 +17,12 @@ from dc_lab.analysis import (
 from dc_lab.families import (
     family_2dm1,
     family_dp2,
-    family_f46,
-    family_f47,
     qutrit_five_family,
     shift,
     weyl_family,
 )
 from dc_lab.search import SearchConfig, find_family, objective
-from dc_lab.states import entropy_bits, make_state, message_vectors
+from dc_lab.states import SchmidtState, entropy_bits, make_state, message_vectors
 
 PSI_L = make_state(3, [3 / 5, 2 / 5, 0])
 PSI_H = make_state(3, [3 / 5, 1 / 5, 1 / 5])
@@ -55,7 +53,7 @@ def test_objective_dimension_mismatch():
 
 
 def test_verify_family_passes_f46():
-    report = verify_family(family_f46(), make_state(4, [2 / 3, 1 / 3, 0, 0]), tol=1e-10)
+    report = verify_family(family_dp2(4), make_state(4, [2 / 3, 1 / 3, 0, 0]), tol=1e-10)
     assert report.passed
     assert report.max_pairwise_residual <= 1e-10
 
@@ -63,7 +61,7 @@ def test_verify_family_passes_f46():
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, True, "x", 1e-10j])
 def test_verify_family_rejects_a_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
-        verify_family(family_f46(), make_state(4, [2 / 3, 1 / 3, 0, 0]), tol=tol)
+        verify_family(family_dp2(4), make_state(4, [2 / 3, 1 / 3, 0, 0]), tol=tol)
 
 
 STATE_TAKERS = {
@@ -107,7 +105,7 @@ def test_verify_family_accepts_a_zero_tolerance():
 
 
 def test_verify_family_detects_duplicate_identity():
-    fam = family_f47()
+    fam = family_2dm1(4)
     members = list(fam.members)
     members[3] = np.eye(4, dtype=complex)  # duplicates the leading identity
     report = verify_family(members, make_state(4, [4 / 7, 3 / 7, 0, 0]), tol=1e-10)
@@ -159,6 +157,11 @@ def test_wcsg_bound_examples():
     assert wcsg_bound(make_state(4, [4 / 7, 3 / 7, 0, 0])) == 7
 
 
+def test_wcsg_bound_of_a_zero_largest_weight_is_the_maximally_entangled_cap():
+    # make_state refuses such weights; only a SchmidtState built directly has them
+    assert wcsg_bound(SchmidtState(d=3, lambdas=np.zeros(3))) == 9
+
+
 def test_wcsg_bound_product_of_bound_and_weight(rng):
     for _ in range(100):
         d = int(rng.integers(2, 7))
@@ -205,7 +208,7 @@ def test_bns_excluded_beyond_weight_bound():
 def test_kc_span_check_saturated_families():
     for fam, state in (
         (qutrit_five_family(), PSI_L),
-        (family_f47(), make_state(4, [4 / 7, 3 / 7, 0, 0])),
+        (family_2dm1(4), make_state(4, [4 / 7, 3 / 7, 0, 0])),
     ):
         report = kc_span_check(fam, state)
         assert report.saturated
@@ -234,8 +237,8 @@ def _fraction_target(d, k):
 
 SATURATED_CASES = {
     "five": (qutrit_five_family(), PSI_L),
-    "f46": (family_f46(), _fraction_target(4, 6)),
-    "f47": (family_f47(), _fraction_target(4, 7)),
+    "f46": (family_dp2(4), _fraction_target(4, 6)),
+    "f47": (family_2dm1(4), _fraction_target(4, 7)),
     **{f"d-plus-two-d{d}": (family_dp2(d), _fraction_target(d, d + 2)) for d in range(3, 13)},
     **{f"two-d-minus-one-d{d}": (family_2dm1(d), _fraction_target(d, 2 * d - 1)) for d in range(4, 13)},
 }

@@ -20,8 +20,6 @@ from dc_lab.families import (
     EncodingFamily,
     family_2dm1,
     family_dp2,
-    family_f46,
-    family_f47,
     qutrit_five_family,
     shift_diag_family,
     weyl_family,
@@ -110,6 +108,26 @@ def test_construct_holds_a_block_of_members_not_the_family(tmp_path, capsys, mon
     assert "K=63 members" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda members: [members[0], np.eye(4), *members[2:]], "member 1 of five has shape (4, 4), expected (3, 3)"),
+        (lambda members: members[:2], "five has 2 members, outside [3, 9]"),
+    ],
+    ids=["shape", "count"],
+)
+def test_construct_refuses_a_member_shape_or_count_as_the_constructors_do(tmp_path, capsys, monkeypatch, edit, error):
+    from dc_lab import families
+
+    original = families._five
+    monkeypatch.setattr(families, "_five", lambda d: original(d)[:2] + (edit(original(d)[2]),))
+    with pytest.raises(ValueError, match=re.escape(error)):
+        qutrit_five_family()
+    assert run(["construct", "five", "-d", "3", "--output", str(tmp_path / "five.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("earlier", [None, b"an earlier file\n"])
 def test_construct_refusing_a_member_leaves_no_document(tmp_path, capsys, monkeypatch, earlier):
     """A member refused after others were written leaves no partial
@@ -171,6 +189,69 @@ def test_a_symlinked_output_keeps_its_link_and_replaces_its_target(tmp_path, cap
     assert target.read_bytes() == direct.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["direct", "link", "real"]
     assert [p.name for p in target.parent.iterdir()] == ["target"]
+
+
+# each way a link reaches descriptor N of this process, in /proc/<pid>/fd
+DESCRIPTOR_ROUTES = {
+    "proc-self": lambda fd: f"/proc/self/fd/{fd}",
+    "dev-fd": lambda fd: f"/dev/fd/{fd}",
+    "proc-pid": lambda fd: f"/proc/{os.getpid()}/fd/{fd}",
+}
+
+
+def _appending(path):
+    """A descriptor that appends to path, which holds one earlier line."""
+    path.write_bytes(b"an earlier line\n")
+    return os.open(path, os.O_WRONLY | os.O_APPEND)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("route", sorted(DESCRIPTOR_ROUTES))
+@pytest.mark.parametrize("command", sorted(OUTPUT_ARGV))
+def test_an_output_linked_to_a_descriptor_is_written_through_it(tmp_path, capsys, monkeypatch, command, route):
+    """A link to /proc/self/fd/N was resolved to the file the descriptor has
+    open, which was then replaced: an appending redirect lost its earlier
+    bytes.  Now the bytes go through the descriptor, at its own offset."""
+    if not os.path.exists(DESCRIPTOR_ROUTES[route](0)):
+        pytest.skip(f"no {DESCRIPTOR_ROUTES[route]('N')}")
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    direct = tmp_path / "direct"
+    assert run(OUTPUT_ARGV[command] + ["--output", str(direct)]) == 0
+    log, link = tmp_path / "log.txt", tmp_path / "link"
+    fd = _appending(log)
+    try:
+        link.symlink_to(DESCRIPTOR_ROUTES[route](fd))
+        assert run(OUTPUT_ARGV[command] + ["--output", str(link)]) == 0
+    finally:
+        os.close(fd)  # the command closed only its duplicate
+    assert log.read_bytes() == b"an earlier line\n" + direct.read_bytes()
+    assert link.is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["direct", "link", "log.txt"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("command", sorted(OUTPUT_ARGV))
+def test_a_failure_closes_the_duplicate_of_a_descriptor_output(tmp_path, capsys, monkeypatch, command):
+    """The construct fails once the writer holds the duplicate, the sweep
+    before it does: either way the command leaves no descriptor open and the
+    earlier line where it was."""
+    from dc_lab import families, search
+
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    original = families._five
+    monkeypatch.setattr(families, "_five", lambda d: original(d)[:2] + ([2 * np.eye(3)],))
+    monkeypatch.setattr(search, "region_sweep", mock.Mock(side_effect=ValueError("no sweep")))
+    log, link = tmp_path / "log.txt", tmp_path / "link"
+    fd = _appending(log)
+    try:
+        link.symlink_to(f"/proc/self/fd/{fd}")
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert run(OUTPUT_ARGV[command] + ["--output", str(link)]) == 2
+        assert sorted(os.listdir("/proc/self/fd")) == before
+    finally:
+        os.close(fd)
+    assert log.read_bytes().startswith(b"an earlier line\n")
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -340,24 +421,6 @@ def test_every_member_shape_is_checked_before_any_entry_is(tmp_path):
             read(str(path))
 
 
-def test_a_family_shares_no_memory_with_its_document():
-    swap = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
-    arrays = [np.array(_identity_pairs(2)), np.asfortranarray(swap), np.array(swap, dtype=np.int64)]
-    doc = {"schema_version": 1, "d": 2, "members": [*arrays, swap]}
-    fam = cli.document_to_family(doc)
-    assert not any(np.shares_memory(m, a) for m in fam.members for a in arrays)
-    expected = [np.array(pairs, dtype=np.float64, order="C").view(np.complex128).reshape(2, 2) for pairs in doc["members"]]
-    assert [m.tobytes() for m in fam.members] == [m.tobytes() for m in expected]
-
-
-@pytest.mark.parametrize("member", [((1.0, 0.0), (0.0, 0.0)), (), ("ab", None), tuple(map(tuple, _identity_pairs(2)))])
-def test_document_to_family_refuses_a_tuple_member(member):
-    """A member is a list of pairs or an (n, 2) array; a tuple is neither."""
-    doc = {"schema_version": 1, "d": 2, "members": [member, _identity_pairs(2)]}
-    with pytest.raises(ValueError, match=re.escape("member 0 must be a list of [re, im] pairs")):
-        cli.document_to_family(doc)
-
-
 def test_verify_checks_one_support_block_once_each(tmp_path, capsys, monkeypatch):
     """`verify` reduces the members as it reads them and runs each block-level
     check once, on one support block, without the library's whole-family
@@ -458,8 +521,8 @@ def test_family_documents_round_trip_exactly(tmp_path):
     built = [
         weyl_family(3),
         qutrit_five_family(),
-        family_f46(),
-        family_f47(),
+        family_dp2(4),
+        family_2dm1(4),
         family_2dm1(6),
         family_dp2(7),
         shift_diag_family(3, [np.ones(3)] * 3),
@@ -479,7 +542,8 @@ def test_family_documents_round_trip_exactly(tmp_path):
 def _reference_read(path):
     """The reader as it was: the whole document through json.load, then validation."""
     with open(path, "r", encoding="utf-8") as fh:
-        return cli.document_to_family(json.load(fh))
+        d, label, target, members = cli._check_document(json.load(fh))
+    return EncodingFamily(d=d, members=tuple(members), label=label, target_lambda0=target)
 
 
 def _reference_load(path, step=None):
@@ -552,7 +616,7 @@ READER_CASES = {
 
 @pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES.keys())
 def test_reader_matches_json_load(tmp_path, capsys, monkeypatch, text):
-    """Same member bytes, or the same error text and exit code, as json.load + document_to_family."""
+    """Same member bytes, or the same error text and exit code, as json.load + _check_document."""
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     assert _read_outcome(cli.read_family_document, path) == _read_outcome(_reference_read, path)

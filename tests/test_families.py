@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,6 @@ from dc_lab.families import (
     _root_of_unity,
     family_2dm1,
     family_dp2,
-    family_f46,
-    family_f47,
     phase,
     qutrit_five_family,
     shift,
@@ -123,7 +123,7 @@ def test_five_family_verifies_at_low_state():
 
 
 def test_f46_entries():
-    fam = family_f46()
+    fam = family_dp2(4)
     assert len(fam) == 6 and fam.target_lambda0 == pytest.approx(2 / 3)
     u1 = fam.members[2]
     h = np.sqrt(3) / 2
@@ -135,7 +135,7 @@ def test_f46_entries():
 
 
 def test_f47_entries():
-    fam = family_f47()
+    fam = family_2dm1(4)
     assert len(fam) == 7 and fam.target_lambda0 == pytest.approx(4 / 7)
     u = fam.members[3]
     s7 = np.sqrt(7)
@@ -147,11 +147,14 @@ def test_f47_entries():
         assert fam.members[4 + j][3, 0] == pytest.approx(s7 / 4)
 
 
+def test_a_family_iterates_over_its_members():
+    fam = family_dp2(4)
+    assert len(fam) == 6
+    assert [id(m) for m in fam] == [id(m) for m in fam.members]
+
+
 def test_2dm1_d4_delegates_to_f47():
-    fam = family_2dm1(4)
-    ref = family_f47()
-    assert fam.label == "F_4/7"
-    assert all(np.array_equal(a, b) for a, b in zip(fam.members, ref.members))
+    assert family_2dm1(4).label == "F_4/7"
 
 
 def test_2dm1_d5_columns():
@@ -287,8 +290,7 @@ def test_shift_diag_identity_diagonals():
 
 
 def test_shift_diag_with_phase_diagonal():
-    z2 = np.diag([1.0, -1.0])
-    fam = shift_diag_family(2, [np.ones(2), z2])
+    fam = shift_diag_family(2, [np.ones(2), [1.0, -1.0]])
     assert np.allclose(fam.members[1], [[0, -1], [1, 0]])
 
 
@@ -302,11 +304,14 @@ def test_shift_diag_verifies_for_arbitrary_states(rng):
 
 
 def test_shift_diag_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="diagonal 1 is not unitary"):
         shift_diag_family(2, [np.ones(2), np.array([1.0, 0.5])])
-    with pytest.raises(ValueError):
-        shift_diag_family(2, [np.ones(2), np.array([[1, 0.2], [0, 1]])])
-    with pytest.raises(ValueError):
+    # a diagonal is a vector: a (d, d) matrix, even a diagonal one, has the wrong length
+    with pytest.raises(ValueError, match=re.escape("diagonal 1 has length (2, 2), expected 2")):
+        shift_diag_family(2, [np.ones(2), np.eye(2)])
+    with pytest.raises(ValueError, match=re.escape("diagonal 0 has length (3,), expected 2")):
+        shift_diag_family(2, [np.ones(3), np.ones(2)])
+    with pytest.raises(ValueError, match="expected 3 diagonals, got 2"):
         shift_diag_family(3, [np.ones(3)] * 2)
 
 

@@ -76,6 +76,10 @@ def test_complete_rejects_nonorthonormal():
 def test_complete_rejects_too_many_columns():
     with pytest.raises(ValueError):
         complete_to_unitary([np.eye(2)[:, i] for i in range(2)], 1)
+    with pytest.raises(ValueError, match="cannot fit 3 columns in dimension 2"):
+        complete_to_unitary([np.eye(2)[:, 0]] * 3, 2)
+    with pytest.raises(ValueError, match="cannot fit 3 columns in dimension 2"):
+        complete_to_unitary(np.zeros((1, 2, 3)), 2)
 
 
 def _stacked_cases(rng, d):

@@ -12,7 +12,7 @@ import pytest
 from conftest import random_sorted_weights
 from dc_lab import search
 from dc_lab.analysis import KC_RESIDUAL_TOL, VERIFY_TOL, kc_span_check, verify_family, wcsg_bound
-from dc_lab.families import family_2dm1, family_dp2, family_f46, family_f47, qutrit_five_family, shift, shift_diag_family
+from dc_lab.families import family_2dm1, family_dp2, qutrit_five_family, shift, shift_diag_family
 from dc_lab.linalg import unitarity_residual
 from dc_lab.search import (
     KAttempt,
@@ -62,28 +62,22 @@ def test_objective_nonnegative_and_matches_verification(rng):
 
 
 @pytest.mark.parametrize(
-    "weights, k, fixed",
-    [
-        ((0.5, 0.3, 0.2), 3, None),
-        ((3 / 5, 2 / 5, 0), 5, None),
-        ((3 / 5, 1 / 5, 1 / 5), 5, [np.eye(3), shift(3)]),
-        ((4 / 7, 3 / 7, 0, 0), 7, [np.eye(4), shift(4)]),
-    ],
-    ids=["unsaturated-k3", "psi-l-k5", "psi-h-k5-prefix", "d4-k7-prefix"],
+    "weights, k",
+    [((0.5, 0.3, 0.2), 3), ((3 / 5, 2 / 5, 0), 5), ((3 / 5, 1 / 5, 1 / 5), 5), ((4 / 7, 3 / 7, 0, 0), 7)],
+    ids=["unsaturated-k3", "psi-l-k5", "psi-h-k5", "d4-k7"],
 )
-def test_gradient_matches_central_differences(rng, weights, k, fixed):
+def test_gradient_matches_central_differences(rng, weights, k):
     # the saturated cases carry span blocks in the search, which the pair
     # objective leaves out
     st = make_state(len(weights), weights)
     d = st.d
-    prefix = [np.eye(d)] if fixed is None else fixed
-    nparam = (k - len(prefix)) * d * d
+    nparam = (k - 1) * d * d
     for _ in range(5):
         theta = rng.standard_normal(nparam)
-        f, grad = objective_and_gradient(st, theta, k, fixed=fixed)
+        f, grad = objective_and_gradient(st, theta, k)
         h = (theta.reshape(-1, d * d) @ _reference_basis(d)[0]).reshape(-1, d, d)
         free = np.linalg.solve(np.eye(d) - 0.5j * h, np.eye(d) + 0.5j * h)
-        assert f == pytest.approx(objective(st, [*prefix, *free]), rel=1e-12)
+        assert f == pytest.approx(objective(st, [np.eye(d), *free]), rel=1e-12)
         step = 1e-6
         fd = np.zeros(nparam)
         for p in range(nparam):
@@ -91,9 +85,7 @@ def test_gradient_matches_central_differences(rng, weights, k, fixed):
             plus[p] += step
             minus = theta.copy()
             minus[p] -= step
-            fd[p] = (
-                objective_and_gradient(st, plus, k, fixed=fixed)[0] - objective_and_gradient(st, minus, k, fixed=fixed)[0]
-            ) / (2 * step)
+            fd[p] = (objective_and_gradient(st, plus, k)[0] - objective_and_gradient(st, minus, k)[0]) / (2 * step)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel <= 1e-6
 
@@ -309,13 +301,10 @@ def test_gradient_theta_must_be_a_finite_vector_of_the_right_length(theta):
         objective_and_gradient(PSI_L, theta, 5)
 
 
-@pytest.mark.parametrize(
-    "k, fixed, message",
-    [(2, None, "outside"), (10, None, "outside"), (3, [np.eye(3)] * 4, "exceed"), (3, [np.eye(3)] * 3, "no free")],
-)
-def test_gradient_family_size_is_checked_as_the_search_checks_it(k, fixed, message):
+@pytest.mark.parametrize("k, message", [(2, "outside"), (10, "outside")])
+def test_gradient_family_size_is_checked_as_the_search_checks_it(k, message):
     with pytest.raises(ValueError, match=message):
-        objective_and_gradient(UNIFORM3, np.zeros(9), k, fixed=fixed)
+        objective_and_gradient(UNIFORM3, np.zeros(9), k)
 
 
 def test_region_sweep_dimension_validation():
@@ -558,7 +547,7 @@ def _target(fam):
 
 @pytest.mark.parametrize(
     "fam",
-    [qutrit_five_family(), family_f46(), family_f47()]
+    [qutrit_five_family(), family_dp2(4), family_2dm1(4)]
     + [family_dp2(d) for d in range(3, 9)]
     + [family_2dm1(d) for d in range(4, 9)],
     ids=lambda fam: f"{fam.label}-d{fam.d}",
@@ -912,6 +901,30 @@ def test_a_polish_without_a_root_nearby_stops_early(monkeypatch):
     assert len(calls) - 1 <= search.LM_HALVING_ITERS * (1 + math.floor(math.log2(f_start / f)))
     assert f > VERIFY_TOL
     assert not verify_family(prob.members(members)[0], state).passed
+
+
+def test_a_polish_whose_every_step_fails_ends_after_the_halving_window(monkeypatch):
+    # No trial step lowers the objective, so the damping only grows and f
+    # never halves: the window alone ends the polish, after exactly
+    # LM_HALVING_ITERS trial steps, at the members it started from.
+    state = make_state(3, [0.5, 0.3, 0.2])  # unsaturated at K = 4: f is the pair objective
+    prob = _problem(state, 4)
+    start = prob.cayley(np.random.default_rng(7).standard_normal((1, prob.nparam)))
+    f_start = objective(state, prob.members(start)[0])
+    trials, residuals_of = [], search._residuals
+
+    def never_lower(prob, ufree):
+        stack, t = residuals_of(prob, ufree)
+        if ufree is start:  # the polish's own start, not a trial
+            return stack, t
+        trials.append(1)
+        return stack, np.full_like(t, 1e3)
+
+    monkeypatch.setattr(search, "_residuals", never_lower)
+    members, f = _lm_polish(prob, start, VERIFY_TOL)
+    assert len(trials) == search.LM_HALVING_ITERS
+    assert members is start
+    assert f == pytest.approx(f_start, rel=1e-12)
 
 
 def test_a_singular_lm_step_falls_back_to_least_squares(monkeypatch):
