@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _gram_residual
 from .states import SchmidtState, _check_state, _members, _message_block
 
 VERIFY_TOL = 1e-10
@@ -77,8 +78,7 @@ def _support(lam: np.ndarray) -> np.ndarray:
 def _reduce(u: np.ndarray, keep: np.ndarray):
     """The kept columns of an (n, d, d) block of members, and the largest
     entry of |U^dag U - I| over them."""
-    residual = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])))
-    return u[..., keep], float(residual)
+    return u[..., keep], float(np.max(_gram_residual(u)))
 
 
 def _support_block(parts, lam: np.ndarray):
@@ -87,6 +87,15 @@ def _support_block(parts, lam: np.ndarray):
     of a block of members and their largest residual, as `_reduce` gives
     them."""
     return np.concatenate([block for block, _ in parts]), lam[_support(lam)], max(unit for _, unit in parts)
+
+
+def _parts(family, state: SchmidtState):
+    """`_reduce` over the members of family, a block of _BLOCK_ENTRIES entries
+    at a time, so no (K, d, d) temporary is formed for a large family, nor a
+    stack of an EncodingFamily's members."""
+    members, keep = _members(family, state.d), _support(state.lambdas)
+    step = max(1, _BLOCK_ENTRIES // state.d**2)
+    return [_reduce(np.asarray(members[i : i + step]), keep) for i in range(0, len(members), step)]
 
 
 def _check_tol(tol) -> None:
@@ -115,18 +124,13 @@ def verify_family(family, state: SchmidtState, tol: float = VERIFY_TOL) -> Verif
     """Check pairwise weighted orthogonality, unitarity, and message norms.
 
     The pairwise residuals and the norms come from the support block, and
-    unitarity is checked in the same pass over the members, which reduces
-    them a block of _BLOCK_ENTRIES entries at a time, so no (K, d, d)
-    temporary is formed for a large family, nor a stack of an
-    EncodingFamily's members.  Raises ValueError unless state is a
-    SchmidtState and tol a finite nonnegative real number (not a bool).
+    unitarity is checked in the same pass over the members (`_parts`).
+    Raises ValueError unless state is a SchmidtState and tol a finite
+    nonnegative real number (not a bool).
     """
     _check_state(state)
     _check_tol(tol)
-    members, lam = _members(family, state.d), state.lambdas
-    keep, step = _support(lam), max(1, _BLOCK_ENTRIES // lam.size**2)
-    parts = [_reduce(np.asarray(members[i : i + step]), keep) for i in range(0, len(members), step)]
-    return _verification(*_support_block(parts, lam), tol)
+    return _verification(*_support_block(_parts(family, state), state.lambdas), tol)
 
 
 def wcsg_bound(state: SchmidtState) -> int:
@@ -222,14 +226,13 @@ def _span_check(block: np.ndarray, lam: np.ndarray, state: SchmidtState, max_pai
 def kc_span_check(family, state: SchmidtState) -> KcReport:
     """Measure how far each |m0> basis vector is from the message span.
 
-    Works on the support block (see `_support`): its message vectors are the
-    full ones without their zero coordinates, which changes neither the span
-    nor any |m0>'s distance from it.
+    Works on the support block (see `_support`), from the same pass over the
+    members as `verify_family` (`_parts`): its message vectors are the full
+    ones without their zero coordinates, which changes neither the span nor
+    any |m0>'s distance from it.
     """
     _check_state(state)
-    members, keep = _members(family, state.d), _support(state.lambdas)
-    block = members[..., keep] if isinstance(members, np.ndarray) else np.stack([m[:, keep] for m in members])
-    lam = state.lambdas[keep]
+    block, lam, _ = _support_block(_parts(family, state), state.lambdas)
     return _span_check(block, lam, state, _max_pairwise_residual(block, lam))
 
 

@@ -29,57 +29,39 @@ def as_matrix(entries) -> np.ndarray:
     return a
 
 
+def _gram_residual(a: np.ndarray) -> np.ndarray:
+    """Max-abs entry of A^dag A - I for each matrix of an (..., n, k) stack."""
+    gram = a.conj().swapaxes(-1, -2) @ a
+    return np.max(np.abs(gram - np.eye(a.shape[-1])), axis=(-2, -1), initial=0.0)
+
+
 def unitarity_residual(u) -> float:
     """Max-abs entry of U^dag U - I."""
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise ValueError(f"unitarity check requires a square matrix, got {u.shape}")
-    d = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
+    return float(_gram_residual(u))
 
 
-def _mgs_orthonormalize(cols: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt over the columns, two projection passes each."""
-    out = np.array(cols, dtype=np.complex128)
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        for _ in range(2):
-            for i in range(j):
-                v = v - (out[:, i].conj() @ v) * out[:, i]
-        nrm = np.linalg.norm(v)
-        if nrm < _KEEP_NORM:
-            raise ValueError("columns are numerically dependent")
-        out[:, j] = v / nrm
-    return out
+def complete_to_unitary(partial_columns: np.ndarray, d: int) -> np.ndarray:
+    """Extend orthonormal columns to full d x d unitaries, deterministically.
 
-
-def complete_to_unitary(partial_columns, d: int) -> np.ndarray:
-    """Extend orthonormal columns to a full d x d unitary, deterministically.
-
-    `partial_columns` is a sequence of k length-d columns, giving one (d, d)
-    unitary, or an (n, d, k) array whose n matrices each hold k such columns,
-    giving an (n, d, d) stack; every matrix of a stack is completed exactly,
-    bit for bit, as it would be alone.
+    `partial_columns` is an (n, d, k) array whose n matrices each hold k
+    orthonormal length-d columns; the result is the (n, d, d) stack of their
+    completions, and every matrix of it is completed exactly, bit for bit,
+    as it would be alone.
 
     Canonical basis vectors e_0 .. e_{d-1} are tried in index order through
     modified Gram-Schmidt; a candidate is kept when its post-projection norm
     exceeds 1e-6, and every kept column is rephased so that its first nonzero
     entry is real and positive.  The same inputs always yield the same matrix,
-    and exactly-orthonormal inputs are preserved bit for bit as the leading
-    columns.  Inputs whose pairwise inner products deviate by more than 1e-12
-    (but within UNITARITY_TOL, 1e-10) are re-orthonormalized first so the
-    result still meets the completion residual contract; a larger deviation
-    raises ValueError.
+    and the given columns are kept bit for bit as the leading columns.  Input
+    whose Gram matrix deviates from the identity by more than
+    COMPLETION_RESIDUAL_TOL (1e-12) in any entry raises ValueError.
     """
-    stacked = isinstance(partial_columns, np.ndarray) and partial_columns.ndim == 3
-    if stacked:
-        given = partial_columns.astype(np.complex128)
-    else:
-        cols = [np.asarray(c, dtype=np.complex128).reshape(-1) for c in partial_columns]
-        for c in cols:
-            if c.shape != (d,):
-                raise ValueError(f"expected columns of length {d}, got {c.shape}")
-        given = np.stack(cols, axis=-1)[None] if cols else np.zeros((1, d, 0), dtype=np.complex128)
+    given = np.asarray(partial_columns, dtype=np.complex128)
+    if given.ndim != 3:
+        raise ValueError(f"expected an (n, d, k) stack of columns, got shape {given.shape}")
     n, rows, k = given.shape
     if k > d:
         raise ValueError(f"cannot fit {k} columns in dimension {d}")
@@ -87,17 +69,11 @@ def complete_to_unitary(partial_columns, d: int) -> np.ndarray:
         raise ValueError(f"expected columns of length {d}, got ({rows},)")
     if not np.all(np.isfinite(given)):
         raise ValueError("column entries must be finite")
-
-    if k:
-        gram = given.conj().swapaxes(-1, -2) @ given
-        gram_res = np.max(np.abs(gram - np.eye(k)), axis=(-2, -1))
-        worst = float(np.max(gram_res, initial=0.0))
-        if worst > UNITARITY_TOL:
-            raise ValueError(
-                f"input columns are not orthonormal: residual {worst:.3e} > {UNITARITY_TOL:.3e}"
-            )
-        for i in np.flatnonzero(gram_res > COMPLETION_RESIDUAL_TOL):
-            given[i] = _mgs_orthonormalize(given[i])
+    worst = float(np.max(_gram_residual(given), initial=0.0))
+    if worst > COMPLETION_RESIDUAL_TOL:
+        raise ValueError(
+            f"input columns are not orthonormal: residual {worst:.3e} > {COMPLETION_RESIDUAL_TOL:.3e}"
+        )
 
     # basis[i, j] is the j-th column of matrix i; count[i] of them are set.
     # Each candidate is projected, per matrix, on that matrix's columns only:
@@ -130,4 +106,4 @@ def complete_to_unitary(partial_columns, d: int) -> np.ndarray:
         raise ValueError("could not complete the given columns to a unitary")
     for m in basis:  # each row becomes a column, in place rather than in a second stack
         m[...] = m.T.copy()
-    return basis if stacked else basis[0]
+    return basis

@@ -6,6 +6,8 @@ import pytest
 from conftest import haar_unitary, random_sorted_weights
 from dc_lab.analysis import verify_family
 from dc_lab.families import (
+    _2dm1_columns,
+    _dp2_columns,
     _root_of_unity,
     family_2dm1,
     family_dp2,
@@ -15,6 +17,7 @@ from dc_lab.families import (
     shift_diag_family,
     weyl_family,
 )
+from dc_lab.linalg import COMPLETION_RESIDUAL_TOL, _gram_residual
 from dc_lab.states import make_state
 
 
@@ -280,6 +283,14 @@ def test_completion_is_irrelevant_to_orthogonality(rng, d):
     assert report.passed
 
 
+def test_completed_columns_are_orthonormal_to_the_completion_tolerance():
+    # complete_to_unitary refuses columns off orthonormal by more than
+    # COMPLETION_RESIDUAL_TOL; both constructions' columns stay well within it
+    for d in (*range(5, 17), 31, 32, 63, 64, 96, 127, 128):
+        for columns in (_dp2_columns(d), _2dm1_columns(d)):
+            assert np.max(_gram_residual(columns)) <= COMPLETION_RESIDUAL_TOL
+
+
 def test_shift_diag_identity_diagonals():
     fam = shift_diag_family(3, [np.ones(3)] * 3)
     x = shift(3)
@@ -304,7 +315,8 @@ def test_shift_diag_verifies_for_arbitrary_states(rng):
 
 
 def test_shift_diag_rejects_bad_input():
-    with pytest.raises(ValueError, match="diagonal 1 is not unitary"):
+    # a diagonal off the unit circle is refused by the unitarity check of the member it makes
+    with pytest.raises(ValueError, match=re.escape("member 1 of shift-diag is not unitary: residual 7.500e-01")):
         shift_diag_family(2, [np.ones(2), np.array([1.0, 0.5])])
     # a diagonal is a vector: a (d, d) matrix, even a diagonal one, has the wrong length
     with pytest.raises(ValueError, match=re.escape("diagonal 1 has length (2, 2), expected 2")):

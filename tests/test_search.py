@@ -118,6 +118,12 @@ def test_find_family_with_fixed_prefix_cannot_extend_shift_family(rng):
     assert best > 1e-6
 
 
+def test_find_family_refuses_more_fixed_members_than_the_family_size():
+    fixed = [np.linalg.matrix_power(shift(3), j) for j in range(4)]
+    with pytest.raises(ValueError, match="4 fixed members exceed family size 3"):
+        find_family(UNIFORM3, 3, SearchConfig(restarts=1), fixed=fixed)
+
+
 def test_find_family_all_fixed_members():
     cfg = SearchConfig(restarts=1)
     fam = shift_diag_family(3, [np.ones(3)] * 3)
@@ -547,8 +553,7 @@ def _target(fam):
 
 @pytest.mark.parametrize(
     "fam",
-    [qutrit_five_family(), family_dp2(4), family_2dm1(4)]
-    + [family_dp2(d) for d in range(3, 9)]
+    [family_dp2(d) for d in range(3, 9)]
     + [family_2dm1(d) for d in range(4, 9)],
     ids=lambda fam: f"{fam.label}-d{fam.d}",
 )
