@@ -83,10 +83,10 @@ def _reduce(u: np.ndarray, keep: np.ndarray):
 
 def _support_block(parts, lam: np.ndarray):
     """The (K, d, c) support block (see `_support`), its c weights and the
-    members' largest unitarity residual, from parts: each the kept columns
-    of a block of members and their largest residual, as `_reduce` gives
-    them."""
-    return np.concatenate([block for block, _ in parts]), lam[_support(lam)], max(unit for _, unit in parts)
+    members' largest unitarity residual, NaN when any block's is, from
+    parts: each the kept columns of a block of members and their largest
+    residual, as `_reduce` gives them."""
+    return np.concatenate([block for block, _ in parts]), lam[_support(lam)], float(np.max([u for _, u in parts]))
 
 
 def _parts(family, state: SchmidtState):

@@ -308,13 +308,12 @@ def _dp2_first_columns(d: int):
     Returns (us, vs, m) where m is None for even d.  Both parities grow the
     same way: each smaller column is rescaled by sqrt(1 - (2/d)^2) after the
     row rotation, two leading entries are prepended, and one fresh column of
-    the simplest shape joins each of the U and V lists.
+    the simplest shape joins each of the U and V lists.  The d = 4 columns
+    are those of F_4/6.
     """
     if d == 4:
-        h = np.sqrt(3.0) / 2
-        us = [np.array([-0.5, 0, -h, 0]), np.array([-0.5, 0, h, 0])]
-        vs = [np.array([0, -0.5, 0, -h]), np.array([0, -0.5, 0, h])]
-        return [u.astype(np.complex128) for u in us], [v.astype(np.complex128) for v in vs], None
+        *_, u1, u2, v1, v2 = _f46(4)[2]
+        return [u1[:, 0], u2[:, 0]], [v1[:, 0], v2[:, 0]], None
     if d == 5:
         s21 = np.sqrt(21.0) / 5
         us = [

@@ -50,7 +50,6 @@ import numpy as np
 
 from .analysis import (
     VERIFY_TOL,
-    _max_pairwise_residual,
     _weighted_gram,
     bns_excluded,
     saturates,
@@ -423,39 +422,44 @@ def _check_k(d: int, k, n_fixed: int) -> None:
         raise ValueError(f"{n_fixed} fixed members exceed family size {k}")
 
 
-def _witness(state: SchmidtState, k: int, stack: np.ndarray, tol: float):
-    """The members as a search witness when `verify_family` passes them at tol, else None."""
-    if not verify_family(stack, state, tol=tol).passed:
-        return None
-    return EncodingFamily(d=state.d, members=tuple(stack), label=f"search-K{k}", target_lambda0=state.lambda0)
+def _judge(state: SchmidtState, k: int, stack: np.ndarray, tol: float):
+    """The verdict on k members: their attempt at k and, when `verify_family`
+    passes them at tol, their witness (else None).  The status and the
+    largest pair residual are that report's, the objective is `objective`'s."""
+    report = verify_family(stack, state, tol=tol)
+    status = "found" if report.passed else "not found (heuristic)"
+    attempt = KAttempt(k, status, objective(state, stack), report.max_pairwise_residual)
+    if not report.passed:
+        return attempt, None
+    return attempt, EncodingFamily(d=state.d, members=tuple(stack), label=f"search-K{k}", target_lambda0=state.lambda0)
 
 
 def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
-    """find_family's search: returns the members (k, d, d) of the accepted
-    restart, or else of the one that came closest, and the witness or None.
+    """find_family's search: returns the verdict (attempt, witness or None)
+    and the members (k, d, d) of the accepted restart, or else of the one
+    that came closest, as one triple.
 
     Restarts run in order, each drawing its start from one generator seeded
     by cfg.base_seed, and the first whose polished members verify wins.  The
-    closest restart is the one of least pair objective, the value a refusal
-    reports.
+    closest restart is the first of least pair objective, the value a
+    refusal reports.  With all k members fixed, they are the one candidate.
     """
     fixed_stack = _prepare_fixed(state, fixed)
     _check_k(state.d, k, fixed_stack.shape[0])
     if fixed_stack.shape[0] == k:
-        return fixed_stack, _witness(state, k, fixed_stack, cfg.accept_tol)
+        return (*_judge(state, k, fixed_stack, cfg.accept_tol), fixed_stack)
     prob = _Problem(state, k, fixed_stack)
     rng = np.random.default_rng(cfg.base_seed)
-    best, closest = np.inf, None
+    closest = None
     for _ in range(cfg.restarts):
         start = prob.cayley(rng.standard_normal((1, prob.nparam)))
         stack = prob.members(_lm_polish(prob, start, cfg.accept_tol)[0])[0]
-        witness = _witness(state, k, stack, cfg.accept_tol)
+        attempt, witness = _judge(state, k, stack, cfg.accept_tol)
         if witness is not None:
-            return stack, witness
-        f = objective(state, stack)
-        if f < best:
-            best, closest = f, stack
-    return closest, None
+            return attempt, witness, stack
+        if closest is None or attempt.best_objective < closest[0].best_objective:
+            closest = attempt, None, stack
+    return closest
 
 
 def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
@@ -468,24 +472,13 @@ def find_family(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     """
     _check_state(state)
     _check_config(cfg)
-    stack, witness = _find(state, k, cfg, fixed)
-    return objective(state, stack), witness
+    attempt, witness, _ = _find(state, k, cfg, fixed)
+    return attempt.best_objective, witness
 
 
 def _check_max_k(cfg: SearchConfig, d: int) -> None:
     if cfg.max_k is not None and cfg.max_k < d:
         raise ValueError(f"max_k={cfg.max_k} is below d={d}; K=d is always achievable")
-
-
-def _attempt(state: SchmidtState, k: int, stack: np.ndarray, found: bool) -> KAttempt:
-    """The outcome at k with the objective and largest pair residual of
-    `stack`: the witness, or the closest restart of a refusal."""
-    return KAttempt(
-        k=k,
-        status="found" if found else "not found (heuristic)",
-        best_objective=objective(state, stack),
-        max_pair_residual=_max_pairwise_residual(stack, state.lambdas),
-    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -494,8 +487,7 @@ def _shift_witness(d: int) -> tuple[EncodingFamily, KAttempt]:
     cached, the members read-only.  The members have disjoint supports, so
     every pair trace is exactly 0 whatever the weights, and the attempt is
     the same for every state of dimension d."""
-    shifts = shift_diag_family(d, [np.ones(d)] * d)
-    return shifts, _attempt(make_state(d, np.full(d, 1 / d)), d, np.asarray(_members(shifts, d)), True)
+    return shift_diag_family(d, [np.ones(d)] * d), KAttempt(d, "found", 0.0, 0.0)
 
 
 def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
@@ -506,15 +498,14 @@ def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
     so it is recorded as found with that witness.  The cap is searched
     first, unless it is provably excluded, because the first k members of a
     valid K-family are a valid k-family (their pair traces are some of its
-    own).  When the cap is found, each k between d and the cap is certified
-    by the first k members of its witness, which must pass `verify_family`
-    at cfg.accept_tol on their own, and nothing else is searched.
-    Otherwise, when the cap is refused or some subset fails verification,
-    K = d+1, d+2, ... are searched in turn, as if the cap had not been
-    tried, except that the scan takes the cap's search as it stands when it
-    reaches it.  The scan stops at the first K that is neither found nor
-    provably excluded.  The estimate is the last certified K; a failed K is
-    heuristic evidence only.
+    own).  When the cap is found and, for each k between d and the cap, the
+    first k members of its witness pass `verify_family` at cfg.accept_tol
+    on their own, those verdicts stand for every K and nothing else is
+    searched.  Then one scan runs over K = d+1, d+2, ..., the cap: each K
+    that is provably excluded is recorded so, and ends the scan; any other
+    takes the verdict judged above, or else a search of its own.  The scan
+    stops at the first K that is not found.  The estimate is the last
+    certified K; a failed K is heuristic evidence only.
     """
     _check_state(state)
     _check_config(cfg)
@@ -524,28 +515,25 @@ def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
     shifts, shift_attempt = _shift_witness(d)
     attempts = [shift_attempt]
     witnesses: dict[int, EncodingFamily] = {d: shifts}
-    scan = range(d + 1, cap + 1)
+    judged = {}
     if cap > d and not bns_excluded(state, cap):
-        at_cap = stack, fam = _find(state, cap, cfg)
-        if fam is not None:
-            subsets = {k: _witness(state, k, stack[:k], cfg.accept_tol) for k in range(d + 1, cap)}
-            if all(w is not None for w in subsets.values()):
-                subsets[cap] = fam
-                attempts += [_attempt(state, k, stack[:k], True) for k in subsets]
-                witnesses |= subsets
-                scan = ()
-    for k in scan:
+        attempt, witness, stack = _find(state, cap, cfg)
+        judged[cap] = attempt, witness
+        if witness is not None:
+            subsets = {k: _judge(state, k, stack[:k], cfg.accept_tol) for k in range(d + 1, cap)}
+            if all(w is not None for _, w in subsets.values()):
+                judged |= subsets
+    for k in range(d + 1, cap + 1):
         if bns_excluded(state, k):
             attempts.append(
                 KAttempt(k=k, status="excluded (proven)", best_objective=None, max_pair_residual=None)
             )
             break
-        # the scan passes the exclusion test at the cap only when the cap was searched
-        stack, fam = at_cap if k == cap else _find(state, k, cfg)
-        attempts.append(_attempt(state, k, stack, fam is not None))
-        if fam is None:
+        attempt, witness = judged[k] if k in judged else _find(state, k, cfg)[:2]
+        attempts.append(attempt)
+        if witness is None:
             break
-        witnesses[k] = fam
+        witnesses[k] = witness
     return SearchResult(
         d=d,
         lambdas=tuple(float(x) for x in state.lambdas),

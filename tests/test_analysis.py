@@ -330,6 +330,19 @@ def test_verify_family_checks_every_unitarity_block(i):
     assert not report.passed
 
 
+@pytest.mark.parametrize("i", [0, 20])
+def test_a_nan_member_makes_the_unitarity_residual_nan_in_any_block(i):
+    # the 256 Weyl members of d = 16 are checked in blocks of 16, and a NaN
+    # in any block must reach the report: Python's max keeps the value it
+    # holds when the next is NaN
+    members = list(weyl_family(16).members)
+    members[i] = members[i].copy()
+    members[i][0, 0] = np.nan
+    report = verify_family(members, make_state(16, [1 / 16] * 16))
+    assert np.isnan(report.max_unitarity_residual)
+    assert not report.passed
+
+
 def test_obstruction_predicates():
     assert shift_family_obstructed(make_state(3, [0.6, 0.2, 0.2]))
     assert not shift_family_obstructed(make_state(3, [0.5, 0.25, 0.25]))

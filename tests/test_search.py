@@ -667,7 +667,7 @@ def _scan_from_d_plus_1(state, cfg):
     is refused or the weight bound is reached."""
     attempts, witnesses = [], {}
     for k in range(state.d + 1, wcsg_bound(state) + 1):
-        stack, fam = search._find(state, k, cfg)
+        _, fam, stack = search._find(state, k, cfg)
         found = fam is not None
         status = "found" if found else "not found (heuristic)"
         attempts.append((k, status, objective(state, stack), verify_family(stack, state).max_pairwise_residual))
@@ -694,17 +694,18 @@ def test_a_cap_refused_first_falls_back_to_the_scan(seed, monkeypatch):
 def test_a_subset_that_fails_verification_falls_back_to_the_scan(monkeypatch):
     # the first K = 4 candidate, the cap witness's first four members, is
     # turned down; the scan then searches K = 4 and reuses the K = 5 witness
-    witness_of, turned_down = search._witness, []
+    judge, turned_down = search._judge, []
 
     def refuse_the_first_subset(state, k, stack, tol):
+        attempt, witness = judge(state, k, stack, tol)
         if k == 4 and not turned_down:
             turned_down.append(stack)
-            return None
-        return witness_of(state, k, stack, tol)
+            return attempt, None
+        return attempt, witness
 
     cfg = SearchConfig(base_seed=1)
     attempts, witnesses = _scan_from_d_plus_1(PSI_L, cfg)
-    monkeypatch.setattr(search, "_witness", refuse_the_first_subset)
+    monkeypatch.setattr(search, "_judge", refuse_the_first_subset)
     sizes = _count_finds(monkeypatch)
     res = estimate_nmax(PSI_L, cfg)
     assert sizes == [5, 4]
@@ -723,7 +724,7 @@ def test_the_cached_k_equal_d_attempt_is_every_states_own(d):
     rng = np.random.default_rng(d)
     for _ in range(50):
         state = make_state(d, rng.dirichlet(np.ones(d)))
-        assert search._attempt(state, d, stack, True) == attempt
+        assert search._judge(state, d, stack, VERIFY_TOL)[0] == attempt
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -843,8 +844,8 @@ def test_a_refusal_reports_the_pair_residual_of_its_closest_restart():
     # the quantity acceptance tests, of the restart that came closest
     _, result, _ = _search_at_seed_1((3 / 5, 1 / 5, 1 / 5))
     refusal = result.attempts[-1]
-    closest, witness = search._find(PSI_H, 5, SearchConfig(base_seed=1))
-    assert witness is None
+    attempt, witness, closest = search._find(PSI_H, 5, SearchConfig(base_seed=1))
+    assert witness is None and attempt == refusal
     assert refusal.best_objective == objective(PSI_H, closest)
     assert refusal.max_pair_residual == verify_family(closest, PSI_H).max_pairwise_residual
     assert refusal.max_pair_residual > SearchConfig().accept_tol
@@ -958,19 +959,17 @@ def test_a_singular_lm_step_falls_back_to_least_squares(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "weights, k",
-    [
-        ((5 / 8, 3 / 8, 0, 0, 0), 8),
-        ((6 / 9, 3 / 9, 0, 0, 0, 0), 9),
-        ((6 / 10, 4 / 10, 0, 0, 0, 0), 10),
-    ],
-    ids=["d5-k8", "d6-k9", "d6-k10"],
+    "d, j",
+    [(d, j) for d in range(5, 9) for j in range(2, d)],
+    ids=[f"d{d}-j{j}" for d in range(5, 9) for j in range(2, d)],
 )
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_saturated_d_plus_j_families_are_found_above_d_4(weights, k, seed):
-    # claim (ii) at d >= 5: lambda0 = d/K with two nonzero weights, where the
-    # d+2 and 2d-1 constructions do not reach
-    state = make_state(len(weights), weights)
+def test_saturated_d_plus_j_families_are_found_above_d_4(d, j, seed):
+    # claim (ii) at d >= 5 for every d+j with 2 <= j <= d-1: lambda0 = d/K,
+    # K = d+j, with two nonzero weights; j = 2 and j = d-1 are the d+2 and
+    # 2d-1 targets, and the constructions reach none of the others
+    k = d + j
+    state = make_state(d, [d / k, j / k] + [0] * (d - 2))
     _, witness = find_family(state, k, SearchConfig(restarts=8, base_seed=seed))
     assert witness is not None
     assert verify_family(witness, state).passed
