@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import errno
 import json
 import math
 import os
@@ -67,11 +66,6 @@ def _check_header(d, label, target) -> None:
         raise ValueError(f"target_lambda0 must be null or a finite number, got {target!r}")
 
 
-def _check_count(k: int, d: int) -> None:
-    if not d <= k <= d * d:
-        raise ValueError(f"family has {k} members, outside [{d}, {d * d}]")
-
-
 def _check_entries(i: int, n: int, d: int) -> None:
     if n != d * d:
         raise ValueError(f"member {i} has {n} entries, expected {d * d}")
@@ -121,7 +115,7 @@ def _check_document(doc: dict):
     members = _field(doc, "members")
     if not isinstance(members, list):
         raise ValueError("members must be a list")
-    _check_count(len(members), d)
+    states._check_count(len(members), d)
     # One conversion per member: numpy's shape discovery over the whole nested
     # list would hold bookkeeping for every [re, im] pair at once.
     checked = []
@@ -163,9 +157,11 @@ def _output(path: str):
     """The file to write, once, for --output path, within a `with` block
     that replaces the file at path only if the block completes.
 
-    A directory is refused at once, with the error opening it gives.  A
-    descriptor of this process (see `_descriptor`) gives a duplicate, which
-    open() writes at its own offset and mode, neither reopened nor truncated.
+    A directory, or a name no regular file can have (empty, or ending in /,
+    . or ..), is refused at once by opening it, which raises and creates
+    nothing; os.path.realpath would drop such an ending.  A descriptor of
+    this process (see `_descriptor`) gives a duplicate, which open() writes
+    at its own offset and mode, neither reopened nor truncated.
     Any other existing path that is not a regular file, such as a pipe, is
     written directly.  Otherwise a link is resolved, so it stays and its
     target is replaced, and the file is written beside the destination as
@@ -173,8 +169,8 @@ def _output(path: str):
     any work, and moved on when the block completes; an error removes it and
     leaves an earlier file as it was.
     """
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.isdir(path) or os.path.basename(path) in ("", ".", ".."):
+        open(path, "w").close()  # always raises: no regular file has such a path
     if (fd := _descriptor(path)) is not None:
         fd = os.dup(fd)
         try:
@@ -227,7 +223,7 @@ def _write_document(d: int, label: str, target, members, path: str) -> int:
             fh.write(template % tuple(values.tolist()))
             k += 1
             del m, values
-        _check_count(k, d)
+        states._check_count(k, d)
         fh.write("\n ]\n}\n")
     return k
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import UNITARITY_TOL, as_matrix, complete_to_unitary, unitarity_residual
-from .states import _check_dimension
+from .states import _check_count, _check_dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,24 +50,28 @@ class EncodingFamily:
 _BLOCK_ENTRIES = 1 << 17
 
 
+def _checked_member(m, k: int, d: int, name: str) -> np.ndarray:
+    """Member k of family `name` as a complex matrix, refused unless finite, (d, d) and unitary."""
+    m = as_matrix(m)
+    if m.shape != (d, d):
+        raise ValueError(f"member {k} of {name} has shape {m.shape}, expected ({d}, {d})")
+    res = unitarity_residual(m)
+    if res > UNITARITY_TOL:
+        raise ValueError(f"member {k} of {name} is not unitary: residual {res:.3e}")
+    return m
+
+
 def _checked(d: int, label: str, members):
-    """Each of members, checked as a unitary (d, d) complex matrix and made
-    read-only, one at a time; a member count outside [d, d*d] raises once the
-    members run out.  No member is held once the next is taken."""
+    """Each of members, checked by `_checked_member` and made read-only, one at a time, then
+    their count (see `states._check_count`).  No member is held once the next is taken."""
     k = 0
     for m in members:
-        m = as_matrix(m)
-        if m.shape != (d, d):
-            raise ValueError(f"member {k} of {label} has shape {m.shape}, expected ({d}, {d})")
-        res = unitarity_residual(m)
-        if res > UNITARITY_TOL:
-            raise ValueError(f"member {k} of {label} is not unitary: residual {res:.3e}")
+        m = _checked_member(m, k, d, label)
         m.flags.writeable = False
         yield m
         k += 1
         del m
-    if not d <= k <= d * d:
-        raise ValueError(f"{label} has {k} members, outside [{d}, {d * d}]")
+    _check_count(k, d, label)
 
 
 def _family(d: int, label: str, target_lambda0: float | None, members) -> EncodingFamily:

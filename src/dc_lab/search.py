@@ -50,15 +50,16 @@ import numpy as np
 
 from .analysis import (
     VERIFY_TOL,
+    _support,
     _weighted_gram,
     bns_excluded,
     saturates,
     verify_family,
     wcsg_bound,
 )
-from .families import EncodingFamily, shift_diag_family
-from .linalg import UNITARITY_TOL, unitarity_residual
-from .states import SchmidtState, _check_dimension, _check_state, _is_int, _members, entropy_bits, make_state
+from .families import EncodingFamily, _checked_member, shift_diag_family
+from .states import SchmidtState, entropy_bits, make_state
+from .states import _check_count, _check_dimension, _check_state, _is_int, _members
 
 # Levenberg-Marquardt polish: initial damping, its lower limit, the stop on
 # the objective, and the progress stop: the polish ends once this many
@@ -204,7 +205,7 @@ class _Problem:
         # 1e-9 below d/K.
         self.span = None
         if k < d * d and saturates(state, k):
-            cols = np.flatnonzero(self.lam > 0)
+            cols = np.flatnonzero(_support(self.lam))
             self.span = cols, np.sqrt(self.lam[0] * self.lam[cols])
             blocks = self.basis.reshape(d * d, d, d)[:, :, cols]
             self.span_basis = blocks.transpose(1, 0, 2).reshape(d, -1)
@@ -403,12 +404,7 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
 def _prepare_fixed(state: SchmidtState, fixed) -> np.ndarray:
     if fixed is None:
         return np.eye(state.d, dtype=np.complex128)[None]
-    stack = np.asarray(_members(fixed, state.d))
-    for i, m in enumerate(stack):
-        res = unitarity_residual(m)
-        if res > UNITARITY_TOL:
-            raise ValueError(f"fixed member {i} is not unitary: residual {res:.3e}")
-    return stack
+    return np.asarray([_checked_member(m, i, state.d, "fixed") for i, m in enumerate(_members(fixed, state.d))])
 
 
 def _check_k(d: int, k, n_fixed: int) -> None:
@@ -416,8 +412,7 @@ def _check_k(d: int, k, n_fixed: int) -> None:
     the number of fixed members."""
     if not _is_int(k):
         raise ValueError(f"family size k must be an integer, got {k!r}")
-    if not d <= k <= d * d:
-        raise ValueError(f"family size {k} outside [{d}, {d * d}]")
+    _check_count(k, d)
     if n_fixed > k:
         raise ValueError(f"{n_fixed} fixed members exceed family size {k}")
 

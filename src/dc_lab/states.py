@@ -47,6 +47,12 @@ def _check_dimension(d) -> None:
         raise ValueError(f"dimension must be at least 2, got {d}")
 
 
+def _check_count(k: int, d: int, name: str = "family") -> None:
+    """Refuse a member count k outside [d, d^2], naming its family `name`."""
+    if not d <= k <= d * d:
+        raise ValueError(f"{name} has {k} members, outside [{d}, {d * d}]")
+
+
 def make_state(d: int, lambdas) -> SchmidtState:
     """Validate, sort, and normalize a weight vector into a SchmidtState.
 

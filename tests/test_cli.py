@@ -113,8 +113,9 @@ def test_construct_holds_a_block_of_members_not_the_family(tmp_path, capsys, mon
     [
         (lambda members: [members[0], np.eye(4), *members[2:]], "member 1 of five has shape (4, 4), expected (3, 3)"),
         (lambda members: members[:2], "five has 2 members, outside [3, 9]"),
+        (lambda members: members * 2, "five has 10 members, outside [3, 9]"),
     ],
-    ids=["shape", "count"],
+    ids=["shape", "count", "count-above"],
 )
 def test_construct_refuses_a_member_shape_or_count_as_the_constructors_do(tmp_path, capsys, monkeypatch, edit, error):
     from dc_lab import families
@@ -170,6 +171,36 @@ OUTPUT_ARGV = {
     "construct": ["construct", "five", "-d", "3"],
     "sweep": ["sweep", "--resolution", "4", "--restarts", "1", "--seed", "1"],
 }
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_ARGV))
+@pytest.mark.parametrize(
+    "name, error",
+    [
+        ("", "[Errno 2] No such file or directory: ''"),
+        ("x.out/", "[Errno 21] Is a directory: 'x.out/'"),
+        ("missing/..", "[Errno 2] No such file or directory: 'missing/..'"),
+    ],
+    ids=["empty", "trailing-slash", "dot-dot"],
+)
+def test_an_output_no_file_can_have_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, name, error):
+    """os.path.realpath made '' and missing/.. the working directory and
+    dropped a trailing /, so the command did all its work and then failed to
+    replace the directory, or wrote x.out."""
+    from dc_lab import families
+
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    taken = []
+    original = families._five
+    monkeypatch.setattr(families, "_five", lambda d: original(d)[:2] + ((taken.append(m) or m for m in original(d)[2]),))
+    monkeypatch.setattr(cli.search, "region_sweep", lambda *a, **k: taken.append(a))
+    assert run(OUTPUT_ARGV[command] + ["--output", name]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert taken == []
+    assert list(tmp_path.rglob("*")) == [cwd]
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_ARGV))
@@ -466,6 +497,8 @@ def test_write_family_document_rejects_a_header_the_reader_rejects(tmp_path, lab
         (3, (np.eye(4, dtype=complex),) * 4, "member 0 has 16 entries, expected 9"),
         (3, (np.eye(3, dtype=complex),), "family has 1 members, outside [3, 9]"),
         (True, (np.eye(2, dtype=complex),) * 2, "d must be an integer >= 2, got True"),
+        (3, (np.eye(3, dtype=complex),) * 2, "family has 2 members, outside [3, 9]"),
+        (3, (np.eye(3, dtype=complex),) * 10, "family has 10 members, outside [3, 9]"),
     ],
 )
 def test_write_family_document_rejects_a_shape_the_reader_rejects(tmp_path, capsys, d, members, error):

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -101,9 +102,9 @@ def test_find_family_finds_five_at_psi_l():
 
 def test_find_family_range_checks():
     cfg = SearchConfig(restarts=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("family has 2 members, outside [3, 9]")):
         find_family(PSI_L, 2, cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("family has 10 members, outside [3, 9]")):
         find_family(PSI_L, 10, cfg)
 
 
@@ -135,15 +136,17 @@ def test_find_family_all_fixed_members():
 @pytest.mark.parametrize(
     "fixed, error",
     [
-        ([np.eye(4)], "shape"),
-        ([np.eye(3), np.eye(4)], None),
-        ([np.full((3, 3), np.nan)], "finite"),
-        ([2 * np.eye(3)], "not unitary"),
+        ([np.eye(4)], "family members have shape (4, 4), state has d=3"),
+        ([np.eye(3), np.eye(4)], "family members have shape (4, 4), state has d=3"),
+        ([np.full((3, 3), np.nan)], "matrix entries must be finite"),
+        ([2 * np.eye(3)], "member 0 of fixed is not unitary: residual 3.000e+00"),
+        ([np.eye(3), 2 * np.eye(3)], "member 1 of fixed is not unitary: residual 3.000e+00"),
     ],
-    ids=["wrong-d", "mixed-shapes", "nan", "not-unitary"],
+    ids=["wrong-d", "mixed-shapes", "nan", "not-unitary", "second-not-unitary"],
 )
 def test_find_family_rejects_a_bad_fixed_prefix(fixed, error):
-    with pytest.raises(ValueError, match=error):
+    """A non-unitary fixed member is refused in the constructors' words (`families._checked_member`)."""
+    with pytest.raises(ValueError, match=re.escape(error)):
         find_family(PSI_L, 4, SearchConfig(restarts=1), fixed=fixed)
 
 
@@ -307,9 +310,9 @@ def test_gradient_theta_must_be_a_finite_vector_of_the_right_length(theta):
         objective_and_gradient(PSI_L, theta, 5)
 
 
-@pytest.mark.parametrize("k, message", [(2, "outside"), (10, "outside")])
-def test_gradient_family_size_is_checked_as_the_search_checks_it(k, message):
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("k", [2, 10], ids=["2-outside", "10-outside"])
+def test_gradient_family_size_is_checked_as_the_search_checks_it(k):
+    with pytest.raises(ValueError, match=re.escape(f"family has {k} members, outside [3, 9]")):
         objective_and_gradient(UNIFORM3, np.zeros(9), k)
 
 
