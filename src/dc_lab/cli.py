@@ -140,55 +140,51 @@ def write_family_document(family: families.EncodingFamily, path: str) -> None:
     _write_document(family.d, family.label, family.target_lambda0, family.members, path)
 
 
-def _descriptor(path: str):
-    """The descriptor N of this process that path reaches through links, one of them
-    in /proc/<pid>/fd, as /proc/self/fd/N, /dev/fd/N and /dev/stdout do; else None."""
-    for _ in range(40):  # the most links Linux follows in one lookup
-        if not os.path.islink(path):
-            break
-        if os.path.realpath(os.path.dirname(os.path.abspath(path))) == os.path.realpath("/proc/self/fd"):
-            return int(os.path.basename(path))
-        path = os.path.join(os.path.dirname(path), os.readlink(path))
-    return None
-
-
 @contextlib.contextmanager
 def _output(path: str):
     """The file to write, once, for --output path, within a `with` block
     that replaces the file at path only if the block completes.
 
-    A directory, or a name no regular file can have (empty, or ending in /,
-    . or ..), is refused at once by opening it, which raises and creates
-    nothing; os.path.realpath would drop such an ending.  A descriptor of
-    this process (see `_descriptor`) gives a duplicate, which open() writes
-    at its own offset and mode, neither reopened nor truncated.
-    Any other existing path that is not a regular file, such as a pipe, is
-    written directly.  Otherwise a link is resolved, so it stays and its
-    target is replaced, and the file is written beside the destination as
-    <path>.<pid>.tmp, created here so that an unwritable place fails before
-    any work, and moved on when the block completes; an error removes it and
-    leaves an earlier file as it was.
+    One walk follows the links of path's final component, each hop joined,
+    unresolved, to its link's directory, so that the OS judges every
+    directory on the way.  It stops at a hop in /proc/<pid>/fd of this
+    process (as /proc/self/fd/N, /dev/fd/N and /dev/stdout reach one),
+    whose descriptor gives a duplicate, which open() writes at its own
+    offset and mode, neither reopened nor truncated; else after the 40 hops
+    Linux follows.  Where the walk ends, a path no regular file can have (a
+    directory, an empty name or one ending in /, . or .., a directory part
+    that is not a directory, a link still unresolved) is refused at once by
+    opening path, which raises and creates nothing.  Any other existing end
+    that is not a regular file, such as a pipe, is written directly.
+    Otherwise the file is written beside the end, so a link stays and its
+    target is replaced, as <end>.<pid>.tmp, created here so that an
+    unwritable place fails before any work, and moved on when the block
+    completes; an error removes it and leaves an earlier file as it was.
     """
-    if os.path.isdir(path) or os.path.basename(path) in ("", ".", ".."):
+    end = path
+    for _ in range(40):  # the most links Linux follows in one lookup
+        if not os.path.islink(end):
+            break
+        if os.path.realpath(os.path.dirname(os.path.abspath(end))) == os.path.realpath("/proc/self/fd"):
+            fd = os.dup(int(os.path.basename(end)))
+            try:
+                yield fd
+            except BaseException:
+                with contextlib.suppress(OSError):  # unless the writer's open() closed it already
+                    os.close(fd)
+                raise
+            return
+        end = os.path.join(os.path.dirname(end), os.readlink(end))
+    if not end or os.path.islink(end) or os.path.isdir(end) or not os.path.isdir(os.path.dirname(end) or "."):
         open(path, "w").close()  # always raises: no regular file has such a path
-    if (fd := _descriptor(path)) is not None:
-        fd = os.dup(fd)
-        try:
-            yield fd
-        except BaseException:
-            with contextlib.suppress(OSError):  # unless the writer's open() closed it already
-                os.close(fd)
-            raise
-        return
-    if os.path.exists(path) and not os.path.isfile(path):
+    if os.path.exists(end) and not os.path.isfile(end):
         yield path
         return
-    path = os.path.realpath(path)
-    partial = f"{path}.{os.getpid()}.tmp"
+    partial = f"{end}.{os.getpid()}.tmp"
     open(partial, "w").close()
     try:
         yield partial
-        os.replace(partial, path)
+        os.replace(partial, end)
     except BaseException:
         os.remove(partial)
         raise

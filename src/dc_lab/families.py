@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARITY_TOL, as_matrix, complete_to_unitary, unitarity_residual
+from .analysis import VERIFY_TOL
+from .linalg import as_matrix, complete_to_unitary, unitarity_residual
 from .states import _check_count, _check_dimension
 
 
@@ -56,7 +57,7 @@ def _checked_member(m, k: int, d: int, name: str) -> np.ndarray:
     if m.shape != (d, d):
         raise ValueError(f"member {k} of {name} has shape {m.shape}, expected ({d}, {d})")
     res = unitarity_residual(m)
-    if res > UNITARITY_TOL:
+    if res > VERIFY_TOL:
         raise ValueError(f"member {k} of {name} is not unitary: residual {res:.3e}")
     return m
 

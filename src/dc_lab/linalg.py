@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-UNITARITY_TOL = 1e-10
 COMPLETION_RESIDUAL_TOL = 1e-12
 
 # A canonical-basis candidate survives orthonormal completion only if its

@@ -402,9 +402,13 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
 
 
 def _prepare_fixed(state: SchmidtState, fixed) -> np.ndarray:
+    """The fixed prefix as an (n, d, d) stack, each member checked once by `_checked_member`."""
     if fixed is None:
         return np.eye(state.d, dtype=np.complex128)[None]
-    return np.asarray([_checked_member(m, i, state.d, "fixed") for i, m in enumerate(_members(fixed, state.d))])
+    stack = [_checked_member(m, i, state.d, "fixed") for i, m in enumerate(getattr(fixed, "members", fixed))]
+    if not stack:
+        raise ValueError("family has no members")
+    return np.asarray(stack)
 
 
 def _check_k(d: int, k, n_fixed: int) -> None:

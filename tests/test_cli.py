@@ -180,19 +180,32 @@ OUTPUT_ARGV = {
         ("", "[Errno 2] No such file or directory: ''"),
         ("x.out/", "[Errno 21] Is a directory: 'x.out/'"),
         ("missing/..", "[Errno 2] No such file or directory: 'missing/..'"),
+        ("missing/../out.json", "[Errno 2] No such file or directory: 'missing/../out.json'"),
+        ("file/../out.json", "[Errno 20] Not a directory: 'file/../out.json'"),
+        ("a", "[Errno 40] Too many levels of symbolic links: 'a'"),
+        ("dangling", "[Errno 2] No such file or directory: 'dangling'"),
     ],
-    ids=["empty", "trailing-slash", "dot-dot"],
+    ids=["empty", "trailing-slash", "dot-dot", "missing-dir-dot-dot", "file-dot-dot", "link-loop", "dangling-link"],
 )
 def test_an_output_no_file_can_have_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, name, error):
     """os.path.realpath made '' and missing/.. the working directory and
     dropped a trailing /, so the command did all its work and then failed to
-    replace the directory, or wrote x.out."""
+    replace the directory, or wrote x.out.  It also collapsed missing/.. and
+    file/.. lexically, so the command wrote out.json in the working
+    directory; and it gave up on the link loop a -> b -> a at b, which the
+    command replaced with a regular file.  A dangling link into a missing
+    directory, like any output in one, was refused by the error for the
+    temp file beside it; every refusal now names the given path."""
     from dc_lab import families
 
     monkeypatch.setenv("DC_LAB_THREADS", "1")
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)
+    (cwd / "file").write_bytes(b"")
+    (cwd / "a").symlink_to("b")
+    (cwd / "b").symlink_to("a")
+    (cwd / "dangling").symlink_to(os.path.join("missing", "x.out"))
     taken = []
     original = families._five
     monkeypatch.setattr(families, "_five", lambda d: original(d)[:2] + ((taken.append(m) or m for m in original(d)[2]),))
@@ -200,25 +213,40 @@ def test_an_output_no_file_can_have_is_refused_before_any_work(tmp_path, capsys,
     assert run(OUTPUT_ARGV[command] + ["--output", name]) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
     assert taken == []
-    assert list(tmp_path.rglob("*")) == [cwd]
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "cwd",
+        "cwd/a",
+        "cwd/b",
+        "cwd/dangling",
+        "cwd/file",
+    ]
+    assert all((cwd / link).is_symlink() for link in ("a", "b", "dangling"))
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_ARGV))
-def test_a_symlinked_output_keeps_its_link_and_replaces_its_target(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize(
+    "name, points_to",
+    [("link", os.path.join("real", "target")), (os.path.join("sub", "link"), os.path.join("..", "real", "target"))],
+    ids=["beside", "through-dot-dot"],
+)
+def test_a_symlinked_output_keeps_its_link_and_replaces_its_target(tmp_path, capsys, monkeypatch, command, name, points_to):
     """Replacing the path itself turned the link into a regular file and left
-    its target as it was."""
+    its target as it was.  A target through .. is joined, unresolved, to the
+    link's directory, as the OS resolves it."""
     monkeypatch.setenv("DC_LAB_THREADS", "1")
     direct = tmp_path / "direct"
     assert run(OUTPUT_ARGV[command] + ["--output", str(direct)]) == 0
     (tmp_path / "real").mkdir()
     target = tmp_path / "real" / "target"
     target.write_bytes(b"an earlier file\n")
-    link = tmp_path / "link"
-    link.symlink_to(os.path.join("real", "target"))
+    link = tmp_path / name
+    link.parent.mkdir(exist_ok=True)
+    link.symlink_to(points_to)
     assert run(OUTPUT_ARGV[command] + ["--output", str(link)]) == 0
-    assert link.is_symlink() and os.readlink(link) == os.path.join("real", "target")
+    assert link.is_symlink() and os.readlink(link) == points_to
     assert target.read_bytes() == direct.read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["direct", "link", "real"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["direct", "real", name.split(os.sep)[0]])
+    assert link.parent == tmp_path or os.listdir(link.parent) == ["link"]
     assert [p.name for p in target.parent.iterdir()] == ["target"]
 
 
@@ -1200,6 +1228,8 @@ def test_sweep_unwritable_path(monkeypatch, capsys):
     monkeypatch.setenv("DC_LAB_THREADS", "1")
     code = run(["sweep", "-d", "3", "--resolution", "4", "--restarts", "1", "--output", "/nonexistent-dir/x.csv"])
     assert code == 2
+    # the error names the given path, not the temp file beside it
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '/nonexistent-dir/x.csv'\n"
 
 
 def test_sweep_bad_input_keeps_existing_csv(tmp_path, capsys, monkeypatch):
@@ -1223,7 +1253,9 @@ def test_sweep_output_directory_is_bad_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.search, "region_sweep", lambda *a, **k: called.append(1))
     assert run(["sweep", "--resolution", "4", "--output", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
-    assert run(["sweep", "--resolution", "4", "--output", str(tmp_path / "missing" / "x.csv")]) == 2
+    missing = str(tmp_path / "missing" / "x.csv")
+    assert run(["sweep", "--resolution", "4", "--output", missing]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
     assert called == []
     assert list(tmp_path.iterdir()) == []
 

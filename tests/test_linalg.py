@@ -156,8 +156,8 @@ def test_stacked_completion_rejects_bad_stacks():
 
 
 def test_completion_refuses_columns_off_orthonormal_by_more_than_1e_12(rng):
-    # columns within UNITARITY_TOL (1e-10) of orthonormal are refused when
-    # they are not within COMPLETION_RESIDUAL_TOL
+    # columns within the unitarity tolerance VERIFY_TOL (1e-10) of
+    # orthonormal are refused when they are not within COMPLETION_RESIDUAL_TOL
     for d in (4, 5, 7):
         near = haar_unitary(rng, d)[:, :2] + 3e-12 * rng.standard_normal((d, 2))
         assert 1e-12 < linalg._gram_residual(near) <= 1e-10

@@ -136,16 +136,19 @@ def test_find_family_all_fixed_members():
 @pytest.mark.parametrize(
     "fixed, error",
     [
-        ([np.eye(4)], "family members have shape (4, 4), state has d=3"),
-        ([np.eye(3), np.eye(4)], "family members have shape (4, 4), state has d=3"),
+        ([np.eye(4)], "member 0 of fixed has shape (4, 4), expected (3, 3)"),
+        ([np.eye(3), np.eye(4)], "member 1 of fixed has shape (4, 4), expected (3, 3)"),
+        (np.eye(3), "expected a 2-D matrix, got shape (3,)"),
         ([np.full((3, 3), np.nan)], "matrix entries must be finite"),
         ([2 * np.eye(3)], "member 0 of fixed is not unitary: residual 3.000e+00"),
         ([np.eye(3), 2 * np.eye(3)], "member 1 of fixed is not unitary: residual 3.000e+00"),
     ],
-    ids=["wrong-d", "mixed-shapes", "nan", "not-unitary", "second-not-unitary"],
+    ids=["wrong-d", "mixed-shapes", "one-matrix", "nan", "not-unitary", "second-not-unitary"],
 )
 def test_find_family_rejects_a_bad_fixed_prefix(fixed, error):
-    """A non-unitary fixed member is refused in the constructors' words (`families._checked_member`)."""
+    """Each fixed member is checked once, in the constructors' words
+    (`families._checked_member`); a shape check in the words of
+    `states._members` ran first and made theirs unreachable."""
     with pytest.raises(ValueError, match=re.escape(error)):
         find_family(PSI_L, 4, SearchConfig(restarts=1), fixed=fixed)
 
