@@ -98,10 +98,10 @@ def _parts(family, state: SchmidtState):
     return [_reduce(np.asarray(members[i : i + step]), keep) for i in range(0, len(members), step)]
 
 
-def _check_tol(tol) -> None:
-    """Refuse a tolerance that is not a finite nonnegative real number (a bool is not one)."""
+def _check_tol(tol, name: str = "tolerance") -> None:
+    """Refuse a tolerance `name` that is not a finite nonnegative real number (a bool is not one)."""
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
 
 
 def _verification(block: np.ndarray, lam: np.ndarray, max_unit: float, tol: float) -> VerificationReport:

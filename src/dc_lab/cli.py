@@ -51,11 +51,10 @@ def _member_pairs(member):
 
 
 def _check_header(d, label, target) -> None:
-    """Reject a d that is not an integer >= 2 (a bool is not one), a label
-    that is not a string and a target_lambda0 that is neither None nor a
-    finite int or float."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ValueError(f"d must be an integer >= 2, got {d!r}")
+    """Reject a d that is not a dimension (see `states._check_dimension`), a
+    label that is not a string and a target_lambda0 that is neither None nor
+    a finite int or float."""
+    states._check_dimension(d)
     if not isinstance(label, str):
         raise ValueError(f"label must be a string, got {type(label).__name__}")
     if target is None or (isinstance(target, int) and not isinstance(target, bool)):
@@ -454,31 +453,24 @@ def _cmd_verify(args) -> int:
     is read, to its support columns and unitarity residual: the command holds
     the support block, never the family.
 
-    Refusals come in the order of reading the family, then checking it: the
-    document's own errors, the weight count, the weights, then the
-    tolerance.  So a bad weight is held until the document is judged, and a
-    member that cannot be reduced, because the weights are bad or it is not
-    finite pairs as many as the weights squared, is kept as decoded.
+    The arguments are judged before the document is opened: the weights,
+    then the tolerance.  Then come the document's own errors, then its d
+    against the weight count.  A member that is not finite pairs as many as
+    the weights squared is kept as decoded, for the document's check.
     """
-    try:
-        state = _state_from_weights(args.lambdas)
-    except ValueError as exc:
-        state, bad_weights = None, exc
-    n = len(args.lambdas)
-    keep = None if state is None else analysis._support(state.lambdas)
+    state = _state_from_weights(args.lambdas)
+    tol = args.tol if args.tol is not None else analysis.VERIFY_TOL
+    analysis._check_tol(tol)
+    n, keep = state.d, analysis._support(state.lambdas)
 
     def reduce(member):
-        if keep is None or not isinstance(member, np.ndarray) or len(member) != n * n or not np.isfinite(member).all():
+        if not isinstance(member, np.ndarray) or len(member) != n * n or not np.isfinite(member).all():
             return member
         return _Reduced(n * n, analysis._reduce(member.view(np.complex128).reshape(1, n, n), keep))
 
     d, label, _, members = _check_document(_read_document(args.family_path, reduce))
     if n != d:
         raise ValueError(f"family has d={d} but {n} weights were given")
-    if state is None:
-        raise bad_weights
-    tol = args.tol if args.tol is not None else analysis.VERIFY_TOL
-    analysis._check_tol(tol)
     # members json.loads parsed, where the walk stopped, are reduced here
     parts = [m.part if isinstance(m, _Reduced) else analysis._reduce(m[None], keep) for m in members]
     del members
@@ -631,7 +623,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # bad input; json's JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import VERIFY_TOL
 from .linalg import as_matrix, complete_to_unitary, unitarity_residual
-from .states import _check_count, _check_dimension
+from .states import _check_count, _check_dimension, _check_shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +54,7 @@ _BLOCK_ENTRIES = 1 << 17
 def _checked_member(m, k: int, d: int, name: str) -> np.ndarray:
     """Member k of family `name` as a complex matrix, refused unless finite, (d, d) and unitary."""
     m = as_matrix(m)
-    if m.shape != (d, d):
-        raise ValueError(f"member {k} of {name} has shape {m.shape}, expected ({d}, {d})")
+    _check_shape(m.shape, k, d, name)
     res = unitarity_residual(m)
     if res > VERIFY_TOL:
         raise ValueError(f"member {k} of {name} is not unitary: residual {res:.3e}")

@@ -40,8 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
-import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -50,6 +48,7 @@ import numpy as np
 
 from .analysis import (
     VERIFY_TOL,
+    _check_tol,
     _support,
     _weighted_gram,
     bns_excluded,
@@ -59,7 +58,7 @@ from .analysis import (
 )
 from .families import EncodingFamily, _checked_member, shift_diag_family
 from .states import SchmidtState, entropy_bits, make_state
-from .states import _check_count, _check_dimension, _check_state, _is_int, _members
+from .states import _check_count, _check_dimension, _check_int, _check_state, _is_int, _members
 
 # Levenberg-Marquardt polish: initial damping, its lower limit, the stop on
 # the objective, and the progress stop: the polish ends once this many
@@ -95,16 +94,13 @@ class SearchConfig:
     base_seed: int = 42
 
     def __post_init__(self):
-        lows = {"restarts": 1, "base_seed": 0}
-        for name, low in lows.items():
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        _check_int(self.restarts, "restarts", 1)
+        _check_int(self.base_seed, "base_seed", 0)
         if self.max_k is not None and not _is_int(self.max_k):
             raise ValueError(f"max_k must be an integer or None, got {self.max_k!r}")
-        tol = self.accept_tol
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
-            raise ValueError(f"accept_tol must be positive and finite (a real number), got {tol!r}")
+        _check_tol(self.accept_tol, "accept_tol")
+        if self.accept_tol == 0:
+            raise ValueError(f"accept_tol must be positive, got {self.accept_tol!r}")
 
 
 def _check_config(cfg) -> None:
@@ -589,10 +585,7 @@ def triangle_grid(resolution: int) -> list[tuple[float, float, float]]:
     subdivision (all strictly inside the region), then appends the three
     proven target states (uniform, (3/5, 2/5, 0), (3/5, 1/5, 1/5)).
     """
-    if not _is_int(resolution):
-        raise ValueError(f"resolution must be an integer, got {resolution!r}")
-    if resolution < 4:
-        raise ValueError(f"resolution must be at least 4, got {resolution}")
+    _check_int(resolution, "resolution", 4)
     n = resolution
     corners = np.asarray(_TRIANGLE_CORNERS)
     pts: list[tuple[float, float, float]] = []

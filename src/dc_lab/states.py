@@ -39,18 +39,27 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_int(value, name: str, low: int) -> None:
+    """Refuse a `value` that is not an integer (see `_is_int`) of at least low."""
+    if not _is_int(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_dimension(d) -> None:
     """Refuse a dimension d that is not an integer of at least 2."""
-    if not _is_int(d):
-        raise ValueError(f"dimension d must be an integer, got {d!r}")
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_int(d, "dimension d", 2)
 
 
 def _check_count(k: int, d: int, name: str = "family") -> None:
     """Refuse a member count k outside [d, d^2], naming its family `name`."""
     if not d <= k <= d * d:
         raise ValueError(f"{name} has {k} members, outside [{d}, {d * d}]")
+
+
+def _check_shape(shape: tuple, i: int, d: int, name: str) -> None:
+    """Refuse member i of family `name` unless its shape is (d, d)."""
+    if shape != (d, d):
+        raise ValueError(f"member {i} of {name} has shape {shape}, expected ({d}, {d})")
 
 
 def make_state(d: int, lambdas) -> SchmidtState:
@@ -85,7 +94,8 @@ def entropy_bits(state: SchmidtState) -> float:
 
 def _members(family, d: int):
     """The members of an EncodingFamily, a member list or tuple, or an array,
-    checked to be (d, d) and at least one.
+    checked to be at least one and (d, d) by `_check_shape`, as members of
+    "family"; a stack's one member shape is judged as member 0's.
 
     A list or tuple becomes a list, its members converted one at a time, so
     an EncodingFamily's complex members are not copied; anything else
@@ -100,9 +110,8 @@ def _members(family, d: int):
         empty, shapes = members.shape[:1] == (0,), [members.shape[1:]]
     if empty:
         raise ValueError("family has no members")
-    for shape in shapes:
-        if shape != (d, d):
-            raise ValueError(f"family members have shape {shape}, state has d={d}")
+    for i, shape in enumerate(shapes):
+        _check_shape(shape, i, d, "family")
     return members
 
 

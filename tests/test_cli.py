@@ -63,7 +63,7 @@ def test_construct_rejects_wrong_dimension(tmp_path, capsys):
     assert capsys.readouterr().err == "error: the 2d-1 construction needs d >= 4, got 3\n"
     for family in ("weyl", "shift-diag", "d-plus-two"):
         assert run(["construct", family, "-d", "0", "--output", str(out)]) == 2
-        assert capsys.readouterr().err == "error: dimension must be at least 2, got 0\n"
+        assert capsys.readouterr().err == "error: dimension d must be an integer >= 2, got 0\n"
     assert not out.exists()
 
 
@@ -422,23 +422,38 @@ def _identity_pairs(d):
 def test_verify_rejects_invalid_documents_before_printing(tmp_path, capsys, text, error):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    lambdas = ["1"] if '"d": 1' in text or '"d": true' in text else ["1/2", "1/2"]
-    assert run(["verify", str(bad), "--lambdas", *lambdas]) == 2
+    # two valid weights, so that the refusal is the document's own
+    assert run(["verify", str(bad), "--lambdas", "1/2", "1/2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and error in captured.err
 
 
-@pytest.mark.parametrize("weights", [["x", "1/2"], ["1/0", "1"], ["2", "-1"], ["1/2", "1/2", "0"]])
-def test_a_document_is_judged_before_its_weights(tmp_path, capsys, weights):
-    """`verify` reads its weights before the document, to reduce the members
-    as they are read, but refuses them only once the document is judged."""
-    path = tmp_path / "bad.json"
-    path.write_text(_document(2, [_identity_pairs(2), "member", _identity_pairs(2)]))
-    assert run(["verify", str(path), "--lambdas", *weights]) == 2
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["--lambdas", "x", "1/2"], "could not convert string to float: 'x'"),
+        (["--lambdas", "1/0", "1"], "weight '1/0' divides by zero"),
+        (["--lambdas", "2", "-1"], "weights must lie in [0, 1], got [2.0, -1.0]"),
+        (["--lambdas", "1"], "dimension d must be an integer >= 2, got 1"),
+        (["--lambdas", "1/2", "1/2", "--tol", "-1"], "tolerance must be finite and nonnegative, got -1.0"),
+        (["--lambdas", "1/2", "1/2", "--tol", "nan"], "tolerance must be finite and nonnegative, got nan"),
+        (["--lambdas", "x", "--tol", "-1"], "could not convert string to float: 'x'"),
+    ],
+    ids=["not-a-number", "divides-by-zero", "out-of-range", "one-weight", "negative-tol", "nan-tol", "weights-first"],
+)
+def test_verify_judges_its_arguments_before_opening_the_document(tmp_path, capsys, monkeypatch, args, error):
+    """A bad weight, then a bad --tol, is refused before the document is
+    opened, so neither waits for a large document to be read."""
+
+    def read(*_):
+        raise AssertionError("the document was opened")
+
+    monkeypatch.setattr(cli, "_read_document", read)
+    assert run(["verify", str(tmp_path / "missing.json"), *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: member 1 must be a list of [re, im] pairs\n"
+    assert captured.err == f"error: {error}\n"
 
 
 def test_verify_nan_document_exits_cleanly(tmp_path, capsys):
@@ -569,13 +584,18 @@ def test_verify_dimension_mismatch(tmp_path, capsys):
     out = tmp_path / "weyl3.json"
     run(["construct", "weyl", "-d", "3", "--output", str(out)])
     capsys.readouterr()
-    # the count is checked before the weights are read, so one weight is
-    # not refused as a dimension of 1, nor a bad weight before its count
-    for weights in (["0.5", "0.5"], ["1"], ["1/4"] * 4, ["x", "1/0"]):
+    # valid weights too few or too many for the document's d, which is known
+    # once it is read
+    for weights in (["0.5", "0.5"], ["1/4"] * 4):
         assert run(["verify", str(out), "--lambdas", *weights]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: family has d=3 but {len(weights)} weights were given\n"
+    # the document's own errors come before its count
+    bad = tmp_path / "bad.json"
+    bad.write_text(_document(2, [_identity_pairs(2), "member", _identity_pairs(2)]))
+    assert run(["verify", str(bad), "--lambdas", "1/2", "1/2", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: member 1 must be a list of [re, im] pairs\n")
 
 
 def test_family_documents_round_trip_exactly(tmp_path):
@@ -1145,7 +1165,8 @@ def test_search_and_sweep_reject_a_bad_tolerance(tmp_path, capsys, monkeypatch, 
     assert run(["sweep", "--resolution", "4", "--tol", tol, "--output", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("error: accept_tol must be positive and finite") == 2
+    error = "accept_tol must be positive, got 0.0" if tol == "0" else f"accept_tol must be finite and nonnegative, got {tol}"
+    assert captured.err == f"error: {error}\n" * 2
     assert not out.exists()
 
 
@@ -1170,6 +1191,20 @@ def test_search_rejects_bad_integer_knobs(capsys, option, value, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}, got {value}\n"
+
+
+@pytest.mark.parametrize("fault", [TypeError, KeyError])
+def test_a_program_fault_is_not_reported_as_bad_input(capsys, monkeypatch, fault):
+    """Exit code 2 means bad input: an error of another kind raised inside a
+    command is a fault of the program, and leaves main as it is."""
+
+    def estimate_nmax(*_):
+        raise fault("a fault of the program")
+
+    monkeypatch.setattr(cli.search, "estimate_nmax", estimate_nmax)
+    with pytest.raises(fault, match="a fault of the program"):
+        run(["search", "--lambdas", "1/2", "1/2"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_search_command_smoke(capsys):
@@ -1244,7 +1279,7 @@ def test_sweep_bad_input_keeps_existing_csv(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     # the arguments are judged before the destination is opened
     assert run(["sweep", "--resolution", "3", "--output", str(tmp_path / "missing" / "x.csv")]) == 2
-    assert "resolution must be at least 4" in capsys.readouterr().err
+    assert "resolution must be an integer >= 4, got 3" in capsys.readouterr().err
 
 
 def test_sweep_output_directory_is_bad_input(tmp_path, capsys, monkeypatch):

@@ -330,7 +330,7 @@ def test_shift_diag_rejects_bad_input():
 @pytest.mark.parametrize("d", [-1, 0, 1])
 def test_constructors_reject_dimensions_below_two(d):
     for build in (weyl_family, family_dp2, lambda d: shift_diag_family(d, [np.ones(max(d, 0))] * max(d, 0))):
-        with pytest.raises(ValueError, match=f"dimension must be at least 2, got {d}"):
+        with pytest.raises(ValueError, match=f"dimension d must be an integer >= 2, got {d}"):
             build(d)
 
 
@@ -348,7 +348,7 @@ CONSTRUCTORS = {
 @pytest.mark.parametrize("d", [2.5, 3.0])
 def test_constructors_refuse_a_dimension_that_is_not_an_integer(build, d):
     # family_dp2(2.5) recursed until RecursionError, and the others died in numpy
-    with pytest.raises(ValueError, match=f"dimension d must be an integer, got {d}"):
+    with pytest.raises(ValueError, match=f"dimension d must be an integer >= 2, got {d}"):
         build(d)
 
 
