@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -84,7 +85,8 @@ def _field(doc: dict, key: str):
 class _Reduced:
     """A member that `verify` reduced as it read it, from an (n, 2) array of
     finite [re, im] pairs: n, and its support columns and unitarity residual
-    as `analysis._reduce` gives them."""
+    as `analysis._reduce` gives them, or None when n is not the weights
+    squared."""
 
     __slots__ = ("entries", "part")
 
@@ -455,8 +457,9 @@ def _cmd_verify(args) -> int:
 
     The arguments are judged before the document is opened: the weights,
     then the tolerance.  Then come the document's own errors, then its d
-    against the weight count.  A member that is not finite pairs as many as
-    the weights squared is kept as decoded, for the document's check.
+    against the weight count.  A member of finite pairs whose count is not
+    the weights squared keeps only its count, which the document's check
+    judges against d; one that is not finite pairs is kept as decoded.
     """
     state = _state_from_weights(args.lambdas)
     tol = args.tol if args.tol is not None else analysis.VERIFY_TOL
@@ -464,8 +467,10 @@ def _cmd_verify(args) -> int:
     n, keep = state.d, analysis._support(state.lambdas)
 
     def reduce(member):
-        if not isinstance(member, np.ndarray) or len(member) != n * n or not np.isfinite(member).all():
+        if not isinstance(member, np.ndarray) or not np.isfinite(member).all():
             return member
+        if len(member) != n * n:  # refused by the entry count or the weight count
+            return _Reduced(len(member), None)
         return _Reduced(n * n, analysis._reduce(member.view(np.complex128).reshape(1, n, n), keep))
 
     d, label, _, members = _check_document(_read_document(args.family_path, reduce))
@@ -527,43 +532,23 @@ def _cmd_search(args) -> int:
     return 0
 
 
-SWEEP_COLUMNS = (
-    "lambda0",
-    "lambda1",
-    "lambda2",
-    "entropy_bits",
-    "wcsg_bound",
-    "n_max_estimate",
-    "best_objective_at_refusal",
-    "seed",
-)
+# a cell's fields after its index, in order; csv spells a float by its repr
+# and None as an empty field
+SWEEP_COLUMNS = tuple(field.name for field in dataclasses.fields(search.RegionCell))[1:]
 
 
 def write_sweep_csv(region: search.RegionMap, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
-        for cell in region.cells:
-            refusal = "" if cell.best_objective_at_refusal is None else repr(cell.best_objective_at_refusal)
-            writer.writerow(
-                [
-                    repr(cell.lambda0),
-                    repr(cell.lambda1),
-                    repr(cell.lambda2),
-                    repr(cell.entropy_bits),
-                    cell.wcsg_bound,
-                    cell.n_max_estimate,
-                    refusal,
-                    cell.seed,
-                ]
-            )
+        writer.writerows(dataclasses.astuple(cell)[1:] for cell in region.cells)
 
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    search.sweep_grid(args.resolution, cfg, d=args.dimension)
+    search.sweep_grid(args.resolution, cfg)
     with _output(args.output) as out:
-        region = search.region_sweep(args.resolution, cfg, d=args.dimension)
+        region = search.region_sweep(args.resolution, cfg)
         write_sweep_csv(region, out)
     print(f"wrote {len(region.cells)} cells to {args.output}")
     return 0
@@ -602,7 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument("--tol", type=float, default=None, help=_SEARCH_TOL_HELP)
 
     p = sub.add_parser("sweep", parents=[budget], help="map N_max over the weight triangle to CSV")
-    p.add_argument("-d", "--dimension", type=int, default=3)
+    # the triangle is the qutrit's; -d stays so that `-d 3` keeps working
+    p.add_argument("-d", "--dimension", type=int, choices=(3,), default=3)
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_sweep)

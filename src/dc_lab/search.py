@@ -41,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +57,7 @@ from .analysis import (
 )
 from .families import EncodingFamily, _checked_member, shift_diag_family
 from .states import SchmidtState, entropy_bits, make_state
-from .states import _check_count, _check_dimension, _check_int, _check_state, _is_int, _members
+from .states import _check_count, _check_int, _check_state, _is_int, _members
 
 # Levenberg-Marquardt polish: initial damping, its lower limit, the stop on
 # the objective, and the progress stop: the polish ends once this many
@@ -75,9 +74,6 @@ LM_MU_START = 1e-3
 LM_MU_MIN = 1e-14
 LM_F_STOP = 1e-28
 LM_HALVING_ITERS = 20
-
-# A grid point within this of a mandatory sweep state stands for it.
-GRID_MATCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -583,7 +579,9 @@ def triangle_grid(resolution: int) -> list[tuple[float, float, float]]:
 
     Takes the centroids of the upward sub-triangles of a barycentric
     subdivision (all strictly inside the region), then appends the three
-    proven target states (uniform, (3/5, 2/5, 0), (3/5, 1/5, 1/5)).
+    proven target states (uniform, (3/5, 2/5, 0), (3/5, 1/5, 1/5)).  No
+    centroid is a target: each centroid's barycentric coordinates are at
+    least 1/(3n), and each target has one equal to 0.
     """
     _check_int(resolution, "resolution", 4)
     n = resolution
@@ -595,15 +593,7 @@ def triangle_grid(resolution: int) -> list[tuple[float, float, float]]:
             bary = np.array([a + 1 / 3, b + 1 / 3, c + 1 / 3]) / n
             lam = bary @ corners
             pts.append((float(lam[0]), float(lam[1]), float(lam[2])))
-    for target in MANDATORY_SWEEP_STATES:
-        if not any(max(abs(p[i] - target[i]) for i in range(3)) <= GRID_MATCH_TOL for p in pts):
-            pts.append(target)
-    return pts
-
-
-def _cell_state(d: int, lam3: tuple[float, float, float]) -> SchmidtState:
-    padded = list(lam3) + [0.0] * (d - 3)
-    return make_state(d, padded)
+    return pts + list(MANDATORY_SWEEP_STATES)
 
 
 def _refusal_objective(result: SearchResult) -> float | None:
@@ -615,8 +605,8 @@ def _refusal_objective(result: SearchResult) -> float | None:
 
 def _sweep_cell(task) -> RegionCell:
     """One sweep cell: the estimate_nmax of its state under its seed."""
-    index, lam3, d, cfg = task
-    state = _cell_state(d, lam3)
+    index, lam3, cfg = task
+    state = make_state(3, lam3)
     result = estimate_nmax(state, cfg)
     return RegionCell(
         index=index,
@@ -644,24 +634,21 @@ def _worker_count(tasks: int) -> int:
     return max(1, min(workers, tasks, cpus))
 
 
-def sweep_grid(resolution: int, cfg: SearchConfig, d: int = 3) -> list[tuple[float, float, float]]:
+def sweep_grid(resolution: int, cfg: SearchConfig) -> list[tuple[float, float, float]]:
     """The weight triples a sweep visits, once its inputs are checked.
 
-    Raises ValueError for a cfg that is not a SearchConfig, a d or
-    resolution that is not an integer, d < 3, a max_k below d or a
-    resolution below 4, so a caller can refuse a sweep before it starts
-    anything.
+    Raises ValueError for a cfg that is not a SearchConfig, a max_k below 3
+    or a resolution that is not an integer >= 4, so a caller can refuse a
+    sweep before it starts anything.
     """
     _check_config(cfg)
-    _check_dimension(d)
-    if d < 3:
-        raise ValueError("the sweep needs at least three weights; use d >= 3")
-    _check_max_k(cfg, d)
+    _check_max_k(cfg, 3)
     return triangle_grid(resolution)
 
 
-def region_sweep(resolution: int, cfg: SearchConfig, d: int = 3) -> RegionMap:
-    """Estimate N_max over the weight triangle, one estimate_nmax per cell.
+def region_sweep(resolution: int, cfg: SearchConfig) -> RegionMap:
+    """Estimate N_max over the qutrit weight triangle (d = 3), one
+    estimate_nmax per cell.
 
     Cell i carries seed base_seed XOR i.  The cells run on n workers, where
     n is DC_LAB_THREADS (or the CPU count) clamped to the cell and CPU counts;
@@ -670,13 +657,10 @@ def region_sweep(resolution: int, cfg: SearchConfig, d: int = 3) -> RegionMap:
     draws slow cells leaves the rest to the others.  A cell's result is the
     one estimate_nmax gives for it whatever the worker count, and cells are
     returned in index order, so the map is reproducible for a fixed seed.
-    For d > 3 the triangle states are padded with zero weights.
     """
-    pts = sweep_grid(resolution, cfg, d)
-    if d != 3:
-        warnings.warn(f"sweep triangle is defined for d=3; padding zeros up to d={d}")
+    pts = sweep_grid(resolution, cfg)
     tasks = [
-        (idx, lam3, d, dataclasses.replace(cfg, base_seed=cfg.base_seed ^ idx))
+        (idx, lam3, dataclasses.replace(cfg, base_seed=cfg.base_seed ^ idx))
         for idx, lam3 in enumerate(pts)
     ]
     nworkers = _worker_count(len(tasks))
@@ -689,4 +673,4 @@ def region_sweep(resolution: int, cfg: SearchConfig, d: int = 3) -> RegionMap:
             cells = tuple(pool.map(_sweep_cell, tasks))
     else:
         cells = tuple(map(_sweep_cell, tasks))
-    return RegionMap(d=d, resolution=resolution, base_seed=cfg.base_seed, cells=cells)
+    return RegionMap(d=3, resolution=resolution, base_seed=cfg.base_seed, cells=cells)

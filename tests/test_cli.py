@@ -598,6 +598,23 @@ def test_verify_dimension_mismatch(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: member 1 must be a list of [re, im] pairs\n")
 
 
+def test_verify_keeps_only_the_count_of_members_the_weights_do_not_fit(tmp_path, capsys, monkeypatch):
+    # a member of d*d entries checked against 2 weights is kept as its
+    # count alone, not as its decoded array
+    out = tmp_path / "f46.json"
+    assert run(["construct", "f46", "-d", "4", "--output", str(out)]) == 0
+    capsys.readouterr()
+    given = []
+    check = cli._check_document
+    monkeypatch.setattr(cli, "_check_document", lambda doc: given.append(doc) or check(doc))
+    assert run(["verify", str(out), "--lambdas", "1/2", "1/2"]) == 2
+    assert capsys.readouterr() == ("", "error: family has d=4 but 2 weights were given\n")
+    (doc,) = given
+    assert len(doc["members"]) == 6
+    assert not any(isinstance(m, np.ndarray) for m in doc["members"])
+    assert all(m.entries == 16 and m.part is None for m in doc["members"])
+
+
 def test_family_documents_round_trip_exactly(tmp_path):
     built = [
         weyl_family(3),
@@ -1280,6 +1297,33 @@ def test_sweep_bad_input_keeps_existing_csv(tmp_path, capsys, monkeypatch):
     # the arguments are judged before the destination is opened
     assert run(["sweep", "--resolution", "3", "--output", str(tmp_path / "missing" / "x.csv")]) == 2
     assert "resolution must be an integer >= 4, got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dimension", ["4", "2"])
+def test_sweep_takes_only_the_qutrit_dimension(tmp_path, capsys, monkeypatch, dimension):
+    # the triangle is the qutrit's: any other -d is argparse's refusal,
+    # before the destination is touched
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    out = tmp_path / "x.csv"
+    assert run(["sweep", "--resolution", "4", "--restarts", "1", "--seed", "1", "--output", str(out)]) == 0
+    good = out.read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "-d", dimension, "--resolution", "4", "--restarts", "1", "--output", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument -d/--dimension: invalid choice: {dimension} (choose from 3)" in captured.err
+    assert out.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+def test_sweep_with_and_without_d_3_writes_the_same_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
+    args = ["sweep", "--resolution", "4", "--restarts", "1", "--seed", "3", "--output"]
+    assert run(args + [str(tmp_path / "a.csv")]) == 0
+    assert run(["sweep", "-d", "3"] + args[1:] + [str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_sweep_output_directory_is_bad_input(tmp_path, capsys, monkeypatch):

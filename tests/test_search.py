@@ -18,7 +18,6 @@ from dc_lab.linalg import unitarity_residual
 from dc_lab.search import (
     KAttempt,
     SearchConfig,
-    _cell_state,
     _lm_polish,
     _prepare_fixed,
     _Problem,
@@ -200,16 +199,20 @@ def test_restart_monotonicity_on_refused_search():
     assert best_large <= best_small + 1e-18
 
 
-def test_triangle_grid_counts_and_membership():
-    pts = triangle_grid(4)
-    assert len(pts) == 4 * 5 // 2 + 3
+@pytest.mark.parametrize("n", [4, 5, 12, 40])
+def test_triangle_grid_counts_and_membership(n):
+    # the centroids' barycentric coordinates are at least 1/(3n) and each
+    # target has one equal to 0, so no centroid comes within 1/(12n) of a
+    # target: the targets are always appended
+    pts = triangle_grid(n)
+    assert len(pts) == n * (n + 1) // 2 + 3
+    assert tuple(pts[-3:]) == search.MANDATORY_SWEEP_STATES
     for lam0, lam1, lam2 in pts:
         assert lam0 >= lam1 >= lam2 >= -1e-15
         assert abs(lam0 + lam1 + lam2 - 1) <= 1e-12
-    pts12 = triangle_grid(12)
-    assert len(pts12) == 78 + 3
-    for target in ((1 / 3, 1 / 3, 1 / 3), (0.6, 0.4, 0.0), (0.6, 0.2, 0.2)):
-        assert any(max(abs(p[i] - target[i]) for i in range(3)) <= 1e-12 for p in pts12)
+    for p in pts[:-3]:
+        for target in search.MANDATORY_SWEEP_STATES:
+            assert max(abs(p[i] - target[i]) for i in range(3)) >= 1 / (12 * n)
 
 
 def test_triangle_grid_rejects_low_resolution():
@@ -237,7 +240,7 @@ def test_a_sweep_cell_is_its_own_estimate_nmax(monkeypatch):
     assert len(cells) == 13
     refusals = 0
     for cell in cells:
-        state = _cell_state(3, (cell.lambda0, cell.lambda1, cell.lambda2))
+        state = make_state(3, [cell.lambda0, cell.lambda1, cell.lambda2])
         alone = estimate_nmax(state, dataclasses.replace(cfg, base_seed=17 ^ cell.index))
         refusal = next((a.best_objective for a in alone.attempts if a.status != "found"), None)
         assert cell.n_max_estimate == alone.n_max_estimate
@@ -268,8 +271,6 @@ def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
         (lambda cfg: make_state(True, [1.0]), "dimension d"),
         (lambda cfg: region_sweep(4.5, cfg), "resolution"),
         (lambda cfg: region_sweep(True, cfg), "resolution"),
-        (lambda cfg: region_sweep(4, cfg, d=3.0), "dimension d"),
-        (lambda cfg: region_sweep(4, cfg, d=True), "dimension d"),
         (lambda cfg: find_family(PSI_L, 5.0, cfg), "family size k"),
         (lambda cfg: find_family(PSI_L, True, cfg), "family size k"),
         (lambda cfg: objective_and_gradient(PSI_L, np.zeros(36), 5.0), "family size k"),
@@ -280,8 +281,6 @@ def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
         "state-d-bool",
         "resolution-float",
         "resolution-bool",
-        "sweep-d-float",
-        "sweep-d-bool",
         "k-float",
         "k-bool",
         "gradient-k-float",
@@ -319,19 +318,14 @@ def test_gradient_family_size_is_checked_as_the_search_checks_it(k):
         objective_and_gradient(UNIFORM3, np.zeros(9), k)
 
 
-def test_region_sweep_dimension_validation():
+def test_region_sweep_is_the_qutrit_triangle(monkeypatch):
+    monkeypatch.setenv("DC_LAB_THREADS", "1")
     cfg = SearchConfig(restarts=1)
     with pytest.raises(ValueError):
-        region_sweep(4, cfg, d=2)
-    with pytest.raises(ValueError):
         region_sweep(3, cfg)
-
-
-def test_region_sweep_warns_when_it_pads_a_larger_dimension(monkeypatch):
-    monkeypatch.setenv("DC_LAB_THREADS", "1")
-    with pytest.warns(UserWarning, match="padding zeros up to d=4"):
-        region = region_sweep(4, SearchConfig(restarts=1, max_k=5), d=4)
-    assert region.d == 4 and len(region.cells) == 13
+    with pytest.raises(TypeError, match="'d'"):
+        region_sweep(4, cfg, d=3)
+    assert region_sweep(4, SearchConfig(restarts=1, max_k=4)).d == 3
 
 
 def test_search_config_validation():
