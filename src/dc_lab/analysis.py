@@ -138,15 +138,11 @@ def wcsg_bound(state: SchmidtState) -> int:
 
     The equality is tested as `saturates` tests it, to STRICT_BOUND_TOL in
     lambda0, so every K at which the state saturates is within the bound.
-    The bound is capped at d^2; a zero largest weight is treated as the
-    maximally-entangled cap.
+    The bound is capped at d^2.
     """
     _check_state(state)
     d = state.d
-    lam0 = state.lambda0
-    if lam0 <= STRICT_BOUND_TOL:
-        return d * d
-    return int(min(math.floor(d / (lam0 - STRICT_BOUND_TOL)), d * d))
+    return int(min(math.floor(d / (state.lambda0 - STRICT_BOUND_TOL)), d * d))
 
 
 def bns_excluded(state: SchmidtState, k: int) -> bool:

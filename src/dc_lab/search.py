@@ -183,10 +183,15 @@ class _Problem:
         self.nf = fixed_stack.shape[0]
         self.n_free = k - self.nf
         self.nparam = self.n_free * d * d
-        self.pair_flat = _pairs(k)[2]
+        iu, ju, self.pair_flat = _pairs(k)
         self.basis, self.dual = _hermitian_basis(d)
         self.eye = np.eye(d)
-        self.jac_rows = _pair_jacobian_rows(k, self.nf)
+        # (pair row, free member, other member) of the pairs (i, j) whose
+        # first member is free, then of those whose second is: a pair row
+        # touches only members i and j
+        pair, first, second = np.arange(iu.size), iu >= self.nf, ju >= self.nf
+        self.first_free = pair[first], iu[first] - self.nf, ju[first]
+        self.second_free = pair[second], ju[second] - self.nf, iu[second]
         # At lambda_0 = d/K no family is a regular root of the pair equations
         # alone, so LM converges only linearly there; the span blocks, which
         # every family there satisfies, make the root regular.  At K = d^2
@@ -252,7 +257,8 @@ def objective_and_gradient(state: SchmidtState, theta, k: int):
         raise ValueError(f"theta must be a finite 1-D vector of {prob.nparam} reals, got shape {theta.shape}")
     a = np.eye(state.d) - 0.5j * prob.hermitian(theta)
     chart = np.linalg.inv(a)
-    t, jac = _residuals_and_jacobian(prob, chart @ a.conj().swapaxes(-1, -2))
+    stack, t = _residuals(prob, chart @ a.conj().swapaxes(-1, -2))
+    jac = _jacobian(prob, stack)
     pairs = prob.pair_flat.size  # the span-block rows, if any, follow the pairs
     t, jac = t[:pairs], jac[:pairs]
     g = 2.0 * (jac.real.T @ t.real + jac.imag.T @ t.imag)
@@ -265,25 +271,6 @@ def objective_and_gradient(state: SchmidtState, theta, k: int):
 
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt polish
-
-
-@functools.lru_cache(maxsize=64)
-def _pair_jacobian_rows(k: int, nf: int):
-    """Gather table of the pair Jacobian; cached and read-only.
-
-    Entry [p, m] is the row of concat(s, conj(s), 0), with s flattened over
-    (free member, member), that holds d t_p / d theta_m for pair p = (i, j)
-    and free member m: s[i, j] when m is i, conj(s[j, i]) when m is j, and
-    the trailing zero row otherwise.
-    """
-    iu, ju, _ = _pairs(k)
-    n_free = k - nf
-    table = np.full((iu.size, n_free), 2 * n_free * k)
-    pair = np.arange(iu.size)
-    left, right = iu >= nf, ju >= nf
-    table[pair[left], iu[left] - nf] = (iu[left] - nf) * k + ju[left]
-    table[pair[right], ju[right] - nf] = (n_free + ju[right] - nf) * k + iu[right]
-    return _read_only(table)[0]
 
 
 def _residuals(prob: _Problem, ufree: np.ndarray):
@@ -311,20 +298,24 @@ def _residuals(prob: _Problem, ufree: np.ndarray):
     return stack, np.concatenate([t, blocks.ravel()])
 
 
-def _residuals_and_jacobian(prob: _Problem, ufree: np.ndarray, known=None):
-    """The complex residuals of one row of free members (1, n_free, d, d),
-    as `_residuals` gives them, and their complex Jacobian in its body-frame
-    coordinates.  `known`, what `_residuals` returned at ufree, spares
-    recomputing it."""
+def _jacobian(prob: _Problem, stack: np.ndarray) -> np.ndarray:
+    """The complex Jacobian of `_residuals`' residuals at the member stack
+    (k, d, d) it gave, in the body-frame coordinates of the free members:
+    rows as the residuals, columns n_free blocks of d^2.  Pair row (i, j) is
+    zero outside the blocks of members i and j."""
     nf, d, dd = prob.nf, prob.d, prob.d * prob.d
-    stack, t = _residuals(prob, ufree) if known is None else known
     # s[m, q] = -i tr(B_a U_m^dag U_q Lambda) is d tr(Lambda U_m^dag U_q) /
     # d theta_m for free member m on the dagger side; on the other side the
     # derivative is its conjugate.
-    s = -1j * prob.trace_layout(stack[nf:, None].conj().swapaxes(-1, -2) @ (stack * prob.lam)[None]).reshape(-1, dd)
-    jac = np.concatenate([s, s.conj(), np.zeros((1, dd))])[prob.jac_rows].reshape(-1, prob.nparam)
+    s = -1j * prob.trace_layout(stack[nf:, None].conj().swapaxes(-1, -2) @ (stack * prob.lam)[None])
+    jac = np.zeros((prob.pair_flat.size, prob.n_free, dd), dtype=np.complex128)
+    p, m, q = prob.first_free
+    jac[p, m] = s[m, q]
+    p, m, q = prob.second_free
+    jac[p, m] = s[m, q].conj()
+    jac = jac.reshape(-1, prob.nparam)
     if prob.span is None:
-        return t, jac
+        return jac
     cols, w = prob.span
     u = stack[nf:]
     # d R_j[p, q] / d theta_{m,a} = i w_j (U_m [B_a, |0><j|] U_m^dag)[p, q]
@@ -334,7 +325,7 @@ def _residuals_and_jacobian(prob: _Problem, ufree: np.ndarray, known=None):
     iw = 1j * w
     first = x[:, :, :, 0].transpose(1, 0, 2)[:, None, None] * (u.conj()[:, :, cols] * iw).transpose(1, 2, 0)[..., None]
     second = u[:, :, 0].T[:, None, None, :, None] * (x.conj() * iw).transpose(1, 3, 0, 2)
-    return t, np.concatenate([jac, (first - second).reshape(-1, prob.nparam)])
+    return np.concatenate([jac, (first - second).reshape(-1, prob.nparam)])
 
 
 def _normal_equations(t: np.ndarray, jac: np.ndarray):
@@ -348,45 +339,40 @@ def _normal_equations(t: np.ndarray, jac: np.ndarray):
 def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
     """Polish one row of free members until every pair residual is within
     tol, f reaches LM_F_STOP, or LM_HALVING_ITERS iterations pass without
-    halving f; returns the members and the sum of squared residuals, span
-    blocks included.
+    halving f; returns the member stack (k, d, d) that `_residuals` built at
+    the last accepted point, or at the start, and its sum of squared
+    residuals, span blocks included.
     Each step solves (J^T J + mu I) delta = -J^T r: in the body frame, mu
     bounds the step alike in every direction, flat ones included.  The
     progress stop bounds the iteration count."""
-    t, jac = _residuals_and_jacobian(prob, ufree)
-    f = float(np.vdot(t, t).real)
-    a, g = _normal_equations(t, jac)
-    mu = LM_MU_START
     n, diagonal = prob.pair_flat.size, slice(None, None, prob.nparam + 1)
+    stack, t = _residuals(prob, ufree)
+    f = float(np.vdot(t, t).real)
+    a, g = _normal_equations(t, _jacobian(prob, stack))
+    mu = LM_MU_START
     halved, since = f, 0  # the value at the last halving, and iterations since
-    rhs = None  # -g, and the stop test, formed again only when a step is accepted
-    while since < LM_HALVING_ITERS:
-        if rhs is None:
-            if f <= LM_F_STOP or np.max(np.abs(t[:n])) <= tol:
-                break
-            rhs = -g
+    done = f <= LM_F_STOP or np.max(np.abs(t[:n])) <= tol
+    while not done and since < LM_HALVING_ITERS:
         since += 1
         damped = a.copy()
         damped.flat[diagonal] += mu
         try:
-            delta = np.linalg.solve(damped, rhs)
+            delta = np.linalg.solve(damped, -g)
         except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(damped, rhs, rcond=None)[0]
+            delta = np.linalg.lstsq(damped, -g, rcond=None)[0]
         trial = ufree @ prob.cayley(delta)
-        known = _residuals(prob, trial)
-        ft = float(np.vdot(known[1], known[1]).real)
+        trial_stack, trial_t = _residuals(prob, trial)
+        ft = float(np.vdot(trial_t, trial_t).real)
         if ft < f:
-            ufree = trial
-            f = ft
+            ufree, stack, t, f = trial, trial_stack, trial_t, ft
             mu = max(mu / 3.0, LM_MU_MIN)
             if f <= halved / 2:
                 halved, since = f, 0
-            t, jac = _residuals_and_jacobian(prob, trial, known)
-            a, g = _normal_equations(t, jac)
-            rhs = None
+            done = f <= LM_F_STOP or np.max(np.abs(t[:n])) <= tol
+            a, g = _normal_equations(t, _jacobian(prob, stack))
         else:
             mu *= 4.0
-    return ufree, f
+    return stack, f
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +430,7 @@ def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
     closest = None
     for _ in range(cfg.restarts):
         start = prob.cayley(rng.standard_normal((1, prob.nparam)))
-        stack = prob.members(_lm_polish(prob, start, cfg.accept_tol)[0])[0]
+        stack = _lm_polish(prob, start, cfg.accept_tol)[0]
         attempt, witness = _judge(state, k, stack, cfg.accept_tol)
         if witness is not None:
             return attempt, witness, stack
@@ -624,8 +610,9 @@ def _sweep_cell(task) -> RegionCell:
 def _worker_count(tasks: int) -> int:
     """Worker processes for `tasks` cells: DC_LAB_THREADS, or the CPU count
     when it is unset or empty, clamped to at least one and at most the task
-    and CPU counts."""
-    cpus = os.cpu_count() or 1
+    and CPU counts.  The CPU count is that of the CPUs this process may run
+    on, its affinity set, or os.cpu_count() where the OS has no such call."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     env = os.environ.get("DC_LAB_THREADS")
     try:
         workers = int(env) if env else cpus

@@ -18,10 +18,35 @@ NORMALIZATION_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class SchmidtState:
-    """Weights of a bipartite pure state, sorted nonincreasing, summing to 1."""
+    """Weights of a bipartite pure state, sorted nonincreasing, summing to 1.
+
+    However it is built, directly or by `make_state`, the weights pass the
+    same checks and are stored sorted, normalized and read-only.  The
+    dimension must be an integer of at least 2, and there must be d weights,
+    each finite and in [0, 1].  A total within 1e-9 of one is renormalized
+    exactly; anything further off is rejected.  The range is checked before
+    summing, so huge weights cannot overflow.
+    """
 
     d: int
     lambdas: np.ndarray
+
+    def __post_init__(self):
+        d = self.d
+        _check_dimension(d)
+        lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
+        if lam.shape != (d,):
+            raise ValueError(f"expected {d} weights, got {lam.shape[0]}")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("weights must be finite")
+        if np.any(lam < 0) or np.any(lam > 1 + NORMALIZATION_TOL):
+            raise ValueError(f"weights must lie in [0, 1], got {lam.tolist()}")
+        total = float(lam.sum())
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(f"weights sum to {total!r}, more than {NORMALIZATION_TOL} from 1")
+        lam = np.sort(lam)[::-1] / total
+        lam.flags.writeable = False
+        object.__setattr__(self, "lambdas", lam)
 
     @property
     def lambda0(self) -> float:
@@ -63,26 +88,9 @@ def _check_shape(shape: tuple, i: int, d: int, name: str) -> None:
 
 
 def make_state(d: int, lambdas) -> SchmidtState:
-    """Validate, sort, and normalize a weight vector into a SchmidtState.
-
-    Weights are sorted into nonincreasing order.  A total within 1e-9 of one
-    is renormalized exactly; anything further off is rejected, as is any
-    weight outside [0, 1], before summing, so huge weights cannot overflow.
-    """
-    _check_dimension(d)
-    lam = np.asarray(lambdas, dtype=float).reshape(-1)
-    if lam.shape != (d,):
-        raise ValueError(f"expected {d} weights, got {lam.shape[0]}")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("weights must be finite")
-    if np.any(lam < 0) or np.any(lam > 1 + NORMALIZATION_TOL):
-        raise ValueError(f"weights must lie in [0, 1], got {lam.tolist()}")
-    total = float(lam.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"weights sum to {total!r}, more than {NORMALIZATION_TOL} from 1")
-    lam = np.sort(lam)[::-1] / total
-    lam.flags.writeable = False
-    return SchmidtState(d=d, lambdas=lam)
+    """The SchmidtState of d weights, checked, sorted and normalized as
+    `SchmidtState` does for every state."""
+    return SchmidtState(d=d, lambdas=lambdas)
 
 
 def entropy_bits(state: SchmidtState) -> float:

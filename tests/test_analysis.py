@@ -157,11 +157,6 @@ def test_wcsg_bound_examples():
     assert wcsg_bound(make_state(4, [4 / 7, 3 / 7, 0, 0])) == 7
 
 
-def test_wcsg_bound_of_a_zero_largest_weight_is_the_maximally_entangled_cap():
-    # make_state refuses such weights; only a SchmidtState built directly has them
-    assert wcsg_bound(SchmidtState(d=3, lambdas=np.zeros(3))) == 9
-
-
 def test_wcsg_bound_product_of_bound_and_weight(rng):
     for _ in range(100):
         d = int(rng.integers(2, 7))

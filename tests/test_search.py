@@ -21,8 +21,8 @@ from dc_lab.search import (
     _lm_polish,
     _prepare_fixed,
     _Problem,
+    _jacobian,
     _residuals,
-    _residuals_and_jacobian,
     _worker_count,
     estimate_nmax,
     find_family,
@@ -255,7 +255,7 @@ def test_a_sweep_cell_is_its_own_estimate_nmax(monkeypatch):
 def test_region_sweep_parallel_matches_sequential(workers, monkeypatch):
     # the pool hands out the 13 cells one at a time, so which worker runs
     # which cell depends on timing; the map must not
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     cfg = SearchConfig(restarts=1, base_seed=2)
     monkeypatch.setenv("DC_LAB_THREADS", "1")
     seq = region_sweep(4, cfg)
@@ -427,8 +427,7 @@ def test_index_tables_are_built_once_and_read_only(d, k):
     pairs = search._pairs(k)
     assert np.array_equal(pairs[0], iu) and np.array_equal(pairs[1], ju)
     assert np.array_equal(first.pair_flat, iu * k + ju)
-    assert first.jac_rows is second.jac_rows
-    for table in (first.basis, first.dual, first.pair_flat, first.jac_rows, *pairs):
+    for table in (first.basis, first.dual, first.pair_flat, *pairs):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
 
@@ -457,9 +456,9 @@ def test_members_stay_unitary_through_a_refused_polish(weights, k):
     state = make_state(len(weights), weights)
     prob = _problem(state, k)
     for row in np.random.default_rng(k).standard_normal((2, prob.nparam)):
-        members, _ = _lm_polish(prob, prob.cayley(row), VERIFY_TOL)
-        assert not verify_family(prob.members(members)[0], state).passed
-        assert max(unitarity_residual(m) for m in members[0]) <= 1e-12
+        stack, _ = _lm_polish(prob, prob.cayley(row), VERIFY_TOL)
+        assert not verify_family(stack, state).passed
+        assert max(unitarity_residual(m) for m in stack[prob.nf :]) <= 1e-12
 
 
 def _one_restart_at_a_time(state, k, cfg):
@@ -471,7 +470,7 @@ def _one_restart_at_a_time(state, k, cfg):
     runs = []
     for _ in range(cfg.restarts):
         start = prob.cayley(rng.standard_normal((1, prob.nparam)))
-        members = prob.members(search._lm_polish(prob, start, cfg.accept_tol)[0])[0]
+        members = search._lm_polish(prob, start, cfg.accept_tol)[0]
         runs.append((members, objective(state, members), verify_family(members, state, tol=cfg.accept_tol).passed))
     return runs
 
@@ -497,7 +496,7 @@ def test_find_family_matches_one_restart_at_a_time(weights, k, cfg, unpolished, 
 
     def leave_the_first_unpolished(prob, start, tol):
         calls.append(1)
-        return (start, None) if len(calls) <= unpolished else polish(prob, start, tol)
+        return (prob.members(start)[0], None) if len(calls) <= unpolished else polish(prob, start, tol)
 
     monkeypatch.setattr(search, "_lm_polish", leave_the_first_unpolished)
     state = make_state(len(weights), weights)
@@ -535,15 +534,39 @@ def test_jacobian_matches_central_differences(weights, k, fixed, rng):
     blocks = 0 if prob.span is None else np.count_nonzero(state.lambdas) * state.d**2
     assert (blocks > 0) == (abs(state.lambda0 - state.d / k) < 1e-12)
     members = prob.cayley(rng.standard_normal((1, prob.nparam)))
-    r, jac = _residuals_and_jacobian(prob, members)
+    stack, r = _residuals(prob, members)
+    jac = _jacobian(prob, stack)
     assert r.shape == (k * (k - 1) // 2 + blocks,)
     assert jac.shape == (r.size, prob.nparam)
     step = 1e-6
     fd = np.empty_like(jac)
     for p, e in enumerate(step * np.eye(prob.nparam)):
         plus, minus = members @ prob.cayley(e), members @ prob.cayley(-e)
-        fd[:, p] = (_residuals_and_jacobian(prob, plus)[0] - _residuals_and_jacobian(prob, minus)[0]) / (2 * step)
+        fd[:, p] = (_residuals(prob, plus)[1] - _residuals(prob, minus)[1]) / (2 * step)
     assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize(
+    "weights, k, fixed",
+    [
+        ((0.5, 0.3, 0.2), 5, None),
+        ((0.5, 0.3, 0.2), 5, [np.eye(3), shift(3)]),
+        ((3 / 5, 1 / 5, 1 / 5), 5, None),
+        ((4 / 7, 3 / 7, 0, 0), 7, [np.eye(4), shift(4), shift(4) @ shift(4)]),
+    ],
+    ids=["identity-prefix", "two-member-prefix", "saturated", "saturated-d4-three-member-prefix"],
+)
+def test_a_pair_row_touches_only_the_blocks_of_its_free_members(weights, k, fixed, rng):
+    state = make_state(len(weights), weights)
+    prob = _problem(state, k, fixed)
+    assert (prob.span is not None) == (weights[0] == state.d / k)
+    stack, _ = _residuals(prob, prob.cayley(rng.standard_normal((1, prob.nparam))))
+    jac = _jacobian(prob, stack)[: prob.pair_flat.size].reshape(-1, prob.n_free, state.d**2)
+    iu, ju = np.triu_indices(k, 1)
+    for row, i, j in zip(jac, iu, ju):
+        touched = [m - prob.nf for m in (i, j) if m >= prob.nf]
+        assert all(np.any(row[m] != 0) for m in touched)
+        assert np.all(np.delete(row, touched, axis=0) == 0)
 
 
 def _target(fam):
@@ -592,7 +615,7 @@ def test_no_span_blocks_at_k_equal_d_squared_or_off_saturation(weights, k):
 
 
 def test_worker_count_clamps_to_tasks_and_cpus(monkeypatch):
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.delenv("DC_LAB_THREADS", raising=False)
     assert _worker_count(13) == 4
     assert _worker_count(2) == 2
@@ -606,6 +629,22 @@ def test_worker_count_clamps_to_tasks_and_cpus(monkeypatch):
     monkeypatch.setenv("DC_LAB_THREADS", "two")
     with pytest.raises(ValueError, match="DC_LAB_THREADS"):
         _worker_count(13)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+@pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "two"])
+def test_worker_count_clamps_to_the_cpus_of_the_affinity_set(threads):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "from dc_lab.search import _worker_count; print(_worker_count(100))"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "DC_LAB_THREADS"}
+    env["PYTHONPATH"] = src
+    if threads is not None:
+        env["DC_LAB_THREADS"] = threads
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "1"
 
 
 def test_estimate_nmax_takes_k_equal_d_from_the_shift_family(monkeypatch):
@@ -903,10 +942,10 @@ def test_a_polish_without_a_root_nearby_stops_early(monkeypatch):
     calls = []
     residuals_of = search._residuals
     monkeypatch.setattr(search, "_residuals", lambda *args: calls.append(1) or residuals_of(*args))
-    members, f = _lm_polish(prob, start, VERIFY_TOL)
+    stack, f = _lm_polish(prob, start, VERIFY_TOL)
     assert len(calls) - 1 <= search.LM_HALVING_ITERS * (1 + math.floor(math.log2(f_start / f)))
     assert f > VERIFY_TOL
-    assert not verify_family(prob.members(members)[0], state).passed
+    assert not verify_family(stack, state).passed
 
 
 def test_a_polish_whose_every_step_fails_ends_after_the_halving_window(monkeypatch):
@@ -917,19 +956,21 @@ def test_a_polish_whose_every_step_fails_ends_after_the_halving_window(monkeypat
     prob = _problem(state, 4)
     start = prob.cayley(np.random.default_rng(7).standard_normal((1, prob.nparam)))
     f_start = objective(state, prob.members(start)[0])
-    trials, residuals_of = [], search._residuals
+    trials, at_start, residuals_of = [], [], search._residuals
 
     def never_lower(prob, ufree):
         stack, t = residuals_of(prob, ufree)
         if ufree is start:  # the polish's own start, not a trial
+            at_start.append(stack)
             return stack, t
         trials.append(1)
         return stack, np.full_like(t, 1e3)
 
     monkeypatch.setattr(search, "_residuals", never_lower)
-    members, f = _lm_polish(prob, start, VERIFY_TOL)
+    stack, f = _lm_polish(prob, start, VERIFY_TOL)
     assert len(trials) == search.LM_HALVING_ITERS
-    assert members is start
+    assert len(at_start) == 1 and stack is at_start[0]
+    assert np.array_equal(stack[prob.nf :], start[0])
     assert f == pytest.approx(f_start, rel=1e-12)
 
 
@@ -951,9 +992,8 @@ def test_a_singular_lm_step_falls_back_to_least_squares(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", failing_solve)
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: fallbacks.append(1) or lstsq(*args, **kwargs))
-    members, _ = _lm_polish(prob, start, VERIFY_TOL)
+    stack, _ = _lm_polish(prob, start, VERIFY_TOL)
     assert len(fallbacks) == 1 and len(steps) > 3
-    stack = prob.members(members)[0]
     assert verify_family(stack, state).passed
     assert kc_span_check(stack, state).max_residual <= KC_RESIDUAL_TOL
 

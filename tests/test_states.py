@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_sorted_weights
+from dc_lab.analysis import bns_excluded, wcsg_bound
 from dc_lab.families import qutrit_five_family
-from dc_lab.states import entropy_bits, make_state, message_vectors
+from dc_lab.states import SchmidtState, entropy_bits, make_state, message_vectors
 
 # Independent one-line oracle for the entropy of (3/5, 2/5, 0), frozen here.
 PSI_L_ENTROPY = -(0.6 * math.log2(0.6) + 0.4 * math.log2(0.4))
@@ -60,6 +61,22 @@ def test_make_state_rejects_wrong_length_and_dimension():
         make_state(3, [0.5, 0.5])
     with pytest.raises(ValueError):
         make_state(1, [1.0])
+
+
+def test_a_state_built_directly_follows_make_states_rules():
+    # unchecked, (0.9, 0.5, 0.1) had a weight bound of 3 and (0.2, 0.2, 0.6)
+    # one of 9, and a list of weights broke entropy_bits
+    with pytest.raises(ValueError, match="^weights sum to") as direct:
+        SchmidtState(d=3, lambdas=np.array([0.9, 0.5, 0.1]))
+    with pytest.raises(ValueError) as made:
+        make_state(3, [0.9, 0.5, 0.1])
+    assert str(direct.value) == str(made.value)
+    for weights, bound in (([0.2, 0.2, 0.6], 5), ([0.5, 0.3, 0.2 + 5e-10], 6)):
+        state, made = SchmidtState(d=3, lambdas=weights), make_state(3, weights)
+        assert state.lambdas.tobytes() == made.lambdas.tobytes() and not state.lambdas.flags.writeable
+        assert entropy_bits(state) == entropy_bits(made)
+        assert wcsg_bound(state) == wcsg_bound(made) == bound
+        assert not bns_excluded(state, 4)
 
 
 @pytest.mark.parametrize("d", range(2, 11))
