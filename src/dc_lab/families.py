@@ -45,9 +45,9 @@ class EncodingFamily:
 
 # Matrix entries per block of the orthonormal completion: 32 members at
 # d = 64.  Completing the 64 matrices of the 2d-1 family at d = 64 took
-# 0.18-0.20 s in one stack and in blocks of 32, 0.31 s in blocks of 16,
-# 0.36-0.45 s in blocks of 8 and 2.5 s one at a time: each call costs about
-# the same however few matrices it holds.
+# 0.066 s in one stack, 0.063 s in blocks of 32, 0.064 s in blocks of 16,
+# 0.081 s in blocks of 8 and 0.26-0.30 s one at a time: each call has a
+# fixed cost of one step per candidate.
 _BLOCK_ENTRIES = 1 << 17
 
 

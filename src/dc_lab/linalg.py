@@ -45,18 +45,21 @@ def unitarity_residual(u) -> float:
 def complete_to_unitary(partial_columns: np.ndarray, d: int) -> np.ndarray:
     """Extend orthonormal columns to full d x d unitaries, deterministically.
 
-    `partial_columns` is an (n, d, k) array whose n matrices each hold k
-    orthonormal length-d columns; the result is the (n, d, d) stack of their
-    completions, and every matrix of it is completed exactly, bit for bit,
-    as it would be alone.
+    `partial_columns` is an (n, d, k) stack of k orthonormal length-d columns
+    per matrix; the result is the (n, d, d) stack of their completions, each
+    matrix completed bit for bit as it would be alone, with its given columns
+    kept bit for bit as its leading columns.
 
-    Canonical basis vectors e_0 .. e_{d-1} are tried in index order through
-    modified Gram-Schmidt; a candidate is kept when its post-projection norm
-    exceeds 1e-6, and every kept column is rephased so that its first nonzero
-    entry is real and positive.  The same inputs always yield the same matrix,
-    and the given columns are kept bit for bit as the leading columns.  Input
-    whose Gram matrix deviates from the identity by more than
-    COMPLETION_RESIDUAL_TOL (1e-12) in any entry raises ValueError.
+    e_0 .. e_{d-1} are tried in index order, one step over the stack each:
+    classical Gram-Schmidt, twice.  With the columns so far as the rows of
+    Q^T, the passes form e_idx - Q Q^dag e_idx (Q^dag e_idx is row idx of Q,
+    conjugated) and v - Q conj(Q^T conj(v)), and copy no stack.  A kept e_r
+    lies in the span, so exact arithmetic gives 0 at row r of every later
+    column: those entries are set to 0, not left at roundoff.  A rejected
+    candidate's row stays as computed.  A candidate is kept when its norm
+    then exceeds 1e-6, and rephased so its first entry above 1e-12 in modulus
+    is real and positive.  Columns whose Gram matrix deviates from the
+    identity by more than COMPLETION_RESIDUAL_TOL (1e-12) raise ValueError.
     """
     given = np.asarray(partial_columns, dtype=np.complex128)
     if given.ndim != 3:
@@ -74,24 +77,19 @@ def complete_to_unitary(partial_columns: np.ndarray, d: int) -> np.ndarray:
             f"input columns are not orthonormal: residual {worst:.3e} > {COMPLETION_RESIDUAL_TOL:.3e}"
         )
 
-    # basis[i, j] is the j-th column of matrix i; count[i] of them are set.
-    # Each candidate is projected, per matrix, on that matrix's columns only:
-    # the others are masked out rather than projected on zero padding, which
-    # would turn a -0.0 entry into +0.0.
+    # basis[i, j] is the j-th column of matrix i, count[i] of them set and the
+    # rest zero; kept[i, r] marks e_r as kept in matrix i.
     basis = np.zeros((n, d, d), dtype=np.complex128)
     basis[:, :k] = given.swapaxes(-1, -2)
     count = np.full(n, k)
+    kept = np.zeros((n, d), dtype=bool)
     for idx in range(d):
         open_rows = count < d
         if not open_rows.any():
             break
-        v = np.zeros((n, d), dtype=np.complex128)
-        v[:, idx] = 1.0
-        for _ in range(2):
-            for j in range(int(count[open_rows].max())):
-                col = basis[:, j]
-                dots = col.conj()[:, None, :] @ v[:, :, None]
-                np.subtract(v, dots[:, :, 0] * col, out=v, where=(count > j)[:, None])
+        v = np.eye(1, d, idx, dtype=np.complex128) - basis[:, None, :, idx].conj() @ basis
+        v = (v - (basis @ v.conj().swapaxes(1, 2)).conj().swapaxes(1, 2) @ basis)[:, 0]
+        v[kept] = 0.0
         re, im = v.real, v.imag
         nrm = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
         keep = np.flatnonzero(open_rows & (nrm > _KEEP_NORM))
@@ -99,6 +97,7 @@ def complete_to_unitary(partial_columns: np.ndarray, d: int) -> np.ndarray:
         anchor = v[np.arange(len(keep)), np.argmax(np.abs(v) > _PHASE_EPS, axis=1)]
         v = v * (anchor.conj() / np.hypot(anchor.real, anchor.imag))[:, None]
         basis[keep, count[keep]] = v
+        kept[keep, idx] = True
         count[keep] += 1
 
     if np.any(count < d):

@@ -343,34 +343,34 @@ def _lm_polish(prob: _Problem, ufree: np.ndarray, tol: float):
     the last accepted point, or at the start, and its sum of squared
     residuals, span blocks included.
     Each step solves (J^T J + mu I) delta = -J^T r: in the body frame, mu
-    bounds the step alike in every direction, flat ones included.  The
-    progress stop bounds the iteration count."""
+    bounds the step alike in every direction, flat ones included.  J is formed
+    only at points a step leaves; the progress stop bounds the iterations."""
     n, diagonal = prob.pair_flat.size, slice(None, None, prob.nparam + 1)
     stack, t = _residuals(prob, ufree)
     f = float(np.vdot(t, t).real)
-    a, g = _normal_equations(t, _jacobian(prob, stack))
     mu = LM_MU_START
     halved, since = f, 0  # the value at the last halving, and iterations since
     done = f <= LM_F_STOP or np.max(np.abs(t[:n])) <= tol
     while not done and since < LM_HALVING_ITERS:
-        since += 1
-        damped = a.copy()
-        damped.flat[diagonal] += mu
-        try:
-            delta = np.linalg.solve(damped, -g)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(damped, -g, rcond=None)[0]
-        trial = ufree @ prob.cayley(delta)
-        trial_stack, trial_t = _residuals(prob, trial)
-        ft = float(np.vdot(trial_t, trial_t).real)
-        if ft < f:
-            ufree, stack, t, f = trial, trial_stack, trial_t, ft
-            mu = max(mu / 3.0, LM_MU_MIN)
-            if f <= halved / 2:
-                halved, since = f, 0
-            done = f <= LM_F_STOP or np.max(np.abs(t[:n])) <= tol
-            a, g = _normal_equations(t, _jacobian(prob, stack))
-        else:
+        a, g = _normal_equations(t, _jacobian(prob, stack))
+        while since < LM_HALVING_ITERS:  # damped steps from this point until one lowers f
+            since += 1
+            damped = a.copy()
+            damped.flat[diagonal] += mu
+            try:
+                delta = np.linalg.solve(damped, -g)
+            except np.linalg.LinAlgError:
+                delta = np.linalg.lstsq(damped, -g, rcond=None)[0]
+            trial = ufree @ prob.cayley(delta)
+            trial_stack, trial_t = _residuals(prob, trial)
+            ft = float(np.vdot(trial_t, trial_t).real)
+            if ft < f:
+                ufree, stack, t, f = trial, trial_stack, trial_t, ft
+                mu = max(mu / 3.0, LM_MU_MIN)
+                if f <= halved / 2:
+                    halved, since = f, 0
+                done = f <= LM_F_STOP or np.max(np.abs(t[:n])) <= tol
+                break
             mu *= 4.0
     return stack, f
 

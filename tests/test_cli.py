@@ -1383,16 +1383,16 @@ CONSTRUCT_SHA256 = {
     ("f46", 4): "8de1e73ebb0144f682a356530e212e8bedbd4606af70a20ac9d6f6bb285a9191",
     ("f47", 4): "8a9886284e2103404caaa923a830647fde70bd97ef6f78df528db70b1ad0b04f",
     ("shift-diag", 3): "6a32f2384ebf4fb00d23b6fdf617d3d79d611b2db4fa9e3cd164fb1faaf01195",
-    ("d-plus-two", 5): "d8e9de59902d3a75e353731f3ba1bc4308f9e6773b1ab2bbd99cb99eec23c1b9",
-    ("d-plus-two", 6): "43fb676246264048b281c752571b5b40a31491ae86a0f6ba1ab4404e48e0b86c",
-    ("d-plus-two", 7): "e2712593549c15c3921bcaad04f7ce007f068cf8f9a2a9eb1f6a60980bb5817c",
-    ("d-plus-two", 8): "f8cd666eca70c811b50f5cab3758095b3302a3c9687f0928bd572c91772c67a9",
-    ("d-plus-two", 17): "fd59e7b3b295c3253893a5519cc55734d3585494dd937a98f685b1690d85de02",
-    ("two-d-minus-one", 5): "5f966c770df7492b25e1b9c9b50a0e94f41284aa22b496e56f9fbbf80c275ca2",
-    ("two-d-minus-one", 6): "e7332591d778f4764f7c4055025ecb1ed756b9f4aa14bbddc6e12f91ad151707",
-    ("two-d-minus-one", 7): "078c7e2465ea2371a66cd78f6a17f40983dedd5e096874ab38729ec6c595169a",
-    ("two-d-minus-one", 8): "574b11ab7e9df6d67cea4ab2056f0b0fff16790bfefcca4f9febcaf8a3f51ccf",
-    ("two-d-minus-one", 17): "b49a96ac42d00b703f1425dc2b3e4caa80bda6aa9eb13ad287d250588cc8baf6",
+    ("d-plus-two", 5): "424f7602bb0699ed0abc20d78206e1bbbdf4a45283cd1e70404b6422f46f557b",
+    ("d-plus-two", 6): "c76292089464b106351d18cd50749ca9c50db643834bca594782bafcd834c054",
+    ("d-plus-two", 7): "c8f85801eea65730f6007e7d1fd52822279d088ce9880baea00972f2c1898a60",
+    ("d-plus-two", 8): "95d2c61d449c425651fb286c36bee627f84456907780b096f9f16d38b0b91981",
+    ("d-plus-two", 17): "3e7c7f8d75032ca19f627d415fda4cf93b5a37f3d5272c6ff8410a0746a9ace8",
+    ("two-d-minus-one", 5): "fd281559269a55bec0181ac4553debe3a6c032bd7b7e5cfd26fd9fad9a9ea952",
+    ("two-d-minus-one", 6): "6526eae88d2e7fa916feecfb0f8bd26df8d4085596ed3938fb1ccae010e2debb",
+    ("two-d-minus-one", 7): "cc18f374b16cd962a66bedd9df399c8aa61e64d3eb99763552e03952c279fe20",
+    ("two-d-minus-one", 8): "2f7ec96ff22d7cd8f6d1089640eeca99ee7f14c424854e0f09778546ad1e16ce",
+    ("two-d-minus-one", 17): "d61ce78b11970dc6905b5adbf519a0008f7bf712f33f311a9ee41d68629fc092",
 }
 
 
@@ -1412,11 +1412,11 @@ VERIFY_SHA256 = {
     ("d-plus-two", 6): "6299a0e351ca72921e0278da2b4d150a7753b854ac15929a7a798ab3dc0cc446",
     ("d-plus-two", 7): "14dc4a31d8beb7fe71b33405b87b2be48abb5b9def9aa4c74c55dd896a63a4f9",
     ("d-plus-two", 8): "fa1332daec9a82bac80325811f5e87a2b96c9a2d2c75e719a46fd898a4dd511e",
-    ("d-plus-two", 17): "ff489d0d46515b24250f4f3b99e2faf88eee58a1815f1bfdd2b36eb7ee840e8b",
-    ("two-d-minus-one", 5): "d696ddca04285ee42b8cc726487cc4261b7b212482dc79db5cfa4728c54bb97a",
-    ("two-d-minus-one", 6): "4e391775d5f88c954908eaf211328fa827476fc30db6330a617fdb3100f530e1",
-    ("two-d-minus-one", 7): "26f3c6b432f56bc2262f55e932e024a238640b0a0efdc4fbe6af347c72bf9da6",
-    ("two-d-minus-one", 8): "846dfa68bedfd20779545090a46c1c45c773736225596814dc2aa851fbe83b5f",
+    ("d-plus-two", 17): "730c7e169c9666ed1175e5b3de25bfdfb8015dd3f2fe8578b5789bd316762cc9",
+    ("two-d-minus-one", 5): "ebf8bd4c7f08569948e6c95d5778a9b2853163b24c1f6816cb904e306224a7d1",
+    ("two-d-minus-one", 6): "f6a64f9f6b2648f421cd975c63ea6a87290fd00638a1071f722de9422b602e18",
+    ("two-d-minus-one", 7): "84a32c82a800a138ff673784bd5a5888101c0f721ab8c931ed9c853756dc8c36",
+    ("two-d-minus-one", 8): "7d73a4667f577ba92c7b92aade3f9f99381a36b2e826b82ece44c0dcf6183dfe",
     ("two-d-minus-one", 17): "a0c75ccdf0097c06074235e586ae7795a88e010e52e8ffee4e57f48f31320ac8",
 }
 

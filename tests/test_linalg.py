@@ -3,6 +3,7 @@ import pytest
 
 from conftest import haar_unitary
 from dc_lab import linalg
+from dc_lab.families import _2dm1_columns, _dp2_columns
 from dc_lab.linalg import complete_to_unitary, unitarity_residual
 
 
@@ -103,25 +104,32 @@ def _stacked_cases(rng, d):
 
 
 def _reference_completion(cols: np.ndarray) -> np.ndarray:
-    """One matrix at a time, one numpy call per projection: the loop the
-    stacked completion replaced, for exactly orthonormal input."""
-    d = cols.shape[0]
-    basis = [cols[:, i] for i in range(cols.shape[1])]
+    """One matrix at a time, by the stacked completion's rule, for exactly
+    orthonormal input: the columns so far are the rows of a zero-padded
+    (d, d) array; each candidate e_idx is projected off them twice, each time
+    by one product for the coefficients and one for the projection, and its
+    entries at the rows of earlier kept candidates are then set to 0."""
+    d, k = cols.shape
+    rows = np.zeros((d, d), dtype=np.complex128)
+    rows[:k] = cols.T
+    kept = []
     for idx in range(d):
-        if len(basis) == d:
+        if k == d:
             break
         v = np.zeros(d, dtype=np.complex128)
         v[idx] = 1.0
-        for _ in range(2):
-            for b in basis:
-                v = v - (b.conj() @ v) * b
+        v = v - rows[:, idx].conj() @ rows
+        v = v - (rows @ v.conj()).conj() @ rows
+        v[kept] = 0.0
         nrm = np.linalg.norm(v)
         if nrm <= 1e-6:
             continue
         v = v / nrm
         anchor = v[np.abs(v) > 1e-12][0]
-        basis.append(v * (anchor.conjugate() / abs(anchor)))
-    return np.column_stack(basis)
+        rows[k] = v * (anchor.conjugate() / abs(anchor))
+        kept.append(idx)
+        k += 1
+    return rows.T
 
 
 def test_stacked_completion_equals_one_call_per_matrix(rng):
@@ -138,6 +146,49 @@ def test_stacked_completion_equals_one_call_per_matrix(rng):
         assert np.array_equal(skipping[:, 2], np.eye(d)[:, 1])  # e_0 skipped, e_1 kept
         assert np.array_equal(skipping[:, 3], np.eye(d)[:, 3])  # e_2 skipped
         assert signed_zero[:, :2].tobytes() == cases[2].tobytes()
+
+
+def _kept_candidates(u: np.ndarray, k: int) -> list[int]:
+    """The candidates e_c, in order, that completed the first k columns of u,
+    read off u: e_c is kept when its part outside the columns before it is
+    longer than 1e-6, and the next column is then the one it gave."""
+    d, kept = u.shape[0], []
+    for c in range(d):
+        j = k + len(kept)
+        if j < d and 1.0 - np.sum(np.abs(u[c, :j]) ** 2) > 1e-12:
+            kept.append(c)
+    return kept
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8, 17, 32])
+@pytest.mark.parametrize("columns", [_dp2_columns, _2dm1_columns], ids=["dp2", "2dm1"])
+def test_a_completed_column_is_exactly_zero_at_the_rows_of_earlier_kept_candidates(columns, d):
+    # e_r, once kept, lies in the span, so every later column is orthogonal to
+    # it: exact arithmetic gives 0 at row r, and so does the completion
+    for u in complete_to_unitary(columns(d), d):
+        kept = _kept_candidates(u, 2)
+        assert len(kept) == d - 2
+        for j, c in enumerate(kept):
+            assert np.all(u[kept[:j], 2 + j] == 0), (c, kept[:j])
+        assert unitarity_residual(u) <= 1e-12
+
+
+def test_a_rejected_candidates_row_is_left_as_computed(rng):
+    # the first column leans 1e-7 off e_1, so e_1 is rejected (1e-7 <= 1e-6)
+    # but is not in the span: the later columns are about 1e-7 at row 1
+    theta = 1e-7
+    for d in (4, 5, 7):
+        frame = haar_unitary(rng, d - 1)[:, :2]
+        cols = np.zeros((d, 2), dtype=complex)
+        cols[[0, *range(2, d)]] = frame
+        cols[:, 0] *= np.sin(theta)
+        cols[1, 0] = np.cos(theta)
+        u = complete_to_unitary(cols[None], d)[0]
+        assert _kept_candidates(u, 2) == [0, *range(2, d - 1)]
+        assert np.all(u[1, 2:] != 0) and np.max(np.abs(u[1, 2:])) < 1e-6
+        assert np.all(u[0, 3:] == 0)
+        assert unitarity_residual(u) <= 1e-12
+        assert u.tobytes() == _reference_completion(cols).tobytes()
 
 
 def test_stacked_completion_of_no_columns():

@@ -1014,3 +1014,42 @@ def test_saturated_d_plus_j_families_are_found_above_d_4(d, j, seed):
     assert witness is not None
     assert verify_family(witness, state).passed
     assert kc_span_check(witness, state).max_residual <= KC_RESIDUAL_TOL
+
+
+def _counted_polish(monkeypatch, prob, start):
+    """The polish from start, the number of Jacobians it formed, and its
+    accepted steps less the one that ended it, if one did: a step is
+    accepted when its objective is below that of every point before it."""
+    jacobians, values = [], []
+    jacobian_of, residuals_of = search._jacobian, search._residuals
+
+    def residuals(prob, ufree):
+        stack, t = residuals_of(prob, ufree)
+        values.append(float(np.vdot(t, t).real))
+        return stack, t
+
+    monkeypatch.setattr(search, "_jacobian", lambda *args: jacobians.append(1) or jacobian_of(*args))
+    monkeypatch.setattr(search, "_residuals", residuals)
+    out = _lm_polish(prob, start, VERIFY_TOL)
+    accepted = [ft < min(values[:i]) for i, ft in enumerate(values) if i]
+    return out, len(jacobians), sum(accepted) - (accepted[-1] if accepted else 0)
+
+
+@pytest.mark.parametrize(
+    "weights, k, seed, found",
+    [((4 / 6, 2 / 6, 0, 0), 6, 1, True), (tuple(triangle_grid(6)[12]), 4, 4, False), ((0.5, 0.3, 0.2), 4, 7, True)],
+    ids=["found-saturated", "refused", "found-unsaturated"],
+)
+def test_a_polish_forms_a_jacobian_only_where_it_steps_again(monkeypatch, weights, k, seed, found):
+    # one Jacobian at the start and one at each accepted point the polish
+    # steps on from; none at the point whose stop test, or halving window,
+    # ends it.  A polish from a witness ends at its start, with none.
+    state = make_state(len(weights), weights)
+    prob = _problem(state, k)
+    start = prob.cayley(np.random.default_rng(seed).standard_normal((1, prob.nparam)))
+    (stack, f), jacobians, stepped_on = _counted_polish(monkeypatch, prob, start)
+    assert jacobians == 1 + stepped_on
+    assert verify_family(stack, state).passed == found
+    if found:
+        (again, f_again), jacobians, _ = _counted_polish(monkeypatch, prob, stack[None, prob.nf :])
+        assert jacobians == 0 and f_again == f
