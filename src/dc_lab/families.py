@@ -174,24 +174,10 @@ def qutrit_five_family() -> EncodingFamily:
 
 
 def _f46(d: int):
+    """F_4/6, the d+2 family at d = 4."""
     if d != 4:
         raise ValueError("F_4/6 is defined for d=4")
-    h = np.sqrt(3.0) / 2
-    eye = np.eye(4, dtype=np.complex128)
-    a = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.complex128)
-    u1 = np.array(
-        [[-0.5, 0, h, 0], [0, 1, 0, 0], [-h, 0, -0.5, 0], [0, 0, 0, 1]], dtype=np.complex128
-    )
-    u2 = np.array(
-        [[-0.5, 0, h, 0], [0, 1, 0, 0], [h, 0, 0.5, 0], [0, 0, 0, 1]], dtype=np.complex128
-    )
-    v1 = np.array(
-        [[0, 1, 0, 0], [-0.5, 0, h, 0], [0, 0, 0, 1], [-h, 0, -0.5, 0]], dtype=np.complex128
-    )
-    v2 = np.array(
-        [[0, 1, 0, 0], [-0.5, 0, h, 0], [0, 0, 0, 1], [h, 0, 0.5, 0]], dtype=np.complex128
-    )
-    return "F_4/6", 2 / 3, [eye, a, u1, u2, v1, v2]
+    return _dp2(d)
 
 
 def _f47(d: int):
@@ -309,51 +295,32 @@ def _rotate_second_entry_last(v: np.ndarray) -> np.ndarray:
 def _dp2_first_columns(d: int):
     """First columns of the U, V (and M, when d is odd) members at dimension d.
 
-    Returns (us, vs, m) where m is None for even d.  Both parities grow the
-    same way: each smaller column is rescaled by sqrt(1 - (2/d)^2) after the
-    row rotation, two leading entries are prepended, and one fresh column of
-    the simplest shape joins each of the U and V lists.  The d = 4 columns
-    are those of F_4/6.
+    Returns (us, vs, m) where m is None for even d.  The columns start from
+    the seed of d's parity and grow two dimensions at a time, to n = d:
+    - d = 2: us = [-e0], vs = [-e1], no m;
+    - d = 3: us = [(-2/3, 0, sqrt(5)/3)], no vs,
+      m = (-1/3, -i/sqrt(3), -sqrt(5)/3).
+    Each step rotates every column's entry 1 to the end, rescales it by
+    sqrt(1 - (2/n)^2) and prepends two entries: (-2/n, 0) to a U column,
+    (0, -2/n) to a V column and (-1/n, -i sqrt(3)/n) to m.  Before the step,
+    e0 joins the U columns and e1 the V columns, so each list gains one.
     """
-    if d == 4:
-        *_, u1, u2, v1, v2 = _f46(4)[2]
-        return [u1[:, 0], u2[:, 0]], [v1[:, 0], v2[:, 0]], None
-    if d == 5:
-        s21 = np.sqrt(21.0) / 5
-        us = [
-            np.array([-2 / 5, 0, s21 * (-2 / 3), s21 * (np.sqrt(5.0) / 3), 0]),
-            np.array([-2 / 5, 0, s21, 0, 0]),
-        ]
-        vs = [np.array([0, -2 / 5, 0, 0, s21])]
-        m = np.array(
-            [
-                -1 / 5,
-                -(np.sqrt(3.0) / 5) * 1j,
-                s21 * (-1 / 3),
-                s21 * (-np.sqrt(5.0) / 3),
-                s21 * (-(np.sqrt(3.0) / 3) * 1j),
-            ]
-        )
-        return [u.astype(np.complex128) for u in us], [v.astype(np.complex128) for v in vs], m.astype(np.complex128)
-
-    prev_us, prev_vs, prev_m = _dp2_first_columns(d - 2)
-    scale = np.sqrt(1.0 - (2.0 / d) ** 2)
-    head = np.array([-2.0 / d, 0.0], dtype=np.complex128)
-    us = [np.concatenate([head, scale * _rotate_second_entry_last(u)]) for u in prev_us]
-    vs = [np.concatenate([head[::-1], scale * _rotate_second_entry_last(v)]) for v in prev_vs]
-    new_u = np.zeros(d, dtype=np.complex128)
-    new_u[0] = -2.0 / d
-    new_u[2] = scale
-    us.append(new_u)
-    new_v = np.zeros(d, dtype=np.complex128)
-    new_v[1] = -2.0 / d
-    new_v[d - 1] = scale
-    vs.append(new_v)
-    m = None
-    if prev_m is not None:
-        m = np.concatenate(
-            [np.array([-1.0 / d, -(np.sqrt(3.0) / d) * 1j]), scale * _rotate_second_entry_last(prev_m)]
-        )
+    s3 = np.sqrt(3.0)
+    if d % 2 == 0:
+        e = np.eye(2, dtype=np.complex128)
+        us, vs, m = [-e[0]], [-e[1]], None
+    else:
+        s5 = np.sqrt(5.0)
+        us, vs = [np.array([-2 / 3, 0, s5 / 3], dtype=np.complex128)], []
+        m = np.array([-1 / 3, -(s3 / 3) * 1j, -s5 / 3])
+    for n in range(len(us[0]) + 2, d + 1, 2):
+        scale = np.sqrt(1.0 - (2.0 / n) ** 2)
+        head = np.array([-2.0 / n, 0.0], dtype=np.complex128)
+        e0, e1 = np.eye(2, n - 2, dtype=np.complex128)
+        us = [np.concatenate([head, scale * _rotate_second_entry_last(u)]) for u in us + [e0]]
+        vs = [np.concatenate([head[::-1], scale * _rotate_second_entry_last(v)]) for v in vs + [e1]]
+        if m is not None:
+            m = np.concatenate([[-1.0 / n, -(s3 / n) * 1j], scale * _rotate_second_entry_last(m)])
     return us, vs, m
 
 
@@ -388,24 +355,17 @@ def _dp2_members(d: int):
 
 def _dp2(d: int):
     _check_dimension(d)
-    if d == 2:
-        _, target, members = _weyl(2)
-        return "F_2/4", target, members
-    if d == 3:
-        return _five(d)
-    if d == 4:
-        return _f46(d)
     return f"F_{d}/{d + 2}", d / (d + 2), _dp2_members(d)
 
 
 def family_dp2(d: int) -> EncodingFamily:
-    """d+2 encoding unitaries at lambda0 = d/(d+2), for every d >= 2.
+    """d+2 encoding unitaries at lambda0 = d/(d+2), for every d >= 2, labelled F_d/(d+2).
 
-    d = 2 is the identity-plus-Pauli-equivalents set, d = 3 the qutrit five
-    family, d = 4 the six-member F_4/6; larger dimensions are built
-    recursively two dimensions at a time.  Members are ordered I, A
-    (first-two-columns swap), then M and its conjugate when d is odd, then
-    U_1..U_j, V_1..V_k.
+    The first columns grow two dimensions at a time from d = 2 or d = 3 (see
+    `_dp2_first_columns`), so d = 4 is F_4/6, and d = 3 is the qutrit five
+    family up to the sign of entries of its U and M first columns.  Members are
+    ordered I, A (first-two-columns swap), then M and its conjugate when d
+    is odd, then U_1..U_j, V_1..V_k.
     """
     return _family(d, *_dp2(d))
 

@@ -232,9 +232,8 @@ def _fraction_target(d, k):
 
 SATURATED_CASES = {
     "five": (qutrit_five_family(), PSI_L),
-    "f46": (family_dp2(4), _fraction_target(4, 6)),
     "f47": (family_2dm1(4), _fraction_target(4, 7)),
-    **{f"d-plus-two-d{d}": (family_dp2(d), _fraction_target(d, d + 2)) for d in range(3, 13)},
+    **{f"d-plus-two-d{d}": (family_dp2(d), _fraction_target(d, d + 2)) for d in range(2, 13)},
     **{f"two-d-minus-one-d{d}": (family_2dm1(d), _fraction_target(d, 2 * d - 1)) for d in range(4, 13)},
 }
 

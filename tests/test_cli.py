@@ -1380,13 +1380,13 @@ CONSTRUCT_SHA256 = {
     ("weyl", 4): "8244fefbf6cae145320ebbe6a21b26fd20131af61421d8da91944aa50cd6323f",
     ("weyl", 5): "a97603e522a3dedcdb1f5a63e248015c78844bdfed7f8b171fc2b561ad2a128c",
     ("five", 3): "a3f66e69f83124d48fad0bab09c4e816443be8e6f846f07ce6e8256915a00bc4",
-    ("f46", 4): "8de1e73ebb0144f682a356530e212e8bedbd4606af70a20ac9d6f6bb285a9191",
+    ("f46", 4): "a9e88113f34b278d336ef1e4e6707bd1ae0c177c28656145c4ab8257cf2a842e",
     ("f47", 4): "8a9886284e2103404caaa923a830647fde70bd97ef6f78df528db70b1ad0b04f",
     ("shift-diag", 3): "6a32f2384ebf4fb00d23b6fdf617d3d79d611b2db4fa9e3cd164fb1faaf01195",
     ("d-plus-two", 5): "424f7602bb0699ed0abc20d78206e1bbbdf4a45283cd1e70404b6422f46f557b",
-    ("d-plus-two", 6): "c76292089464b106351d18cd50749ca9c50db643834bca594782bafcd834c054",
+    ("d-plus-two", 6): "3ba8a58bd2d07c6297a8bad71f32d785b0676593a30b7e155b1017e189d75ccf",
     ("d-plus-two", 7): "c8f85801eea65730f6007e7d1fd52822279d088ce9880baea00972f2c1898a60",
-    ("d-plus-two", 8): "95d2c61d449c425651fb286c36bee627f84456907780b096f9f16d38b0b91981",
+    ("d-plus-two", 8): "774c76da1d02a7c48bea190d3bc2d5ec9184e4a4dfcc830e1d96689d1d32935e",
     ("d-plus-two", 17): "3e7c7f8d75032ca19f627d415fda4cf93b5a37f3d5272c6ff8410a0746a9ace8",
     ("two-d-minus-one", 5): "fd281559269a55bec0181ac4553debe3a6c032bd7b7e5cfd26fd9fad9a9ea952",
     ("two-d-minus-one", 6): "6526eae88d2e7fa916feecfb0f8bd26df8d4085596ed3938fb1ccae010e2debb",
@@ -1405,7 +1405,7 @@ VERIFY_SHA256 = {
     ("weyl", 4): "adc22c947cb0c0ea6d59749e1c7e72a8ab499916ebd44119ebce2be37e82c513",
     ("weyl", 5): "cdc4e814f79aaacd3e605ef6e7d1ef1bb7dd68927ca55d401ff8149c1d6853eb",
     ("five", 3): "0883d39d5205b56cd1681429b378f9bb317e4b1d48b7d5fe0f2a7bcea39a34d5",
-    ("f46", 4): "f12554925fa87b4aaaee020f4cb706fe7ec87946e9a11d652ed3431ed628d5af",
+    ("f46", 4): "5b42aaa6549d9044d503d5e773e54a4ce9c40b2055ae2d80d1f12301ce847f09",
     ("f47", 4): "23f38248fe65a2279088b74d482f2b243458f5bab22c3c2fbd864e14b449dbed",
     ("shift-diag", 3): "d3251774e2f6357e8538b0cda2683c4d5b847c898a9efb42f272ac7610689250",
     ("d-plus-two", 5): "c7e4751c804185e2747ab68821d965526e50a9cf0c145cffa2ac26fbcf8f4c74",

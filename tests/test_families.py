@@ -1,4 +1,6 @@
+import inspect
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -202,14 +204,41 @@ def test_2dm1_rejects_small_d():
         family_2dm1(3)
 
 
+# The printed F_4/6 members I, A, U_1, U_2, V_1, V_2 (all real).
+H = np.sqrt(3.0) / 2
+PRINTED_F46 = [
+    np.eye(4),
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[-0.5, 0, H, 0], [0, 1, 0, 0], [-H, 0, -0.5, 0], [0, 0, 0, 1]],
+    [[-0.5, 0, H, 0], [0, 1, 0, 0], [H, 0, 0.5, 0], [0, 0, 0, 1]],
+    [[0, 1, 0, 0], [-0.5, 0, H, 0], [0, 0, 0, 1], [-H, 0, -0.5, 0]],
+    [[0, 1, 0, 0], [-0.5, 0, H, 0], [0, 0, 0, 1], [H, 0, 0.5, 0]],
+]
+
+
 def test_dp2_small_dimensions():
     f2 = family_dp2(2)
     assert f2.label == "F_2/4" and len(f2) == 4
     assert verify_family(f2, make_state(2, [0.5, 0.5]), tol=1e-12).passed
     f3 = family_dp2(3)
-    assert f3.label == "five" and len(f3) == 5
+    assert f3.label == "F_3/5" and len(f3) == 5
     f4 = family_dp2(4)
     assert f4.label == "F_4/6" and len(f4) == 6
+    for got, printed in zip(f4.members, PRINTED_F46, strict=True):
+        assert np.abs(got - np.asarray(printed)).max() <= 4.4e-16
+
+
+def test_dp2_columns_need_no_frame_per_dimension():
+    # building the columns must not take a Python frame per two dimensions: at
+    # the default recursion limit that fails for every d >= 1998
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        columns = _dp2_columns(201)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert columns.shape == (200, 201, 2)  # M, U_1..U_100, V_1..V_99
+    assert _gram_residual(columns).max() <= COMPLETION_RESIDUAL_TOL
 
 
 def test_dp2_d6_new_column():
