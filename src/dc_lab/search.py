@@ -24,12 +24,15 @@ there passes `kc_span_check`.  A restart is accepted exactly when
 
 Restarts run one after another, and the first that verifies wins; every run
 with the same configuration is bit-for-bit reproducible.  `estimate_nmax`
-searches its cap, the weight bound or a lower max_k, first: the first k
-members of a valid K-family are a valid k-family, so when the cap is found,
-every smaller K is certified by a subset of that one witness, each verified
-on its own.  When the cap is refused, or a subset fails verification, it
-searches K = d+1, d+2, ... in turn, reusing the search at the cap.  A sweep
-hands its cells to the workers one at a time.
+takes its cap, the weight bound or a lower max_k, first: the first k members
+of a valid K-family are a valid k-family, so when the cap is found, every
+smaller K is certified by a subset of that one witness, each verified on its
+own.  When the state saturates the cap and the paper constructs a family of
+that size, the Weyl family, F_d/(d+2) or the 2d-1 family, that family is
+judged before any search, and when it verifies it is the cap's witness.
+When the cap is refused, or a subset fails verification, it searches
+K = d+1, d+2, ... in turn, reusing the verdict at the cap.  A sweep hands
+its cells to the workers one at a time.
 
 A failed search is evidence, not proof: results label such outcomes
 "not found (heuristic)".  Only the closed-form exclusion predicates from
@@ -55,7 +58,7 @@ from .analysis import (
     verify_family,
     wcsg_bound,
 )
-from .families import EncodingFamily, _checked_member, shift_diag_family
+from .families import EncodingFamily, _checked_member, family_2dm1, family_dp2, shift_diag_family, weyl_family
 from .states import SchmidtState, entropy_bits, make_state
 from .states import _check_count, _check_int, _check_state, _is_int, _members
 
@@ -399,16 +402,18 @@ def _check_k(d: int, k, n_fixed: int) -> None:
         raise ValueError(f"{n_fixed} fixed members exceed family size {k}")
 
 
-def _judge(state: SchmidtState, k: int, stack: np.ndarray, tol: float):
+def _judge(state: SchmidtState, k: int, stack: np.ndarray, tol: float, label: str | None = None):
     """The verdict on k members: their attempt at k and, when `verify_family`
-    passes them at tol, their witness (else None).  The status and the
-    largest pair residual are that report's, the objective is `objective`'s."""
+    passes them at tol, their witness (else None), labelled `label`, or
+    search-K{k} when it is None.  The status and the largest pair residual
+    are that report's, the objective is `objective`'s."""
     report = verify_family(stack, state, tol=tol)
     status = "found" if report.passed else "not found (heuristic)"
     attempt = KAttempt(k, status, objective(state, stack), report.max_pairwise_residual)
     if not report.passed:
         return attempt, None
-    return attempt, EncodingFamily(d=state.d, members=tuple(stack), label=f"search-K{k}", target_lambda0=state.lambda0)
+    label = f"search-K{k}" if label is None else label
+    return attempt, EncodingFamily(d=state.d, members=tuple(stack), label=label, target_lambda0=state.lambda0)
 
 
 def _find(state: SchmidtState, k: int, cfg: SearchConfig, fixed=None):
@@ -467,22 +472,53 @@ def _shift_witness(d: int) -> tuple[EncodingFamily, KAttempt]:
     return shift_diag_family(d, [np.ones(d)] * d), KAttempt(d, "found", 0.0, 0.0)
 
 
+def _constructed(state: SchmidtState, k: int, tol: float):
+    """The paper's family of exactly k members for a state at lambda0 = d/k,
+    as a verdict (attempt, witness, members) like `_find`'s, labelled with
+    the family's label; None when there is no such family or its members do
+    not pass `verify_family` at tol.
+
+    The families are the Weyl family at k = d^2, F_d/(d+2) at k = d+2 and
+    the 2d-1 family at k = 2d-1 for d >= 4.  Each is built for its one
+    target state, so at another state of the same lambda0, such as psi_H
+    (3/5, 1/5, 1/5) at k = 5, F_3/5 fails verification.
+    """
+    d = state.d
+    if not saturates(state, k):
+        return None
+    if k == d * d:
+        family = weyl_family(d)
+    elif k == d + 2:
+        family = family_dp2(d)
+    elif k == 2 * d - 1 and d >= 4:
+        family = family_2dm1(d)
+    else:
+        return None
+    stack = np.asarray(family.members)
+    attempt, witness = _judge(state, k, stack, tol, family.label)
+    return None if witness is None else (attempt, witness, stack)
+
+
 def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
     """Estimate the largest K the state supports, from K = d up to the cap:
     the weight bound, or cfg.max_k when that is lower.
 
     K = d needs no search: the shift family {X^k} is valid for every state,
-    so it is recorded as found with that witness.  The cap is searched
-    first, unless it is provably excluded, because the first k members of a
-    valid K-family are a valid k-family (their pair traces are some of its
-    own).  When the cap is found and, for each k between d and the cap, the
-    first k members of its witness pass `verify_family` at cfg.accept_tol
-    on their own, those verdicts stand for every K and nothing else is
-    searched.  Then one scan runs over K = d+1, d+2, ..., the cap: each K
-    that is provably excluded is recorded so, and ends the scan; any other
-    takes the verdict judged above, or else a search of its own.  The scan
-    stops at the first K that is not found.  The estimate is the last
-    certified K; a failed K is heuristic evidence only.
+    so it is recorded as found with that witness.  The cap is taken first,
+    unless it is provably excluded, because the first k members of a valid
+    K-family are a valid k-family (their pair traces are some of its own).
+    When the state saturates the cap and the paper has a family of exactly
+    that size (see `_constructed`) that passes `verify_family` at
+    cfg.accept_tol, that family is the cap's witness, with the family's
+    label; otherwise the cap is searched.  When the cap is found and, for
+    each k between d and the cap, the first k members of its witness pass
+    `verify_family` at cfg.accept_tol on their own, those verdicts stand
+    for every K and nothing else is searched.  Then one scan runs over
+    K = d+1, d+2, ..., the cap: each K that is provably excluded is
+    recorded so, and ends the scan; any other takes the verdict judged
+    above, or else a search of its own.  The scan stops at the first K that
+    is not found.  The estimate is the last certified K; a failed K is
+    heuristic evidence only.
     """
     _check_state(state)
     _check_config(cfg)
@@ -494,10 +530,12 @@ def estimate_nmax(state: SchmidtState, cfg: SearchConfig) -> SearchResult:
     witnesses: dict[int, EncodingFamily] = {d: shifts}
     judged = {}
     if cap > d and not bns_excluded(state, cap):
-        attempt, witness, stack = _find(state, cap, cfg)
+        constructed = _constructed(state, cap, cfg.accept_tol)
+        attempt, witness, stack = constructed or _find(state, cap, cfg)
         judged[cap] = attempt, witness
         if witness is not None:
-            subsets = {k: _judge(state, k, stack[:k], cfg.accept_tol) for k in range(d + 1, cap)}
+            label = witness.label if constructed else None
+            subsets = {k: _judge(state, k, stack[:k], cfg.accept_tol, label) for k in range(d + 1, cap)}
             if all(w is not None for _, w in subsets.values()):
                 judged |= subsets
     for k in range(d + 1, cap + 1):

@@ -12,8 +12,8 @@ import pytest
 
 from conftest import random_sorted_weights
 from dc_lab import search
-from dc_lab.analysis import KC_RESIDUAL_TOL, VERIFY_TOL, kc_span_check, verify_family, wcsg_bound
-from dc_lab.families import family_2dm1, family_dp2, qutrit_five_family, shift, shift_diag_family
+from dc_lab.analysis import KC_RESIDUAL_TOL, VERIFY_TOL, kc_span_check, saturates, verify_family, wcsg_bound
+from dc_lab.families import family_2dm1, family_dp2, qutrit_five_family, shift, shift_diag_family, weyl_family
 from dc_lab.linalg import unitarity_residual
 from dc_lab.search import (
     KAttempt,
@@ -682,17 +682,28 @@ def _count_finds(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "weights, cap",
-    [((1 / 3, 1 / 3, 1 / 3), 9), ((3 / 5, 2 / 5, 0), 5), ((4 / 7, 3 / 7, 0, 0), 7), ((0.51, 0.30, 0.19), 5)],
+    "weights, cap, family",
+    [
+        ((1 / 3, 1 / 3, 1 / 3), 9, weyl_family),
+        ((3 / 5, 2 / 5, 0), 5, family_dp2),
+        ((4 / 7, 3 / 7, 0, 0), 7, family_2dm1),
+        ((0.51, 0.30, 0.19), 5, None),
+    ],
     ids=["uniform", "psi-l", "d4-k7", "unsaturated"],
 )
-def test_a_cap_found_first_certifies_every_smaller_k(weights, cap, monkeypatch):
+def test_a_cap_found_first_certifies_every_smaller_k(weights, cap, family, monkeypatch):
+    # at a construction target the paper's family is the cap's witness and
+    # nothing is searched; elsewhere the cap is the one search
     state = make_state(len(weights), weights)
     sizes = _count_finds(monkeypatch)
     res = estimate_nmax(state, SearchConfig(base_seed=1))
-    assert sizes == [cap]
+    assert sizes == ([] if family else [cap])
     assert [(a.k, a.status) for a in res.attempts] == [(k, "found") for k in range(state.d, cap + 1)]
     top = res.witnesses[cap].members
+    if family is not None:
+        members = family(state.d).members
+        assert len(top) == len(members) == cap
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(top, members))
     for attempt in res.attempts[1:-1]:
         members = res.witnesses[attempt.k].members
         assert len(members) == attempt.k
@@ -731,22 +742,24 @@ def test_a_cap_refused_first_falls_back_to_the_scan(seed, monkeypatch):
 
 
 def test_a_subset_that_fails_verification_falls_back_to_the_scan(monkeypatch):
-    # the first K = 4 candidate, the cap witness's first four members, is
-    # turned down; the scan then searches K = 4 and reuses the K = 5 witness
+    # at (0.51, 0.30, 0.19), which no construction serves, the first K = 4
+    # candidate, the cap witness's first four members, is turned down; the
+    # scan then searches K = 4 and reuses the K = 5 witness
     judge, turned_down = search._judge, []
 
-    def refuse_the_first_subset(state, k, stack, tol):
-        attempt, witness = judge(state, k, stack, tol)
+    def refuse_the_first_subset(state, k, stack, tol, label=None):
+        attempt, witness = judge(state, k, stack, tol, label)
         if k == 4 and not turned_down:
             turned_down.append(stack)
             return attempt, None
         return attempt, witness
 
+    state = make_state(3, [0.51, 0.30, 0.19])
     cfg = SearchConfig(base_seed=1)
-    attempts, witnesses = _scan_from_d_plus_1(PSI_L, cfg)
+    attempts, witnesses = _scan_from_d_plus_1(state, cfg)
     monkeypatch.setattr(search, "_judge", refuse_the_first_subset)
     sizes = _count_finds(monkeypatch)
-    res = estimate_nmax(PSI_L, cfg)
+    res = estimate_nmax(state, cfg)
     assert sizes == [5, 4]
     assert [(a.k, a.status, a.best_objective, a.max_pair_residual) for a in res.attempts[1:]] == attempts
     for k in (4, 5):
@@ -794,21 +807,61 @@ def test_a_max_k_below_the_bound_is_searched_first(weights, max_k, statuses, mon
 # Each attempt's (k, status, repr(best_objective)) and the sha256 of the
 # witness members' complex128 bytes (in increasing K), for a default search
 # at base_seed=1, as recorded with numpy 2.4 and its bundled OpenBLAS on
-# x86-64.  Another LAPACK may round the Cayley solves differently and change them.
+# x86-64.  Another LAPACK may round the Cayley solves, or the completion of
+# a constructed family, differently and change them.  psi_L and
+# (4/6, 2/6, 0, 0) are the targets of F_3/5 and F_4/6, so their witnesses
+# are those families and their first members; psi_H is searched.
 RECORDED_SEARCHES = {
     (3 / 5, 2 / 5, 0.0): (
-        [(3, "found", "0.0"), (4, "found", "4.407129635975174e-22"), (5, "found", "7.063944165720826e-22")],
-        "283efb420c30faeb4445fe5f13ca6cd9842e7fbcb0cc21f2b33b1570e625b1e8",
+        [(3, "found", "0.0"), (4, "found", "7.075622681854026e-33"), (5, "found", "1.0338334259480078e-32")],
+        "af512bfc52e97177c4cb8e00dfa95eb5b96fe1549705a5ed7c5837b0af2f5265",
     ),
     (3 / 5, 1 / 5, 1 / 5): (
         [(3, "found", "0.0"), (4, "found", "1.0178089228339292e-24"), (5, "not found (heuristic)", "0.0015036158035837467")],
         "eecc4bbc03ed27ea266ace7bc7dbd5229192c4cc0ebda50cab9898638f283afa",
     ),
     (4 / 6, 2 / 6, 0.0, 0.0): (
-        [(4, "found", "0.0"), (5, "found", "5.540844414764034e-28"), (6, "found", "7.367160814872251e-28")],
-        "ea1ba984f47b76a22c6e954af4ab433ba344b1bd945b7147026d23ab9600befe",
+        [(4, "found", "0.0"), (5, "found", "3.356763844625261e-33"), (6, "found", "6.713527689250523e-33")],
+        "f67370c04eff20a75b5ee804d3355868cced0cdb934f9e68fe95e7dd1aa8e5c1",
+    ),
+    # saturates K = 5 as psi_L does, but F_3/5 fails verification there, so
+    # the cap is searched: recorded from the search with no construction step
+    (3 / 5, 2 / 5 - 1e-6, 1e-6): (
+        [(3, "found", "0.0"), (4, "found", "8.100729858463265e-22"), (5, "not found (heuristic)", "1.3430244492706707e-10")],
+        "5f51e673137feadb19f497bec60d2c55f1fdd975808703065819045ea10c90d0",
     ),
 }
+RECORDED_IDS = ["psi-l", "psi-h", "d4-k6", "psi-l-perturbed"]
+
+# find_family's (repr(objective), sha256 of the witness members) at
+# base_seed=1 for two saturated construction targets.  estimate_nmax takes
+# the constructed family there, so these keep the LM at saturation pinned.
+RECORDED_FINDS = {
+    ((3 / 5, 2 / 5, 0.0), 5): (
+        "7.063944165720826e-22",
+        "ec8e2d690521f414036becabb6da744730f188f9bb71593bb837ba108a16597c",
+    ),
+    ((4 / 6, 2 / 6, 0.0, 0.0), 6): (
+        "7.367160814872251e-28",
+        "762aadcdd011a56ae1298ceb6503c04202d665a519f50b00dedd4b65daee9f1c",
+    ),
+}
+
+
+def _digest(*families) -> str:
+    h = hashlib.sha256()
+    for fam in families:
+        for m in fam.members:
+            h.update(np.ascontiguousarray(m, dtype=np.complex128).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("weights, k", list(RECORDED_FINDS), ids=["psi-l-k5", "d4-k6"])
+def test_find_family_at_saturation_matches_the_recording(weights, k):
+    state = make_state(len(weights), weights)
+    best, fam = find_family(state, k, SearchConfig(base_seed=1))
+    assert (repr(best), _digest(fam)) == RECORDED_FINDS[weights, k]
+    assert fam.label == f"search-K{k}" and verify_family(fam, state).passed
 
 
 @functools.lru_cache(maxsize=None)
@@ -837,19 +890,15 @@ def _search_at_seed_1(weights):
     return state, result, polished
 
 
-@pytest.mark.parametrize("weights", list(RECORDED_SEARCHES), ids=["psi-l", "psi-h", "d4-k6"])
+@pytest.mark.parametrize("weights", list(RECORDED_SEARCHES), ids=RECORDED_IDS)
 def test_search_outputs_match_the_recording(weights):
     _, result, _ = _search_at_seed_1(weights)
     attempts, digest = RECORDED_SEARCHES[weights]
     assert [(a.k, a.status, repr(a.best_objective)) for a in result.attempts] == attempts
-    h = hashlib.sha256()
-    for k in sorted(result.witnesses):
-        for m in result.witnesses[k].members:
-            h.update(np.ascontiguousarray(m, dtype=np.complex128).tobytes())
-    assert h.hexdigest() == digest
+    assert _digest(*(result.witnesses[k] for k in sorted(result.witnesses))) == digest
 
 
-@pytest.mark.parametrize("weights", list(RECORDED_SEARCHES), ids=["psi-l", "psi-h", "d4-k6"])
+@pytest.mark.parametrize("weights", list(RECORDED_SEARCHES), ids=RECORDED_IDS)
 def test_found_pair_residual_is_the_one_verify_reports(weights):
     state, result, _ = _search_at_seed_1(weights)
     found = [a for a in result.attempts if a.status == "found"]
@@ -858,6 +907,67 @@ def test_found_pair_residual_is_the_one_verify_reports(weights):
         report = verify_family(result.witnesses[attempt.k], state)
         assert report.passed
         assert attempt.max_pair_residual == report.max_pairwise_residual
+
+
+@pytest.mark.parametrize(
+    "weights, labels",
+    [
+        ((3 / 5, 2 / 5, 0.0), {4: "F_3/5", 5: "F_3/5"}),
+        ((3 / 5, 1 / 5, 1 / 5), {4: "search-K4"}),
+        ((4 / 6, 2 / 6, 0.0, 0.0), {5: "F_4/6", 6: "F_4/6"}),
+        ((3 / 5, 2 / 5 - 1e-6, 1e-6), {4: "search-K4"}),
+    ],
+    ids=RECORDED_IDS,
+)
+def test_a_witness_label_tells_a_constructed_family_from_a_searched_one(weights, labels):
+    # K = d is the shift family's; above it, a constructed family and its
+    # first members carry the family's label, a searched witness search-K{k}
+    _, result, _ = _search_at_seed_1(weights)
+    d = len(weights)
+    assert {k: w.label for k, w in result.witnesses.items()} == {d: "shift-diag", **labels}
+
+
+@pytest.mark.parametrize("weights", [(3 / 5, 1 / 5, 1 / 5), (3 / 5, 2 / 5 - 1e-6, 1e-6)], ids=["psi-h", "psi-l-perturbed"])
+def test_a_saturated_state_off_the_targets_is_not_given_the_family(weights):
+    # both saturate K = 5, where F_3/5 is the paper's family, but only psi_L
+    # is its target: judged at either, it fails, and the cap is searched
+    state = make_state(3, weights)
+    assert saturates(state, 5)
+    assert not verify_family(family_dp2(3), state).passed
+    assert search._constructed(state, 5, VERIFY_TOL) is None
+
+
+def _construction_targets():
+    """Every construction target at d = 2-8, with its family: the uniform
+    state (Weyl), (d/(d+2), 2/(d+2), 0, ...) (F_d/(d+2)) and, for d >= 4,
+    (d/(2d-1), (d-1)/(2d-1), 0, ...) (the 2d-1 family).  At d = 2 the d+2
+    target is the uniform state, whose K = 4 = d^2 is the Weyl family's."""
+    for d in range(2, 9):
+        yield pytest.param([1 / d] * d, weyl_family, id=f"weyl-d{d}")
+        if d > 2:
+            yield pytest.param([d / (d + 2), 2 / (d + 2)] + [0.0] * (d - 2), family_dp2, id=f"dp2-d{d}")
+        if d >= 4:
+            yield pytest.param([d / (2 * d - 1), (d - 1) / (2 * d - 1)] + [0.0] * (d - 2), family_2dm1, id=f"2dm1-d{d}")
+
+
+@pytest.mark.parametrize("weights, family", list(_construction_targets()))
+def test_every_construction_target_is_found_without_a_polish(weights, family, monkeypatch):
+    def no_polish(*args):
+        raise AssertionError("a construction target must not be polished")
+
+    monkeypatch.setattr(search, "_lm_polish", no_polish)
+    state = make_state(len(weights), weights)
+    expected = family(state.d)
+    res = estimate_nmax(state, SearchConfig(base_seed=1))
+    cap = len(expected)
+    assert res.n_max_estimate == cap == wcsg_bound(state)
+    assert [(a.k, a.status) for a in res.attempts] == [(k, "found") for k in range(state.d, cap + 1)]
+    for attempt in res.attempts[1:]:
+        witness = res.witnesses[attempt.k]
+        assert witness.label == expected.label
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(witness.members, expected.members))
+        report = verify_family(witness, state)
+        assert report.passed and attempt.max_pair_residual == report.max_pairwise_residual
 
 
 @pytest.mark.parametrize("weights, n_max", [((3 / 5, 2 / 5, 0.0), 5), ((3 / 5, 1 / 5, 1 / 5), 4)], ids=["psi-l", "psi-h"])
