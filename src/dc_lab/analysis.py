@@ -27,7 +27,12 @@ KC_RESIDUAL_TOL = 1e-8
 # property fails.
 STRICT_BOUND_TOL = 1e-12
 # Matrix entries per block of the unitarity check: U^dag U is formed for this
-# many entries' worth of members at a time, for a whole small family at once.
+# many entries' worth of members at a time, a whole small family at once.
+# Kept apart from the completion's block (`families._BLOCK_ENTRIES`, 2^17)
+# for memory: checking a family must cost a fraction of it
+# (`test_checking_a_family_costs_a_fraction_of_it`).  At 2^17, verify_family
+# on the 2d-1 family at d = 32 peaked at 3,678,976 bytes against that test's
+# bound of 0.5 x 1,032,192.
 _BLOCK_ENTRIES = 1 << 12
 
 

@@ -115,13 +115,10 @@ def phase(d: int) -> np.ndarray:
 
 
 def _weyl_members(d: int):
+    # Z^a X^b is X^b times the diagonal with w^(a ((j + b) mod d)) in column j.
+    roots, cols = np.array([_root_of_unity(d, k) for k in range(d)]), np.arange(d)
     for a in range(d):
-        for b in range(d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            for j in range(d):
-                row = (j + b) % d
-                m[row, j] = _root_of_unity(d, a * row)
-            yield m
+        yield from _shift_diag_members(d, (roots[a * ((cols + b) % d) % d] for b in range(d)))
 
 
 def _weyl(d: int):
@@ -144,7 +141,7 @@ def _five(d: int):
     s3 = np.sqrt(3.0)
     s5 = np.sqrt(5.0)
     eye = np.eye(3, dtype=np.complex128)
-    a = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=np.complex128)
+    a = eye[:, [1, 0, 2]]
     u = np.array(
         [
             [-2 / 3, 0, s5 / 3],
@@ -184,9 +181,6 @@ def _f47(d: int):
     if d != 4:
         raise ValueError("F_4/7 is defined for d=4")
     s7 = np.sqrt(7.0)
-    eye = np.eye(4, dtype=np.complex128)
-    a1 = np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128)
-    a2 = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=np.complex128)
     u = np.array(
         [
             [-3 / 4, 0, 0, s7 / 4],
@@ -196,7 +190,7 @@ def _f47(d: int):
         ],
         dtype=np.complex128,
     )
-    members = [eye, a1, a2, u]
+    members = [_block_shift(4, j) for j in range(3)] + [u]
     for j in range(3):
         w1 = _root_of_unity(3, j)
         w2 = _root_of_unity(3, 2 * j)
@@ -215,11 +209,7 @@ def _f47(d: int):
 
 def _block_shift(d: int, j: int) -> np.ndarray:
     """Block-diagonal matrix with X_{d-1}^j in the top-left corner over [1]."""
-    out = np.zeros((d, d), dtype=np.complex128)
-    for col in range(d - 1):
-        out[(col + j) % (d - 1), col] = 1.0
-    out[d - 1, d - 1] = 1.0
-    return out
+    return np.eye(d, dtype=np.complex128)[:, [*range(j, d - 1), *range(j), d - 1]]
 
 
 def _two_dm1_m_column(d: int, j: int) -> np.ndarray:
@@ -240,13 +230,10 @@ def _two_dm1_m_column(d: int, j: int) -> np.ndarray:
 
 
 def _second_column_from_first(d: int, col1: np.ndarray) -> np.ndarray:
-    """Second column of M_j, determined entrywise by the first column."""
+    """Second column of M_j: the first d-1 entries of the first column shifted
+    cyclically down by one and scaled by -d/(d-1), over a zero last entry."""
     col2 = np.zeros(d, dtype=np.complex128)
-    factor = -d / (d - 1)
-    col2[0] = factor * col1[d - 2]
-    for k in range(d - 2):
-        col2[k + 1] = factor * col1[k]
-    col2[d - 1] = 0.0
+    col2[: d - 1] = -d / (d - 1) * np.roll(col1[: d - 1], 1)
     return col2
 
 
@@ -257,8 +244,7 @@ def _2dm1_columns(d: int) -> np.ndarray:
     u_col1 = np.zeros(d, dtype=np.complex128)
     u_col1[0] = -(d - 1.0) / d
     u_col1[d - 1] = -np.sqrt(2 * d - 1) / d
-    u_col2 = np.zeros(d, dtype=np.complex128)
-    u_col2[1] = 1.0
+    u_col2 = np.eye(d, dtype=np.complex128)[1]
     return np.stack([firsts + [u_col1], seconds + [u_col2]], axis=-1)
 
 
@@ -281,8 +267,9 @@ def _2dm1(d: int):
 def family_2dm1(d: int) -> EncodingFamily:
     """2d-1 encoding unitaries at lambda0 = d/(2d-1), for d >= 4.
 
-    Members are ordered A_0 = I, A_1, ..., A_{d-2}, M_0, ..., M_{d-2}, U.
-    The d = 4 case does not fit the general pattern: it is F_4/7.
+    Members are ordered A_0 = I, A_1, ..., A_{d-2}, M_0, ..., M_{d-2}, U, with
+    A_j = `_block_shift(d, j)`.  At d = 4, where the general columns are not
+    orthonormal, it is F_4/7: A_0, A_1, A_2, then the paper's printed U, M_0, M_1, M_2.
     """
     return _family(d, *_2dm1(d))
 
@@ -328,10 +315,7 @@ def _dp2_columns(d: int) -> np.ndarray:
     """The (n, d, 2) stack of the first two columns of M (when d is odd),
     U_1..U_j and V_1..V_k."""
     us, vs, m = _dp2_first_columns(d)
-    e0 = np.zeros(d, dtype=np.complex128)
-    e0[0] = 1.0
-    e1 = np.zeros(d, dtype=np.complex128)
-    e1[1] = 1.0
+    e0, e1 = np.eye(2, d, dtype=np.complex128)
     firsts, seconds = us + vs, [e1] * len(us) + [e0] * len(vs)
     if m is not None:
         m_col2 = np.zeros(d, dtype=np.complex128)
@@ -371,10 +355,11 @@ def family_dp2(d: int) -> EncodingFamily:
 
 
 def _shift_diag_members(d: int, diags):
+    cols = np.arange(d)
     for k, dk in enumerate(diags):
         m = np.zeros((d, d), dtype=np.complex128)
-        for j in range(d):
-            m[(j + k) % d, j] = dk[j]
+        # assigned, not multiplied into a shift: 0 * z can be -0.0, which a document prints
+        m[(cols + k) % d, cols] = dk
         yield m
 
 

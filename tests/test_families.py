@@ -9,6 +9,7 @@ from conftest import haar_unitary, random_sorted_weights
 from dc_lab.analysis import verify_family
 from dc_lab.families import (
     _2dm1_columns,
+    _block_shift,
     _dp2_columns,
     _root_of_unity,
     family_2dm1,
@@ -105,6 +106,18 @@ def test_weyl_counts_and_verification(d):
     assert report.passed
 
 
+@pytest.mark.parametrize("d", range(2, 7))
+def test_each_weyl_block_is_a_shift_diag_family(d, rng):
+    """Z^a X^b for fixed a are the shifts X^b times diagonals, so each block of
+    d consecutive members is valid for every state, not only the uniform one."""
+    members = weyl_family(d).members
+    for a in range(d):
+        block = members[a * d : (a + 1) * d]
+        for _ in range(5):
+            state = make_state(d, random_sorted_weights(rng, d))
+            assert verify_family(block, state, tol=1e-12).passed
+
+
 def test_five_family_entries():
     fam = qutrit_five_family()
     assert len(fam) == 5
@@ -160,6 +173,18 @@ def test_a_family_iterates_over_its_members():
 
 def test_2dm1_d4_delegates_to_f47():
     assert family_2dm1(4).label == "F_4/7"
+
+
+@pytest.mark.parametrize("d", range(4, 9))
+def test_2dm1_starts_with_the_block_shifts(d):
+    """A_j is X_{d-1}^j over [1], also at d = 4, where the family is F_4/7."""
+    members = family_2dm1(d).members
+    for j in range(d - 1):
+        expected = np.zeros((d, d))
+        expected[d - 1, d - 1] = 1.0
+        expected[: d - 1, : d - 1] = np.linalg.matrix_power(shift(d - 1), j).real
+        assert np.array_equal(members[j], _block_shift(d, j))
+        assert np.array_equal(members[j], expected)
 
 
 def test_2dm1_d5_columns():
